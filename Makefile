@@ -1,7 +1,7 @@
 PYTHON ?= python
 export PYTHONPATH := src$(if $(PYTHONPATH),:$(PYTHONPATH))
 
-.PHONY: test verify bench lint goldens surrogate-model
+.PHONY: test verify bench lint goldens
 
 test:
 	$(PYTHON) -m pytest -x -q
@@ -30,11 +30,3 @@ bench:
 
 goldens:
 	$(PYTHON) -m repro.cli validate --update-goldens
-
-# Regenerate the packaged surrogate artifact and audit its declared
-# bounds. Required whenever analytic formulas, presets, or the feature
-# encoding change (see CONTRIBUTING.md).
-surrogate-model:
-	$(PYTHON) -m repro.cli surrogate train \
-		--output src/repro/surrogate/model_default.json --jobs 4
-	$(PYTHON) -m repro.cli surrogate check --jobs 4

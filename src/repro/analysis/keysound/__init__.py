@@ -1,11 +1,11 @@
 """Whole-program cache-key soundness & determinism analysis (KEY/DET).
 
-The reproduction answers through five caching layers (fastpath memos,
-the persistent EvalCache, the batch compile memo, the surrogate tier,
-and the serve process-wide cache); a single memoized function that
-reads state *not* captured in its key silently serves stale physics —
-the worst failure mode for a model whose contract is that the same
-config always yields the same report. This pass makes the guarantee
+The reproduction answers through four caching layers (fastpath memos,
+the persistent EvalCache, the batch compile memo, and the serve
+process-wide cache); a single memoized function that reads state
+*not* captured in its key silently serves stale physics — the worst
+failure mode for a model whose contract is that the same config always
+yields the same report. This pass makes the guarantee
 whole-program:
 
 * **KEY001** — the computation behind a memoization site transitively

@@ -18,9 +18,7 @@ _CHAIN_LIMIT = 200
 
 #: Functions whose output *is* a cache key: nondeterminism or mutable
 #: state inside them corrupts every key they derive (DET001).
-KEY_DERIVATION: frozenset[str] = frozenset({
-    "stable_hash", "config_key", "extract_features",
-})
+KEY_DERIVATION: frozenset[str] = frozenset({"stable_hash", "config_key"})
 
 
 def _trim(text: str) -> str:

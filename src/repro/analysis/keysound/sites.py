@@ -40,10 +40,9 @@ _TRACE_DEPTH = 6
 #: Names that appear in key expressions but are derivation machinery,
 #: never key *data*.
 _KEY_MACHINERY: frozenset[str] = frozenset({
-    "stable_hash", "config_key", "extract_features", "sorted", "tuple",
-    "frozenset", "str", "repr", "len", "asdict", "astuple", "dict",
-    "hash", "id", "type", "isinstance", "min", "max", "round", "zip",
-    "enumerate", "range",
+    "stable_hash", "config_key", "sorted", "tuple", "frozenset", "str",
+    "repr", "len", "asdict", "astuple", "dict", "hash", "id", "type",
+    "isinstance", "min", "max", "round", "zip", "enumerate", "range",
 })
 
 

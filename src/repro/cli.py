@@ -14,9 +14,6 @@ Subcommands mirror how the original tool is used:
 * ``serve`` — run the long-running async HTTP/JSON evaluation service
   (:mod:`repro.serve`): ``POST /evaluate``, ``POST /sweep``,
   ``GET /metrics``, ``GET /healthz``.
-* ``surrogate train``/``surrogate check`` — fit the learned O(µs)
-  approximate-evaluation tier (:mod:`repro.surrogate`) on exact sweep
-  grids, and audit its declared error bounds on fresh held-out points.
 * ``lint`` — run the model-invariant static-analysis suite
   (:mod:`repro.analysis`) over source trees.
 
@@ -244,14 +241,17 @@ def _cmd_sweep(args: argparse.Namespace) -> int:
         obs.enable()
     cache = EvalCache(path=args.cache) if args.cache else None
     start_s = time.perf_counter()
-    results = run_sweep(
-        spec,
-        workload=workload,
-        jobs=args.jobs,
-        **({"cache": cache} if cache is not None else {}),
-        checkpoint_path=args.checkpoint,
-        backend=args.backend,
-    )
+    try:
+        results = run_sweep(
+            spec,
+            workload=workload,
+            jobs=args.jobs,
+            **({"cache": cache} if cache is not None else {}),
+            checkpoint_path=args.checkpoint,
+            backend=args.backend,
+        )
+    except ValueError as exc:  # a grid point the schema rejects
+        raise SystemExit(str(exc)) from exc
     wall_s = time.perf_counter() - start_s
     print(f"{spec.n_points}-point sweep of {base.name}")
     print(format_sweep_table(results))
@@ -308,66 +308,6 @@ def _cmd_serve(args: argparse.Namespace) -> int:
     except KeyboardInterrupt:
         print("\nshutting down")
     return 0
-
-
-def _cmd_surrogate_train(args: argparse.Namespace) -> int:
-    """Train the fast-tier model and save the JSON artifact."""
-    from repro import surrogate
-
-    sources = args.preset or list(presets.VALIDATION_PRESETS)
-    bases = [_resolve_config(source) for source in sources]
-    started_s = time.perf_counter()
-    try:
-        model = surrogate.train(bases, folds=args.folds, jobs=args.jobs)
-    except ValueError as exc:
-        raise SystemExit(f"surrogate training failed: {exc}") from exc
-    model.save(args.output)
-    elapsed_s = time.perf_counter() - started_s
-    print(f"trained {len(model.segments)} segment(s) in "
-          f"{elapsed_s:.1f}s -> {args.output}")
-    for segment in model.segments:
-        print(f"  {segment.name}: {segment.n_train} points, "
-              f"declared rel-err bound {segment.rel_err_bound:.3g}")
-    return 0
-
-
-def _cmd_surrogate_check(args: argparse.Namespace) -> int:
-    """Audit a model's declared bounds against fresh exact points."""
-    from repro import surrogate
-    from repro.surrogate.model import SurrogateModel
-    from repro.surrogate.tier import default_tier
-
-    if args.model is not None:
-        try:
-            model = SurrogateModel.load(args.model)
-        except (FileNotFoundError, ValueError) as exc:
-            raise SystemExit(f"cannot load {args.model}: {exc}") from exc
-    else:
-        tier = default_tier()
-        if tier is None:
-            raise SystemExit(
-                "no packaged surrogate model artifact; train one with "
-                "'mcpat-repro surrogate train' and pass --model"
-            )
-        model = tier.model
-    sources = args.preset or list(presets.VALIDATION_PRESETS)
-    checks = []
-    for source in sources:
-        base = _resolve_config(source)
-        checks.append(
-            surrogate.check_calibration(model, base, jobs=args.jobs)
-        )
-    if args.format == "json":
-        print(json.dumps([check.to_dict() for check in checks],
-                         indent=2, sort_keys=True))
-    else:
-        for check in checks:
-            verdict = "ok" if check.ok else "FAIL"
-            print(f"{check.base}: {verdict} "
-                  f"({check.in_domain}/{check.n_points} in domain, "
-                  f"worst rel err {check.worst_rel_err:.3g} vs "
-                  f"bound {check.bound:.3g})")
-    return 0 if all(check.ok for check in checks) else 1
 
 
 def _cmd_lint(args: argparse.Namespace) -> int:
@@ -544,59 +484,6 @@ def main(argv: list[str] | None = None) -> int:
                        help="enable obs instrumentation: request spans "
                             "and span histograms appear in GET /metrics")
     serve.set_defaults(func=_cmd_serve)
-
-    surrogate = sub.add_parser(
-        "surrogate",
-        help="train/audit the learned O(µs) approximate-evaluation tier",
-    )
-    surrogate_sub = surrogate.add_subparsers(
-        dest="surrogate_command", required=True,
-    )
-    surrogate_train = surrogate_sub.add_parser(
-        "train",
-        help="fit a model on exact sweep grids and save the artifact",
-    )
-    surrogate_train.add_argument(
-        "--preset", action="append", metavar="NAME",
-        help="base preset/config to train a segment on (repeatable; "
-             "default: every validation preset)",
-    )
-    surrogate_train.add_argument(
-        "--output", default="surrogate_model.json", metavar="PATH",
-        help="artifact path (default surrogate_model.json)",
-    )
-    surrogate_train.add_argument(
-        "--folds", type=int, default=5,
-        help="cross-validation folds behind the declared error bound "
-             "(default 5)",
-    )
-    surrogate_train.add_argument(
-        "--jobs", type=int, default=1,
-        help="engine worker processes for the oracle sweeps (default 1)",
-    )
-    surrogate_train.set_defaults(func=_cmd_surrogate_train)
-    surrogate_check = surrogate_sub.add_parser(
-        "check",
-        help="audit declared error bounds on fresh held-out exact points",
-    )
-    surrogate_check.add_argument(
-        "--model", default=None, metavar="PATH",
-        help="artifact to audit (default: the packaged model)",
-    )
-    surrogate_check.add_argument(
-        "--preset", action="append", metavar="NAME",
-        help="preset/config to audit against (repeatable; default: "
-             "every validation preset)",
-    )
-    surrogate_check.add_argument(
-        "--jobs", type=int, default=1,
-        help="engine worker processes for the exact grid (default 1)",
-    )
-    surrogate_check.add_argument(
-        "--format", choices=("text", "json"), default="text",
-        help="output format (default text)",
-    )
-    surrogate_check.set_defaults(func=_cmd_surrogate_check)
 
     lint = sub.add_parser(
         "lint",

@@ -9,20 +9,15 @@ from __future__ import annotations
 
 import dataclasses
 import json
+import typing
+from collections.abc import Mapping
+from enum import Enum
 from pathlib import Path
-from typing import Any
+from typing import Any, NamedTuple
 
 from repro.config.schema import (
-    BranchPredictorConfig,
-    CacheGeometry,
-    CoreConfig,
     LinkSignaling,
-    MemoryControllerConfig,
-    NiuConfig,
-    NocConfig,
     NocTopology,
-    PcieConfig,
-    SharedCacheConfig,
     SystemConfig,
 )
 from repro.tech import DeviceType
@@ -46,46 +41,123 @@ def system_config_to_dict(config: SystemConfig) -> dict[str, Any]:
     return _to_dict(config)
 
 
-def system_config_from_dict(data: dict[str, Any]) -> SystemConfig:
+#: Value types a leaf annotation takes. ``bool`` subclasses ``int`` in
+#: Python, so a bool is rejected unless the annotation is ``bool``.
+_LEAF_TYPES: dict[type, tuple[type, ...]] = {
+    int: (int,), float: (int, float), bool: (bool,), str: (str,),
+}
+
+
+class _Field(NamedTuple):
+    """One schema field's annotation, as the loader checks it."""
+
+    #: A key of :data:`_LEAF_TYPES`, an Enum, or a schema dataclass.
+    kind: type
+    #: ``X | None``: null is admitted too.
+    nullable: bool
+
+    def expected(self) -> str:
+        if dataclasses.is_dataclass(self.kind):
+            text = "object"
+        elif issubclass(self.kind, Enum):
+            text = "one of " + ", ".join(m.value for m in self.kind)
+        else:
+            text = self.kind.__name__
+        return text + " or null" if self.nullable else text
+
+
+def _field_tables(root: type) -> dict[type, dict[str, _Field]]:
+    """One ``{field name: _Field}`` table per schema dataclass reachable
+    from ``root``, read from the resolved annotations."""
+    tables: dict[type, dict[str, _Field]] = {}
+    pending = [root]
+    while pending:
+        cls = pending.pop()
+        if cls in tables:
+            continue
+        table = {}
+        for name, hint in typing.get_type_hints(cls).items():
+            args = [a for a in typing.get_args(hint) if a is not type(None)]
+            (kind,) = args or (hint,)
+            table[name] = _Field(kind, nullable=bool(args))
+            if dataclasses.is_dataclass(kind):
+                pending.append(kind)
+            elif not issubclass(kind, Enum) and kind not in _LEAF_TYPES:
+                raise TypeError(f"{cls.__name__}.{name}: no loader for "
+                                f"{kind!r}")
+        tables[cls] = table
+    return tables
+
+
+_FIELDS = _field_tables(SystemConfig)
+
+#: Per schema dataclass and field, the value classes taken as they are:
+#: the common case costs one set lookup per leaf.
+_AS_IS: dict[type, dict[str, frozenset[type]]] = {
+    cls: {
+        name: frozenset(_LEAF_TYPES.get(field.kind, ())
+                        + ((type(None),) if field.nullable else ()))
+        for name, field in table.items()
+    }
+    for cls, table in _FIELDS.items()
+}
+
+
+def _build(cls: type, data: Mapping[str, Any], path: str) -> Any:
+    """``cls`` from its dict form, every value checked against the
+    field tables before any schema validator runs."""
+    as_is = _AS_IS[cls]
+    kwargs = dict(data)
+    for name, value in data.items():
+        if value.__class__ not in as_is.get(name, ()):
+            kwargs[name] = _convert(cls, name, value, f"{path}.{name}")
+    return cls(**kwargs)
+
+
+def _convert(cls: type, name: str, value: Any, where: str) -> Any:
+    """The slow path of :func:`_build`: nested objects, enums, leaf
+    subclasses (``numpy.float64``), and every error."""
+    field = _FIELDS[cls].get(name)
+    if field is None:
+        raise ValueError(f"{where}: unknown field")
+    kind = field.kind
+    if kind in _FIELDS:
+        if isinstance(value, Mapping):
+            return _build(kind, value, where)
+    elif kind in _LEAF_TYPES:
+        if value.__class__ is not bool and isinstance(
+                value, _LEAF_TYPES[kind]):
+            return value
+    else:
+        try:
+            return kind(value)
+        except ValueError:
+            pass
+    shown = repr(value)
+    if len(shown) > 40:
+        shown = shown[:37] + "..."
+    raise ValueError(f"{where}: expected {field.expected()}, "
+                     f"got {type(value).__name__} {shown}")
+
+
+def system_config_from_dict(data: Mapping[str, Any]) -> SystemConfig:
     """Reconstruct a system config from :func:`system_config_to_dict` output.
 
-    Raises:
-        KeyError / TypeError / ValueError: On malformed input; the schema
-        validators run on construction.
-    """
-    def build_core(core: dict[str, Any]) -> CoreConfig:
-        core = dict(core)
-        core["icache"] = CacheGeometry(**core["icache"])
-        core["dcache"] = CacheGeometry(**core["dcache"])
-        if core.get("branch_predictor") is not None:
-            core["branch_predictor"] = BranchPredictorConfig(
-                **core["branch_predictor"]
-            )
-        return CoreConfig(**core)
+    Every value is checked against its field's annotation first: ``int``
+    takes an int but not a bool, ``float`` an int or a float, ``bool``
+    only a bool, ``str`` only a str, an enum one of its values, and
+    ``| None`` also null.
 
-    data = dict(data)
-    data["core"] = build_core(data["core"])
-    if data.get("little_core") is not None:
-        data["little_core"] = build_core(data["little_core"])
-    data["device_type"] = DeviceType(data.get("device_type", "hp"))
-    if data.get("l2") is not None:
-        data["l2"] = SharedCacheConfig(**data["l2"])
-    if data.get("l3") is not None:
-        data["l3"] = SharedCacheConfig(**data["l3"])
-    noc = dict(data.get("noc", {}))
-    if "topology" in noc:
-        noc["topology"] = NocTopology(noc["topology"])
-    if "link_signaling" in noc:
-        noc["link_signaling"] = LinkSignaling(noc["link_signaling"])
-    data["noc"] = NocConfig(**noc)
-    data["memory_controller"] = MemoryControllerConfig(
-        **data.get("memory_controller", {})
-    )
-    if data.get("niu") is not None:
-        data["niu"] = NiuConfig(**data["niu"])
-    if data.get("pcie") is not None:
-        data["pcie"] = PcieConfig(**data["pcie"])
-    return SystemConfig(**data)
+    Raises:
+        ValueError: On a value of the wrong type or an unknown field
+            (the message names the field path, e.g. ``config.l2.banks``),
+            or when a schema validator rejects a value.
+        TypeError: When a required field is missing.
+    """
+    if not isinstance(data, Mapping):
+        raise ValueError(f"config: expected object, got "
+                         f"{type(data).__name__}")
+    return _build(SystemConfig, data, "config")
 
 
 def save_system_config(config: SystemConfig, path: str | Path) -> None:

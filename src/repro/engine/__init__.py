@@ -92,9 +92,6 @@ def evaluate_many(
     cache: EvalCache | None = DEFAULT_CACHE,
     with_metrics: bool = False,
     backend: str | None = None,
-    exact: bool = True,
-    rel_tol: float | None = None,
-    surrogate: "object | None" = None,
     _keys: Sequence[str] | None = None,
     _group_keys: Sequence[str] | None = None,
 ) -> "list[EvalRecord] | tuple[list[EvalRecord], obs.MetricsSnapshot]":
@@ -124,27 +121,6 @@ def evaluate_many(
             fallbacks) transparently use the scalar path. Cache
             accounting is identical either way: every point is looked
             up and stored per key.
-        exact: ``True`` (default) never serves approximate results.
-            ``False`` admits the learned surrogate tier
-            (:mod:`repro.surrogate`): after cache hits, uncached points
-            inside a trained segment's domain are answered in O(µs)
-            with ``backend="surrogate"`` records carrying a declared
-            relative error bound; everything else (out-of-domain,
-            too-loose bounds, workload runs) transparently falls back
-            to the exact engine. Surrogate answers are *never* stored
-            in the exact-result cache, and exact paths stay
-            bit-identical whether or not a surrogate is configured.
-        rel_tol: With ``exact=False``, the caller's relative error
-            tolerance: a surrogate answer is only served when its
-            declared bound is at or below this. ``None`` accepts any
-            in-domain answer. Must be positive; rejected with
-            ``exact=True`` (an exact result has no tolerance to spend).
-        surrogate: The :class:`~repro.surrogate.tier.SurrogateTier` to
-            consult when ``exact=False`` (duck-typed to keep the
-            dependency one-way). ``None`` uses the process-wide tier
-            over the packaged model artifact
-            (:func:`repro.surrogate.default_tier`); when that is also
-            unavailable, every point is computed exactly.
         _keys: Internal — precomputed
             :func:`~repro.engine.cache.config_key` per config (the
             sweep runner renders keys through a validated template;
@@ -163,7 +139,6 @@ def evaluate_many(
     Raises:
         ValueError: If ``configs`` is empty, a runtime objective is
             requested without a workload, an unknown backend is named,
-            ``rel_tol`` is non-positive or combined with ``exact=True``,
             or a config holds a value that cannot be content-hashed
             (the message names the offending field path).
     """
@@ -178,25 +153,6 @@ def evaluate_many(
             raise ValueError(
                 f"objective {name!r} requires a workload"
             )
-    if rel_tol is not None:
-        if exact:
-            raise ValueError(
-                "rel_tol only applies to approximate evaluation; pass "
-                "exact=False to admit the surrogate tier"
-            )
-        if not rel_tol > 0.0:
-            raise ValueError(
-                f"rel_tol must be a positive relative error bound, "
-                f"got {rel_tol!r}"
-            )
-    tier = None
-    if not exact:
-        if surrogate is not None:
-            tier = surrogate
-        else:
-            from repro.surrogate.tier import default_tier
-
-            tier = default_tier()
     resolved_backend = batch.resolve_backend(backend)
 
     if _keys is not None:
@@ -229,29 +185,6 @@ def evaluate_many(
                 assert _group_keys is not None
                 compute_group_keys.append(_group_keys[i])
 
-    # The surrogate tier answers admissible uncached points; the rest
-    # stay on the exact path and are fed back as training misses below.
-    surrogate_fallbacks: list[tuple[str, SystemConfig]] = []
-    if tier is not None and to_compute:
-        remaining: list[tuple[str, SystemConfig]] = []
-        remaining_group_keys: list[str] | None = (
-            [] if compute_group_keys is not None else None
-        )
-        for i, (key, config) in enumerate(to_compute):
-            answered = tier.try_predict(
-                config, key=key, rel_tol=rel_tol, workload=workload,
-            )
-            if answered is not None:
-                records[key] = answered[0]
-                continue
-            surrogate_fallbacks.append((key, config))
-            remaining.append((key, config))
-            if remaining_group_keys is not None:
-                assert compute_group_keys is not None
-                remaining_group_keys.append(compute_group_keys[i])
-        to_compute = remaining
-        compute_group_keys = remaining_group_keys
-
     if to_compute and resolved_backend == "numpy" and workload is None:
         batched, to_compute = batch.evaluate_batch(
             to_compute, group_keys=compute_group_keys,
@@ -270,10 +203,6 @@ def evaluate_many(
             records[key] = record
             if cache is not None:
                 cache.put(key, record)
-
-    if tier is not None:
-        for key, config in surrogate_fallbacks:
-            tier.observe_miss(config, records[key])
 
     ordered = [records[key] for key in keys]
     if with_metrics:

@@ -332,11 +332,12 @@ class SweepSpec:
         config is built from the first point and every other point is
         a ``dataclasses.replace`` of it — the frozen sub-configs are
         shared, only the top-level dataclass (and its validators) is
-        rebuilt. The shortcut only fires when each axis value is an
-        instance of the field's built type (``from_dict`` converts
-        enum-typed fields, which ``replace`` must not skip); nested
-        axes and type-changing values take the general dict-overlay
-        path.
+        rebuilt. The shortcut only fires when each axis value has
+        exactly the class of the field's built value (``from_dict``
+        converts enum-typed fields and type-checks every value, which
+        ``replace`` must not skip: a bool is an ``int`` subclass);
+        nested axes and type-changing values take the general
+        dict-overlay path.
         """
         base_dict = system_config_to_dict(self.base)
         paths = [axis.path.split(".") for axis in self.axes]
@@ -353,7 +354,7 @@ class SweepSpec:
                 and template_config is not None
                 and field_types is not None
                 and all(
-                    isinstance(value, kind)
+                    value.__class__ is kind
                     for value, kind in zip(combo, field_types)
                 )
             ):

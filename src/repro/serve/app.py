@@ -21,10 +21,8 @@ Endpoints::
     GET  /healthz          liveness + queue occupancy
     GET  /metrics          metrics-registry snapshot (cache hit rates,
                            memo counters, serve request counters)
-    POST /evaluate         one config -> EvalRecord (+ report text);
-                           {"exact": false, "rel_tol": 0.02} admits the
-                           learned surrogate tier (X-Eval-Tier response
-                           header says which tier answered)
+    POST /evaluate         one config -> EvalRecord (+ report text,
+                           on by default); every answer is exact
     POST /sweep            SweepSpec grid -> batched results; with
                            {"async": true} returns a job id instead;
                            {"backend": "numpy"|"auto"} opts into the
@@ -77,6 +75,24 @@ _EXECUTOR_HEADROOM = 4
 
 #: ``Retry-After`` seconds suggested to clients bounced by admission.
 RETRY_AFTER_S = 1.0
+
+
+def _int_field(
+    payload: Mapping[str, Any], name: str, default: int, minimum: int,
+) -> int:
+    """``payload[name]`` (or ``default``) as an integer ``>= minimum``.
+
+    JSON ``true``/``false`` are not integers here, although Python's
+    ``bool`` is an ``int`` subclass.
+
+    Raises:
+        HttpError: 400 naming the field on any other value.
+    """
+    value = payload.get(name, default)
+    if isinstance(value, bool) or not isinstance(value, int) \
+            or value < minimum:
+        raise HttpError(400, f"'{name}' must be an integer >= {minimum}")
+    return value
 
 
 @dataclass(frozen=True)
@@ -151,21 +167,14 @@ class EvalServer:
         cache: Shared result cache; built from ``config`` when omitted.
             Pass one explicitly to share a cache with in-process callers
             (tests, the load benchmark).
-        surrogate: The :class:`~repro.surrogate.tier.SurrogateTier`
-            consulted by ``{"exact": false}`` requests. ``None`` (the
-            default) uses the process-wide tier over the packaged model
-            artifact; pass one explicitly to serve a custom model
-            (tests, freshly trained artifacts).
     """
 
     def __init__(
         self,
         config: ServeConfig | None = None,
         cache: EvalCache | None = None,
-        surrogate: "object | None" = None,
     ) -> None:
         self.config = config or ServeConfig()
-        self._surrogate = surrogate
         self.cache = cache if cache is not None else EvalCache(
             max_entries=self.config.cache_entries,
             path=self.config.cache_path,
@@ -272,9 +281,7 @@ class EvalServer:
             trace_id=trace_id, method=request.method, path=request.path,
         ):
             try:
-                status, payload, extra_headers = await self._route(
-                    request, trace_id,
-                )
+                status, payload = await self._route(request, trace_id)
                 body = encode_json(payload)
             except HttpError as exc:
                 status = exc.status
@@ -303,27 +310,23 @@ class EvalServer:
 
     async def _route(
         self, request: HttpRequest, trace_id: str,
-    ) -> tuple[int, Any, tuple[tuple[str, str], ...]]:
+    ) -> tuple[int, Any]:
         method, path = request.method, request.path
         if path == "/healthz":
             self._require(method, "GET", path)
-            return 200, self._healthz_payload(), ()
+            return 200, self._healthz_payload()
         if path == "/metrics":
             self._require(method, "GET", path)
-            return 200, self.metrics_payload(), ()
+            return 200, self.metrics_payload()
         if path == "/evaluate":
             self._require(method, "POST", path)
-            payload, headers = await self._handle_evaluate(
-                request, trace_id,
-            )
-            return 200, payload, headers
+            return 200, await self._handle_evaluate(request, trace_id)
         if path == "/sweep":
             self._require(method, "POST", path)
-            status, payload = await self._handle_sweep(request, trace_id)
-            return status, payload, ()
+            return await self._handle_sweep(request, trace_id)
         if path.startswith("/jobs/"):
             self._require(method, "GET", path)
-            return 200, self._handle_job(path[len("/jobs/"):]), ()
+            return 200, self._handle_job(path[len("/jobs/"):])
         raise HttpError(404, f"unknown path {path!r}")
 
     @staticmethod
@@ -456,38 +459,19 @@ class EvalServer:
         payload["queued_requests"] = self._waiting
         return payload
 
-    def _tier(self) -> "object | None":
-        if self._surrogate is not None:
-            return self._surrogate
-        from repro.surrogate.tier import default_tier
-
-        return default_tier()
-
     def _evaluate_work(
         self,
         config: SystemConfig,
         workload: Workload | None,
         want_report: bool,
         depth: int,
-        exact: bool,
-        rel_tol: float | None,
         parent_span_id: int | None,
-    ) -> tuple[EvalRecord, str | None, float | None]:
+    ) -> tuple[EvalRecord, str | None]:
         """Executor-side body of one ``/evaluate`` request."""
         with obs.attach(parent_span_id):
-            tier = self._tier() if not exact else None
             record = evaluate_many(
-                [config], workload=workload,
-                jobs=1, cache=self.cache,
-                exact=exact, rel_tol=rel_tol, surrogate=tier,
+                [config], workload=workload, jobs=1, cache=self.cache,
             )[0]
-            rel_err_bound = None
-            if record.backend == "surrogate" and tier is not None:
-                # Re-derive the declared bound for the response body;
-                # predict is deterministic and O(µs).
-                prediction = tier.model.predict(config)
-                if prediction.in_domain:
-                    rel_err_bound = prediction.rel_err_bound
             report_text = None
             if want_report:
                 report_text = self._report_memo.get_or_compute(
@@ -499,71 +483,40 @@ class EvalServer:
                         Processor(config), max_depth=depth,
                     ) + "\n",
                 )
-        return record, report_text, rel_err_bound
+        return record, report_text
 
     async def _handle_evaluate(
         self, request: HttpRequest, trace_id: str,
-    ) -> tuple[dict[str, Any], tuple[tuple[str, str], ...]]:
+    ) -> dict[str, Any]:
         payload = request.json()
         if not isinstance(payload, Mapping):
             raise HttpError(400, "request body must be a JSON object")
         config = self._parse_config(payload)
         workload = self._parse_workload(payload)
-        exact = payload.get("exact", True)
-        if not isinstance(exact, bool):
-            raise HttpError(400, "'exact' must be a boolean")
-        rel_tol = payload.get("rel_tol")
-        if rel_tol is not None:
-            if exact:
-                raise HttpError(
-                    400, "'rel_tol' only applies to approximate "
-                         "evaluation; pass \"exact\": false",
-                )
-            if (
-                isinstance(rel_tol, bool)
-                or not isinstance(rel_tol, (int, float))
-                or not rel_tol > 0
-            ):
-                raise HttpError(400, "'rel_tol' must be a positive number")
-            rel_tol = float(rel_tol)
-        raw_report = payload.get("report")
-        want_report = exact if raw_report is None else bool(raw_report)
-        if want_report and not exact:
-            raise HttpError(
-                400, "'report' requires exact evaluation: rendering the "
-                     "component tree runs the full analytic model, which "
-                     "defeats the surrogate tier",
-            )
-        depth = payload.get("depth", self.config.default_depth)
-        if not isinstance(depth, int) or depth < 0:
-            raise HttpError(400, "'depth' must be a non-negative integer")
+        want_report = payload.get("report")
+        if want_report is None:
+            want_report = True
+        elif not isinstance(want_report, bool):
+            raise HttpError(400, "'report' must be a boolean")
+        depth = _int_field(payload, "depth", self.config.default_depth, 0)
         parent_span_id = obs.current_span_id()
         try:
-            record, report_text, rel_err_bound = await self._admitted(
+            record, report_text = await self._admitted(
                 lambda: self._evaluate_work(
-                    config, workload, want_report, depth,
-                    exact, rel_tol, parent_span_id,
+                    config, workload, want_report, depth, parent_span_id,
                 ),
             )
         except ValueError as exc:
             raise HttpError(400, str(exc)) from exc
         self._count("serve.evaluations")
-        tier_name = (
-            "surrogate" if record.backend == "surrogate" else "exact"
-        )
-        if tier_name == "surrogate":
-            self._count("serve.evaluations_surrogate")
         response: dict[str, Any] = {
             "trace_id": trace_id,
             "record": record.to_dict(),
             "from_cache": record.from_cache,
-            "tier": tier_name,
         }
-        if rel_err_bound is not None:
-            response["rel_err_bound"] = rel_err_bound
         if report_text is not None:
             response["report_text"] = report_text
-        return response, (("X-Eval-Tier", tier_name),)
+        return response
 
     def _sweep_work(
         self,
@@ -605,10 +558,7 @@ class EvalServer:
                 400, "'axes' must be a non-empty object of "
                      "{axis name: [values...]}"
             )
-        jobs = payload.get("jobs", 1)
-        if not isinstance(jobs, int) or jobs < 1:
-            raise HttpError(400, "'jobs' must be a positive integer")
-        jobs = min(jobs, self.config.jobs)
+        jobs = min(_int_field(payload, "jobs", 1, 1), self.config.jobs)
         backend = payload.get("backend", "scalar")
         if backend not in ("auto", "scalar", "numpy"):
             raise HttpError(
@@ -621,11 +571,14 @@ class EvalServer:
 
         parent_span_id = obs.current_span_id()
         if not payload.get("async", False):
-            result = await self._admitted(
-                lambda: self._sweep_work(
-                    spec, workload, jobs, backend, parent_span_id,
-                ),
-            )
+            try:
+                result = await self._admitted(
+                    lambda: self._sweep_work(
+                        spec, workload, jobs, backend, parent_span_id,
+                    ),
+                )
+            except ValueError as exc:
+                raise HttpError(400, str(exc)) from exc
             self._count("serve.sweeps")
             result["trace_id"] = trace_id
             return 200, result

@@ -134,8 +134,6 @@ class ServeClient:
         workload: str | None = None,
         report: bool | None = None,
         depth: int | None = None,
-        exact: bool = True,
-        rel_tol: float | None = None,
         trace_id: str | None = None,
     ) -> dict[str, Any]:
         """Evaluate one architecture config (``POST /evaluate``).
@@ -146,24 +144,13 @@ class ServeClient:
                 :func:`repro.config.loader.system_config_to_dict` form.
             workload: Optional SPLASH-2 profile name for runtime metrics.
             report: Include the McPAT-style ``report_text`` breakdown
-                (server default: yes for exact requests, no for
-                approximate ones — reports require the full model).
+                (server default: yes).
             depth: Report-tree depth (server default when None).
-            exact: ``False`` admits the server's learned surrogate tier;
-                the response's ``tier`` field (and the ``X-Eval-Tier``
-                header, see ``_headers``) says which tier answered, and
-                surrogate answers carry ``rel_err_bound``.
-            rel_tol: Relative error tolerance for ``exact=False`` — the
-                surrogate only answers when its declared bound fits.
             trace_id: Propagate a caller-chosen trace id.
         """
         payload: dict[str, Any] = {}
         if report is not None:
             payload["report"] = report
-        if not exact:
-            payload["exact"] = False
-        if rel_tol is not None:
-            payload["rel_tol"] = rel_tol
         if preset is not None:
             payload["preset"] = preset
         if config is not None:

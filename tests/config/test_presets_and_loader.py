@@ -68,3 +68,56 @@ class TestLoader:
 
         data = system_config_to_dict(presets.niagara1())
         json.dumps(data)  # must not raise
+
+
+def _with(path, value):
+    """niagara1's dict form with the dotted ``path`` set to ``value``."""
+    data = system_config_to_dict(presets.niagara1())
+    *parents, leaf = path.split(".")
+    node = data
+    for part in parents:
+        node = node[part]
+    node[leaf] = value
+    return data
+
+
+class TestLoaderTypeChecks:
+    """Each case: a well-typed value loads, an ill-typed one is rejected
+    with the field path named."""
+
+    @pytest.mark.parametrize("path, good, bad, message", [
+        ("l2.banks", 2, 4.0, "config.l2.banks: expected int, got float 4.0"),
+        # float takes an int, but no string
+        ("temperature_k", 350, "360",
+         "config.temperature_k: expected float, got str '360'"),
+        ("n_cores", 4, 8.5, "config.n_cores: expected int, got float 8.5"),
+        ("n_cores", 4, True, "config.n_cores: expected int, got bool True"),
+        ("clock_hz", 2.0e9, False,
+         "config.clock_hz: expected float, got bool False"),
+        ("core.is_ooo", False, 1,
+         "config.core.is_ooo: expected bool, got int 1"),
+        ("name", "chip", 7, "config.name: expected str, got int 7"),
+        ("vdd_v", None, "1.2",
+         "config.vdd_v: expected float or null, got str '1.2'"),
+        ("core.icache.banks", 2, None,
+         "config.core.icache.banks: expected int, got NoneType None"),
+        ("l2", None, 4, "config.l2: expected object or null, got int 4"),
+        ("noc", {}, None, "config.noc: expected object, got NoneType None"),
+        ("device_type", "lop", "quantum",
+         "config.device_type: expected one of hp, lstp, lop, "
+         "got str 'quantum'"),
+    ])
+    def test_leaf_type_checked(self, path, good, bad, message):
+        system_config_from_dict(_with(path, good))
+        with pytest.raises(ValueError) as exc:
+            system_config_from_dict(_with(path, bad))
+        assert str(exc.value) == message
+
+    def test_unknown_field_named(self):
+        with pytest.raises(ValueError,
+                           match=r"^config\.noc\.warp: unknown field$"):
+            system_config_from_dict(_with("noc.warp", 1))
+
+    def test_non_object_config_rejected(self):
+        with pytest.raises(ValueError, match="config: expected object"):
+            system_config_from_dict([1, 2])

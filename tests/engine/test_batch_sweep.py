@@ -67,6 +67,14 @@ class TestLazyGrid:
                 rebuilt, None
             )
 
+    def test_replace_fast_path_keeps_type_checks(self):
+        # A bool is an int subclass: it must not ride the replace
+        # shortcut past the loader's type check.
+        spec = SweepSpec.from_axes(make_tiny_config(), {"cores": (1, True)})
+        with pytest.raises(ValueError,
+                           match="config.n_cores: expected int, got bool"):
+            list(spec.iter_points())
+
     def test_enum_axis_builds_typed_configs(self):
         spec = SweepSpec.from_axes(
             make_tiny_config(),

@@ -15,6 +15,7 @@ import time
 import pytest
 
 from repro import obs
+from repro.config import presets
 from repro.config.loader import system_config_to_dict
 from repro.engine import EvalRecord, evaluate_many
 from repro.serve import (
@@ -42,8 +43,7 @@ def sleepy_evaluate_many(sleep_s: float):
     """A fake ``evaluate_many`` sleeping for configs named ``slow*``."""
 
     def fake(configs, objective=None, workload=None, jobs=1, cache=None,
-             with_metrics=False, backend=None, exact=True, rel_tol=None,
-             surrogate=None):
+             with_metrics=False, backend=None):
         if configs[0].name.startswith("slow"):
             time.sleep(sleep_s)
         return [fake_record(config) for config in configs]
@@ -197,6 +197,49 @@ class TestEvaluate:
             assert exc.value.status == 400
             assert "malformed config" in exc.value.detail
 
+    def test_ill_typed_leaf_400_names_field(self):
+        payload = system_config_to_dict(presets.niagara1())
+        payload["l2"]["banks"] = 4.0
+        with BackgroundServer(ServeConfig(port=0)) as server:
+            with pytest.raises(ServeError) as exc:
+                server.client().evaluate(config=payload, report=False)
+        assert exc.value.status == 400
+        assert "config.l2.banks: expected int" in exc.value.detail
+
+    @pytest.mark.parametrize("field, value", [
+        ("report", "false"),
+        ("depth", True),
+    ])
+    def test_bad_request_field_400_names_it(self, field, value):
+        with BackgroundServer(ServeConfig(port=0)) as server:
+            with pytest.raises(ServeError) as exc:
+                server.client().request(
+                    "POST", "/evaluate",
+                    {"config": tiny_dict(), field: value},
+                )
+        assert exc.value.status == 400
+        assert f"'{field}'" in exc.value.detail
+
+    def test_old_approximate_request_body_answered_exactly(self):
+        # Bodies of older clients may still ask for approximate answers;
+        # the service ignores those keys and answers exactly. The point
+        # is a preset at a nearby clock, served first so that the exact
+        # request after it is a cache hit on the same key.
+        config = presets.niagara1()
+        payload = system_config_to_dict(config)
+        payload["clock_hz"] = config.clock_hz * 1.05
+        with BackgroundServer(ServeConfig(port=0)) as server:
+            client = server.client()
+            old = client.request("POST", "/evaluate", {
+                "config": payload, "exact": False, "rel_tol": 0.02,
+                "report": False,
+            })
+            exact = client.evaluate(config=payload, report=False)
+        assert old["_status"] == 200
+        assert old["record"] == exact["record"]
+        assert exact["from_cache"] is True
+        assert "tier" not in old and "tier" not in exact
+
     def test_client_trace_id_round_trips(self):
         with BackgroundServer(ServeConfig(port=0)) as server:
             served = server.client().evaluate(
@@ -286,6 +329,21 @@ class TestSweep:
         assert tdps == sorted(tdps)  # TDP grows with frequency
         if batch.have_numpy():
             assert metrics["counters"]["batch.points_vectorized"] >= 4
+
+    @pytest.mark.parametrize("body, field", [
+        ({"axes": {"n_cores": [0]}}, "n_cores"),
+        ({"axes": {"clock_hz": [-1.0]}}, "clock_hz"),
+        ({"axes": {"n_cores": [2.5]}}, "n_cores"),
+        ({"axes": {"cores": [1, 2]}, "jobs": True}, "jobs"),
+    ])
+    def test_sync_sweep_bad_value_400_names_it(self, body, field):
+        with BackgroundServer(ServeConfig(port=0)) as server:
+            with pytest.raises(ServeError) as exc:
+                server.client().request(
+                    "POST", "/sweep", {"preset": "niagara1", **body},
+                )
+        assert exc.value.status == 400
+        assert field in exc.value.detail
 
     def test_sweep_invalid_backend_400(self):
         with BackgroundServer(ServeConfig(port=0)) as server:

@@ -92,56 +92,11 @@ class TestSweep:
         with pytest.raises(SystemExit, match="unknown sweep axis"):
             main(["sweep", tiny_json, "--axis", "warp_factor=1,2"])
 
+    def test_invalid_axis_value_fails_cleanly(self, tiny_json):
+        with pytest.raises(SystemExit, match="n_cores must be >= 1"):
+            main(["sweep", tiny_json, "--axis", "cores=0"])
+
     def test_unknown_workload_fails(self, tiny_json):
         with pytest.raises(SystemExit, match="unknown workload"):
             main(["sweep", tiny_json, "--axis", "cores=1",
                   "--workload", "doom"])
-
-
-class TestSurrogate:
-    @pytest.fixture()
-    def tiny_json(self, tmp_path):
-        path = tmp_path / "tiny.json"
-        path.write_text(json.dumps(system_config_to_dict(make_tiny_config())))
-        return str(path)
-
-    @pytest.fixture()
-    def tiny_artifact(self, tiny_json, tmp_path, capsys):
-        path = tmp_path / "model.json"
-        assert main(["surrogate", "train", "--preset", tiny_json,
-                     "--output", str(path)]) == 0
-        capsys.readouterr()
-        return str(path)
-
-    def test_train_writes_loadable_artifact(self, tiny_artifact, capsys):
-        from repro.surrogate import SurrogateModel
-
-        model = SurrogateModel.load(tiny_artifact)
-        assert len(model.segments) == 1
-        assert model.segments[0].name == "tiny"
-
-    def test_check_passes_on_fresh_artifact(self, tiny_json,
-                                            tiny_artifact, capsys):
-        assert main(["surrogate", "check", "--model", tiny_artifact,
-                     "--preset", tiny_json]) == 0
-        assert "tiny: ok" in capsys.readouterr().out
-
-    def test_check_json_format(self, tiny_json, tiny_artifact, capsys):
-        assert main(["surrogate", "check", "--model", tiny_artifact,
-                     "--preset", tiny_json, "--format", "json"]) == 0
-        payload = json.loads(capsys.readouterr().out)
-        assert payload[0]["base"] == "tiny"
-        assert payload[0]["ok"] is True
-
-    def test_check_fails_out_of_domain(self, tiny_json, tiny_artifact,
-                                       capsys):
-        # The tiny-config artifact cannot answer a full preset: every
-        # point is out of domain and the audit must say so loudly.
-        assert main(["surrogate", "check", "--model", tiny_artifact,
-                     "--preset", "niagara1"]) == 1
-        assert "FAIL" in capsys.readouterr().out
-
-    def test_check_rejects_missing_model_file(self, tiny_json):
-        with pytest.raises(SystemExit, match="cannot load"):
-            main(["surrogate", "check", "--model", "/nope/model.json",
-                  "--preset", tiny_json])
