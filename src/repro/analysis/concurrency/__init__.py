@@ -35,7 +35,7 @@ from repro.analysis.concurrency.rules import run_rules
 from repro.analysis.concurrency.state import (
     StateModel,
     build_state,
-    parse_guard_comments,
+    guard_table,
 )
 from repro.analysis.context import ModuleSource
 from repro.analysis.dimensional.callgraph import build_project
@@ -52,7 +52,7 @@ __all__ = [
     "build_concurrency_model",
     "build_contexts",
     "build_state",
-    "parse_guard_comments",
+    "guard_table",
 ]
 
 
@@ -64,13 +64,8 @@ def build_concurrency_model(
     Exposed for the meta-suite, which asserts on the inferred contexts
     directly in addition to the emitted findings.
     """
-    sources = list(context)
-    project = build_project(sources)
-    model = build_contexts(project)
-    state = build_state(
-        model, {source.path: source.source for source in sources},
-    )
-    return model, state
+    model = build_contexts(build_project(list(context)))
+    return model, build_state(model)
 
 
 def analyze_concurrency(

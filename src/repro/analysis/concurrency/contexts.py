@@ -17,7 +17,8 @@ Every function in the project runs in one or more *execution contexts*:
 
 Contexts propagate along the project call graph (built by the
 dimensional pass's :func:`~repro.analysis.dimensional.callgraph
-.build_project`) to a fixpoint, including through *escaping callable
+.build_project`) to a fixpoint of the shared worklist solver
+(:mod:`repro.analysis.fixpoint`), including through *escaping callable
 parameters*: when ``_admitted(work)`` hands ``work`` to
 ``run_in_executor``, every callable an outside caller binds to ``work``
 is marked ``executor-thread`` — that is how the serve tier's evaluation
@@ -34,6 +35,7 @@ from __future__ import annotations
 import ast
 from dataclasses import dataclass, field
 
+from repro.analysis import fixpoint
 from repro.analysis.dimensional.callgraph import (
     ClassInfo,
     FunctionInfo,
@@ -46,9 +48,6 @@ MAIN = "main"
 LOOP = "event-loop"
 THREAD = "executor-thread"
 FORK = "fork-worker"
-
-#: Safety cap on fixpoint sweeps; real projects converge in 3-6.
-MAX_PASSES = 24
 
 #: Cap on duck-typed method resolution: a method name this ambiguous is
 #: skipped rather than fanning context facts across unrelated classes.
@@ -129,6 +128,13 @@ class Node:
             return f"{self.owner.name}.{self.name}"
         return self.name
 
+    @property
+    def statements(self) -> list[ast.stmt]:
+        """The body as statements (a lambda's expression wrapped)."""
+        if isinstance(self.body, list):
+            return self.body
+        return [ast.Expr(self.body)]
+
 
 @dataclass(frozen=True)
 class CallEdge:
@@ -184,7 +190,6 @@ class ContextModel:
     #: analyses can resolve wrapper-internal calls of the bound callable
     #: parameter back to the real decorated functions.
     decorator_bindings: dict[str, list[Node]] = field(default_factory=dict)
-    passes: int = 0
 
     def contexts(self, node: Node) -> frozenset[str]:
         return frozenset(self.ctx.get(node.qualname, ()))
@@ -195,10 +200,15 @@ class ContextModel:
         )
 
 
-def _short_why(why: str) -> str:
-    if len(why) > 200:
-        why = why[:197] + "..."
-    return why
+#: Longest chain fragment kept in a why or embedded in a message.
+_CHAIN_LIMIT = 200
+
+
+def trim_chain(text: str) -> str:
+    """Cap an inference chain at a readable length."""
+    if len(text) > _CHAIN_LIMIT:
+        return text[:_CHAIN_LIMIT - 3] + "..."
+    return text
 
 
 class _TypeEnv:
@@ -554,11 +564,11 @@ class _FunctionScanner:
     # -- extraction ------------------------------------------------------
 
     def scan(self) -> None:
-        body = self.node.body
-        statements = body if isinstance(body, list) else [ast.Expr(body)]
+        statements = self.node.statements
         self._collect_aliases(statements)
         own = list(iter_own_statements(statements)) \
-            if isinstance(body, list) else list(ast.walk(statements[0]))
+            if isinstance(self.node.body, list) \
+            else list(ast.walk(statements[0]))
         lambda_bodies = [
             item for item in own if isinstance(item, ast.Lambda)
         ]
@@ -783,10 +793,7 @@ def _bind_decorators(model: ContextModel) -> None:
             n for n in all_nodes if n.qualname.startswith(prefix)
         ]
         for wrapper in scoped:
-            body = wrapper.body
-            statements = body if isinstance(body, list) \
-                else [ast.Expr(body)]
-            for item in iter_own_statements(statements):
+            for item in iter_own_statements(wrapper.statements):
                 if isinstance(item, ast.Call) and isinstance(
                     item.func, ast.Name
                 ) and item.func.id == param:
@@ -863,74 +870,85 @@ def _seed(model: ContextModel) -> None:
 
 
 def _add_ctx(model: ContextModel, node: Node, context: str,
-             why: str) -> bool:
+             why: str) -> list[Node]:
+    """Add ``context`` to ``node``; returns the nodes to revisit if it
+    grew (the node itself and the lambdas it encloses)."""
     bucket = model.ctx.setdefault(node.qualname, set())
     if context in bucket:
-        return False
+        return []
     bucket.add(context)
-    model.why.setdefault((node.qualname, context), _short_why(why))
-    return True
+    model.why.setdefault((node.qualname, context), trim_chain(why))
+    return [node, *node.inline_lambdas]
 
 
 def solve_contexts(model: ContextModel) -> None:
-    """Propagate contexts along call/spawn/escape edges to a fixpoint."""
+    """Propagate contexts along call/spawn/escape edges to a fixpoint.
+
+    A node is revisited when its own context set grew, when the
+    function enclosing it (for a lambda) grew, or when an escape slot
+    one of its callable arguments is bound to grew.
+    """
     all_nodes = list(model.nodes.values()) + list(model.lambda_nodes)
-    for sweep in range(MAX_PASSES):
-        changed = False
-        for node in all_nodes:
-            # Lambdas run where their enclosing function runs, unless
-            # they only exist to be spawned elsewhere.
-            if node.enclosing is not None and not node.is_spawn_target:
-                for context in model.contexts(node.enclosing):
-                    changed |= _add_ctx(
-                        model, node, context,
-                        f"closure evaluated inline by {node.enclosing.short}"
-                        f" ({model.reason(node.enclosing, context)})",
-                    )
-            contexts = model.contexts(node)
-            # Escape facts are structural: propagate them regardless of
-            # whether anything runs this node yet.
-            for carg in node.callable_args:
-                escaped = model.escapes.get(
-                    (carg.callee.qualname, carg.param), set(),
+    holders: dict[tuple[str, str], list[Node]] = {}
+    for node in all_nodes:
+        for carg in node.callable_args:
+            holders.setdefault((carg.callee.qualname, carg.param), []) \
+                .append(node)
+
+    def step(node: Node) -> list[Node]:
+        dirty: list[Node] = []
+        # Lambdas run where their enclosing function runs, unless
+        # they only exist to be spawned elsewhere.
+        if node.enclosing is not None and not node.is_spawn_target:
+            for context in model.contexts(node.enclosing):
+                dirty += _add_ctx(
+                    model, node, context,
+                    f"closure evaluated inline by {node.enclosing.short}"
+                    f" ({model.reason(node.enclosing, context)})",
                 )
-                for context in escaped:
-                    why = (
-                        f"bound to parameter '{carg.param}' of "
-                        f"{carg.callee.short} at "
-                        f"{node.module.path}:{carg.line}, which "
-                        f"{model.why.get((carg.callee.qualname + ':escape', carg.param), 'hands it to an executor')}"
-                    )
-                    for cand in carg.candidates:
-                        cand.is_spawn_target = True
-                        changed |= _add_ctx(model, cand, context, why)
-                    if carg.caller_param is not None:
-                        bucket = model.escapes.setdefault(
-                            (node.qualname, carg.caller_param), set(),
-                        )
-                        if context not in bucket:
-                            bucket.add(context)
-                            changed = True
-            if not contexts:
-                continue
-            for spawn in node.spawns:
-                changed |= _add_ctx(
-                    model, spawn.target, spawn.context,
-                    f"{spawn.how} at {node.module.path}:{spawn.line} "
-                    f"by {node.short}",
+        contexts = model.contexts(node)
+        # Escape facts are structural: propagate them regardless of
+        # whether anything runs this node yet.
+        for carg in node.callable_args:
+            escaped = model.escapes.get(
+                (carg.callee.qualname, carg.param), set(),
+            )
+            for context in escaped:
+                why = (
+                    f"bound to parameter '{carg.param}' of "
+                    f"{carg.callee.short} at "
+                    f"{node.module.path}:{carg.line}, which "
+                    f"{model.why.get((carg.callee.qualname + ':escape', carg.param), 'hands it to an executor')}"
                 )
-            for edge in node.calls:
-                if edge.callee.is_async:
-                    continue  # seeded with event-loop already
-                for context in contexts:
-                    changed |= _add_ctx(
-                        model, edge.callee, context,
-                        f"called from {node.short} "
-                        f"({model.reason(node, context)})",
-                    )
-        model.passes = sweep + 1
-        if not changed:
-            break
+                for cand in carg.candidates:
+                    cand.is_spawn_target = True
+                    dirty += _add_ctx(model, cand, context, why)
+                if carg.caller_param is not None:
+                    slot = (node.qualname, carg.caller_param)
+                    bucket = model.escapes.setdefault(slot, set())
+                    if context not in bucket:
+                        bucket.add(context)
+                        dirty += holders.get(slot, [])
+        if not contexts:
+            return dirty
+        for spawn in node.spawns:
+            dirty += _add_ctx(
+                model, spawn.target, spawn.context,
+                f"{spawn.how} at {node.module.path}:{spawn.line} "
+                f"by {node.short}",
+            )
+        for edge in node.calls:
+            if edge.callee.is_async:
+                continue  # seeded with event-loop already
+            for context in contexts:
+                dirty += _add_ctx(
+                    model, edge.callee, context,
+                    f"called from {node.short} "
+                    f"({model.reason(node, context)})",
+                )
+        return dirty
+
+    fixpoint.solve(all_nodes, step)
 
 
 def build_contexts(project: Project) -> ContextModel:

@@ -19,19 +19,18 @@ from repro.analysis.concurrency.contexts import (
     ContextModel,
     Node,
     iter_own_statements,
+    trim_chain,
 )
 from repro.analysis.concurrency.state import (
     BLOCKING_PROJECT,
     GIL_GUARD,
-    MUTATING_METHODS,
     Access,
     StateKey,
     StateModel,
+    render_key,
 )
+from repro.analysis.context import MUTATING_METHODS
 from repro.analysis.finding import Finding
-
-#: Longest chain fragment embedded in a message (same cap as DIM chains).
-_CHAIN_LIMIT = 200
 
 #: BFS depth cap for the reachability rules.
 _MAX_DEPTH = 16
@@ -40,20 +39,9 @@ _MAX_DEPTH = 16
 _CTX_ORDER = (THREAD, LOOP, FORK, MAIN)
 
 
-def _trim(text: str) -> str:
-    if len(text) > _CHAIN_LIMIT:
-        return text[:_CHAIN_LIMIT - 3] + "..."
-    return text
-
-
 def _ctx_list(contexts: frozenset[str] | set[str]) -> str:
     ordered = [c for c in _CTX_ORDER if c in contexts]
     return "{" + ", ".join(ordered) + "}"
-
-
-def _render_key(key: StateKey) -> str:
-    _kind, scope, name = key
-    return f"{scope}.{name}"
 
 
 def _pick_context(model: ContextModel, node: Node) -> str | None:
@@ -101,7 +89,7 @@ def check_conc001(model: ContextModel, state: StateModel,
                     # at the call site (the annotation says which lock).
                     continue
                 message = (
-                    f"shared state '{_render_key(key)}' is declared "
+                    f"shared state '{render_key(key)}' is declared "
                     f"guarded-by[{declared}] but this {access.op} at "
                     f"line {access.line} runs under lock "
                     f"'{access.guard}' instead"
@@ -131,17 +119,17 @@ def check_conc001(model: ContextModel, state: StateModel,
             other_note = ""
             if other is not None:
                 other_ctx, other_access = other
+                other_chain = model.reason(other_access.node, other_ctx)
                 other_note = (
                     f" while {other_access.node.short} also "
                     f"{'writes' if other_access.write else 'reads'} it "
-                    f"in {other_ctx} "
-                    f"({_trim(model.reason(other_access.node, other_ctx))})"
+                    f"in {other_ctx} ({trim_chain(other_chain)})"
                 )
             message = (
                 f"unsynchronized {access.op} of shared state "
-                f"'{_render_key(key)}' reachable from contexts "
+                f"'{render_key(key)}' reachable from contexts "
                 f"{_ctx_list(contexts)}: {access.node.short} runs in "
-                f"{context} ({_trim(chain)}){other_note}{shared_note}; "
+                f"{context} ({trim_chain(chain)}){other_note}{shared_note}; "
                 f"guard it with a lock or annotate the definition with "
                 f"'# repro: guarded-by[lockname]'"
             )
@@ -201,7 +189,7 @@ def check_conc002(model: ContextModel, state: StateModel,
             if len(roots) > 1 else ""
         message = (
             f"blocking {what} executes on the event loop: reachable "
-            f"from async {roots[0]}{extra} via {_trim(chain)} with no "
+            f"from async {roots[0]}{extra} via {trim_chain(chain)} with no "
             f"executor hop; wrap it in loop.run_in_executor / "
             f"asyncio.to_thread or use an async equivalent"
         )
@@ -245,15 +233,15 @@ def check_conc003(model: ContextModel, state: StateModel,
                 if access.key[2] in state.reinit_attrs:
                     continue
                 site = (node.module.path, access.line,
-                        _render_key(access.key))
+                        render_key(access.key))
                 if site in seen_sites:
                     continue
                 seen_sites.add(site)
                 chain = " -> ".join(path)
                 message = (
                     f"fork worker entry {entry.short} reaches "
-                    f"{resource} '{_render_key(access.key)}' via "
-                    f"{_trim(chain)}: locks, handles, and executors "
+                    f"{resource} '{render_key(access.key)}' via "
+                    f"{trim_chain(chain)}: locks, handles, and executors "
                     f"inherited over fork() can be left locked or "
                     f"duplicated in the child; reinitialize it in "
                     f"os.register_at_fork(after_in_child=...) or keep "

@@ -10,7 +10,7 @@ the CONC rules combine with the execution contexts:
 * which writes are *lock guarded* — lexically under ``with lock:`` or
   between ``lock.acquire()`` / ``lock.release()`` statements — and which
   state is covered by a trusted ``# repro: guarded-by[lockname]``
-  annotation (same comment grammar as the PR 5 ``dim[...]`` pins);
+  annotation (see :mod:`repro.analysis.directives` for the grammar);
 * which state keys hold *fork-unsafe resources* (locks, open files,
   sockets, executors) and which of those are reinitialized in an
   ``os.register_at_fork(after_in_child=...)`` callback;
@@ -22,11 +22,9 @@ the CONC rules combine with the execution contexts:
 from __future__ import annotations
 
 import ast
-import re
-import tokenize
 from dataclasses import dataclass, field
-from io import StringIO
 
+from repro.analysis import fixpoint
 from repro.analysis.concurrency.contexts import (
     ContextModel,
     Node,
@@ -37,6 +35,8 @@ from repro.analysis.concurrency.contexts import (
     T_THREAD_EXECUTOR,
     dotted_chain,
 )
+from repro.analysis.context import MUTATING_METHODS, terminal_name
+from repro.analysis.directives import Directives
 
 #: A shared-state key: ("global", module_qual, name) or
 #: ("field", class_qual, attr).
@@ -44,18 +44,6 @@ StateKey = tuple[str, str, str]
 
 #: Special guard name meaning "single bytecode op, the GIL suffices".
 GIL_GUARD = "gil"
-
-_GUARDED_BY_RE = re.compile(
-    r"#\s*repro:\s*guarded-by\[(?P<body>[^\]]*)\]"
-)
-_GUARDED_BY_LOOSE_RE = re.compile(r"#\s*repro:\s*guarded-by\b")
-
-#: Container/obj methods that mutate their receiver in place.
-MUTATING_METHODS: frozenset[str] = frozenset({
-    "append", "extend", "insert", "remove", "pop", "popitem", "clear",
-    "update", "setdefault", "add", "discard", "move_to_end", "sort",
-    "reverse", "appendleft", "popleft",
-})
 
 #: Dotted stdlib chains that block the calling thread.
 BLOCKING_CHAINS: dict[str, str] = {
@@ -168,48 +156,48 @@ class StateModel:
     guard_issues: list[GuardIssue] = field(default_factory=list)
 
 
-def parse_guard_comments(
-    source: str,
+def render_key(key: StateKey) -> str:
+    """Display form of a state key (``module.NAME`` / ``Class.attr``)."""
+    _kind, scope, name = key
+    return f"{scope}.{name}"
+
+
+def guard_table(
+    directives: Directives,
 ) -> tuple[dict[int, str], list[tuple[int, str]]]:
-    """``# repro: guarded-by[lock]`` comments by line, plus errors."""
+    """``guarded-by[lock]`` lock names by line, plus errors."""
     by_line: dict[int, str] = {}
-    errors: list[tuple[int, str]] = []
-    try:
-        tokens = list(tokenize.generate_tokens(StringIO(source).readline))
-    except (tokenize.TokenError, IndentationError, SyntaxError):
-        return by_line, errors
-    for tok in tokens:
-        if tok.type != tokenize.COMMENT:
-            continue
-        match = _GUARDED_BY_RE.search(tok.string)
-        if match is None:
-            if _GUARDED_BY_LOOSE_RE.search(tok.string):
-                errors.append((
-                    tok.start[0],
-                    "malformed guarded-by comment: expected "
-                    "'# repro: guarded-by[lockname]'",
-                ))
-            continue
-        body = match.group("body").strip()
+    errors = directives.notes("guarded-by")
+    for directive in directives.of("guarded-by"):
+        body = directive.body.strip()
         if not body or not body.replace("_", "a").isidentifier():
             errors.append((
-                tok.start[0],
+                directive.line,
                 f"guarded-by lock name {body!r} is not an identifier",
             ))
             continue
-        by_line[tok.start[0]] = body
+        by_line[directive.line] = body
     return by_line, errors
 
 
-def _terminal_name(expr: ast.expr) -> str | None:
-    """Terminal identifier of a lock expression (``self._lock`` -> _lock)."""
-    if isinstance(expr, ast.Name):
-        return expr.id
-    if isinstance(expr, ast.Attribute):
-        return expr.attr
-    if isinstance(expr, ast.Call):
-        return _terminal_name(expr.func)
-    return None
+def _lock_name(expr: ast.expr) -> str | None:
+    """Terminal identifier of a lock expression (``self._lock`` -> _lock);
+    a call names its callee (``self._lock_for(key)`` -> ``_lock_for``)."""
+    while isinstance(expr, ast.Call):
+        expr = expr.func
+    return terminal_name(expr)
+
+
+def _module_globals(tree: ast.Module) -> set[str]:
+    """Names bound by module-level (annotated) assignments."""
+    return {
+        target.id
+        for stmt in tree.body
+        if isinstance(stmt, (ast.Assign, ast.AnnAssign))
+        for target in (stmt.targets if isinstance(stmt, ast.Assign)
+                       else [stmt.target])
+        if isinstance(target, ast.Name)
+    }
 
 
 class _StateScanner:
@@ -224,22 +212,9 @@ class _StateScanner:
         self.in_init = node.owner is not None and node.name in (
             "__init__", "__post_init__",
         )
-        self.module_globals = self._module_global_names()
+        self.module_globals = _module_globals(self.module.tree)
         self.declared_globals: set[str] = set()
         self.locals_seen: set[str] = set(node.params)
-
-    def _module_global_names(self) -> set[str]:
-        names: set[str] = set()
-        for stmt in self.module.tree.body:
-            if isinstance(stmt, ast.Assign):
-                for target in stmt.targets:
-                    if isinstance(target, ast.Name):
-                        names.add(target.id)
-            elif isinstance(stmt, ast.AnnAssign) and isinstance(
-                stmt.target, ast.Name
-            ):
-                names.add(stmt.target.id)
-        return names
 
     # -- key resolution --------------------------------------------------
 
@@ -295,10 +270,7 @@ class _StateScanner:
 
     def scan(self) -> None:
         self._local_types: dict[str, str] = {}
-        body = self.node.body
-        statements = body if isinstance(body, list) \
-            else [ast.Expr(body)]  # lambda: a single expression
-        self._scan_block(statements, guards=[], acquired=set())
+        self._scan_block(self.node.statements, guards=[], acquired=set())
 
     def _scan_block(self, statements: list[ast.stmt],
                     guards: list[str], acquired: set[str]) -> None:
@@ -315,7 +287,7 @@ class _StateScanner:
                 names = []
                 for item in stmt.items:
                     self._scan_expr(item.context_expr, guards, acquired)
-                    name = _terminal_name(item.context_expr)
+                    name = _lock_name(item.context_expr)
                     if name is not None and self._looks_like_lock(
                         item.context_expr, name,
                     ):
@@ -329,7 +301,7 @@ class _StateScanner:
                 stmt.value, ast.Call
             ) and isinstance(stmt.value.func, ast.Attribute):
                 attr = stmt.value.func.attr
-                name = _terminal_name(stmt.value.func.value)
+                name = _lock_name(stmt.value.func.value)
                 if attr == "acquire" and name is not None and \
                         self._looks_like_lock(stmt.value.func.value, name):
                     self._scan_expr(stmt.value, guards, acquired)
@@ -509,10 +481,8 @@ class _StateScanner:
 
     def collect_awaited(self) -> None:
         """Record calls that sit directly under ``await``."""
-        body = self.node.body
-        statements = body if isinstance(body, list) else [ast.Expr(body)]
         awaited: set[int] = set()
-        for stmt in statements:
+        for stmt in self.node.statements:
             for item in ast.walk(stmt):
                 if isinstance(item, ast.Await) and isinstance(
                     item.value, ast.Call
@@ -531,17 +501,11 @@ class _StateScanner:
         ))
 
 
-def bind_guard_comments(
-    model: ContextModel, state: StateModel,
-    sources: dict[str, str],
-) -> None:
-    """Parse and bind guarded-by annotations per module source text."""
+def bind_guard_comments(model: ContextModel, state: StateModel) -> None:
+    """Parse and bind every module's guarded-by annotations."""
     project = model.project
     for info in project.by_qual.values():
-        text = sources.get(info.path)
-        if text is None:
-            continue
-        by_line, errors = parse_guard_comments(text)
+        by_line, errors = guard_table(info.directives)
         for line, message in errors:
             state.guard_issues.append(GuardIssue(
                 path=info.path, line=line, message=message,
@@ -690,15 +654,10 @@ def _validate_guard_locks(model: ContextModel, state: StateModel) -> None:
             state.guard_issues.append(GuardIssue(
                 path=path, line=1,
                 message=(
-                    f"guarded-by[{lock}] on {_render_key(key)} names a "
+                    f"guarded-by[{lock}] on {render_key(key)} names a "
                     f"lock that is not defined in its scope"
                 ),
             ))
-
-
-def _render_key(key: StateKey) -> str:
-    kind, scope, name = key
-    return f"{scope}.{name}"
 
 
 def _collect_shared_classes(model: ContextModel,
@@ -725,14 +684,7 @@ def _collect_shared_classes(model: ContextModel,
         info = project.by_qual.get(cls.module_qual)
         if info is None:
             continue
-        module_globals = {
-            t.id
-            for stmt in info.tree.body
-            if isinstance(stmt, (ast.Assign, ast.AnnAssign))
-            for t in (stmt.targets if isinstance(stmt, ast.Assign)
-                      else [stmt.target])
-            if isinstance(t, ast.Name)
-        }
+        module_globals = _module_globals(info.tree)
         for method in cls.methods.values():
             self_name = method.self_name
             if self_name is None:
@@ -767,14 +719,7 @@ def _collect_shared_classes(model: ContextModel,
     # Instances constructed into module-level containers:
     # ``_HISTOGRAMS[name] = _HistogramState()``.
     for node in model.nodes.values():
-        module_globals = {
-            t.id
-            for stmt in node.module.tree.body
-            if isinstance(stmt, (ast.Assign, ast.AnnAssign))
-            for t in (stmt.targets if isinstance(stmt, ast.Assign)
-                      else [stmt.target])
-            if isinstance(t, ast.Name)
-        }
+        module_globals = _module_globals(node.module.tree)
         body = node.body
         if not isinstance(body, list):
             continue
@@ -798,18 +743,26 @@ def _collect_shared_classes(model: ContextModel,
                 if escapes:
                     mark(typ, f"stored into a module-level container "
                               f"by {node.short}")
-    # Transitive: fields of shared classes are shared.
-    changed = True
-    while changed:
-        changed = False
-        for (cls, attr), typ in model.field_types.items():
-            if cls in state.shared_classes and \
-                    not typ.startswith("#") and \
-                    typ in project.classes and \
-                    typ not in state.shared_classes:
-                mark(typ, f"held by shared class "
-                          f"{project.classes[cls].name} as .{attr}")
-                changed = True
+    # Transitive: fields of shared classes are shared. A field entry is
+    # revisited when its owning class becomes shared.
+    Field = tuple[tuple[str, str], str]
+    fields: list[Field] = list(model.field_types.items())
+    fields_of: dict[str, list[Field]] = {}
+    for entry in fields:
+        fields_of.setdefault(entry[0][0], []).append(entry)
+
+    def step(entry: Field) -> list[Field]:
+        (cls, attr), typ = entry
+        if cls in state.shared_classes and \
+                not typ.startswith("#") and \
+                typ in project.classes and \
+                typ not in state.shared_classes:
+            mark(typ, f"held by shared class "
+                      f"{project.classes[cls].name} as .{attr}")
+            return fields_of.get(typ, [])
+        return []
+
+    fixpoint.solve(fields, step)
 
 
 def _collect_resources(model: ContextModel, state: StateModel) -> None:
@@ -869,8 +822,7 @@ def _collect_reinit(model: ContextModel, state: StateModel) -> None:
                 stack.append(lam)
 
 
-def build_state(model: ContextModel,
-                sources: dict[str, str]) -> StateModel:
+def build_state(model: ContextModel) -> StateModel:
     """Run every state collection pass for a solved context model."""
     state = StateModel()
     all_nodes = list(model.nodes.values()) + list(model.lambda_nodes)
@@ -878,7 +830,7 @@ def build_state(model: ContextModel,
         scanner = _StateScanner(model, state, node)
         scanner.collect_awaited()
         scanner.scan()
-    bind_guard_comments(model, state, sources)
+    bind_guard_comments(model, state)
     _collect_shared_classes(model, state)
     _collect_reinit(model, state)
     _collect_resources(model, state)

@@ -11,16 +11,29 @@ A function is considered *memoized* when its body calls
 protocol) or builds a cache key through ``stable_hash`` /
 ``config_key``. The compute callback handed to ``get_or_compute`` is
 memoized by extension: its return value is the object the memo shares.
+
+The module also holds the AST vocabulary every pass shares:
+:func:`terminal_name` and :data:`MUTATING_METHODS`.
 """
 
 from __future__ import annotations
 
 import ast
 from dataclasses import dataclass, field
+from functools import cached_property
+
+from repro.analysis.directives import Directives, scan_directives
 
 #: Key-derivation callables that mark the enclosing function as part of
 #: the content-hash cache contract.
 KEY_FUNCTIONS = frozenset({"stable_hash", "config_key"})
+
+#: Container/object methods that mutate their receiver in place.
+MUTATING_METHODS: frozenset[str] = frozenset({
+    "append", "extend", "insert", "remove", "pop", "popitem", "clear",
+    "update", "setdefault", "add", "discard", "move_to_end", "sort",
+    "reverse", "appendleft", "popleft", "__setitem__", "__delitem__",
+})
 
 
 @dataclass(frozen=True)
@@ -31,9 +44,18 @@ class ModuleSource:
     source: str
     tree: ast.Module
 
+    @cached_property
+    def directives(self) -> Directives:
+        """The module's ``# repro:`` comment table, scanned on first use.
 
-def _call_name(node: ast.expr) -> str | None:
-    """Terminal name of a callable expression (``a.b.c`` -> ``c``)."""
+        The lint driver builds it outside the pass threads (see
+        :mod:`repro.analysis.registry`); the threads only read it.
+        """
+        return scan_directives(self.source)
+
+
+def terminal_name(node: ast.expr) -> str | None:
+    """Terminal identifier of an expression (``a.b.c`` -> ``c``)."""
     if isinstance(node, ast.Name):
         return node.id
     if isinstance(node, ast.Attribute):
@@ -49,9 +71,9 @@ def _compute_target(node: ast.expr) -> str | None:
     closing over the arguments (``lambda: _solve(a, b)``).
     """
     if isinstance(node, (ast.Name, ast.Attribute)):
-        return _call_name(node)
+        return terminal_name(node)
     if isinstance(node, ast.Lambda) and isinstance(node.body, ast.Call):
-        return _call_name(node.body.func)
+        return terminal_name(node.body.func)
     return None
 
 
@@ -82,7 +104,7 @@ class ProjectIndex:
             for inner in ast.walk(node):
                 if not isinstance(inner, ast.Call):
                     continue
-                name = _call_name(inner.func)
+                name = terminal_name(inner.func)
                 if name == "get_or_compute":
                     self.memoized_defs.add(node.name)
                     self.memoized_callables.add(node.name)

@@ -23,11 +23,7 @@ from repro.analysis.dimensional.dim import (
     format_dim,
     parse_unit_expr,
 )
-from repro.analysis.dimensional.engine import (
-    MAX_PASSES,
-    check_module,
-    solve_fixpoint,
-)
+from repro.analysis.dimensional.engine import check_module, solve_fixpoint
 from repro.analysis.dimensional.seeds import (
     CONSTANT_DIMS,
     SUFFIX_DIMS,
@@ -41,7 +37,6 @@ __all__ = [
     "DIMENSIONLESS",
     "Dim",
     "DimValue",
-    "MAX_PASSES",
     "POLY",
     "Project",
     "SUFFIX_DIMS",

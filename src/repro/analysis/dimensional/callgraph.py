@@ -19,9 +19,10 @@ from repro.analysis.dimensional.dim import UNKNOWN, Dim, DimValue
 from repro.analysis.dimensional.seeds import (
     CONSTANT_DIMS,
     DimComments,
-    parse_dim_comments,
+    dim_table,
     suffix_dim,
 )
+from repro.analysis.directives import Directives
 
 
 @dataclass  # repro: noqa[SPEC001] -- mutable fixpoint fact table
@@ -86,6 +87,7 @@ class ModuleInfo:
     qualname: str
     path: str
     tree: ast.Module
+    directives: Directives
     comments: DimComments
     # local name -> ("module", qualname) or ("symbol", qualname)
     imports: dict[str, tuple[str, str]] = field(default_factory=dict)
@@ -274,7 +276,8 @@ def build_project(modules: list[ModuleSource]) -> Project:
             qualname=qualname,
             path=source.path,
             tree=source.tree,
-            comments=parse_dim_comments(source.source),
+            directives=source.directives,
+            comments=dim_table(source.directives),
         )
         _collect_imports(source.tree, info.imports)
         project.modules[source.path] = info

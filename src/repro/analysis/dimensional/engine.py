@@ -8,8 +8,10 @@ The engine runs in three phases over the :class:`Project` tables:
 2. **Fixpoint pass** — every function body is abstractly evaluated;
    call sites bind argument dimensions into unpinned callee parameters
    and return expressions join into the callee's return fact. Facts only
-   climb the lattice (UNKNOWN -> POLY -> concrete -> ANY), and the pass
-   repeats until a full sweep changes nothing (or a safety cap).
+   climb the lattice (UNKNOWN -> POLY -> concrete -> ANY); the shared
+   worklist solver (:mod:`repro.analysis.fixpoint`) re-evaluates a
+   function whenever one of its parameters or a return summary it read
+   moved.
 3. **Check pass** — target modules are evaluated once more with frozen
    facts, emitting findings with the inference chain that produced each
    conflicting dimension:
@@ -30,6 +32,7 @@ from __future__ import annotations
 import ast
 from typing import Iterable
 
+from repro.analysis import fixpoint
 from repro.analysis.dimensional import callgraph
 from repro.analysis.dimensional.callgraph import (
     ClassInfo,
@@ -55,9 +58,6 @@ from repro.analysis.dimensional.dim import (
 )
 from repro.analysis.dimensional.seeds import suffix_dim
 from repro.analysis.finding import Finding
-
-#: Safety cap on fixpoint sweeps; real call chains converge in 3-5.
-MAX_PASSES = 12
 
 #: Math functions that demand a dimensionless argument and return one.
 _MATH_DIMENSIONLESS = frozenset({
@@ -116,7 +116,8 @@ class _Evaluator:
     """Abstract interpreter for one function body or module top level.
 
     In *summary* mode it updates the project facts (parameter and return
-    joins) and reports nothing. In *check* mode facts are frozen and
+    joins), records which facts moved and which return summaries it
+    read, and reports nothing. In *check* mode facts are frozen and
     conflicts become findings with inference-chain messages.
     """
 
@@ -133,7 +134,11 @@ class _Evaluator:
         self.function = function
         self.check = check
         self.findings = findings if findings is not None else []
-        self.changed = False
+        #: functions whose parameter facts this evaluation moved
+        self.moved: list[FunctionInfo] = []
+        self.return_moved = False
+        #: functions whose return summary this evaluation read
+        self.summaries_read: list[FunctionInfo] = []
         self.env: dict[str, _Abstract] = {}
         self.return_sites: list[tuple[ast.Return, DimValue, str | None]] = []
         self.self_class: ClassInfo | None = None
@@ -171,13 +176,15 @@ class _Evaluator:
 
     # -- fact updates -----------------------------------------------------
 
-    def _join_param(self, slot: callgraph.ParamSlot, value: DimValue) -> None:
+    def _join_param(
+        self, fn: FunctionInfo, slot: callgraph.ParamSlot, value: DimValue,
+    ) -> None:
         if self.check or slot.pin is not None:
             return
         new = join(slot.value, value)
         if new != slot.value:
             slot.value = new
-            self.changed = True
+            self.moved.append(fn)
 
     def _join_return(self, fn: FunctionInfo, value: DimValue) -> None:
         if self.check or fn.return_pin is not None:
@@ -185,7 +192,13 @@ class _Evaluator:
         new = join(fn.return_value, value)
         if new != fn.return_value:
             fn.return_value = new
-            self.changed = True
+            self.return_moved = True
+
+    def _summary(self, fn: FunctionInfo) -> DimValue:
+        """``fn``'s return dimension, noted as an input of this body."""
+        if not self.check:
+            self.summaries_read.append(fn)
+        return fn.return_dim
 
     # -- statements -------------------------------------------------------
 
@@ -463,7 +476,7 @@ class _Evaluator:
             method = cls.methods.get(node.attr)
             if method is not None:
                 if method.is_property:
-                    result = method.return_dim
+                    result = self._summary(method)
                     return result, self._dim_why(result, f"self.{node.attr}")
                 return UNKNOWN, None  # bound method object
         pinned = suffix_dim(node.attr)
@@ -486,7 +499,7 @@ class _Evaluator:
         for fn in self.project.attr_funcs.get(attr, ()):
             if not fn.is_property:
                 continue
-            joined = join(joined, fn.return_dim)
+            joined = join(joined, self._summary(fn))
         if isinstance(joined, Dim):
             return joined
         return UNKNOWN
@@ -730,7 +743,7 @@ class _Evaluator:
                 self._eval(kw.value)
         if isinstance(target, FunctionInfo):
             self._bind_call(node, target, arg_values, kw_values)
-            result = target.return_dim
+            result = self._summary(target)
             label = f"{target.node.name}(...)"
             return result, self._dim_why(result, label)
         if isinstance(target, ClassInfo):
@@ -739,7 +752,7 @@ class _Evaluator:
         if isinstance(target, list):  # ambiguous duck candidates
             joined: DimValue = UNKNOWN
             for candidate in target:
-                joined = join(joined, candidate.return_dim)
+                joined = join(joined, self._summary(candidate))
             if isinstance(joined, Dim):
                 name = getattr(node.func, "attr", "call")
                 return joined, self._dim_why(joined, f"{name}(...)")
@@ -776,7 +789,7 @@ class _Evaluator:
                         f"{self._chain(why)}",
                     )
             else:
-                self._join_param(slot, dim_value)
+                self._join_param(fn, slot, dim_value)
 
     def _bind_constructor(
         self,
@@ -1014,26 +1027,28 @@ def _constant_pass(project: Project) -> None:
                     evaluator._stmt(stmt)
 
 
-def _summary_pass(project: Project) -> bool:
-    """One fixpoint sweep over every function; True if any fact moved."""
-    changed = False
-    for fn in project.functions.values():
-        module = project.by_qual.get(fn.module_qual)
-        if module is None:
-            continue
-        evaluator = _Evaluator(project, module, fn, check=False)
-        evaluator.run_body(fn.node.body)
-        changed = changed or evaluator.changed
-    return changed
+def solve_fixpoint(project: Project) -> int:
+    """Solve parameter/return summaries; returns the solver's rounds.
 
-
-def solve_fixpoint(project: Project, max_passes: int = MAX_PASSES) -> int:
-    """Iterate summary passes to a fixpoint; returns the pass count."""
+    A function is re-evaluated when a call site moved one of its
+    parameters or when a return summary it read (a call, a ``self``
+    property, a duck-typed property) moved.
+    """
     _constant_pass(project)
-    for sweep in range(1, max_passes + 1):
-        if not _summary_pass(project):
-            return sweep
-    return max_passes
+    readers: dict[int, dict[int, FunctionInfo]] = {}
+
+    def step(fn: FunctionInfo) -> list[FunctionInfo]:
+        evaluator = _Evaluator(
+            project, project.by_qual[fn.module_qual], fn, check=False,
+        )
+        evaluator.run_body(fn.node.body)
+        for summary in evaluator.summaries_read:
+            readers.setdefault(id(summary), {})[id(fn)] = fn
+        if evaluator.return_moved:
+            return evaluator.moved + list(readers.get(id(fn), {}).values())
+        return evaluator.moved
+
+    return fixpoint.solve(list(project.functions.values()), step)
 
 
 def check_module(project: Project, path: str) -> list[Finding]:

@@ -21,9 +21,6 @@ inference: pinned names are what call sites and assignments are checked
 
 from __future__ import annotations
 
-import io
-import re
-import tokenize
 from dataclasses import dataclass, field
 
 from repro.analysis.dimensional.dim import (
@@ -43,6 +40,7 @@ from repro.analysis.dimensional.dim import (
     div,
     parse_unit_expr,
 )
+from repro.analysis.directives import Directives
 
 #: Canonical identifier suffix -> dimension. ``m2`` before ``m`` so the
 #: longest suffix wins.
@@ -102,9 +100,6 @@ def suffix_dim(name: str) -> Dim | None:
     return None
 
 
-_DIM_RE = re.compile(r"#\s*repro:\s*dim\[(?P<body>[^\]]*)\]")
-
-
 @dataclass(frozen=True)
 class DimComments:
     """Per-file ``# repro: dim[...]`` annotation table.
@@ -129,27 +124,17 @@ class DimComments:
         return merged
 
 
-def parse_dim_comments(source: str) -> DimComments:
-    """Scan a module's source for dimension annotations.
+def dim_table(directives: Directives) -> DimComments:
+    """Parse a module's ``dim[...]`` directives into its pin table.
 
-    Annotations are comments, found with :mod:`tokenize` so mentions in
-    strings and docstrings are ignored. Each binds one or more names on
-    its line: ``# repro: dim[cap: f, return: s]``.
+    Each binds one or more names on its line:
+    ``# repro: dim[cap: f, return: s]``.
     """
-    table = DimComments()
-    try:
-        tokens = list(tokenize.generate_tokens(io.StringIO(source).readline))
-    except (tokenize.TokenError, IndentationError, SyntaxError):
-        return table  # unparseable file: runner reports SYNTAX instead
-    for tok in tokens:
-        if tok.type != tokenize.COMMENT:
-            continue
-        match = _DIM_RE.search(tok.string)
-        if match is None:
-            continue
-        lineno = tok.start[0]
+    table = DimComments(errors=directives.notes("dim"))
+    for directive in directives.of("dim"):
+        lineno = directive.line
         entries = table.by_line.setdefault(lineno, {})
-        for item in match.group("body").split(","):
+        for item in directive.body.split(","):
             item = item.strip()
             if not item:
                 continue

@@ -20,6 +20,16 @@ whole-program:
 * **KEYNOTE** — malformed or unattached ``# repro: keyed-by[...]`` /
   ``# repro: key-exempt[name: reason]`` declarations.
 
+The two declarations belong to the shared directive grammar
+(:mod:`repro.analysis.directives`). ``keyed-by[name, other]`` on a
+memoization site asserts that the named values *are* part of the cache
+key even though the analysis cannot see the flow (e.g. the key is a
+content hash of a record that embeds them); KEY001/KEY002 treat them as
+covered. ``key-exempt[name: reason]`` on a site *or* a module-global
+definition waives KEY/DET findings for that name. The reason is
+mandatory: an exemption without a written justification is exactly the
+silent staleness the pass exists to prevent.
+
 The pass reuses the concurrency substrate — the shared project call
 graph, the solved :class:`~repro.analysis.concurrency.contexts
 .ContextModel` (with decorator/partial resolution) and the
@@ -30,16 +40,14 @@ so a ``lint --all`` run builds each structure exactly once.
 from __future__ import annotations
 
 import ast
+from dataclasses import dataclass, field
 from typing import Iterable
 
 from repro.analysis.concurrency.contexts import ContextModel
 from repro.analysis.concurrency.state import StateKey, StateModel
 from repro.analysis.context import ModuleSource
+from repro.analysis.directives import Directives
 from repro.analysis.finding import Finding
-from repro.analysis.keysound.comments import (
-    KeyComments,
-    parse_key_comments,
-)
 from repro.analysis.keysound.effects import (
     EffectModel,
     is_neutral,
@@ -58,15 +66,83 @@ __all__ = [
     "build_keysound_model",
     "discover_sites",
     "is_neutral",
-    "parse_key_comments",
+    "key_table",
     "solve_effects",
 ]
 
 
+@dataclass  # repro: noqa[SPEC001] -- mutable parse accumulator
+class KeyComments:
+    """Parsed key declarations of one module, by source line."""
+
+    #: line -> names asserted to be covered by the key.
+    keyed_by: dict[int, set[str]] = field(default_factory=dict)
+    #: line -> name -> written reason for the exemption.
+    exempt: dict[int, dict[str, str]] = field(default_factory=dict)
+    #: (line, message) pairs for malformed declarations (KEYNOTE).
+    errors: list[tuple[int, str]] = field(default_factory=list)
+
+    def in_range(self, first: int, last: int) -> tuple[
+        set[str], dict[str, str], set[int],
+    ]:
+        """Declarations attached to a statement spanning the lines.
+
+        Returns ``(keyed_by names, exempt name->reason, claimed lines)``.
+        """
+        keyed: set[str] = set()
+        exempt: dict[str, str] = {}
+        claimed: set[int] = set()
+        for line in range(first, last + 1):
+            if line in self.keyed_by:
+                keyed |= self.keyed_by[line]
+                claimed.add(line)
+            if line in self.exempt:
+                exempt.update(self.exempt[line])
+                claimed.add(line)
+        return keyed, exempt, claimed
+
+
+def key_table(directives: Directives) -> KeyComments:
+    """Parse a module's ``keyed-by`` / ``key-exempt`` directives."""
+    out = KeyComments(errors=directives.notes("keyed-by", "key-exempt"))
+    for directive in directives.of("keyed-by", "key-exempt"):
+        line = directive.line
+        if directive.form == "keyed-by":
+            good: set[str] = set()
+            names = [part.strip() for part in directive.body.split(",")]
+            for name in names:
+                if name and name.replace("_", "a").isidentifier():
+                    good.add(name)
+                else:
+                    out.errors.append((
+                        line,
+                        f"keyed-by name {name!r} is not an identifier",
+                    ))
+            if good:
+                out.keyed_by.setdefault(line, set()).update(good)
+            continue
+        name, sep, reason = directive.body.partition(":")
+        name = name.strip()
+        reason = reason.strip()
+        if not name or not name.replace("_", "a").isidentifier():
+            out.errors.append((
+                line,
+                f"key-exempt name {name!r} is not an identifier",
+            ))
+        elif not sep or not reason:
+            out.errors.append((
+                line,
+                f"key-exempt[{name}] carries no reason: expected "
+                "'# repro: key-exempt[name: reason]' — an exemption "
+                "must say why staleness is impossible",
+            ))
+        else:
+            out.exempt.setdefault(line, {})[name] = reason
+    return out
+
+
 def _bind_comments(
-    model: ContextModel,
-    sites: list[MemoSite],
-    sources: dict[str, str],
+    model: ContextModel, sites: list[MemoSite],
 ) -> tuple[dict[StateKey, str], list[Finding]]:
     """Attach declarations to sites and global definitions.
 
@@ -79,10 +155,7 @@ def _bind_comments(
     for site in sites:
         by_path.setdefault(site.path, []).append(site)
     for info in model.project.by_qual.values():
-        text = sources.get(info.path)
-        if text is None:
-            continue
-        comments = parse_key_comments(text)
+        comments = key_table(info.directives)
         for line, message in comments.errors:
             notes.append(Finding(
                 path=info.path, line=line, col=0, rule="KEYNOTE",
@@ -149,9 +222,7 @@ def _bind_comments(
 
 
 def build_keysound_model(
-    model: ContextModel,
-    state: StateModel,
-    sources: dict[str, str],
+    model: ContextModel, state: StateModel,
 ) -> tuple[list[MemoSite], EffectModel, dict[StateKey, str],
            list[Finding]]:
     """Solve sites/effects/declarations for a prepared context model.
@@ -161,7 +232,7 @@ def build_keysound_model(
     """
     sites = discover_sites(model)
     effects = solve_effects(model, state)
-    global_exempt, notes = _bind_comments(model, sites, sources)
+    global_exempt, notes = _bind_comments(model, sites)
     return sites, effects, global_exempt, notes
 
 
@@ -169,23 +240,18 @@ def analyze_keysound(
     targets: Iterable[ModuleSource],
     model: ContextModel,
     state: StateModel,
-    sources: dict[str, str] | None = None,
     disabled: frozenset[str] = frozenset(),
 ) -> dict[str, list[Finding]]:
     """Run the keysound pass and report findings for ``targets``.
 
     ``model``/``state`` are the shared concurrency structures (built
-    once per lint invocation by the registry); ``sources`` maps every
-    project module path to its text for the declaration grammar.
-    Returns a mapping of target path -> sorted findings.
+    once per lint invocation by the registry); the declarations come
+    from each project module's directive table. Returns a mapping of
+    target path -> sorted findings.
     """
     target_list = list(targets)
-    if sources is None:
-        sources = {
-            info.path: "" for info in model.project.by_qual.values()
-        }
     sites, effects, global_exempt, notes = build_keysound_model(
-        model, state, sources,
+        model, state,
     )
     mutable = mutable_state_keys(state)
     findings = run_rules(

@@ -1,8 +1,9 @@
 """Transitive effect inference for the cache-key soundness pass.
 
 For every node in the project call graph this module computes, to a
-fixpoint over call edges (including inline lambdas and the decorator
-bindings resolved by :mod:`..concurrency.contexts`):
+fixpoint of the shared worklist solver (:mod:`repro.analysis.fixpoint`)
+over call edges (including inline lambdas and the decorator bindings
+resolved by :mod:`..concurrency.contexts`):
 
 * the *read set* — shared state keys (module globals, instance fields)
   the node transitively reads;
@@ -29,9 +30,9 @@ from __future__ import annotations
 import ast
 from dataclasses import dataclass, field
 
+from repro.analysis import fixpoint
 from repro.analysis.concurrency.contexts import (
     ContextModel,
-    MAX_PASSES,
     Node,
     dotted_chain,
     iter_own_statements,
@@ -93,7 +94,6 @@ class EffectModel:
     writes: dict[str, dict[StateKey, Fact]] = field(default_factory=dict)
     nondet: dict[str, dict[str, Fact]] = field(default_factory=dict)
     mentions: dict[str, set[str]] = field(default_factory=dict)
-    passes: int = 0
 
     def merged(self, kind: str, nodes: tuple[Node, ...]) -> dict:
         """Union of one fact table across several entry nodes."""
@@ -120,12 +120,6 @@ def is_neutral(node: Node) -> bool:
     )
 
 
-def _own_items(node: Node) -> list[ast.AST]:
-    body = node.body
-    statements = body if isinstance(body, list) else [ast.Expr(body)]
-    return list(iter_own_statements(statements))
-
-
 def _is_set_expr(expr: ast.expr) -> bool:
     if isinstance(expr, (ast.Set, ast.SetComp)):
         return True
@@ -145,7 +139,7 @@ def _scan_nondet(node: Node) -> dict[str, Fact]:
                   f"in {node.short}",
         ))
 
-    for item in _own_items(node):
+    for item in iter_own_statements(node.statements):
         if isinstance(item, ast.Call):
             chain = dotted_chain(item.func, node.module)
             if chain is not None:
@@ -183,7 +177,7 @@ def _scan_nondet(node: Node) -> dict[str, Fact]:
 
 def _scan_mentions(node: Node) -> set[str]:
     names: set[str] = set()
-    for item in _own_items(node):
+    for item in iter_own_statements(node.statements):
         if isinstance(item, ast.Name):
             names.add(item.id)
         elif isinstance(item, ast.Attribute):
@@ -221,50 +215,57 @@ def solve_effects(model: ContextModel, state: StateModel) -> EffectModel:
         bucket.setdefault(access.node.qualname, {}).setdefault(
             access.key, fact,
         )
-    # Propagation: callee facts flow to callers with extended chains.
+    # Propagation: callee facts flow to callers with extended chains;
+    # a node whose facts grew is re-pulled by its callers.
     ordered = sorted(live, key=lambda node: node.qualname)
-    for sweep in range(MAX_PASSES):
-        changed = False
-        for node in ordered:
-            edges: list[tuple[Node, int]] = [
-                (edge.callee, edge.line) for edge in node.calls
-            ] + [
-                (lam, lam.body.lineno if isinstance(lam.body, ast.expr)
-                 else 0)
-                for lam in node.inline_lambdas
-            ]
-            for callee, line in edges:
-                if is_neutral(callee) or callee.qualname == node.qualname:
-                    continue
-                hop = (
-                    f", reached via {callee.short} called at "
-                    f"{node.module.path}:{line}"
+    hops: dict[int, list[tuple[Node, str]]] = {}
+    callers: dict[str, list[Node]] = {}
+    for node in ordered:
+        edges: list[tuple[Node, int]] = [
+            (edge.callee, edge.line) for edge in node.calls
+        ] + [
+            (lam, lam.body.lineno if isinstance(lam.body, ast.expr)
+             else 0)
+            for lam in node.inline_lambdas
+        ]
+        hops[id(node)] = []
+        for callee, line in edges:
+            if is_neutral(callee) or callee.qualname == node.qualname:
+                continue
+            hops[id(node)].append((callee, (
+                f", reached via {callee.short} called at "
+                f"{node.module.path}:{line}"
+            )))
+            callers.setdefault(callee.qualname, []).append(node)
+
+    def step(node: Node) -> list[Node]:
+        grew = False
+        for callee, hop in hops[id(node)]:
+            for kind in ("reads", "writes", "nondet"):
+                mine = getattr(effects, kind).setdefault(
+                    node.qualname, {},
                 )
-                for kind in ("reads", "writes", "nondet"):
-                    mine = getattr(effects, kind).setdefault(
-                        node.qualname, {},
-                    )
-                    theirs = getattr(effects, kind).get(
-                        callee.qualname, {},
-                    )
-                    for key, fact in theirs.items():
-                        if key not in mine:
-                            mine[key] = Fact(
-                                path=fact.path, line=fact.line,
-                                chain=fact.chain + hop,
-                            )
-                            changed = True
-                their_names = effects.mentions.get(callee.qualname)
-                if their_names:
-                    mine_names = effects.mentions.setdefault(
-                        node.qualname, set(),
-                    )
-                    before = len(mine_names)
-                    mine_names |= their_names
-                    changed |= len(mine_names) != before
-        effects.passes = sweep + 1
-        if not changed:
-            break
+                theirs = getattr(effects, kind).get(
+                    callee.qualname, {},
+                )
+                for key, fact in theirs.items():
+                    if key not in mine:
+                        mine[key] = Fact(
+                            path=fact.path, line=fact.line,
+                            chain=fact.chain + hop,
+                        )
+                        grew = True
+            their_names = effects.mentions.get(callee.qualname)
+            if their_names:
+                mine_names = effects.mentions.setdefault(
+                    node.qualname, set(),
+                )
+                before = len(mine_names)
+                mine_names |= their_names
+                grew |= len(mine_names) != before
+        return callers.get(node.qualname, []) if grew else []
+
+    fixpoint.solve(ordered, step)
     return effects
 
 

@@ -8,28 +8,19 @@ the DIM/CONC style.
 
 from __future__ import annotations
 
-from repro.analysis.concurrency.state import StateKey, StateModel
+from repro.analysis.concurrency.contexts import trim_chain
+from repro.analysis.concurrency.state import (
+    StateKey,
+    StateModel,
+    render_key,
+)
 from repro.analysis.finding import Finding
 from repro.analysis.keysound.effects import EffectModel, Fact
 from repro.analysis.keysound.sites import MemoSite
 
-#: Longest chain fragment embedded in a message (same cap as DIM/CONC).
-_CHAIN_LIMIT = 200
-
 #: Functions whose output *is* a cache key: nondeterminism or mutable
 #: state inside them corrupts every key they derive (DET001).
 KEY_DERIVATION: frozenset[str] = frozenset({"stable_hash", "config_key"})
-
-
-def _trim(text: str) -> str:
-    if len(text) > _CHAIN_LIMIT:
-        return text[:_CHAIN_LIMIT - 3] + "..."
-    return text
-
-
-def _render_key(key: StateKey) -> str:
-    _kind, scope, name = key
-    return f"{scope}.{name}"
 
 
 def _field_immutable(key: StateKey, mutable: frozenset[StateKey],
@@ -79,8 +70,8 @@ def check_key001(
                 path=site.path, line=site.line, col=0, rule="KEY001",
                 message=(
                     f"cache key for {site.cache_name} omits mutable "
-                    f"state '{_render_key(key)}' that the computation "
-                    f"reads: {_trim(fact.chain)}; a change to it would "
+                    f"state '{render_key(key)}' that the computation "
+                    f"reads: {trim_chain(fact.chain)}; a change to it would "
                     f"serve a stale cached result — add it to the key, "
                     f"or declare '# repro: keyed-by[{name}]' if the key "
                     f"already embeds it, or '# repro: key-exempt"
@@ -152,7 +143,7 @@ def check_det001(
                 message=(
                     f"cached computation behind {site.cache_name} "
                     f"reaches a nondeterministic source — {source}: "
-                    f"{_trim(fact.chain)}; the same key could cache "
+                    f"{trim_chain(fact.chain)}; the same key could cache "
                     f"different results across runs — remove the "
                     f"source or hoist it out of the cached path"
                 ),
@@ -171,7 +162,7 @@ def check_det001(
                 message=(
                     f"key-derivation function {node.short} reaches a "
                     f"nondeterministic source — {source}: "
-                    f"{_trim(fact.chain)}; keys derived from it are "
+                    f"{trim_chain(fact.chain)}; keys derived from it are "
                     f"not reproducible"
                 ),
             ))
@@ -183,8 +174,8 @@ def check_det001(
                 path=node.module.path, line=line, col=0, rule="DET001",
                 message=(
                     f"key-derivation function {node.short} reads "
-                    f"mutable state '{_render_key(key)}': "
-                    f"{_trim(fact.chain)}; two calls with identical "
+                    f"mutable state '{render_key(key)}': "
+                    f"{trim_chain(fact.chain)}; two calls with identical "
                     f"inputs could derive different keys"
                 ),
             ))
@@ -226,7 +217,7 @@ def check_det002(
                 message=(
                     f"cached computation behind {site.cache_name} "
                     f"mutates state outside its frame — "
-                    f"'{_render_key(key)}': {_trim(fact.chain)}; on a "
+                    f"'{render_key(key)}': {trim_chain(fact.chain)}; on a "
                     f"cache hit the mutation is skipped, so program "
                     f"state depends on cache history — hoist the side "
                     f"effect out of the cached path or declare "

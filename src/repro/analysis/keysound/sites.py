@@ -28,6 +28,7 @@ from repro.analysis.concurrency.contexts import (
     dotted_chain,
     iter_own_statements,
 )
+from repro.analysis.context import terminal_name
 
 #: Decorator terminals that memoize the decorated def on its arguments.
 LRU_DECORATORS: frozenset[str] = frozenset({
@@ -81,9 +82,7 @@ class _Tracer:
         #: name -> (expr, tuple index | None); index selects a zip arm
         #: or a tuple-unpack slot.
         self.producers: dict[str, tuple[ast.expr, int | None]] = {}
-        body = node.body
-        statements = body if isinstance(body, list) else [ast.Expr(body)]
-        for item in iter_own_statements(statements):
+        for item in iter_own_statements(node.statements):
             if isinstance(item, ast.Assign):
                 for target in item.targets:
                     self._note_target(target, item.value)
@@ -309,9 +308,7 @@ class _SiteScanner:
 
     def scan(self) -> list[MemoSite]:
         sites: list[MemoSite] = []
-        body = self.node.body
-        statements = body if isinstance(body, list) else [ast.Expr(body)]
-        for item in iter_own_statements(statements):
+        for item in iter_own_statements(self.node.statements):
             if not isinstance(item, ast.Call):
                 continue
             func = item.func
@@ -326,7 +323,7 @@ class _SiteScanner:
 
     def _memo_site(self, call: ast.Call,
                    func: ast.Attribute) -> MemoSite:
-        receiver = _terminal(func.value) or "memo"
+        receiver = terminal_name(func.value) or "memo"
         key_names, value_names, opaque = self.resolve_key(call.args[0])
         return MemoSite(
             kind="memo",
@@ -343,7 +340,7 @@ class _SiteScanner:
 
     def _cache_receiver(self, expr: ast.expr) -> bool:
         """Whether a ``.put`` receiver looks like the EvalCache."""
-        name = _terminal(expr)
+        name = terminal_name(expr)
         if name is not None and "cache" in name.lower():
             return True
         typ = None
@@ -361,7 +358,7 @@ class _SiteScanner:
         return typ is not None and typ.endswith(".EvalCache")
 
     def _put_site(self, call: ast.Call, func: ast.Attribute) -> MemoSite:
-        receiver = _terminal(func.value) or "cache"
+        receiver = terminal_name(func.value) or "cache"
         key_names, value_names, opaque = self.resolve_key(call.args[0])
         return MemoSite(
             kind="cache-put",
@@ -377,14 +374,6 @@ class _SiteScanner:
         )
 
 
-def _terminal(expr: ast.expr) -> str | None:
-    if isinstance(expr, ast.Name):
-        return expr.id
-    if isinstance(expr, ast.Attribute):
-        return expr.attr
-    return None
-
-
 def _lru_sites(model: ContextModel) -> list[MemoSite]:
     sites: list[MemoSite] = []
     for fn in model.project.functions.values():
@@ -393,7 +382,7 @@ def _lru_sites(model: ContextModel) -> list[MemoSite]:
             continue
         for dec in fn.node.decorator_list:
             target = dec.func if isinstance(dec, ast.Call) else dec
-            terminal = _terminal(target)
+            terminal = terminal_name(target)
             if terminal not in LRU_DECORATORS:
                 continue
             bindable = node.params[1:] if fn.self_name is not None \

@@ -23,7 +23,12 @@ shape:
 
 Thread-safety: shared structures are built eagerly by
 :meth:`SharedAnalysis.prepare` before any pass thread starts, so the
-pass bodies only ever *read* them concurrently. The one exception is
+pass bodies only ever *read* them concurrently. That includes each
+module's ``# repro:`` directive table
+(:attr:`~repro.analysis.context.ModuleSource.directives`), scanned once
+per lint: by the project build for every context module when a
+whole-program pass runs, otherwise by the runner's suppression filter
+for the target files alone. The one exception is
 the dimensional fixpoint, which accumulates inferred facts onto the
 shared ``Project``'s fact slots; no other pass reads those slots, so
 the mutation is private to that pass by construction.
@@ -96,11 +101,6 @@ class SharedAnalysis:
         self._conc_model = None
         self._conc_state = None
 
-    @property
-    def sources(self) -> dict[str, str]:
-        """Module path -> source text, for comment-grammar scanners."""
-        return {module.path: module.source for module in self.context}
-
     def index(self) -> ProjectIndex:
         """The purity rules' memoization index (base pass)."""
         with self._lock:
@@ -133,9 +133,7 @@ class SharedAnalysis:
                 from repro.analysis.concurrency.state import build_state
 
                 self._conc_model = build_contexts(self.project())
-                self._conc_state = build_state(
-                    self._conc_model, self.sources,
-                )
+                self._conc_state = build_state(self._conc_model)
             return self._conc_model, self._conc_state
 
     def prepare(self, passes: Iterable[AnalysisPass]) -> None:
@@ -204,8 +202,7 @@ def _run_keysound(
 
     model, state = shared.concurrency_model()
     return analyze_keysound(
-        targets, model=model, state=state, sources=shared.sources,
-        disabled=disabled,
+        targets, model=model, state=state, disabled=disabled,
     )
 
 

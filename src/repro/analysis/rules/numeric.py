@@ -12,7 +12,7 @@ from __future__ import annotations
 import ast
 from typing import Iterator
 
-from repro.analysis.context import ModuleSource, ProjectIndex, _call_name
+from repro.analysis.context import ModuleSource, ProjectIndex, terminal_name
 from repro.analysis.finding import Finding
 
 #: Callables whose presence (as a statement-level call taking the
@@ -172,7 +172,7 @@ def check_num003(
         for default in defaults:
             mutable = isinstance(default, (ast.List, ast.Dict, ast.Set)) or (
                 isinstance(default, ast.Call)
-                and _call_name(default.func)
+                and terminal_name(default.func)
                 in {"list", "dict", "set", "bytearray"}
             )
             if mutable:

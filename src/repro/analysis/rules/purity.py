@@ -11,7 +11,12 @@ from __future__ import annotations
 import ast
 from typing import Iterator
 
-from repro.analysis.context import ModuleSource, ProjectIndex, _call_name
+from repro.analysis.context import (
+    MUTATING_METHODS,
+    ModuleSource,
+    ProjectIndex,
+    terminal_name,
+)
 from repro.analysis.finding import Finding
 
 #: Type names that are mutable and therefore never valid as memo-key
@@ -21,14 +26,6 @@ MUTABLE_TYPE_NAMES = frozenset({
     "List", "Dict", "Set", "DefaultDict", "OrderedDict", "Counter",
     "MutableMapping", "MutableSequence", "MutableSet",
 })
-
-#: Method names that mutate their receiver in place.
-MUTATING_METHODS = frozenset({
-    "append", "extend", "insert", "remove", "pop", "popitem", "clear",
-    "update", "add", "discard", "setdefault", "sort", "reverse",
-    "__setitem__", "__delitem__",
-})
-
 
 def _annotation_names(node: ast.expr) -> Iterator[str]:
     """Every bare name mentioned in an annotation expression."""
@@ -50,7 +47,7 @@ def _is_mutable_literal(node: ast.expr) -> bool:
     if isinstance(node, (ast.List, ast.Dict, ast.Set)):
         return True
     if isinstance(node, ast.Call):
-        return _call_name(node.func) in {"list", "dict", "set", "bytearray"}
+        return terminal_name(node.func) in {"list", "dict", "set", "bytearray"}
     return False
 
 
@@ -204,7 +201,7 @@ class _ReturnMutationVisitor(ast.NodeVisitor):
 
     def _is_memoized_value(self, node: ast.expr) -> bool:
         if isinstance(node, ast.Call):
-            return _call_name(node.func) in self.memoized
+            return terminal_name(node.func) in self.memoized
         if isinstance(node, ast.Attribute):
             # cached_property wrappers: ``gate.constants``.
             return node.attr in self.memoized
@@ -244,7 +241,7 @@ class _ReturnMutationVisitor(ast.NodeVisitor):
         base = target.value
         root = _root_name(target)
         if self._is_memoized_value(base):
-            label = _call_name(base.func) if isinstance(base, ast.Call) \
+            label = terminal_name(base.func) if isinstance(base, ast.Call) \
                 else base.attr if isinstance(base, ast.Attribute) else "?"
             self.findings.append(Finding(
                 self.module.path, target.lineno, target.col_offset,

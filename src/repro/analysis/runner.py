@@ -5,24 +5,31 @@ package, builds the cross-pass structures once through
 :class:`~repro.analysis.registry.SharedAnalysis` (purity index, project
 call graph, concurrency model), dispatches the enabled analysis passes
 (optionally in parallel — ``lint --all --jobs``), and filters the merged
-findings through the inline-suppression table.
+findings through each target's inline-suppression table.
+
+Suppressions are ``noqa`` directives (:mod:`repro.analysis.directives`)
+on the line a finding is reported on: a bare ``# repro: noqa`` waives
+every rule (prefer the targeted form, which documents *which* invariant
+is waived), ``# repro: noqa[CP003, NUM001]`` only the listed rules. A
+``[`` always makes it targeted: an unknown rule id, an empty bracket or
+an unclosed one suppresses nothing.
 
 Two pseudo-rules can appear in output and are never suppressible:
 ``SYNTAX`` (a target file failed to parse) and ``NOQA`` (a suppression
-comment names an unknown rule id).
+comment is malformed or names an unknown rule id).
 """
 
 from __future__ import annotations
 
 import ast
 import json
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Iterable, Sequence
 
 from repro.analysis.context import ModuleSource, ProjectIndex
+from repro.analysis.directives import Directives
 from repro.analysis.finding import ALL_RULE_IDS, Finding
-from repro.analysis.noqa import parse_suppressions
 from repro.analysis.registry import (
     PASSES,
     SharedAnalysis,
@@ -139,6 +146,44 @@ def _active_rules(passes: tuple[str, ...]) -> frozenset[str]:
     return frozenset(active)
 
 
+@dataclass(frozen=True)
+class Suppressions:
+    """Per-file suppression table: blanket lines, rule ids per line,
+    and (line, message) errors reported as ``NOQA``."""
+
+    blanket_lines: set[int] = field(default_factory=set)
+    rule_lines: dict[int, set[str]] = field(default_factory=dict)
+    errors: list[tuple[int, str]] = field(default_factory=list)
+
+
+def noqa_table(directives: Directives) -> Suppressions:
+    """Parse a module's ``noqa`` directives into its suppression table."""
+    table = Suppressions(errors=directives.notes("noqa"))
+    for directive in directives.of("noqa"):
+        lineno = directive.line
+        if directive.body is None:
+            table.blanket_lines.add(lineno)
+            continue
+        rules = table.rule_lines.setdefault(lineno, set())
+        tokens = [
+            token.strip() for token in directive.body.split(",")
+            if token.strip()
+        ]
+        if not tokens:
+            table.errors.append(
+                (lineno, "suppression names no rule; expected "
+                         "'# repro: noqa[RULE, ...]'")
+            )
+        for token in tokens:
+            if token.upper() in ALL_RULE_IDS:
+                rules.add(token.upper())
+            else:
+                table.errors.append(
+                    (lineno, f"suppression names unknown rule {token!r}")
+                )
+    return table
+
+
 def _filter_findings(
     targets: list[ModuleSource],
     parse_failures: list[Finding],
@@ -153,12 +198,9 @@ def _filter_findings(
     active = _active_rules(passes)
     full_run = all(name in passes for name in PASSES)
     for module in targets:
-        suppressions = parse_suppressions(module.source, ALL_RULE_IDS)
-        for lineno, token in suppressions.unknown:
-            findings.append(Finding(
-                module.path, lineno, 0, "NOQA",
-                f"suppression names unknown rule {token!r}",
-            ))
+        suppressions = noqa_table(module.directives)
+        for lineno, message in suppressions.errors:
+            findings.append(Finding(module.path, lineno, 0, "NOQA", message))
         module_findings = [
             finding for finding in extra.get(module.path, [])
             if finding.rule not in disable

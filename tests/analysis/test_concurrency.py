@@ -12,6 +12,8 @@ import textwrap
 import time
 from pathlib import Path
 
+import pytest
+
 from repro.analysis import lint_paths, lint_source
 from repro.analysis.concurrency import (
     FORK,
@@ -19,9 +21,10 @@ from repro.analysis.concurrency import (
     MAIN,
     THREAD,
     build_concurrency_model,
-    parse_guard_comments,
+    guard_table,
 )
 from repro.analysis.context import ModuleSource
+from repro.analysis.directives import scan_directives
 from repro.cli import main
 
 REPO_ROOT = Path(__file__).resolve().parents[2]
@@ -331,6 +334,26 @@ class TestCONC001:
         """
         assert _findings(snippet, "CONC001") == []
 
+    @pytest.mark.parametrize("call", [
+        "__setitem__(name, 1)", "__delitem__(name)",
+    ])
+    def test_dunder_item_calls_are_mutations(self, call):
+        snippet = f"""
+            import threading
+
+            _TALLY = {{}}
+
+
+            def record(name):
+                _TALLY.{call}
+
+
+            def drive():
+                threading.Thread(target=record, args=("x",)).start()
+        """
+        (finding,) = _findings(snippet, "CONC001")
+        assert f".{call.split('(')[0]}() mutation" in finding.message
+
     def test_fork_contexts_do_not_share_memory(self):
         snippet = """
             import multiprocessing
@@ -519,17 +542,17 @@ class TestCONC004:
 
 class TestGuardGrammar:
     def test_parse_guard_comments(self):
-        by_line, errors = parse_guard_comments(
+        by_line, errors = guard_table(scan_directives(
             "x = 1  # repro: guarded-by[_lock]\n"
             "y = 2  # repro: guarded-by[gil]\n"
-        )
+        ))
         assert by_line == {1: "_lock", 2: "gil"}
         assert errors == []
 
     def test_non_identifier_lock_name_is_an_error(self):
-        _by_line, errors = parse_guard_comments(
+        _by_line, errors = guard_table(scan_directives(
             "x = 1  # repro: guarded-by[self._lock!]\n"
-        )
+        ))
         assert len(errors) == 1
         assert "not an identifier" in errors[0][1]
 

@@ -15,7 +15,6 @@ from repro.analysis.dimensional import (
     ANY,
     CONSTANT_DIMS,
     DIMENSIONLESS,
-    MAX_PASSES,
     POLY,
     UNKNOWN,
     build_project,
@@ -44,6 +43,7 @@ from repro.analysis.dimensional.dim import (
     power,
     sqrt,
 )
+from repro.analysis.fixpoint import MAX_ROUNDS
 from repro.cli import main
 
 REPO_ROOT = Path(__file__).resolve().parents[2]
@@ -329,6 +329,18 @@ class TestDimNoteMalformedAnnotations:
             DOC = """Annotate with # repro: dim[x: furlong] comments."""
         ''') == []
 
+    @pytest.mark.parametrize("comment", [
+        "# repro: dim cap: f",
+        "# repro: dim[cap: f",
+    ])
+    def test_dim_without_a_closed_bracket_is_reported(self, comment):
+        messages = _messages(f"""
+            cap = 1.0  {comment}
+        """, "DIMNOTE")
+        assert messages == [
+            "malformed dim comment: expected '# repro: dim[name: unit]'"
+        ]
+
 
 class TestNoqaIntegration:
     def test_dim_findings_respect_noqa(self):
@@ -364,7 +376,7 @@ class TestFixpoint:
                     return unit_s
                 return unit_s + total(stages - 1, unit_s)
         """)
-        assert solve_fixpoint(project) < MAX_PASSES
+        assert solve_fixpoint(project) < MAX_ROUNDS
         total = next(
             f for f in project.functions.values()
             if f.node.name == "total"

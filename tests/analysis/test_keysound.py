@@ -19,11 +19,12 @@ from pathlib import Path
 from repro.analysis import lint_paths, lint_source
 from repro.analysis.concurrency import build_concurrency_model
 from repro.analysis.context import ModuleSource
+from repro.analysis.directives import scan_directives
 from repro.analysis.keysound import (
     analyze_keysound,
     build_keysound_model,
     discover_sites,
-    parse_key_comments,
+    key_table,
 )
 
 REPO_ROOT = Path(__file__).resolve().parents[2]
@@ -46,10 +47,7 @@ def _run(*pairs, disabled=frozenset()):
     """Findings of the keysound pass over in-memory modules."""
     infos = _modules(*pairs)
     model, state = build_concurrency_model(infos)
-    sources = {info.path: info.source for info in infos}
-    results = analyze_keysound(
-        infos, model, state, sources=sources, disabled=disabled,
-    )
+    results = analyze_keysound(infos, model, state, disabled=disabled)
     return [f for found in results.values() for f in found]
 
 
@@ -60,8 +58,7 @@ def _rules(*pairs):
 def _model(*pairs):
     infos = _modules(*pairs)
     model, state = build_concurrency_model(infos)
-    sources = {info.path: info.source for info in infos}
-    return build_keysound_model(model, state, sources)
+    return build_keysound_model(model, state)
 
 
 # A mutable module "tech constant" plus a memoized solver that reads it
@@ -395,18 +392,18 @@ class TestDeclarationGrammar:
         assert "malformed" in finding.message
 
     def test_parse_collects_names_and_reasons(self):
-        comments = parse_key_comments(
+        comments = key_table(scan_directives(
             "x = 1  # repro: keyed-by[alpha, beta]\n"
             "y = 2  # repro: key-exempt[gamma: set once at import]\n"
-        )
+        ))
         assert comments.keyed_by[1] == {"alpha", "beta"}
         assert comments.exempt[2] == {"gamma": "set once at import"}
         assert comments.errors == []
 
     def test_strings_that_look_like_comments_do_not_match(self):
-        comments = parse_key_comments(
+        comments = key_table(scan_directives(
             'text = "# repro: keyed-by[fake]"\n'
-        )
+        ))
         assert comments.keyed_by == {}
 
 

@@ -68,6 +68,25 @@ class TestSuppressions:
         assert result.suppressed == 2
 
 
+class TestMalformedNoqa:
+    """A ``[`` makes a suppression targeted: a malformed bracket
+    suppresses nothing and is reported, never widened to a blanket."""
+
+    @pytest.mark.parametrize("comment", [
+        "# repro: noqa[]",
+        "# repro: noqa[NUM-001]",
+        "# repro: noqa[CP003; NUM001]",
+        "# repro: noqa[NUM001",
+    ])
+    def test_malformed_targeted_noqa_suppresses_nothing(self, comment):
+        result = _lint(f"""
+            def formula(x):
+                return x == 0.1  {comment}
+        """)
+        assert [f.rule for f in result.findings] == ["NOQA", "NUM001"]
+        assert result.suppressed == 0
+
+
 class TestNoqaHygiene:
     """LINT001: suppressions must suppress something an active pass
     produces."""

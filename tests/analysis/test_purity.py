@@ -2,6 +2,8 @@
 
 import textwrap
 
+import pytest
+
 from repro.analysis import lint_source
 
 
@@ -152,6 +154,19 @@ class TestCp003ReturnMutation:
 
             def caller(spec):
                 build_thing(spec).height = 1.0
+        """)
+        assert "CP003" in _rules(result)
+
+    @pytest.mark.parametrize("call", [
+        "popleft()", "appendleft(None)", "move_to_end(None)",
+    ])
+    def test_deque_and_ordered_dict_mutators_are_flagged(self, call):
+        result = _lint(MEMO_PREAMBLE, f"""
+            def build_thing(spec):
+                return _MEMO.get_or_compute(spec, lambda: object())
+
+            def caller(spec):
+                build_thing(spec).{call}
         """)
         assert "CP003" in _rules(result)
 
