@@ -21,12 +21,10 @@ lint:
 	fi
 
 verify: lint test
-	$(PYTHON) benchmarks/bench_engine.py --smoke
-	$(PYTHON) benchmarks/bench_single_eval.py --smoke
+	$(PYTHON) -m pytest -q benchmarks/suite
 
 bench:
-	$(PYTHON) benchmarks/bench_engine.py
-	$(PYTHON) benchmarks/bench_single_eval.py
+	$(PYTHON) benchmarks/suite/run.py --workload all --seed 1 --runs 10 --out bench-set.json
 
 goldens:
 	$(PYTHON) -m repro.cli validate --update-goldens

@@ -241,25 +241,21 @@ def search_organizations(
     tech: Technology,
     spec: ArraySpec,
     weights: OptimizationWeights | None = None,
-    *,
-    exact: bool | None = None,
 ) -> list["Bank"]:
     """Evaluate candidate organizations, best first.
 
     Candidates that meet the spec's timing targets sort before candidates
     that do not; within each group the weighted normalized objective ranks
-    them.
+    them. With the :mod:`repro.fastpath` switch on (the default) the
+    field is rank-pruned with cheap analytic bounds first and only the
+    front-runners get the full circuit model; under
+    ``fastpath.disabled()`` every feasible tiling is evaluated and
+    ranked.
 
     Args:
         tech: Technology operating point.
         spec: The array to tile.
         weights: Ranking objective weights (all-equal by default).
-        exact: ``True`` evaluates every feasible tiling with the full
-            circuit model; ``False`` rank-prunes the field with cheap
-            analytic bounds first and fully evaluates only the
-            front-runners. ``None`` (default) follows the global
-            :mod:`repro.fastpath` switch — the escape hatch for callers
-            that need the exhaustively-ranked list.
 
     Raises:
         ValueError: If no organization tiles the spec at all.
@@ -268,9 +264,7 @@ def search_organizations(
 
     weights = weights or OptimizationWeights()
     candidates = list(candidate_organizations(spec))
-    if exact is None:
-        exact = not fastpath.enabled()
-    if not exact and len(candidates) > _PRUNE_MIN_CANDIDATES:
+    if fastpath.enabled() and len(candidates) > _PRUNE_MIN_CANDIDATES:
         candidates = _prune_candidates(tech, spec, candidates)
     banks = [
         Bank(tech=tech, spec=spec, organization=org)

@@ -3,7 +3,6 @@
 from repro.chip.results import ComponentResult
 from repro.chip.processor import Processor
 from repro.chip.report import format_report, render_report_text
-from repro.chip.profiling import format_timing_breakdown, timing_breakdown
 from repro.chip.export import (
     compare_results,
     format_csv,
@@ -15,9 +14,7 @@ __all__ = [
     "ComponentResult",
     "Processor",
     "format_report",
-    "format_timing_breakdown",
     "render_report_text",
-    "timing_breakdown",
     "compare_results",
     "format_csv",
     "result_to_dict",

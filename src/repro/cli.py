@@ -17,21 +17,25 @@ Subcommands mirror how the original tool is used:
 * ``lint`` — run the model-invariant static-analysis suite
   (:mod:`repro.analysis`) over source trees.
 
-Observability flags: ``report --trace out.json`` writes a Chrome
-``trace_event`` file (``.jsonl`` suffix switches to JSONL spans), and
-``sweep --profile`` prints a per-component span-time breakdown plus the
-engine metrics for the whole sweep.
+Recording flags (``report``, ``sweep``, ``stats``): ``--trace out.json``
+writes the recorded spans as a Chrome ``trace_event`` file (a ``.jsonl``
+suffix switches to JSONL spans), ``--profile`` prints a per-component
+span-time breakdown (``sweep`` adds the engine metrics), and
+``report --trace-detail`` adds the high-frequency solver spans to
+either recording.
 """
 
 from __future__ import annotations
 
 import argparse
+import contextlib
 import json
 import sys
-import time
+from collections.abc import Iterator
 from pathlib import Path
 
-from repro.chip import Processor, format_report, render_report_text
+from repro import obs
+from repro.chip import Processor, render_report_text
 from repro.config import load_system_config, presets
 
 
@@ -56,45 +60,56 @@ def _resolve_config(source: str):
     )
 
 
-def _write_trace(path: str) -> None:
-    """Export the recorded spans; ``.jsonl`` selects JSONL, else Chrome."""
-    from repro import obs
+@contextlib.contextmanager
+def _recording(
+    args: argparse.Namespace, always: bool = False,
+) -> Iterator[None]:
+    """Record spans around a subcommand's work as its flags ask.
 
-    if path.endswith(".jsonl"):
-        obs.write_jsonl(path)
-    else:
-        obs.write_chrome_trace(path)
-    print(f"\ntrace: {len(obs.spans())} spans -> {path}")
+    ``--trace PATH`` records and writes the spans to PATH (a ``.jsonl``
+    suffix selects JSONL, anything else a Chrome trace), ``--profile``
+    records and prints the span profile after the command's output, and
+    ``--trace-detail`` raises either recording to the solver-span tier;
+    given alone it is a usage error. ``always`` records without a flag
+    (``stats`` prints the metrics the recording collects).
+    """
+    trace = args.trace
+    profile = getattr(args, "profile", False)
+    detail = getattr(args, "trace_detail", False)
+    if detail and not (trace or profile):
+        print("mcpat-repro: --trace-detail needs --trace or --profile",
+              file=sys.stderr)
+        raise SystemExit(2)
+    if not (always or trace or profile):
+        yield
+        return
+    obs.reset()
+    obs.enable(detail=detail)
+    timer = obs.timer()
+    try:
+        yield
+    finally:
+        wall_s = timer.elapsed_s()
+        obs.disable()
+    if profile:
+        print("\nSpan timing by component:")
+        print(obs.format_profile(
+            obs.profile(), wall_s=wall_s, covered_s=obs.root_total_s(),
+        ))
+    if trace:
+        if trace.endswith(".jsonl"):
+            obs.write_jsonl(trace)
+        else:
+            obs.write_chrome_trace(trace)
+        print(f"\ntrace: {len(obs.spans())} spans -> {trace}")
 
 
 def _cmd_report(args: argparse.Namespace) -> int:
     config = _resolve_config(args.config)
-    if args.trace:
-        from repro import obs
-
-        obs.enable(detail=args.trace_detail)
-    processor = Processor(config)
-    if args.timing_breakdown:
-        from repro.chip import format_timing_breakdown, timing_breakdown
-
-        times = timing_breakdown(processor)
-        print(format_report(
-            processor.report(), max_depth=args.depth, include_runtime=False,
-        ))
-        print()
-        print("Model-build wall time by component:")
-        print(format_timing_breakdown(times))
-        print()
-        print(f"TDP  = {processor.tdp:.1f} W")
-        print(f"Area = {processor.area * 1e6:.1f} mm^2")
-        for name, cycles in processor.timing_summary().items():
-            print(f"{name:<22} = {cycles:.2f} cycles")
-    else:
+    with _recording(args):
         # Single source of the report text, shared with the serve tier
         # so `POST /evaluate` responses are byte-identical to this.
-        print(render_report_text(processor, max_depth=args.depth))
-    if args.trace:
-        _write_trace(args.trace)
+        print(render_report_text(Processor(config), max_depth=args.depth))
     return 0
 
 
@@ -124,23 +139,18 @@ def _cmd_validate(args: argparse.Namespace) -> int:
 
 def _cmd_stats(args: argparse.Namespace) -> int:
     """Evaluate one config with instrumentation on; print the metrics."""
-    from repro import obs
     from repro.engine import EvalCache, evaluate_many
 
     config = _resolve_config(args.config)
-    obs.enable()
     cache = EvalCache()
     repeat = max(1, args.repeat)
-    snap = None
-    for _ in range(repeat):
-        _, snap = evaluate_many(
-            [config], jobs=args.jobs, cache=cache, with_metrics=True,
-        )
-    obs.disable()
-    print(f"metrics for {repeat} evaluation(s) of {config.name}:\n")
-    print(obs.format_metrics_table(snap))
-    if args.trace:
-        _write_trace(args.trace)
+    with _recording(args, always=True):
+        for _ in range(repeat):
+            _, snap = evaluate_many(
+                [config], jobs=args.jobs, cache=cache, with_metrics=True,
+            )
+        print(f"metrics for {repeat} evaluation(s) of {config.name}:\n")
+        print(obs.format_metrics_table(snap))
     return 0
 
 
@@ -235,44 +245,30 @@ def _cmd_sweep(args: argparse.Namespace) -> int:
             )
         workload = SPLASH2_PROFILES[args.workload]
 
-    if args.profile:
-        from repro import obs
-
-        obs.enable()
     cache = EvalCache(path=args.cache) if args.cache else None
-    start_s = time.perf_counter()
-    try:
-        results = run_sweep(
-            spec,
-            workload=workload,
-            jobs=args.jobs,
-            **({"cache": cache} if cache is not None else {}),
-            checkpoint_path=args.checkpoint,
-            backend=args.backend,
-        )
-    except ValueError as exc:  # a grid point the schema rejects
-        raise SystemExit(str(exc)) from exc
-    wall_s = time.perf_counter() - start_s
-    print(f"{spec.n_points}-point sweep of {base.name}")
-    print(format_sweep_table(results))
-    if cache is not None:
-        print(f"\ncache: {cache.hits} hits, {cache.misses} misses "
-              f"({cache.path})")
-    if args.profile:
-        from repro import obs
-        from repro.engine import DEFAULT_CACHE, metrics_snapshot
+    with _recording(args):
+        try:
+            results = run_sweep(
+                spec,
+                workload=workload,
+                jobs=args.jobs,
+                **({"cache": cache} if cache is not None else {}),
+                checkpoint_path=args.checkpoint,
+                backend=args.backend,
+            )
+        except ValueError as exc:  # a grid point the schema rejects
+            raise SystemExit(str(exc)) from exc
+        print(f"{spec.n_points}-point sweep of {base.name}")
+        print(format_sweep_table(results))
+        if cache is not None:
+            print(f"\ncache: {cache.hits} hits, {cache.misses} misses "
+                  f"({cache.path})")
+        if args.profile:
+            from repro.engine import DEFAULT_CACHE, metrics_snapshot
 
-        obs.disable()
-        if cache is None:
-            cache = DEFAULT_CACHE  # what run_sweep actually used
-        print("\nSpan timing by component:")
-        print(obs.format_profile(
-            obs.profile(), wall_s=wall_s, covered_s=obs.root_total_s(),
-        ))
-        print("\nEngine metrics:")
-        print(obs.format_metrics_table(metrics_snapshot(cache)))
-        if args.trace:
-            _write_trace(args.trace)
+            used = cache if cache is not None else DEFAULT_CACHE
+            print("\nEngine metrics:")
+            print(obs.format_metrics_table(metrics_snapshot(used)))
     return 0
 
 
@@ -281,8 +277,6 @@ def _cmd_serve(args: argparse.Namespace) -> int:
     from repro.serve import ServeConfig, serve_forever
 
     if args.trace:
-        from repro import obs
-
         obs.enable()
     try:
         config = ServeConfig(
@@ -355,8 +349,8 @@ def main(argv: list[str] | None = None) -> int:
     report.add_argument("config", help="preset name or config JSON path")
     report.add_argument("--depth", type=int, default=2)
     report.add_argument(
-        "--timing-breakdown", action="store_true",
-        help="also print per-component model-build wall time",
+        "--profile", action="store_true",
+        help="trace the evaluation and print per-component span timings",
     )
     report.add_argument(
         "--trace", default=None, metavar="PATH",
@@ -366,7 +360,8 @@ def main(argv: list[str] | None = None) -> int:
     )
     report.add_argument(
         "--trace-detail", action="store_true",
-        help="also record high-frequency solver spans (large traces)",
+        help="with --trace or --profile: also record high-frequency "
+             "solver spans (large traces)",
     )
     report.set_defaults(func=_cmd_report)
 
@@ -451,7 +446,7 @@ def main(argv: list[str] | None = None) -> int:
              "plus engine metrics (cache/memo hit rates, throughput)",
     )
     sweep.add_argument("--trace", default=None, metavar="PATH",
-                       help="with --profile: also write the spans to PATH")
+                       help="record trace spans and write them to PATH")
     sweep.set_defaults(func=_cmd_sweep)
 
     serve = sub.add_parser(

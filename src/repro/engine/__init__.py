@@ -70,18 +70,9 @@ def metrics_snapshot(
     deltas), the fast-path memo collectors, and — when given — the
     counters of one :class:`EvalCache`.
     """
-    extra = None
-    if cache is not None:
-        extra = {
-            "engine.cache.hits": float(cache.hits),
-            "engine.cache.misses": float(cache.misses),
-            "engine.cache.evictions": float(cache.evictions),
-            "engine.cache.entries": float(len(cache)),
-            "engine.cache.corrupt_lines_skipped": float(
-                cache.corrupt_lines_skipped
-            ),
-        }
-    return obs.snapshot(extra_counters=extra)
+    return obs.snapshot(
+        extra_counters=cache.counters() if cache is not None else None,
+    )
 
 
 def evaluate_many(

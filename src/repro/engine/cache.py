@@ -161,10 +161,10 @@ class EvalCache:
         self.path = Path(path) if path is not None else None
         self.hits = 0
         self.misses = 0
-        # _evict_locked mutates these with the lock already held by its
-        # callers (or from __init__, before the instance escapes).
+        # _evict_locked and _load mutate these with the lock already held
+        # by their callers (or from __init__, before the instance escapes).
         self.evictions = 0  # repro: guarded-by[_lock]
-        self.corrupt_lines_skipped = 0
+        self.corrupt_lines_skipped = 0  # repro: guarded-by[_lock]
         self._lock = threading.Lock()
         self._records: OrderedDict[str, EvalRecord] = (  # repro: guarded-by[_lock]
             OrderedDict()
@@ -253,6 +253,18 @@ class EvalCache:
             self.misses = 0
             self.evictions = 0
             self.corrupt_lines_skipped = 0
+
+    def counters(self) -> dict[str, float]:
+        """The ``engine.cache.*`` counters that metrics snapshots report."""
+        return {
+            "engine.cache.hits": float(self.hits),
+            "engine.cache.misses": float(self.misses),
+            "engine.cache.evictions": float(self.evictions),
+            "engine.cache.entries": float(len(self)),
+            "engine.cache.corrupt_lines_skipped": float(
+                self.corrupt_lines_skipped
+            ),
+        }
 
     def __len__(self) -> int:
         with self._lock:

@@ -16,7 +16,7 @@ Pieces:
 * :mod:`repro.serve.http` — minimal HTTP/1.1 framing over asyncio
   streams (no ``http.server``).
 * :mod:`repro.serve.client` — pure-stdlib :class:`ServeClient`, used by
-  the tests and the load benchmark.
+  the tests and the benchmark.
 * :mod:`repro.serve.background` — :class:`BackgroundServer`, a live
   in-process server on a daemon thread for tests/benchmarks.
 
@@ -26,9 +26,10 @@ Start one from the CLI with ``mcpat-repro serve``, or in code::
 
     serve_forever(ServeConfig(port=8080, concurrency=4))
 
-Benchmark it with ``python benchmarks/bench_serve.py`` (writes
-``BENCH_serve.json``: p50/p99 latency, reqs/s at saturation, cache hit
-rate).
+The benchmark's ``serve_mixed`` workload measures it
+(``python3 benchmarks/suite/run.py --workload serve_mixed --seed 1
+--seconds 10``): request time in reference units, and traced, server
+p50/p99 and the cache hit ratio.
 """
 
 from __future__ import annotations

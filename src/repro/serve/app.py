@@ -166,7 +166,7 @@ class EvalServer:
         config: Server tunables.
         cache: Shared result cache; built from ``config`` when omitted.
             Pass one explicitly to share a cache with in-process callers
-            (tests, the load benchmark).
+            (tests).
     """
 
     def __init__(
@@ -442,17 +442,9 @@ class EvalServer:
         their owners whether or not :mod:`repro.obs` instrumentation is
         enabled; span histograms appear only when it is.
         """
-        extras = dict(self._counters)
-        extras.update({
-            "engine.cache.hits": float(self.cache.hits),
-            "engine.cache.misses": float(self.cache.misses),
-            "engine.cache.evictions": float(self.cache.evictions),
-            "engine.cache.entries": float(len(self.cache)),
-            "engine.cache.corrupt_lines_skipped": float(
-                self.cache.corrupt_lines_skipped
-            ),
-        })
-        snap = obs.snapshot(extra_counters=extras)
+        snap = obs.snapshot(
+            extra_counters={**self._counters, **self.cache.counters()},
+        )
         payload = snap.to_dict()
         payload["uptime_s"] = time.monotonic() - self._started_s
         payload["active_requests"] = self._active

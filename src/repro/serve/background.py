@@ -1,7 +1,7 @@
 """Run an :class:`~repro.serve.app.EvalServer` on a background thread.
 
-The test suite, the load benchmark, and the CI smoke job all need a
-real listening server inside one Python process — same-process servers
+The test suite and the benchmark's server process both need a real
+listening server inside one Python process — same-process servers
 keep the shared :class:`~repro.engine.cache.EvalCache` and the fast-path
 memos inspectable (and monkeypatchable) from the test body. The context
 manager owns a daemon thread running a private event loop::

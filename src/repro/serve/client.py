@@ -1,6 +1,6 @@
 """Pure-stdlib client for the evaluation service.
 
-Used by the test suite and the load benchmark, and small enough to
+Used by the test suite and the benchmark, and small enough to
 paste into an external simulator harness: one class over
 :mod:`http.client`, JSON in, JSON out, with service errors surfaced as
 :class:`ServeError` (carrying the HTTP status and any ``Retry-After``

@@ -4,11 +4,23 @@ import json
 
 import pytest
 
+from repro import fastpath, obs
 from repro.cli import main
 from repro.config import presets, save_system_config
 from repro.config.loader import system_config_to_dict
 
 from tests.conftest import make_tiny_config
+
+
+@pytest.fixture()
+def tiny_json(tmp_path):
+    path = tmp_path / "tiny.json"
+    path.write_text(json.dumps(system_config_to_dict(make_tiny_config())))
+    return str(path)
+
+
+def _span_names(path):
+    return {span.name for span in obs.read_jsonl(path)}
 
 
 class TestReport:
@@ -44,13 +56,41 @@ class TestReport:
             main(["report", str(path)])
         assert str(path) in str(excinfo.value)
 
-    def test_timing_breakdown(self, capsys):
-        assert main(["report", "niagara1", "--depth", "1",
-                     "--timing-breakdown"]) == 0
+    def test_profile_prints_span_profile_after_report(self, capsys):
+        assert main(["report", "niagara1", "--depth", "1"]) == 0
+        plain = capsys.readouterr().out
+        assert main(["report", "niagara1", "--depth", "1", "--profile"]) == 0
         out = capsys.readouterr().out
-        assert "Model-build wall time" in out
-        assert "core.ifu" in out
-        assert "report assembly" in out
+        assert out.startswith(plain)
+        profile = out[len(plain):]
+        assert "Span timing by component:" in profile
+        assert "chip.report" in profile
+        assert "span total covers" in profile
+        assert not obs.active()
+
+    def test_trace_writes_chrome_trace(self, tiny_json, tmp_path, capsys):
+        path = tmp_path / "out.json"
+        assert main(["report", tiny_json, "--trace", str(path)]) == 0
+        assert f"-> {path}" in capsys.readouterr().out
+        events = json.loads(path.read_text())["traceEvents"]
+        assert "chip.report" in {event["name"] for event in events}
+        assert not obs.active()
+
+    def test_trace_detail_records_solver_spans(self, tiny_json, tmp_path):
+        plain, detailed = tmp_path / "plain.jsonl", tmp_path / "detail.jsonl"
+        fastpath.clear_all()
+        assert main(["report", tiny_json, "--trace", str(plain)]) == 0
+        fastpath.clear_all()
+        assert main(["report", tiny_json, "--trace", str(detailed),
+                     "--trace-detail"]) == 0
+        assert "circuit.logical_effort.solve" not in _span_names(plain)
+        assert "circuit.logical_effort.solve" in _span_names(detailed)
+
+    def test_trace_detail_alone_is_a_usage_error(self, tiny_json, capsys):
+        with pytest.raises(SystemExit) as excinfo:
+            main(["report", tiny_json, "--trace-detail"])
+        assert excinfo.value.code == 2
+        assert "--trace-detail" in capsys.readouterr().err
 
     def test_missing_command_fails(self):
         with pytest.raises(SystemExit):
@@ -71,12 +111,6 @@ class TestExperimentCommands:
 
 
 class TestSweep:
-    @pytest.fixture()
-    def tiny_json(self, tmp_path):
-        path = tmp_path / "tiny.json"
-        path.write_text(json.dumps(system_config_to_dict(make_tiny_config())))
-        return str(path)
-
     def test_sweep_over_config_file(self, tiny_json, capsys):
         assert main(["sweep", tiny_json, "--axis", "cores=1,2"]) == 0
         out = capsys.readouterr().out
@@ -100,3 +134,33 @@ class TestSweep:
         with pytest.raises(SystemExit, match="unknown workload"):
             main(["sweep", tiny_json, "--axis", "cores=1",
                   "--workload", "doom"])
+
+    def test_trace_without_profile_writes_file(self, tiny_json, tmp_path):
+        path = tmp_path / "sweep.jsonl"
+        assert main(["sweep", tiny_json, "--axis", "cores=1,2",
+                     "--trace", str(path)]) == 0
+        assert "engine.run_sweep" in _span_names(path)
+
+    def test_profile_prints_spans_and_engine_metrics(self, tiny_json, capsys):
+        assert main(["sweep", tiny_json, "--axis", "cores=1,2",
+                     "--profile"]) == 0
+        out = capsys.readouterr().out
+        assert "Engine metrics:" in out
+        assert "Span timing by component:" in out
+        assert "engine.run_sweep" in out
+        assert "span total covers" in out
+        assert not obs.active()
+
+
+class TestStats:
+    def test_prints_metrics_table(self, tiny_json, capsys):
+        assert main(["stats", tiny_json]) == 0
+        out = capsys.readouterr().out
+        assert "metrics for 2 evaluation(s) of tiny" in out
+        assert "engine.cache hit rate" in out
+        assert not obs.active()
+
+    def test_trace_writes_file(self, tiny_json, tmp_path):
+        path = tmp_path / "stats.jsonl"
+        assert main(["stats", tiny_json, "--trace", str(path)]) == 0
+        assert "engine.evaluate" in _span_names(path)

@@ -67,9 +67,12 @@ def test_build_array_parity_and_sharing():
 
 
 def test_search_exact_flag_is_superset():
+    """The pruned search keeps a subset of the exhaustive (disabled-mode)
+    candidate list, with the same winner."""
     spec = ArraySpec(name="x", entries=8192, width_bits=512)
-    pruned = search_organizations(TECH, spec, exact=False)
-    full = search_organizations(TECH, spec, exact=True)
+    pruned = search_organizations(TECH, spec)
+    with fastpath.disabled():
+        full = search_organizations(TECH, spec)
     assert len(full) >= len(pruned)
     assert pruned[0].organization == full[0].organization
     full_orgs = {b.organization for b in full}
