@@ -38,10 +38,10 @@ from repro.batch.backend import (
 from repro.batch.compile import (
     BatchFallback,
     CompiledGroup,
-    METRICS,
     compile_group,
 )
 from repro.batch.terms import PiecewiseAffine
+from repro.engine.record import METRICS
 
 __all__ = [
     "BACKENDS",

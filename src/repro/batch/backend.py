@@ -32,7 +32,7 @@ from repro.batch.compile import (
 )
 from repro.config.loader import system_config_to_dict
 from repro.config.schema import SystemConfig
-from repro.engine.record import EvalRecord
+from repro.engine.record import METRICS, EvalRecord
 from repro.obs import metrics as _obs_metrics
 
 #: Backend names accepted by ``resolve_backend`` (besides ``auto``).
@@ -207,19 +207,9 @@ def evaluate_batch(
                 continue
             _counters["points_vectorized"] += len(points)
             arrays = compiled.evaluate(points, np)
-            for j, (key, _) in enumerate(group_items):
+            columns = [arrays[name].tolist() for name in METRICS]
+            for (key, _), values in zip(group_items, zip(*columns)):
                 records[key] = EvalRecord(
-                    name=compiled.name,
-                    key=key,
-                    area_mm2=float(arrays["area_mm2"][j]),
-                    tdp_w=float(arrays["tdp_w"][j]),
-                    peak_dynamic_w=float(arrays["peak_dynamic_w"][j]),
-                    leakage_w=float(arrays["leakage_w"][j]),
-                    core_area_mm2=float(arrays["core_area_mm2"][j]),
-                    core_peak_dynamic_w=float(
-                        arrays["core_peak_dynamic_w"][j]
-                    ),
-                    core_leakage_w=float(arrays["core_leakage_w"][j]),
-                    backend="numpy",
+                    compiled.name, key, *values, backend="numpy",
                 )
     return records, leftovers

@@ -39,18 +39,8 @@ from repro import obs
 from repro.batch.kernels import leakage_temperature_scale
 from repro.batch.terms import PiecewiseAffine
 from repro.config.schema import SystemConfig
+from repro.engine.record import METRICS, tdp_metrics
 from repro.tech.device import LEAKAGE_REFERENCE_TEMPERATURE_K
-
-#: The EvalRecord metrics a compiled group reproduces.
-METRICS = (
-    "area_mm2",
-    "tdp_w",
-    "peak_dynamic_w",
-    "leakage_w",
-    "core_area_mm2",
-    "core_peak_dynamic_w",
-    "core_leakage_w",
-)
 
 #: Metrics that shift with temperature (through subthreshold leakage).
 _LEAKY_METRICS = frozenset({"tdp_w", "leakage_w", "core_leakage_w"})
@@ -78,21 +68,6 @@ class BatchFallback(Exception):
     def __init__(self, reason: str) -> None:
         super().__init__(reason)
         self.reason = reason
-
-
-def _probe(processor: Any, clock_hz: float) -> dict[str, float]:
-    """Sample the exact scalar model at one clock (mirrors evaluate_config)."""
-    report = processor.report(None, clock_hz=clock_hz)
-    core_result = processor.core.result(clock_hz, None)
-    return {
-        "area_mm2": report.total_area * 1e6,
-        "tdp_w": report.total_peak_power,
-        "peak_dynamic_w": report.total_peak_dynamic_power,
-        "leakage_w": report.total_leakage_power,
-        "core_area_mm2": core_result.total_area * 1e6,
-        "core_peak_dynamic_w": core_result.total_peak_dynamic_power,
-        "core_leakage_w": core_result.total_leakage_power,
-    }
 
 
 def _check(
@@ -189,7 +164,7 @@ def _fit_frequency_responses(
 
     def probe_at(f: float) -> dict[str, float]:
         if f not in probes:
-            probes[f] = _probe(processor, f)
+            probes[f] = tdp_metrics(processor, f)
         return probes[f]
 
     if f_hi <= f_lo * (1.0 + _MIN_SEGMENT_REL_SPAN):
@@ -257,7 +232,7 @@ def _leak_deltas(
         processor = Processor(dataclasses.replace(
             config, clock_hz=f_probe, temperature_k=t,
         ))
-        sample = _probe(processor, f_probe)
+        sample = tdp_metrics(processor, f_probe)
         probe_count[0] += 1
         for name in METRICS:
             if name in _LEAKY_METRICS:

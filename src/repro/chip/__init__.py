@@ -2,7 +2,7 @@
 
 from repro.chip.results import ComponentResult
 from repro.chip.processor import Processor
-from repro.chip.report import format_report, render_report_text
+from repro.chip.report import REPORT_DEPTH, format_report, render_report_text
 from repro.chip.export import (
     compare_results,
     format_csv,
@@ -11,6 +11,7 @@ from repro.chip.export import (
 )
 
 __all__ = [
+    "REPORT_DEPTH",
     "ComponentResult",
     "Processor",
     "format_report",

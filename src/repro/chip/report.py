@@ -25,6 +25,11 @@ def _format_area(m2: float) -> str:
     return f"{mm2 * 1e6:9.3f} um^2"
 
 
+#: Hierarchy levels of the report text when a caller names none
+#: (``mcpat-repro report`` and served ``POST /evaluate`` reports).
+REPORT_DEPTH = 2
+
+
 def format_report(
     result: ComponentResult,
     max_depth: int = 3,
@@ -66,7 +71,9 @@ def format_report(
     return "\n".join(lines)
 
 
-def render_report_text(processor: "Processor", max_depth: int = 2) -> str:
+def render_report_text(
+    processor: "Processor", max_depth: int = REPORT_DEPTH,
+) -> str:
     """The full ``mcpat-repro report`` text for one built processor.
 
     This is the single source of the human-readable report: the CLI

@@ -35,7 +35,7 @@ from collections.abc import Iterator
 from pathlib import Path
 
 from repro import obs
-from repro.chip import Processor, render_report_text
+from repro.chip import REPORT_DEPTH, Processor, render_report_text
 from repro.config import load_system_config, presets
 
 
@@ -139,18 +139,16 @@ def _cmd_validate(args: argparse.Namespace) -> int:
 
 def _cmd_stats(args: argparse.Namespace) -> int:
     """Evaluate one config with instrumentation on; print the metrics."""
-    from repro.engine import EvalCache, evaluate_many
+    from repro.engine import EvalCache, evaluate_many, metrics_snapshot
 
     config = _resolve_config(args.config)
     cache = EvalCache()
     repeat = max(1, args.repeat)
     with _recording(args, always=True):
         for _ in range(repeat):
-            _, snap = evaluate_many(
-                [config], jobs=args.jobs, cache=cache, with_metrics=True,
-            )
+            evaluate_many([config], jobs=args.jobs, cache=cache)
         print(f"metrics for {repeat} evaluation(s) of {config.name}:\n")
-        print(obs.format_metrics_table(snap))
+        print(obs.format_metrics_table(metrics_snapshot(cache)))
     return 0
 
 
@@ -222,6 +220,7 @@ def _parse_axis(spec: str) -> tuple[str, list]:
 
 def _cmd_sweep(args: argparse.Namespace) -> int:
     from repro.engine import (
+        CACHE_CAPACITY,
         EvalCache,
         SweepSpec,
         format_sweep_table,
@@ -245,7 +244,10 @@ def _cmd_sweep(args: argparse.Namespace) -> int:
             )
         workload = SPLASH2_PROFILES[args.workload]
 
-    cache = EvalCache(path=args.cache) if args.cache else None
+    # Sized to the grid, so a rerun finds every point the log holds.
+    cache = EvalCache(
+        max_entries=max(CACHE_CAPACITY, spec.n_points), path=args.cache,
+    ) if args.cache else None
     with _recording(args):
         try:
             results = run_sweep(
@@ -253,7 +255,6 @@ def _cmd_sweep(args: argparse.Namespace) -> int:
                 workload=workload,
                 jobs=args.jobs,
                 **({"cache": cache} if cache is not None else {}),
-                checkpoint_path=args.checkpoint,
                 backend=args.backend,
             )
         except ValueError as exc:  # a grid point the schema rejects
@@ -286,8 +287,9 @@ def _cmd_serve(args: argparse.Namespace) -> int:
             queue_limit=args.queue_limit,
             timeout_s=args.timeout_s,
             jobs=args.jobs,
-            cache_entries=args.cache_entries,
             cache_path=args.cache,
+            **({"cache_entries": args.cache_entries}
+               if args.cache_entries is not None else {}),
         )
     except ValueError as exc:
         raise SystemExit(str(exc)) from exc
@@ -347,7 +349,7 @@ def main(argv: list[str] | None = None) -> int:
 
     report = sub.add_parser("report", help="model a chip, print breakdown")
     report.add_argument("config", help="preset name or config JSON path")
-    report.add_argument("--depth", type=int, default=2)
+    report.add_argument("--depth", type=int, default=REPORT_DEPTH)
     report.add_argument(
         "--profile", action="store_true",
         help="trace the evaluation and print per-component span timings",
@@ -437,9 +439,9 @@ def main(argv: list[str] | None = None) -> int:
     sweep.add_argument("--workload", default=None,
                        help="SPLASH-2 profile for runtime metrics")
     sweep.add_argument("--cache", default=None, metavar="PATH",
-                       help="persistent JSONL result cache")
-    sweep.add_argument("--checkpoint", default=None, metavar="PATH",
-                       help="JSONL checkpoint for resume-after-interrupt")
+                       help="persistent JSONL result cache; a rerun with "
+                            "the same file resumes, evaluating only the "
+                            "points it does not hold")
     sweep.add_argument(
         "--profile", action="store_true",
         help="trace the sweep and print per-component span timings "
@@ -472,9 +474,9 @@ def main(argv: list[str] | None = None) -> int:
     serve.add_argument("--cache", default=None, metavar="PATH",
                        help="JSONL file backing the shared result cache "
                             "(persists across restarts)")
-    serve.add_argument("--cache-entries", type=int, default=4096,
-                       help="in-memory result-cache capacity "
-                            "(default 4096)")
+    serve.add_argument("--cache-entries", type=int, default=None,
+                       help="in-memory result-cache capacity in records "
+                            "(default: repro.engine.CACHE_CAPACITY)")
     serve.add_argument("--trace", action="store_true",
                        help="enable obs instrumentation: request spans "
                             "and span histograms appear in GET /metrics")

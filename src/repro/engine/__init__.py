@@ -8,10 +8,11 @@ package is the single entry point for evaluating *many* configurations:
   :class:`~repro.config.schema.SystemConfig` candidates, fanned out over
   worker processes and deduplicated through a content-hash cache.
 * :class:`~repro.engine.cache.EvalCache` — in-memory LRU with an
-  optional on-disk JSONL store, keyed by
-  :func:`~repro.engine.cache.config_key`.
+  optional on-disk JSONL log, keyed by
+  :func:`~repro.engine.cache.config_key`; the log is the one persisted
+  result store.
 * :class:`~repro.engine.sweep.SweepSpec` / :func:`~repro.engine.sweep.run_sweep`
-  — declarative parameter grids with checkpoint/resume.
+  — declarative parameter grids, resumable from a file-backed cache.
 
 Example::
 
@@ -34,6 +35,7 @@ from typing import Iterable, Sequence
 from repro import obs
 from repro.config.schema import SystemConfig
 from repro.engine.cache import (
+    CACHE_CAPACITY,
     CACHE_SCHEMA_VERSION,
     DEFAULT_CACHE,
     EvalCache,
@@ -55,11 +57,6 @@ from repro.engine.sweep import (
 )
 from repro.perf.workload import Workload
 
-#: Objective names that require a workload simulation (mirrors
-#: :class:`repro.optimizer.search.DesignObjective`, which is accepted
-#: here duck-typed to keep the dependency one-way).
-_RUNTIME_OBJECTIVES = frozenset({"runtime", "energy", "edp", "ed2p"})
-
 
 def metrics_snapshot(
     cache: EvalCache | None = None,
@@ -77,31 +74,21 @@ def metrics_snapshot(
 
 def evaluate_many(
     configs: Sequence[SystemConfig] | Iterable[SystemConfig],
-    objective: "object | None" = None,
     workload: Workload | None = None,
     jobs: int = 1,
     cache: EvalCache | None = DEFAULT_CACHE,
-    with_metrics: bool = False,
     backend: str | None = None,
     _keys: Sequence[str] | None = None,
     _group_keys: Sequence[str] | None = None,
-) -> "list[EvalRecord] | tuple[list[EvalRecord], obs.MetricsSnapshot]":
+) -> list[EvalRecord]:
     """Evaluate many configurations through the cache and worker pool.
 
     Args:
         configs: Candidate configurations.
-        objective: Optional objective (a
-            :class:`~repro.optimizer.search.DesignObjective` or its
-            string value) used to validate that runtime objectives come
-            with a workload; ranking itself is the optimizer's job.
         workload: Optional workload for runtime metrics.
         jobs: Worker processes (``1`` = serial, in-process).
         cache: Result cache. Defaults to the process-wide shared cache;
             pass ``None`` to force fresh evaluation.
-        with_metrics: Also return a
-            :class:`~repro.obs.MetricsSnapshot` of the evaluation stack
-            (cache hit rates, memo counters, pool throughput) taken
-            after the batch completes — ``(records, snapshot)``.
         backend: ``None``/``"scalar"`` (default) evaluates every point
             on the exact per-point path; ``"numpy"`` (or ``"auto"``)
             routes TDP-only points through the vectorized batch backend
@@ -124,26 +111,19 @@ def evaluate_many(
         One :class:`EvalRecord` per config, in input order. Records for
         configs already cached (or repeated within the batch) are
         computed once; ``record.from_cache`` tells which and
-        ``record.backend`` tells how. With ``with_metrics=True``, a
-        ``(records, snapshot)`` tuple instead.
+        ``record.backend`` tells how. :func:`metrics_snapshot` reports
+        the evaluation stack's counters afterwards.
 
     Raises:
-        ValueError: If ``configs`` is empty, a runtime objective is
-            requested without a workload, an unknown backend is named,
-            or a config holds a value that cannot be content-hashed
-            (the message names the offending field path).
+        ValueError: If ``configs`` is empty, an unknown backend is
+            named, or a config holds a value that cannot be
+            content-hashed (the message names the offending field path).
     """
     from repro import batch
 
     configs = list(configs)
     if not configs:
         raise ValueError("need at least one configuration to evaluate")
-    if objective is not None:
-        name = str(getattr(objective, "value", objective))
-        if name in _RUNTIME_OBJECTIVES and workload is None:
-            raise ValueError(
-                f"objective {name!r} requires a workload"
-            )
     resolved_backend = batch.resolve_backend(backend)
 
     if _keys is not None:
@@ -195,13 +175,11 @@ def evaluate_many(
             if cache is not None:
                 cache.put(key, record)
 
-    ordered = [records[key] for key in keys]
-    if with_metrics:
-        return ordered, metrics_snapshot(cache)
-    return ordered
+    return [records[key] for key in keys]
 
 
 __all__ = [
+    "CACHE_CAPACITY",
     "CACHE_SCHEMA_VERSION",
     "DEFAULT_CACHE",
     "EvalCache",

@@ -9,7 +9,9 @@ common.
 
 The optional on-disk store is an append-only JSONL log: loading replays
 the log (last write wins), and every new record is appended as it is
-computed, which doubles as crash durability for long sweeps.
+computed. It is the one persisted result store: a sweep given a
+file-backed cache resumes from its log, re-evaluating only the points
+the log does not hold.
 
 The cache is safe to share across threads — the serve tier
 (:mod:`repro.serve`) keeps **one** process-wide instance that every
@@ -42,6 +44,11 @@ from repro.perf.workload import Workload
 #: Bump when the model or record layout changes meaningfully, so stale
 #: on-disk caches from older code are never served.
 CACHE_SCHEMA_VERSION = 1
+
+#: In-memory capacity of a result cache (records), unless a caller
+#: sizes one for a known workload (``sweep --cache`` sizes it to the
+#: grid, so resuming a larger grid still finds every logged point).
+CACHE_CAPACITY = 4096
 
 #: JSON scalar types usable as mapping keys in a hashable payload.
 _JSON_KEY_TYPES = (str, int, float, bool, type(None))
@@ -152,7 +159,7 @@ class EvalCache:
 
     def __init__(
         self,
-        max_entries: int = 4096,
+        max_entries: int = CACHE_CAPACITY,
         path: str | Path | None = None,
     ) -> None:
         if max_entries < 1:
@@ -278,4 +285,4 @@ class EvalCache:
 #: Process-wide shared cache used when callers don't supply their own, so
 #: independent studies in one process (CLI, tests, notebooks) reuse every
 #: evaluation they have in common. Pass ``cache=None`` to bypass it.
-DEFAULT_CACHE = EvalCache(max_entries=4096)
+DEFAULT_CACHE = EvalCache()

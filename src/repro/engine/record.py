@@ -5,17 +5,52 @@ An :class:`EvalRecord` is the flattened, serializable summary of one
 power, the per-core breakdown the scaling studies plot, and (when a
 workload is supplied) the runtime metrics from the analytical performance
 substrate. Records are plain data: picklable for the worker pool and
-JSON-round-trippable for the on-disk cache and sweep checkpoints.
+JSON-round-trippable for the on-disk cache log, from which sweeps resume.
+
+This module owns the record's TDP metric set: :data:`METRICS` names it
+and :func:`tdp_metrics` extracts it from a built processor, for the
+scalar path here and for the batch backend's probes and records
+(:mod:`repro.batch`).
 """
 
 from __future__ import annotations
 
 import dataclasses
 from dataclasses import dataclass, field
-from typing import Any
+from typing import TYPE_CHECKING, Any
 
 from repro.config.schema import SystemConfig
 from repro.perf.workload import Workload
+
+if TYPE_CHECKING:  # the chip package is imported lazily at evaluation
+    from repro.chip.processor import Processor
+
+#: The TDP metrics of a record, in :class:`EvalRecord` field order (the
+#: batch backend passes them positionally after ``name`` and ``key``).
+METRICS = (
+    "area_mm2",
+    "tdp_w",
+    "peak_dynamic_w",
+    "leakage_w",
+    "core_area_mm2",
+    "core_peak_dynamic_w",
+    "core_leakage_w",
+)
+
+
+def tdp_metrics(processor: "Processor", clock_hz: float) -> dict[str, float]:
+    """The :data:`METRICS` of one built processor evaluated at ``clock_hz``."""
+    report = processor.report(None, clock_hz=clock_hz)
+    core_result = processor.core.result(clock_hz, None)
+    return {
+        "area_mm2": report.total_area * 1e6,
+        "tdp_w": report.total_peak_power,
+        "peak_dynamic_w": report.total_peak_dynamic_power,
+        "leakage_w": report.total_leakage_power,
+        "core_area_mm2": core_result.total_area * 1e6,
+        "core_peak_dynamic_w": core_result.total_peak_dynamic_power,
+        "core_leakage_w": core_result.total_leakage_power,
+    }
 
 
 @dataclass(frozen=True)
@@ -35,13 +70,13 @@ class EvalRecord:
         runtime_s: Workload run time (None without a workload).
         power_w: Workload runtime power (None without a workload).
         throughput_ips: Committed instructions/s (None without a workload).
-        from_cache: True when this record was served from a cache or
-            checkpoint rather than computed (excluded from equality).
+        from_cache: True when this record was served from a cache
+            rather than computed (excluded from equality).
         backend: Which evaluation path produced the numbers —
             ``"scalar"`` (the exact reference) or ``"numpy"`` (the
             vectorized batch backend, within 1e-9 relative). Provenance
             only: excluded from equality and from :meth:`to_dict`, so
-            caches and checkpoints stay backend-agnostic.
+            cache logs stay backend-agnostic.
     """
 
     name: str
@@ -88,7 +123,7 @@ class EvalRecord:
         return self.leakage_w / self.tdp_w if self.tdp_w else 0.0
 
     def to_dict(self) -> dict[str, Any]:
-        """Serialize for the JSONL cache/checkpoint stores."""
+        """Serialize for the JSONL cache log."""
         data = dataclasses.asdict(self)
         del data["from_cache"]
         del data["backend"]
@@ -118,7 +153,7 @@ def evaluate_config(
 
     with obs.span("engine.evaluate", category="engine", config=config.name):
         processor = Processor(config)
-        core_result = processor.core.result(config.clock_hz, None)
+        metrics = tdp_metrics(processor, config.clock_hz)
 
         runtime_s = power_w = throughput_ips = None
         if workload is not None:
@@ -135,13 +170,7 @@ def evaluate_config(
         return EvalRecord(
             name=config.name,
             key=key,
-            area_mm2=processor.area * 1e6,
-            tdp_w=processor.tdp,
-            peak_dynamic_w=processor.peak_dynamic_power,
-            leakage_w=processor.leakage_power,
-            core_area_mm2=core_result.total_area * 1e6,
-            core_peak_dynamic_w=core_result.total_peak_dynamic_power,
-            core_leakage_w=core_result.total_leakage_power,
+            **metrics,
             runtime_s=runtime_s,
             power_w=power_w,
             throughput_ips=throughput_ips,

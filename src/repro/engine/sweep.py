@@ -1,4 +1,4 @@
-"""Declarative parameter sweeps with checkpoint/resume.
+"""Declarative parameter sweeps, resumable from the result-cache log.
 
 A :class:`SweepSpec` names parameter axes over a base
 :class:`~repro.config.schema.SystemConfig`; the cross product of the
@@ -6,9 +6,11 @@ axis values defines the candidate grid. Axes address config fields by
 name or dotted path (``core.issue_width``), with short aliases for the
 common sweep dimensions (``cores``, ``tech_nm``).
 
-:func:`run_sweep` evaluates the grid through the batch engine and can
-append every finished point to a JSONL checkpoint; re-running with the
-same checkpoint file resumes with exactly the unevaluated remainder.
+:func:`run_sweep` evaluates the grid through the batch engine and its
+result cache. Given a file-backed :class:`~repro.engine.cache.EvalCache`,
+every finished point is appended to the cache's JSONL log as it lands;
+re-running with the same log resumes with exactly the unevaluated
+remainder.
 
 The grid is streamed, never materialized: :meth:`SweepSpec.iter_points`
 builds one config at a time (copy-on-write along the axis paths instead
@@ -28,7 +30,6 @@ import hashlib
 import itertools
 import json
 from dataclasses import dataclass
-from pathlib import Path
 from typing import Any, Iterable, Iterator, Mapping, Sequence
 
 from repro import obs
@@ -53,10 +54,15 @@ AXIS_ALIASES = {
     "node": "node_nm",
 }
 
-#: Minimum evaluation chunk under the numpy backend: a compiled group is
-#: amortized over the points of one chunk, so batch chunks must be large
-#: even when ``checkpoint_every`` is small. Purely an efficiency knob —
-#: results and resume semantics are chunk-size independent.
+#: Points per ``evaluate_many`` call on the scalar path. A chunk's
+#: records reach the cache log when the chunk finishes, so this bounds
+#: the work an interrupt can lose.
+_SCALAR_CHUNK_POINTS = 16
+
+#: Points per ``evaluate_many`` call under the numpy backend: a compiled
+#: group is amortized over the points of one chunk, so batch chunks are
+#: large. Both sizes are efficiency knobs only — results and resume
+#: semantics are chunk-size independent.
 _BATCH_CHUNK_POINTS = 1024
 
 #: Placeholder spliced into the key payload where an axis value goes.
@@ -88,14 +94,6 @@ def _resolve_path(base_dict: dict[str, Any], name: str) -> str:
             )
         node = node[part]
     return path
-
-
-def _set_path(config_dict: dict[str, Any], path: str, value: Any) -> None:
-    node = config_dict
-    parts = path.split(".")
-    for part in parts[:-1]:
-        node = node[part]
-    node[parts[-1]] = value
 
 
 def _overlay(
@@ -298,14 +296,21 @@ class SweepSpec:
         """Build a spec from ``{axis name: values}``.
 
         Raises:
-            ValueError: On an unknown axis name/path or an empty axis.
+            ValueError: On an unknown axis name/path, an empty axis, or
+                two axes naming the same config field.
         """
         base_dict = system_config_to_dict(base)
-        resolved = []
+        resolved: list[SweepAxis] = []
         for name, values in axes.items():
             if not values:
                 raise ValueError(f"axis {name!r} has no values")
             path = _resolve_path(base_dict, name)
+            for other in resolved:
+                if other.path == path:
+                    raise ValueError(
+                        f"axes {other.name!r} and {name!r} both set "
+                        f"config field {path!r}"
+                    )
             resolved.append(SweepAxis(
                 name=name, path=path, values=tuple(values),
             ))
@@ -383,51 +388,25 @@ class SweepSpec:
         for _, overrides, config in self._iter_built():
             yield SweepPoint(overrides=overrides, config=config)
 
-    def points(self) -> list[SweepPoint]:
-        """The full cross product as a list (see :meth:`iter_points`)."""
-        return list(self.iter_points())
-
-
-def _load_checkpoint(path: Path) -> dict[str, EvalRecord]:
-    """Read finished points from a checkpoint, skipping bad lines."""
-    done: dict[str, EvalRecord] = {}
-    if not path.exists():
-        return done
-    for line in path.read_text().splitlines():
-        line = line.strip()
-        if not line:
-            continue
-        try:
-            entry = json.loads(line)
-            done[entry["key"]] = EvalRecord.from_dict(entry["record"])
-        except (json.JSONDecodeError, KeyError, TypeError):
-            continue
-    return done
-
 
 def run_sweep(
     spec: SweepSpec,
     workload: Workload | None = None,
     jobs: int = 1,
     cache: EvalCache | None = DEFAULT_CACHE,
-    checkpoint_path: str | Path | None = None,
-    checkpoint_every: int = 16,
     backend: str | None = None,
 ) -> list[SweepPointResult]:
-    """Evaluate a sweep grid, optionally checkpointing each point.
+    """Evaluate a sweep grid through the result cache.
 
     Args:
         spec: The sweep definition.
         workload: Optional workload for runtime metrics.
         jobs: Worker processes for the evaluation engine.
         cache: Result cache (defaults to the engine's shared cache; pass
-            ``None`` to force re-evaluation).
-        checkpoint_path: JSONL file appended to as points finish. If it
-            already holds points of this grid, they are not re-evaluated.
-        checkpoint_every: Points evaluated between checkpoint appends
-            (bounds how much work an interrupt can lose). Under the
-            numpy backend, chunks grow to at least ``_BATCH_CHUNK_POINTS``
-            so each compiled group amortizes over enough points.
+            ``None`` to force re-evaluation). A file-backed cache makes
+            the sweep resumable: points its log holds come back
+            ``from_cache=True``, only the rest are evaluated, and each
+            new record is appended to the log as it lands.
         backend: Evaluation backend, per
             :func:`repro.engine.evaluate_many`: ``None``/``"scalar"``
             (exact, default), ``"numpy"``, or ``"auto"``. Frequency and
@@ -440,12 +419,10 @@ def run_sweep(
     from repro import batch as _batch
     from repro.engine import evaluate_many
 
-    if checkpoint_every < 1:
-        raise ValueError("checkpoint_every must be >= 1")
     resolved = _batch.resolve_backend(backend)
     chunk_size = (
-        checkpoint_every if resolved == "scalar"
-        else max(checkpoint_every, _BATCH_CHUNK_POINTS)
+        _SCALAR_CHUNK_POINTS if resolved == "scalar"
+        else _BATCH_CHUNK_POINTS
     )
     use_hints = resolved == "numpy"
     structural = [
@@ -453,15 +430,9 @@ def run_sweep(
         if axis.path not in _batch.GROUP_AXES
     ]
 
-    checkpoint = Path(checkpoint_path) if checkpoint_path else None
-    done: dict[str, EvalRecord] = (
-        _load_checkpoint(checkpoint) if checkpoint is not None else {}
-    )
-
     keys = _SweepKeys(spec, workload)
 
-    results: list[SweepPointResult | None] = []
-    buf_slots: list[int] = []
+    results: list[SweepPointResult] = []
     buf_points: list[SweepPoint] = []
     buf_keys: list[str] = []
     buf_groups: list[str] = []
@@ -469,37 +440,23 @@ def run_sweep(
     def flush() -> None:
         if not buf_points:
             return
-        fresh = evaluate_many(
+        records = evaluate_many(
             [point.config for point in buf_points],
             workload=workload,
             jobs=jobs,
             cache=cache,
             backend=resolved,
-            _keys=list(buf_keys),
-            _group_keys=list(buf_groups) if use_hints else None,
+            _keys=buf_keys,
+            _group_keys=buf_groups if use_hints else None,
         )
-        lines = []
-        for slot, point, key, record in zip(
-            buf_slots, buf_points, buf_keys, fresh,
-        ):
-            results[slot] = SweepPointResult(
+        results.extend(
+            SweepPointResult(
                 overrides=point.overrides,
                 config=point.config,
                 record=record,
             )
-            if checkpoint is not None:
-                lines.append(json.dumps(
-                    {
-                        "key": key,
-                        "overrides": point.overrides,
-                        "record": record.to_dict(),
-                    },
-                    sort_keys=True,
-                ))
-        if checkpoint is not None and lines:
-            with checkpoint.open("a") as handle:
-                handle.write("\n".join(lines) + "\n")
-        buf_slots.clear()
+            for point, record in zip(buf_points, records)
+        )
         buf_points.clear()
         buf_keys.clear()
         buf_groups.clear()
@@ -509,22 +466,10 @@ def run_sweep(
         points=spec.n_points, jobs=jobs, backend=resolved,
     ):
         for combo, overrides, config in spec._iter_built():
-            key = keys.key_for(combo, config)
-            if key in done:
-                results.append(SweepPointResult(
-                    overrides=overrides,
-                    config=config,
-                    record=dataclasses.replace(
-                        done[key], from_cache=True,
-                    ),
-                ))
-                continue
-            buf_slots.append(len(results))
-            results.append(None)
             buf_points.append(SweepPoint(
                 overrides=overrides, config=config,
             ))
-            buf_keys.append(key)
+            buf_keys.append(keys.key_for(combo, config))
             if use_hints:
                 buf_groups.append(repr(tuple(
                     (spec.axes[i].path, repr(combo[i]))
@@ -534,7 +479,7 @@ def run_sweep(
                 flush()
         flush()
 
-    return [result for result in results if result is not None]
+    return results
 
 
 def format_sweep_table(results: Iterable[SweepPointResult]) -> str:

@@ -19,10 +19,12 @@ Three pieces:
 Typical use::
 
     from repro import obs
+    from repro.engine import EvalCache, evaluate_many, metrics_snapshot
 
+    cache = EvalCache()
     obs.enable()
-    records, metrics = evaluate_many(configs, jobs=4, with_metrics=True)
-    print(obs.format_metrics_table(metrics))
+    records = evaluate_many(configs, jobs=4, cache=cache)
+    print(obs.format_metrics_table(metrics_snapshot(cache)))
     obs.write_chrome_trace("trace.json")
 
 Instrumentation survives the engine's fork pool: workers accumulate

@@ -46,11 +46,12 @@ from dataclasses import dataclass
 from typing import Any, Callable, Mapping
 
 from repro import fastpath, obs
-from repro.chip import Processor, render_report_text
+from repro.chip import REPORT_DEPTH, Processor, render_report_text
 from repro.config import presets
 from repro.config.loader import system_config_from_dict
 from repro.config.schema import SystemConfig
 from repro.engine import (
+    CACHE_CAPACITY,
     EvalCache,
     EvalRecord,
     SweepSpec,
@@ -95,6 +96,34 @@ def _int_field(
     return value
 
 
+def _bool_field(
+    payload: Mapping[str, Any], name: str, default: bool,
+) -> bool:
+    """``payload[name]`` as a boolean; ``default`` when absent or null.
+
+    Raises:
+        HttpError: 400 naming the field on any other value.
+    """
+    value = payload.get(name)
+    if value is None:
+        return default
+    if not isinstance(value, bool):
+        raise HttpError(400, f"'{name}' must be a boolean")
+    return value
+
+
+def _str_field(payload: Mapping[str, Any], name: str) -> str | None:
+    """``payload[name]`` as a string, or ``None`` when absent or null.
+
+    Raises:
+        HttpError: 400 naming the field on any other value.
+    """
+    value = payload.get(name)
+    if value is not None and not isinstance(value, str):
+        raise HttpError(400, f"'{name}' must be a string")
+    return value
+
+
 @dataclass(frozen=True)
 class ServeConfig:
     """Tunables of one server instance.
@@ -109,8 +138,6 @@ class ServeConfig:
         jobs: Engine worker processes available to one sweep request.
         cache_entries: In-memory capacity of the shared result cache.
         cache_path: Optional JSONL file backing the shared cache.
-        default_depth: Report-tree depth when a request names none
-            (matches the ``mcpat-repro report`` default).
     """
 
     host: str = "127.0.0.1"
@@ -119,9 +146,8 @@ class ServeConfig:
     queue_limit: int = 16
     timeout_s: float = 60.0
     jobs: int = 1
-    cache_entries: int = 4096
+    cache_entries: int = CACHE_CAPACITY
     cache_path: str | None = None
-    default_depth: int = 2
 
     def __post_init__(self) -> None:
         if self.concurrency < 1:
@@ -385,7 +411,7 @@ class EvalServer:
         self, payload: Mapping[str, Any],
     ) -> SystemConfig:
         """A config from a request body: ``preset`` name or inline dict."""
-        preset = payload.get("preset")
+        preset = _str_field(payload, "preset")
         inline = payload.get("config")
         if (preset is None) == (inline is None):
             raise HttpError(
@@ -412,7 +438,7 @@ class EvalServer:
     def _parse_workload(
         payload: Mapping[str, Any],
     ) -> Workload | None:
-        name = payload.get("workload")
+        name = _str_field(payload, "workload")
         if name is None:
             return None
         profile = SPLASH2_PROFILES.get(name)
@@ -485,12 +511,8 @@ class EvalServer:
             raise HttpError(400, "request body must be a JSON object")
         config = self._parse_config(payload)
         workload = self._parse_workload(payload)
-        want_report = payload.get("report")
-        if want_report is None:
-            want_report = True
-        elif not isinstance(want_report, bool):
-            raise HttpError(400, "'report' must be a boolean")
-        depth = _int_field(payload, "depth", self.config.default_depth, 0)
+        want_report = _bool_field(payload, "report", True)
+        depth = _int_field(payload, "depth", REPORT_DEPTH, 0)
         parent_span_id = obs.current_span_id()
         try:
             record, report_text = await self._admitted(
@@ -545,7 +567,9 @@ class EvalServer:
         base = self._parse_config(payload)
         workload = self._parse_workload(payload)
         axes = payload.get("axes")
-        if not isinstance(axes, Mapping) or not axes:
+        if not isinstance(axes, Mapping) or not axes or not all(
+            isinstance(values, list) for values in axes.values()
+        ):
             raise HttpError(
                 400, "'axes' must be a non-empty object of "
                      "{axis name: [values...]}"
@@ -556,13 +580,14 @@ class EvalServer:
             raise HttpError(
                 400, "'backend' must be one of: auto, scalar, numpy"
             )
+        run_async = _bool_field(payload, "async", False)
         try:
             spec = SweepSpec.from_axes(base, dict(axes))
         except ValueError as exc:
             raise HttpError(400, str(exc)) from exc
 
         parent_span_id = obs.current_span_id()
-        if not payload.get("async", False):
+        if not run_async:
             try:
                 result = await self._admitted(
                     lambda: self._sweep_work(

@@ -8,7 +8,13 @@ import pytest
 
 from repro import batch
 from repro.batch import backend as backend_mod
-from repro.engine import EvalCache, SweepSpec, config_key, run_sweep
+from repro.engine import (
+    EvalCache,
+    SweepAxis,
+    SweepSpec,
+    config_key,
+    run_sweep,
+)
 from repro.engine.sweep import _KeyTemplate, _SweepKeys
 from repro.tech.device import DeviceType
 
@@ -121,12 +127,16 @@ class TestKeyTemplate:
         self.assert_keys_exact(spec)
 
     def test_shadowed_axis_cannot_be_templated(self):
-        # Two axes addressing the same field: the second sentinel
-        # overwrites the first, so the template refuses the payload and
-        # every key takes the exact path.
-        spec = SweepSpec.from_axes(
-            make_tiny_config(),
-            {"cores": (1, 2), "n_cores": (3, 4)},
+        # Two axes addressing the same field (built directly, since
+        # from_axes rejects them): the second sentinel overwrites the
+        # first, so the template refuses the payload and every key takes
+        # the exact path.
+        spec = SweepSpec(
+            base=make_tiny_config(),
+            axes=(
+                SweepAxis("cores", "n_cores", (1, 2)),
+                SweepAxis("n_cores", "n_cores", (3, 4)),
+            ),
         )
         assert _KeyTemplate.build(spec, None) is None
         self.assert_keys_exact(spec)
@@ -158,7 +168,7 @@ class TestBatchSweep:
             )
 
     def test_resume_skips_batch_completed_groups(self, tmp_path):
-        checkpoint = tmp_path / "sweep.jsonl"
+        log = tmp_path / "sweep.jsonl"
         full = SweepSpec.from_axes(
             make_tiny_config(),
             {"cores": (1, 2), "clock_hz": freqs(12)},
@@ -168,29 +178,23 @@ class TestBatchSweep:
             {"cores": (1, 2), "clock_hz": freqs(12)[:4]},
         )
         # Stage 1: a scalar run covers a third of the grid.
-        run_sweep(
-            half, cache=EvalCache(), checkpoint_path=checkpoint,
-        )
-        assert len(checkpoint.read_text().splitlines()) == 8
+        run_sweep(half, cache=EvalCache(path=log))
+        assert len(log.read_text().splitlines()) == 8
 
-        # Stage 2: the numpy run resumes — checkpointed points must be
-        # served from the checkpoint, the remainder vectorized.
-        cache = EvalCache()
-        results = run_sweep(
-            full, cache=cache, checkpoint_path=checkpoint,
-            backend="numpy",
-        )
+        # Stage 2: the numpy run resumes — logged points must be served
+        # from the log, the remainder vectorized.
+        cache = EvalCache(path=log)
+        results = run_sweep(full, cache=cache, backend="numpy")
         assert len(results) == full.n_points
         resumed = [r for r in results if r.record.from_cache]
         assert len(resumed) == 8
         assert cache.misses == 16
         assert batch.counters()["points_vectorized"] == 16
 
-        # The checkpoint now holds the whole grid, keyed identically to
-        # what a pure scalar run computes.
+        # The log now holds the whole grid, keyed identically to what a
+        # pure scalar run computes.
         entries = [
-            json.loads(line)
-            for line in checkpoint.read_text().splitlines()
+            json.loads(line) for line in log.read_text().splitlines()
         ]
         assert len(entries) == full.n_points
         scalar = run_sweep(full, cache=EvalCache())
@@ -199,11 +203,8 @@ class TestBatchSweep:
         }
 
         # Stage 3: resuming a finished sweep evaluates nothing.
-        cache = EvalCache()
-        again = run_sweep(
-            full, cache=cache, checkpoint_path=checkpoint,
-            backend="numpy",
-        )
+        cache = EvalCache(path=log)
+        again = run_sweep(full, cache=cache, backend="numpy")
         assert cache.misses == 0
         assert all(r.record.from_cache for r in again)
 

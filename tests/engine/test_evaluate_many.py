@@ -3,7 +3,6 @@
 import pytest
 
 from repro.engine import EvalCache, evaluate_many
-from repro.optimizer import DesignObjective
 from repro.perf import SPLASH2_PROFILES
 
 from tests.conftest import make_tiny_config
@@ -70,20 +69,6 @@ class TestCacheIntegration:
         evaluate_many(trio[1:], cache=cache)
         assert cache.misses == 3  # the overlap point was free
         assert cache.hits == 1
-
-
-class TestObjectiveValidation:
-    @pytest.mark.parametrize("objective", [
-        DesignObjective.EDP, "edp", "runtime", "energy", "ed2p",
-    ])
-    def test_runtime_objective_requires_workload(self, objective):
-        with pytest.raises(ValueError, match="workload"):
-            evaluate_many([make_tiny_config()], objective=objective)
-
-    def test_static_objective_needs_no_workload(self, trio, serial_records):
-        records = evaluate_many(
-            trio, objective=DesignObjective.TDP, jobs=1, cache=None)
-        assert records == serial_records
 
 
 class TestWorkloadMetrics:

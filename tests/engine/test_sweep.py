@@ -1,6 +1,10 @@
-"""Tests for declarative sweeps: grids, aliases, checkpoint/resume."""
+"""Tests for declarative sweeps: grids, aliases, resume from the cache log."""
 
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
@@ -30,7 +34,7 @@ def results(spec):
 class TestSpec:
     def test_cross_product_size_and_order(self, spec):
         assert spec.n_points == 4
-        points = spec.points()
+        points = list(spec.iter_points())
         # Last axis varies fastest.
         assert [p.overrides for p in points] == [
             {"cores": 1, "clock_hz": 1.0e9},
@@ -40,7 +44,7 @@ class TestSpec:
         ]
 
     def test_alias_reaches_config_field(self, spec):
-        points = spec.points()
+        points = list(spec.iter_points())
         assert points[0].config.n_cores == 1
         assert points[2].config.n_cores == 2
         assert points[1].config.clock_hz == pytest.approx(2.0e9)
@@ -48,7 +52,7 @@ class TestSpec:
     def test_dotted_path_reaches_nested_field(self):
         spec = SweepSpec.from_axes(
             make_tiny_config(), {"core.issue_width": (1, 2)})
-        widths = [p.config.core.issue_width for p in spec.points()]
+        widths = [p.config.core.issue_width for p in spec.iter_points()]
         assert widths == [1, 2]
 
     def test_unknown_axis_rejected_with_candidates(self):
@@ -66,6 +70,16 @@ class TestSpec:
         with pytest.raises(ValueError, match="at least one axis"):
             SweepSpec.from_axes(make_tiny_config(), {})
 
+    def test_axes_aliasing_one_field_rejected(self):
+        # An alias and its target would label points cores=2 and
+        # cores=4 whose configs both have 8 cores.
+        with pytest.raises(
+            ValueError, match="'cores' and 'n_cores' .*'n_cores'",
+        ):
+            SweepSpec.from_axes(
+                make_tiny_config(), {"cores": (2, 4), "n_cores": (8,)},
+            )
+
 
 class TestRunSweep:
     def test_results_align_with_grid(self, spec, results):
@@ -82,50 +96,67 @@ class TestRunSweep:
         assert (by_overrides[(2, 1.0e9)].area_mm2
                 > by_overrides[(1, 1.0e9)].area_mm2)
 
-    def test_checkpoint_written_and_resumed(self, spec, results, tmp_path):
-        checkpoint = tmp_path / "sweep.jsonl"
-        cache = EvalCache()
-        first = run_sweep(spec, cache=cache, checkpoint_path=checkpoint)
-        assert len(checkpoint.read_text().splitlines()) == 4
+    def test_checkpoint_written_and_resumed(self, spec, tmp_path):
+        log = tmp_path / "sweep.jsonl"
+        first = run_sweep(spec, cache=EvalCache(path=log))
+        assert len(log.read_text().splitlines()) == 4
 
-        # Resume with a cold cache: nothing is re-evaluated.
-        cold = EvalCache()
-        second = run_sweep(spec, cache=cold, checkpoint_path=checkpoint)
-        assert cold.misses == 0 and cold.hits == 0
+        # Resume from the log in a fresh cache: nothing is re-evaluated.
+        cold = EvalCache(path=log)
+        second = run_sweep(spec, cache=cold)
+        assert cold.misses == 0 and cold.hits == 4
         assert all(r.record.from_cache for r in second)
         assert [r.record for r in second] == [r.record for r in first]
 
     def test_resume_evaluates_exactly_the_remainder(
             self, spec, tmp_path):
-        checkpoint = tmp_path / "sweep.jsonl"
-        run_sweep(spec, cache=EvalCache(), checkpoint_path=checkpoint)
-        lines = checkpoint.read_text().splitlines()
+        log = tmp_path / "sweep.jsonl"
+        run_sweep(spec, cache=EvalCache(path=log))
+        lines = log.read_text().splitlines()
 
-        # Simulate an interrupt: only half the grid was checkpointed.
-        checkpoint.write_text("\n".join(lines[:2]) + "\n")
-        cold = EvalCache()
-        resumed = run_sweep(
-            spec, cache=cold, checkpoint_path=checkpoint)
+        # Simulate an interrupt: only half the grid was logged.
+        log.write_text("\n".join(lines[:2]) + "\n")
+        cold = EvalCache(path=log)
+        resumed = run_sweep(spec, cache=cold)
         assert cold.misses == 2  # exactly the missing half
         assert len(resumed) == 4
         finished = {
             json.loads(line)["key"]
-            for line in checkpoint.read_text().splitlines()
+            for line in log.read_text().splitlines()
         }
         assert len(finished) == 4
 
     def test_corrupt_checkpoint_lines_ignored(self, spec, tmp_path):
-        checkpoint = tmp_path / "sweep.jsonl"
-        run_sweep(spec, cache=EvalCache(), checkpoint_path=checkpoint)
-        with checkpoint.open("a") as handle:
+        log = tmp_path / "sweep.jsonl"
+        run_sweep(spec, cache=EvalCache(path=log))
+        with log.open("a") as handle:
             handle.write("{broken\n")
-        resumed = run_sweep(
-            spec, cache=EvalCache(), checkpoint_path=checkpoint)
+        cache = EvalCache(path=log)
+        resumed = run_sweep(spec, cache=cache)
+        assert cache.corrupt_lines_skipped == 1
         assert all(r.record.from_cache for r in resumed)
 
-    def test_checkpoint_every_validated(self, spec):
-        with pytest.raises(ValueError, match="checkpoint_every"):
-            run_sweep(spec, checkpoint_every=0)
+    def test_scalar_sweep_does_not_import_numpy(self):
+        # numpy is imported on the first vectorized request only, so a
+        # scalar sweep in a fresh interpreter never pays for it.
+        root = Path(__file__).resolve().parents[2]
+        script = (
+            "import sys\n"
+            "from repro.engine import SweepSpec, run_sweep\n"
+            "from tests.conftest import make_tiny_config\n"
+            "spec = SweepSpec.from_axes(make_tiny_config(), {'cores': [1]})\n"
+            "assert len(run_sweep(spec, cache=None)) == 1\n"
+            "print('numpy' in sys.modules)\n"
+        )
+        env = dict(os.environ)
+        env["PYTHONPATH"] = os.pathsep.join(
+            [str(root / "src"), str(root), env.get("PYTHONPATH", "")]
+        )
+        done = subprocess.run(
+            [sys.executable, "-c", script], cwd=root, env=env,
+            capture_output=True, text=True, timeout=120, check=True,
+        )
+        assert done.stdout.strip() == "False"
 
 
 class TestFormatting:

@@ -11,7 +11,7 @@ import pytest
 from repro import obs
 from repro.chip import Processor
 from repro.config import presets
-from repro.engine import EvalCache, evaluate_many
+from repro.engine import EvalCache, evaluate_many, metrics_snapshot
 
 from tests.conftest import make_tiny_config
 
@@ -48,11 +48,11 @@ def test_engine_records_identical_with_tracing_on():
     configs = [make_tiny_config(), make_tiny_config(n_cores=2)]
     baseline = evaluate_many(configs, cache=None)
 
+    cache = EvalCache()
     obs.enable()
-    traced_records, snap = evaluate_many(
-        configs, cache=EvalCache(), with_metrics=True,
-    )
+    traced_records = evaluate_many(configs, cache=cache)
     obs.disable()
 
     assert traced_records == baseline
+    snap = metrics_snapshot(cache)
     assert snap.counter("engine.cache.misses") == pytest.approx(2.0)

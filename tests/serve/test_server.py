@@ -42,8 +42,7 @@ def fake_record(config) -> EvalRecord:
 def sleepy_evaluate_many(sleep_s: float):
     """A fake ``evaluate_many`` sleeping for configs named ``slow*``."""
 
-    def fake(configs, objective=None, workload=None, jobs=1, cache=None,
-             with_metrics=False, backend=None):
+    def fake(configs, workload=None, jobs=1, cache=None, backend=None):
         if configs[0].name.startswith("slow"):
             time.sleep(sleep_s)
         return [fake_record(config) for config in configs]
@@ -220,6 +219,29 @@ class TestEvaluate:
         assert exc.value.status == 400
         assert f"'{field}'" in exc.value.detail
 
+    @pytest.mark.parametrize("body, field", [
+        ({"preset": ["niagara1"]}, "preset"),
+        ({"preset": "niagara1", "workload": ["barnes"]}, "workload"),
+    ])
+    def test_non_string_name_400_names_it(self, body, field):
+        with BackgroundServer(ServeConfig(port=0)) as server:
+            with pytest.raises(ServeError) as exc:
+                server.client().request("POST", "/evaluate", body)
+        assert exc.value.status == 400
+        assert f"'{field}' must be a string" in exc.value.detail
+
+    def test_restarted_server_answers_from_its_cache_log(self, tmp_path):
+        config = ServeConfig(
+            port=0, cache_path=str(tmp_path / "cache.jsonl"),
+        )
+        with BackgroundServer(config) as server:
+            first = server.client().evaluate(config=tiny_dict(), report=False)
+        with BackgroundServer(config) as server:
+            again = server.client().evaluate(config=tiny_dict(), report=False)
+        assert first["from_cache"] is False
+        assert again["from_cache"] is True
+        assert again["record"] == first["record"]
+
     def test_old_approximate_request_body_answered_exactly(self):
         # Bodies of older clients may still ask for approximate answers;
         # the service ignores those keys and answers exactly. The point
@@ -335,6 +357,8 @@ class TestSweep:
         ({"axes": {"clock_hz": [-1.0]}}, "clock_hz"),
         ({"axes": {"n_cores": [2.5]}}, "n_cores"),
         ({"axes": {"cores": [1, 2]}, "jobs": True}, "jobs"),
+        ({"axes": {"cores": [1, 2]}, "async": "false"}, "async"),
+        ({"axes": {"cores": 2}}, "axes"),
     ])
     def test_sync_sweep_bad_value_400_names_it(self, body, field):
         with BackgroundServer(ServeConfig(port=0)) as server:

@@ -141,6 +141,28 @@ class TestSweep:
                      "--trace", str(path)]) == 0
         assert "engine.run_sweep" in _span_names(path)
 
+    def test_cache_rerun_resumes_with_no_misses(
+            self, tiny_json, tmp_path, capsys):
+        argv = ["sweep", tiny_json, "--axis", "cores=1,2",
+                "--cache", str(tmp_path / "sweep.jsonl")]
+        assert main(argv) == 0
+        assert "0 hits, 2 misses" in capsys.readouterr().out
+        assert main(argv) == 0
+        assert "2 hits, 0 misses" in capsys.readouterr().out
+
+    def test_cache_sized_to_grid_resumes_past_capacity(
+            self, tiny_json, tmp_path, capsys, monkeypatch):
+        # A 4-point log replayed into a 2-entry cache would evict half
+        # of it; the CLI sizes the cache to the grid instead.
+        monkeypatch.setattr("repro.engine.CACHE_CAPACITY", 2)
+        argv = ["sweep", tiny_json, "--axis", "cores=1,2",
+                "--axis", "clock_hz=1e9,2e9",
+                "--cache", str(tmp_path / "sweep.jsonl")]
+        assert main(argv) == 0
+        assert "0 hits, 4 misses" in capsys.readouterr().out
+        assert main(argv) == 0
+        assert "4 hits, 0 misses" in capsys.readouterr().out
+
     def test_profile_prints_spans_and_engine_metrics(self, tiny_json, capsys):
         assert main(["sweep", tiny_json, "--axis", "cores=1,2",
                      "--profile"]) == 0
