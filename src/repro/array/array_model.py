@@ -199,5 +199,6 @@ def _build_array_uncached(
                   entries=spec.entries, width_bits=spec.width_bits):
         if spec.cell_type is CellType.DFF:
             return _build_dff_array(tech, spec)
-        banks = search_organizations(tech, spec, weights)
-        return _assemble_banks(tech, spec, banks[0])
+        best = search_organizations(tech, spec, weights)[0]
+        bank = Bank(tech=tech, spec=spec, organization=best.organization)
+        return _assemble_banks(tech, spec, bank)

@@ -4,6 +4,12 @@ One subarray is a ``rows x cols`` grid of storage cells with a row decoder
 strip on its left edge and a precharge / sense-amplifier / column-mux strip
 on its bottom edge. All delay and energy numbers are derived from the RC
 content of those structures, CACTI style.
+
+The formulas live in :func:`subarray_figures`, a function of the tiling
+(rows, columns, mux degree) and of a :class:`SubarrayConstants` record
+gathered once per technology, port set and cell type. The organization
+search scores every candidate tiling through it without building any
+objects, and :class:`Subarray` reads its fields from it.
 """
 
 from __future__ import annotations
@@ -11,11 +17,19 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from functools import cached_property
+from typing import NamedTuple
 
 from repro.array.spec import CellType, PortCounts
 from repro.circuit import transistor
-from repro.circuit.gates import Gate, GateKind
-from repro.circuit.logical_effort import BufferChain
+from repro.circuit.gates import (
+    GateDevice,
+    GateKind,
+    gate_constants,
+    gate_delay,
+    gate_device,
+    gate_switching_energy,
+)
+from repro.circuit.logical_effort import ChainFigures, chain_figures
 from repro.tech import Technology
 from repro.tech.technology import EDRAM_RETENTION_TIME_S
 
@@ -35,6 +49,225 @@ _SENSEAMP_DELAY_FO4 = 2.0
 #: Fraction of write bitline energy relative to a full Vdd swing on the
 #: pair (one line swings fully, the other is already there).
 _WRITE_SWING_FACTOR = 1.1
+
+
+class SubarrayConstants(NamedTuple):
+    """What the subarray formulas read that the tiling does not change.
+
+    One record per (technology, ports, cell type), from
+    :func:`subarray_constants`.
+    """
+
+    is_edram: bool
+    cell_width: float  # repro: dim[cell_width: m]
+    cell_height: float  # repro: dim[cell_height: m]
+    wire_c: float  # repro: dim[wire_c: f/m]
+    wire_r: float  # repro: dim[wire_r: ohm/m]
+    wire_rc: float  # repro: dim[wire_rc: s/m2]
+    pass_gate_c: float  # repro: dim[pass_gate_c: f]
+    drain_c: float  # repro: dim[drain_c: f]
+    access_r: float  # repro: dim[access_r: ohm]
+    cell_current: float  # repro: dim[cell_current: a]
+    sense_swing: float  # repro: dim[sense_swing: v]
+    vdd: float  # repro: dim[vdd: v]
+    fo4: float  # repro: dim[fo4: s]
+    decoder_stage_delay: float  # repro: dim[decoder_stage_delay: s]
+    decoder_stage_energy: float  # repro: dim[decoder_stage_energy: j]
+    decoder_gate_leakage: float  # repro: dim[decoder_gate_leakage: w]
+    decoder_gate_area: float  # repro: dim[decoder_gate_area: m2]
+    senseamp_energy_per_amp: float  # repro: dim[senseamp_energy_per_amp: j]
+    inverter_leakage: float  # repro: dim[inverter_leakage: w]
+    inverter_area: float  # repro: dim[inverter_area: m2]
+    leakage_per_cell: float  # repro: dim[leakage_per_cell: w]
+    device: GateDevice
+
+
+def subarray_constants(
+    tech: Technology, ports: PortCounts, cell_type: CellType,
+) -> SubarrayConstants:
+    """Gather the tiling-independent numbers of a subarray."""
+    is_edram = cell_type is CellType.EDRAM
+    # Multi-port growth applies to both cell dimensions.
+    port_factor = ports.area_cost_factor
+    if is_edram:
+        cell_width = tech.edram_cell_width * port_factor
+        cell_height = tech.edram_cell_height * port_factor
+    else:
+        cell_width = tech.sram_cell_width * port_factor
+        cell_height = tech.sram_cell_height * port_factor
+    wire = tech.wire_local
+    device = gate_device(tech)
+    decoder = gate_constants(device, GateKind.NAND, 2, 2.0)
+    decoder_load = 4 * decoder.input_capacitance
+    inverter = gate_constants(device, GateKind.INV, 1, 1.0)
+    # SRAM cells use longer-channel, leakage-optimized devices; two
+    # devices leak per cell, and extra ports add access-device leakage.
+    # A 1T1C eDRAM cell has a single (off) access device: its standing
+    # leakage is far lower, with refresh carried separately.
+    per_device = transistor.subthreshold_leakage_power(
+        tech, tech.min_width, long_channel=True
+    )
+    if is_edram:
+        leakage_per_cell = 0.5 * per_device  # stacked off access transistor
+    else:
+        port_devices = 2.0 + 1.0 * (ports.total - 1)
+        leakage_per_cell = per_device * port_devices + (
+            transistor.gate_leakage_power(tech, 6 * tech.min_width)
+            * tech.device.long_channel_leakage_reduction
+        )
+    return SubarrayConstants(
+        is_edram=is_edram,
+        cell_width=cell_width,
+        cell_height=cell_height,
+        wire_c=wire.capacitance_per_length,
+        wire_r=wire.resistance_per_length,
+        wire_rc=wire.rc_per_length_squared,
+        # Each cell hangs two pass-gate gates on its wordline.
+        pass_gate_c=2.0 * transistor.gate_capacitance(tech, tech.min_width),
+        drain_c=transistor.drain_capacitance(tech, tech.min_width),
+        access_r=transistor.on_resistance(tech, tech.min_width),
+        cell_current=tech.sram_device.i_on * tech.min_width,
+        sense_swing=max(_SWING_FLOOR_V, _SWING_FRACTION * tech.vdd),
+        vdd=tech.vdd,
+        fo4=tech.fo4_delay,
+        decoder_stage_delay=gate_delay(decoder, decoder_load),
+        decoder_stage_energy=gate_switching_energy(
+            decoder, decoder_load, device.vdd
+        ),
+        decoder_gate_leakage=decoder.leakage_power,
+        decoder_gate_area=decoder.area,
+        senseamp_energy_per_amp=(
+            _SENSEAMP_CAP_EQUIV * tech.c_inverter_min_input * tech.vdd**2
+        ),
+        inverter_leakage=inverter.leakage_power,
+        inverter_area=inverter.area,
+        leakage_per_cell=leakage_per_cell,
+        device=device,
+    )
+
+
+class SubarrayFigures(NamedTuple):
+    """Every derived number of one subarray (see :class:`Subarray`)."""
+
+    cell_block_width: float  # repro: dim[cell_block_width: m]
+    cell_block_height: float  # repro: dim[cell_block_height: m]
+    bitline_capacitance: float  # repro: dim[bitline_capacitance: f]
+    decoder_delay: float  # repro: dim[decoder_delay: s]
+    wordline_delay: float  # repro: dim[wordline_delay: s]
+    bitline_delay: float  # repro: dim[bitline_delay: s]
+    senseamp_delay: float  # repro: dim[senseamp_delay: s]
+    access_delay: float  # repro: dim[access_delay: s]
+    cycle_time: float  # repro: dim[cycle_time: s]
+    decoder_energy: float  # repro: dim[decoder_energy: j]
+    wordline_energy: float  # repro: dim[wordline_energy: j]
+    bitline_read_energy: float  # repro: dim[bitline_read_energy: j]
+    senseamp_energy: float  # repro: dim[senseamp_energy: j]
+    restore_energy: float  # repro: dim[restore_energy: j]
+    read_energy: float  # repro: dim[read_energy: j]
+    cell_leakage_power: float  # repro: dim[cell_leakage_power: w]
+    peripheral_leakage_power: float  # repro: dim[peripheral_leakage_power: w]
+    leakage_power: float  # repro: dim[leakage_power: w]
+    decoder_area: float  # repro: dim[decoder_area: m2]
+    senseamp_area: float  # repro: dim[senseamp_area: m2]
+    width: float  # repro: dim[width: m]
+    height: float  # repro: dim[height: m]
+
+
+def wordline_driver(k: SubarrayConstants, cols: int) -> ChainFigures:
+    """The buffer chain driving one wordline across ``cols`` cells."""
+    # Load: the cells' pass-gate gates plus the wire.
+    wordline_c = cols * k.pass_gate_c + k.wire_c * (cols * k.cell_width)
+    return chain_figures(k.device, wordline_c)
+
+
+def subarray_figures(
+    k: SubarrayConstants, rows: int, cols: int, column_mux_degree: int,
+    driver: ChainFigures,
+) -> SubarrayFigures:
+    """The subarray model: timing, energy, leakage and area of one tiling.
+
+    ``driver`` is ``wordline_driver(k, cols)``, a separate argument so a
+    caller scoring many tilings sizes it once per column count.
+    """
+    block_width = cols * k.cell_width
+    block_height = rows * k.cell_height
+    # Bitline load: cell drains plus wire.
+    bitline_c = rows * k.drain_c + k.wire_c * block_height
+    # Predecode in pairs, then a final NAND; ~1 stage per 2 bits + 2.
+    address_bits = max(1, math.ceil(math.log2(rows)))
+    decoder_depth = 2 + math.ceil(address_bits / 2)
+    amps = cols // column_mux_degree
+
+    decoder_delay = decoder_depth * k.decoder_stage_delay
+    wordline_delay = driver.delay + 0.38 * (k.wire_rc * block_width**2)
+    # SRAM cells actively discharge the bitline by the sense swing; eDRAM
+    # reads are charge sharing, set by the access-transistor RC.
+    distributed_rc = 0.38 * (k.wire_r * block_height) * bitline_c
+    if k.is_edram:
+        bitline_delay = 0.69 * k.access_r * bitline_c + distributed_rc
+    else:
+        discharge = bitline_c * k.sense_swing / k.cell_current
+        bitline_delay = discharge + distributed_rc
+    senseamp_delay = _SENSEAMP_DELAY_FO4 * k.fo4
+    mux_delay = k.fo4 if column_mux_degree > 1 else 0.0
+    access_delay = (
+        decoder_delay + wordline_delay + bitline_delay + senseamp_delay
+        + mux_delay
+    )
+    # Develop the swing, then precharge (a symmetric restore).
+    cycle_time = wordline_delay + bitline_delay + bitline_delay
+
+    # Address buffers + predecode fan-out: ~2 gates toggle per stage.
+    decoder_energy = 2.0 * decoder_depth * k.decoder_stage_energy
+    bitline_read_energy = cols * (bitline_c * k.vdd * k.sense_swing)
+    senseamp_energy = amps * k.senseamp_energy_per_amp
+    # After a destructive eDRAM read the sense amps drive every open
+    # column back rail-to-rail; on average half the lines move.
+    restore_energy = (
+        0.5 * cols * bitline_c * k.vdd**2 if k.is_edram else 0.0
+    )
+    read_energy = (
+        decoder_energy + driver.energy_per_transition + bitline_read_energy
+        + senseamp_energy + restore_energy
+    )
+
+    cell_leakage = rows * cols * k.leakage_per_cell
+    peripheral_leakage = (
+        rows * k.decoder_gate_leakage * 0.5
+        + driver.leakage_power * min(rows, 8)
+        + amps * _SENSEAMP_LEAK_EQUIV * k.inverter_leakage
+        + cols * k.inverter_leakage  # precharge
+    )
+
+    decoder_area = rows * k.decoder_gate_area + driver.area * min(rows, 16)
+    senseamp_area = (
+        amps * _SENSEAMP_AREA_EQUIV * k.inverter_area
+        + cols * k.inverter_area  # precharge devices
+    )
+    return SubarrayFigures(
+        cell_block_width=block_width,
+        cell_block_height=block_height,
+        bitline_capacitance=bitline_c,
+        decoder_delay=decoder_delay,
+        wordline_delay=wordline_delay,
+        bitline_delay=bitline_delay,
+        senseamp_delay=senseamp_delay,
+        access_delay=access_delay,
+        cycle_time=cycle_time,
+        decoder_energy=decoder_energy,
+        wordline_energy=driver.energy_per_transition,
+        bitline_read_energy=bitline_read_energy,
+        senseamp_energy=senseamp_energy,
+        restore_energy=restore_energy,
+        read_energy=read_energy,
+        cell_leakage_power=cell_leakage,
+        peripheral_leakage_power=peripheral_leakage,
+        leakage_power=cell_leakage + peripheral_leakage,
+        decoder_area=decoder_area,
+        senseamp_area=senseamp_area,
+        width=block_width + decoder_area / max(block_height, 1e-9),
+        height=block_height + senseamp_area / max(block_width, 1e-9),
+    )
 
 
 @dataclass(frozen=True)
@@ -75,167 +308,85 @@ class Subarray:
     def is_edram(self) -> bool:
         return self.cell_type is CellType.EDRAM
 
+    @cached_property
+    def constants(self) -> SubarrayConstants:
+        return subarray_constants(self.tech, self.ports, self.cell_type)
+
+    @cached_property
+    def figures(self) -> SubarrayFigures:
+        return subarray_figures(
+            self.constants, self.rows, self.cols, self.column_mux_degree,
+            wordline_driver(self.constants, self.cols),
+        )
+
     # -- geometry ------------------------------------------------------------
 
     @property
-    def _port_factor(self) -> float:
-        return self.ports.area_cost_factor
-
-    @cached_property
     def cell_width(self) -> float:  # repro: dim[return: m]
         """Storage cell width including multi-port growth (m)."""
-        base = (self.tech.edram_cell_width if self.is_edram
-                else self.tech.sram_cell_width)
-        return base * self._port_factor
-
-    @cached_property
-    def cell_height(self) -> float:  # repro: dim[return: m]
-        """Storage cell height including multi-port growth (m)."""
-        base = (self.tech.edram_cell_height if self.is_edram
-                else self.tech.sram_cell_height)
-        return base * self._port_factor
-
-    @cached_property
-    def cell_block_width(self) -> float:  # repro: dim[return: m]
-        return self.cols * self.cell_width
-
-    @cached_property
-    def cell_block_height(self) -> float:  # repro: dim[return: m]
-        return self.rows * self.cell_height
-
-    # -- component circuits ---------------------------------------------------
-
-    @cached_property
-    def _wordline_capacitance(self) -> float:  # repro: dim[return: f]
-        """Load on one wordline (F): pass-gate gates plus wire."""
-        pass_gates = 2.0 * transistor.gate_capacitance(
-            self.tech, self.tech.min_width
-        )
-        wire = (
-            self.tech.wire_local.capacitance_per_length * self.cell_block_width
-        )
-        return self.cols * pass_gates + wire
-
-    @cached_property
-    def _wordline_driver(self) -> BufferChain:
-        return BufferChain(self.tech, self._wordline_capacitance)
-
-    @cached_property
-    def _bitline_capacitance(self) -> float:  # repro: dim[return: f]
-        """Capacitance of one bitline (F): cell drains plus wire."""
-        drain = transistor.drain_capacitance(self.tech, self.tech.min_width)
-        wire = (
-            self.tech.wire_local.capacitance_per_length
-            * self.cell_block_height
-        )
-        return self.rows * drain + wire
-
-    @cached_property
-    def _cell_read_current(self) -> float:  # repro: dim[return: a]
-        """Discharge current a cell pulls on its bitline (A)."""
-        return self.tech.sram_device.i_on * self.tech.min_width
+        return self.constants.cell_width
 
     @property
-    def _sense_swing(self) -> float:  # repro: dim[return: v]
-        return max(_SWING_FLOOR_V, _SWING_FRACTION * self.tech.vdd)
+    def cell_height(self) -> float:  # repro: dim[return: m]
+        """Storage cell height including multi-port growth (m)."""
+        return self.constants.cell_height
 
-    @cached_property
-    def _decoder_depth(self) -> int:
-        """Logic depth of the row decoder in gate stages."""
-        address_bits = max(1, math.ceil(math.log2(self.rows)))
-        # Predecode in pairs, then a final NAND; ~1 stage per 2 bits + 2.
-        return 2 + math.ceil(address_bits / 2)
+    @property
+    def cell_block_width(self) -> float:  # repro: dim[return: m]
+        return self.figures.cell_block_width
 
-    @cached_property
-    def _decoder_gate(self) -> Gate:
-        return Gate(self.tech, GateKind.NAND, fanin=2, size=2.0)
+    @property
+    def cell_block_height(self) -> float:  # repro: dim[return: m]
+        return self.figures.cell_block_height
 
     # -- timing ----------------------------------------------------------------
 
-    @cached_property
+    @property
     def decoder_delay(self) -> float:  # repro: dim[return: s]
         """Row-decode delay up to the wordline driver input (s)."""
-        stage = self._decoder_gate.delay(4 * self._decoder_gate.input_capacitance)
-        return self._decoder_depth * stage
+        return self.figures.decoder_delay
 
-    @cached_property
+    @property
     def wordline_delay(self) -> float:  # repro: dim[return: s]
         """Wordline driver + wire delay (s)."""
-        wire_rc = 0.38 * (
-            self.tech.wire_local.rc_per_length_squared
-            * self.cell_block_width**2
-        )
-        return self._wordline_driver.delay + wire_rc
+        return self.figures.wordline_delay
 
-    @cached_property
+    @property
     def bitline_delay(self) -> float:  # repro: dim[return: s]
-        """Time for a cell to develop the sense swing (s).
+        """Time for a cell to develop the sense swing (s)."""
+        return self.figures.bitline_delay
 
-        SRAM cells actively discharge the bitline; eDRAM reads are
-        charge-sharing events whose speed is set by the access-transistor
-        RC rather than a static discharge current.
-        """
-        wire_r = (
-            self.tech.wire_local.resistance_per_length
-            * self.cell_block_height
-        )
-        distributed_rc = 0.38 * wire_r * self._bitline_capacitance
-        if self.is_edram:
-            access_r = transistor.on_resistance(
-                self.tech, self.tech.min_width
-            )
-            share = 0.69 * access_r * self._bitline_capacitance
-            return share + distributed_rc
-        discharge = (
-            self._bitline_capacitance
-            * self._sense_swing
-            / self._cell_read_current
-        )
-        return discharge + distributed_rc
-
-    @cached_property
+    @property
     def senseamp_delay(self) -> float:  # repro: dim[return: s]
         """Sense amplifier resolution time (s)."""
-        return _SENSEAMP_DELAY_FO4 * self.tech.fo4_delay
+        return self.figures.senseamp_delay
 
-    @cached_property
+    @property
     def access_delay(self) -> float:  # repro: dim[return: s]
         """Address-in to data-at-subarray-edge delay (s)."""
-        mux_delay = self.tech.fo4_delay if self.column_mux_degree > 1 else 0.0
-        return (
-            self.decoder_delay
-            + self.wordline_delay
-            + self.bitline_delay
-            + self.senseamp_delay
-            + mux_delay
-        )
+        return self.figures.access_delay
 
-    @cached_property
+    @property
     def cycle_time(self) -> float:  # repro: dim[return: s]
         """Minimum random-access cycle: develop swing then precharge (s)."""
-        precharge = self.bitline_delay  # symmetric restore
-        return self.wordline_delay + self.bitline_delay + precharge
+        return self.figures.cycle_time
 
     # -- energy ------------------------------------------------------------------
 
-    @cached_property
+    @property
     def decoder_energy(self) -> float:  # repro: dim[return: j]
         """Dynamic energy of one row decode (J)."""
-        gate = self._decoder_gate
-        per_stage = gate.switching_energy(4 * gate.input_capacitance)
-        # Address buffers + predecode fan-out: ~2 gates toggle per stage.
-        return 2.0 * self._decoder_depth * per_stage
+        return self.figures.decoder_energy
 
-    @cached_property
+    @property
     def wordline_energy(self) -> float:  # repro: dim[return: j]
         """Dynamic energy of firing one wordline (J)."""
-        return self._wordline_driver.energy_per_transition
+        return self.figures.wordline_energy
 
-    @cached_property
+    @property
     def bitline_read_energy(self) -> float:  # repro: dim[return: j]
         """Energy of a read: all columns swing by the sense margin (J)."""
-        per_line = self._bitline_capacitance * self.tech.vdd * self._sense_swing
-        return self.cols * per_line
+        return self.figures.bitline_read_energy
 
     def bitline_write_energy(self, bits_written: int) -> float:  # repro: dim[return: j]
         """Energy of a write driving ``bits_written`` columns rail-to-rail (J)."""
@@ -244,40 +395,25 @@ class Subarray:
                 f"bits_written must be in [0, {self.cols}], got {bits_written}"
             )
         per_pair = (
-            _WRITE_SWING_FACTOR * self._bitline_capacitance * self.tech.vdd**2
+            _WRITE_SWING_FACTOR * self.figures.bitline_capacitance
+            * self.constants.vdd**2
         )
         return bits_written * per_pair
 
-    @cached_property
+    @property
     def senseamp_energy(self) -> float:  # repro: dim[return: j]
         """Energy of the sense amps that fire on one read (J)."""
-        amps = self.cols // self.column_mux_degree
-        per_amp = (
-            _SENSEAMP_CAP_EQUIV
-            * self.tech.c_inverter_min_input
-            * self.tech.vdd**2
-        )
-        return amps * per_amp
+        return self.figures.senseamp_energy
 
-    @cached_property
+    @property
     def _restore_energy(self) -> float:  # repro: dim[return: j]
         """Row-restore energy after a destructive eDRAM read (J)."""
-        if not self.is_edram:
-            return 0.0
-        # The sense amps drive every open column back rail-to-rail; on
-        # average half the lines move.
-        return 0.5 * self.cols * self._bitline_capacitance * self.tech.vdd**2
+        return self.figures.restore_energy
 
-    @cached_property
+    @property
     def read_energy(self) -> float:  # repro: dim[return: j]
         """Total dynamic energy of one read access (J)."""
-        return (
-            self.decoder_energy
-            + self.wordline_energy
-            + self.bitline_read_energy
-            + self.senseamp_energy
-            + self._restore_energy
-        )
+        return self.figures.read_energy
 
     @cached_property
     def write_energy(self) -> float:  # repro: dim[return: j]
@@ -291,26 +427,10 @@ class Subarray:
 
     # -- leakage -------------------------------------------------------------------
 
-    @cached_property
+    @property
     def cell_leakage_power(self) -> float:  # repro: dim[return: w]
-        """Static power of the storage cells (W).
-
-        SRAM cells use longer-channel, leakage-optimized devices; two
-        devices leak per cell, and extra ports add access-device leakage.
-        A 1T1C eDRAM cell has a single (off) access device — its standing
-        leakage is far lower, with refresh carried separately.
-        """
-        per_device = transistor.subthreshold_leakage_power(
-            self.tech, self.tech.min_width, long_channel=True
-        )
-        if self.is_edram:
-            per_cell = 0.5 * per_device  # stacked off access transistor
-            return self.rows * self.cols * per_cell
-        port_devices = 2.0 + 1.0 * (self.ports.total - 1)
-        per_cell = per_device * port_devices + transistor.gate_leakage_power(
-            self.tech, 6 * self.tech.min_width
-        ) * self.tech.device.long_channel_leakage_reduction
-        return self.rows * self.cols * per_cell
+        """Static power of the storage cells (W)."""
+        return self.figures.cell_leakage_power
 
     @cached_property
     def refresh_power(self) -> float:  # repro: dim[return: w]
@@ -322,58 +442,39 @@ class Subarray:
         )
         return self.rows * row_energy / EDRAM_RETENTION_TIME_S
 
-    @cached_property
+    @property
     def peripheral_leakage_power(self) -> float:  # repro: dim[return: w]
         """Static power of decoder, drivers, sense amps, precharge (W)."""
-        decoder = self.rows * self._decoder_gate.leakage_power * 0.5
-        drivers = self._wordline_driver.leakage_power * min(self.rows, 8)
-        inv = Gate(self.tech)
-        senseamps = (
-            (self.cols // self.column_mux_degree)
-            * _SENSEAMP_LEAK_EQUIV
-            * inv.leakage_power
-        )
-        precharge = self.cols * inv.leakage_power
-        return decoder + drivers + senseamps + precharge
+        return self.figures.peripheral_leakage_power
 
-    @cached_property
+    @property
     def leakage_power(self) -> float:  # repro: dim[return: w]
         """Total static power (W)."""
-        return self.cell_leakage_power + self.peripheral_leakage_power
+        return self.figures.leakage_power
 
     # -- area -----------------------------------------------------------------------
 
-    @cached_property
+    @property
     def decoder_area(self) -> float:  # repro: dim[return: m2]
         """Area of the row-decode strip (m^2)."""
-        return (
-            self.rows * self._decoder_gate.area
-            + self._wordline_driver.area * min(self.rows, 16)
-        )
+        return self.figures.decoder_area
 
-    @cached_property
+    @property
     def senseamp_area(self) -> float:  # repro: dim[return: m2]
         """Area of the precharge + sense-amp + mux strip (m^2)."""
-        inv = Gate(self.tech)
-        amps = self.cols // self.column_mux_degree
-        return (
-            amps * _SENSEAMP_AREA_EQUIV * inv.area
-            + self.cols * inv.area  # precharge devices
-        )
+        return self.figures.senseamp_area
 
-    @cached_property
+    @property
     def width(self) -> float:  # repro: dim[return: m]
         """Physical width of the subarray including the decode strip (m)."""
-        decode_strip = self.decoder_area / max(self.cell_block_height, 1e-9)
-        return self.cell_block_width + decode_strip
+        return self.figures.width
 
-    @cached_property
+    @property
     def height(self) -> float:  # repro: dim[return: m]
         """Physical height including the sense-amp strip (m)."""
-        sa_strip = self.senseamp_area / max(self.cell_block_width, 1e-9)
-        return self.cell_block_height + sa_strip
+        return self.figures.height
 
-    @cached_property
+    @property
     def area(self) -> float:  # repro: dim[return: m2]
         """Total footprint (m^2)."""
         return self.width * self.height

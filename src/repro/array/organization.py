@@ -7,20 +7,29 @@ physically sensible, filters by the timing target, and ranks the survivors
 with a weighted objective over delay, energy, leakage, and area — so the
 architect never specifies circuit-level parameters, which is one of the
 paper's headline usability claims.
+
+Every tiling is scored exactly, in plain float arithmetic: the
+technology-dependent numbers are gathered once per search
+(:func:`~repro.array.mat.subarray_constants`,
+:func:`~repro.array.bank.htree_constants`) and each candidate runs the
+same :func:`~repro.array.mat.subarray_figures` and
+:func:`~repro.array.bank.bank_figures` the model objects read, so no
+candidate builds a :class:`~repro.array.bank.Bank`.
 """
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
-from typing import TYPE_CHECKING, Iterator
+from typing import Iterator, NamedTuple
 
-from repro import fastpath
-from repro.array.spec import ArraySpec
+from repro.array.bank import bank_figures, htree_constants
+from repro.array.mat import (
+    subarray_constants,
+    subarray_figures,
+    wordline_driver,
+)
+from repro.array.spec import ArraySpec, CellType
 from repro.tech import Technology
-
-if TYPE_CHECKING:
-    from repro.array.bank import Bank
 
 #: Subarray dimension limits: outside these, peripheral overheads or RC
 #: degradation make the tiling pointless and the model unreliable.
@@ -65,27 +74,10 @@ class ArrayOrganization:
 
     def fits(self, spec: ArraySpec) -> bool:
         """Whether this organization tiles the spec exactly and sanely."""
-        entries, width = spec.entries_per_bank, spec.width_bits
-        if entries % (self.ndbl * self.nspd):
-            return False
-        if (width * self.nspd) % self.ndwl:
-            return False
-        rows = self.rows_per_subarray(spec)
-        cols = self.cols_per_subarray(spec)
-        if cols % self.nspd:
-            return False  # column mux cannot select evenly
-        max_rows = _MAX_ROWS
-        from repro.array.spec import CellType
-
-        if spec.cell_type is CellType.EDRAM:
-            max_rows = _MAX_ROWS_EDRAM
-        if not _MIN_ROWS <= rows <= max_rows:
-            return False
-        if not _MIN_COLS <= cols <= _MAX_COLS:
-            return False
-        if self.ndwl * self.ndbl > _MAX_SUBARRAYS:
-            return False
-        return True
+        return _subarray_shape(
+            spec.entries_per_bank, spec.width_bits, _max_rows(spec),
+            self.ndwl, self.ndbl, self.nspd,
+        ) is not None
 
     def __str__(self) -> str:  # pragma: no cover - cosmetic
         return f"(Ndwl={self.ndwl}, Ndbl={self.ndbl}, Nspd={self.nspd})"
@@ -112,145 +104,80 @@ class OptimizationWeights:
             raise ValueError("at least one weight must be positive")
 
 
-def candidate_organizations(spec: ArraySpec) -> Iterator[ArrayOrganization]:
-    """Yield every organization that tiles ``spec``."""
+def _max_rows(spec: ArraySpec) -> int:
+    return _MAX_ROWS_EDRAM if spec.cell_type is CellType.EDRAM else _MAX_ROWS
+
+
+def _subarray_shape(
+    entries: int, width: int, max_rows: int, ndwl: int, ndbl: int, nspd: int,
+) -> tuple[int, int] | None:
+    """(rows, cols) of one subarray if the tiling is exact and sane."""
+    if entries % (ndbl * nspd):
+        return None
+    if (width * nspd) % ndwl:
+        return None
+    rows = entries // (ndbl * nspd)  # as ArrayOrganization.rows_per_subarray
+    cols = width * nspd // ndwl  # as ArrayOrganization.cols_per_subarray
+    if cols % nspd:
+        return None  # column mux cannot select evenly
+    if not _MIN_ROWS <= rows <= max_rows:
+        return None
+    if not _MIN_COLS <= cols <= _MAX_COLS:
+        return None
+    if ndwl * ndbl > _MAX_SUBARRAYS:
+        return None
+    return rows, cols
+
+
+def _tilings(spec: ArraySpec) -> Iterator[tuple[int, int, int, int, int]]:
+    """``(ndwl, ndbl, nspd, rows, cols)`` of every tiling, in search order."""
+    entries, width = spec.entries_per_bank, spec.width_bits
+    max_rows = _max_rows(spec)
     for ndwl in _POWERS_OF_TWO:
         for ndbl in _POWERS_OF_TWO:
             for nspd in (1, 2, 4, 8):
-                org = ArrayOrganization(ndwl=ndwl, ndbl=ndbl, nspd=nspd)
-                if org.fits(spec):
-                    yield org
+                shape = _subarray_shape(
+                    entries, width, max_rows, ndwl, ndbl, nspd
+                )
+                if shape is not None:
+                    yield ndwl, ndbl, nspd, shape[0], shape[1]
 
 
-#: Below this many candidates the prune is skipped — full evaluation is
-#: already cheap and the rank statistics would be too thin to trust.
-_PRUNE_MIN_CANDIDATES = 48
-
-#: Survivors kept by the combined (equal-weight, proxy-normalized)
-#: objective. Across the validation presets the exact winner's combined
-#: proxy rank never exceeds 26; 40 leaves a wide margin.
-_PRUNE_KEEP_COMBINED = 40
-
-#: Survivors kept per metric axis, so the candidate that anchors each
-#: metric's normalization term survives. Measured worst-case proxy rank
-#: of the true per-metric optimum on the validation presets: delay 9,
-#: energy 23, leakage 1, area 1.
-_PRUNE_KEEP_PER_METRIC = (16, 32, 12, 12)
+def candidate_organizations(spec: ArraySpec) -> Iterator[ArrayOrganization]:
+    """Yield every organization that tiles ``spec``, in search order."""
+    for ndwl, ndbl, nspd, _, _ in _tilings(spec):
+        yield ArrayOrganization(ndwl=ndwl, ndbl=ndbl, nspd=nspd)
 
 
-def _proxy_metrics(
-    tech: Technology, spec: ArraySpec, org: ArrayOrganization,
-) -> tuple[float, float, float, float]:
-    """Cheap analytic (delay, energy, leakage, area) bounds for one tiling.
+class ScoredOrganization(NamedTuple):
+    """One candidate tiling and the costs of one bank built with it."""
 
-    First-order RC/geometry terms only — a few scalar ops per candidate,
-    no :class:`~repro.array.bank.Bank` or subarray construction. Used
-    solely to *rank* candidates for pruning; the survivors are then
-    evaluated with the full circuit model, so these bounds never leak
-    into reported numbers.
-    """
-    from repro.array.spec import CellType
-    from repro.circuit import transistor
-    from repro.circuit.repeater import RepeatedWire
-    from repro.tech.wire import WireType
+    ndwl: int
+    ndbl: int
+    nspd: int
+    access_time: float  # repro: dim[access_time: s]
+    cycle_time: float  # repro: dim[cycle_time: s]
+    read_energy: float  # repro: dim[read_energy: j]
+    leakage_power: float  # repro: dim[leakage_power: w]
+    area: float  # repro: dim[area: m2]
 
-    rows = org.rows_per_subarray(spec)
-    cols = org.cols_per_subarray(spec)
-    n_sub = org.ndwl * org.ndbl
-    port_factor = spec.ports.area_cost_factor
-    if spec.cell_type is CellType.EDRAM:
-        cell_width_m = tech.edram_cell_width * port_factor
-        cell_height_m = tech.edram_cell_height * port_factor
-    else:
-        cell_width_m = tech.sram_cell_width * port_factor
-        cell_height_m = tech.sram_cell_height * port_factor
-    block_width_m = cols * cell_width_m
-    block_height_m = rows * cell_height_m
-    bank_width_m = org.ndwl * block_width_m
-    bank_height_m = org.ndbl * block_height_m
-
-    wire = tech.wire_local
-    drain = transistor.drain_capacitance(tech, tech.min_width)
-    bitline_cap = (
-        rows * drain + wire.capacitance_per_length * block_height_m
-    )
-    swing = max(0.08, 0.125 * tech.vdd)
-    cell_current = tech.sram_device.i_on * tech.min_width
-    # The inter-subarray H-tree rides the memoized repeater solution, so
-    # its velocity/energy figures are one dictionary lookup each.
-    htree = RepeatedWire(tech, WireType.SEMI_GLOBAL)
-    htree_length_m = 0.25 * (bank_width_m + bank_height_m)
-
-    delay = (
-        math.log2(max(2, rows)) * tech.fo4_delay              # decoder
-        + bitline_cap * swing / cell_current                  # discharge
-        + 0.38 * wire.resistance_per_length * block_height_m * bitline_cap
-        + 0.38 * wire.rc_per_length_squared * block_width_m**2  # wordline
-        + 2.0 * htree.delay_per_length * htree_length_m       # H-tree
-    )
-    bits = 0.5 * (spec.address_bits + spec.routed_bits)
-    energy = (
-        org.ndwl * cols * bitline_cap * tech.vdd * swing      # bitlines
-        + bits * htree.energy_per_length * htree_length_m     # H-tree
-    )
-    # Cell leakage is organization-invariant (total cell count is fixed);
-    # rank on the peripheral strips and H-tree repeaters instead.
-    leakage = (
-        n_sub * (rows + 2.0 * cols)
-        + spec.routed_bits * htree.leakage_power_per_length * htree_length_m
-        / max(1e-30, tech.subthreshold_leakage_power(tech.min_width))
-    )
-    area = bank_width_m * bank_height_m + n_sub * (
-        rows * 6.0 * tech.feature_size * cell_height_m
-        + cols * 14.0 * tech.feature_size * cell_width_m
-    )
-    return delay, energy, leakage, area
-
-
-def _prune_candidates(
-    tech: Technology,
-    spec: ArraySpec,
-    candidates: list[ArrayOrganization],
-) -> list[ArrayOrganization]:
-    """Keep candidates ranked near the top of any metric's proxy bound.
-
-    The kept set is weight-independent (the union of the per-metric
-    front-runners), so differently-weighted searches over the same spec
-    evaluate the same candidate pool and stay mutually consistent.
-    Original candidate order is preserved.
-    """
-    scores = [_proxy_metrics(tech, spec, org) for org in candidates]
-    keep: set[int] = set()
-    mins = [
-        max(min(score[axis] for score in scores), 1e-300)
-        for axis in range(4)
-    ]
-    combined = [
-        sum(score[axis] / mins[axis] for axis in range(4))
-        for score in scores
-    ]
-    by_combined = sorted(range(len(candidates)), key=lambda k: combined[k])
-    keep.update(by_combined[:_PRUNE_KEEP_COMBINED])
-    for axis, keep_n in enumerate(_PRUNE_KEEP_PER_METRIC):
-        ranked = sorted(range(len(candidates)), key=lambda k: scores[k][axis])
-        keep.update(ranked[:keep_n])
-    return [org for k, org in enumerate(candidates) if k in keep]
+    @property
+    def organization(self) -> ArrayOrganization:
+        return ArrayOrganization(ndwl=self.ndwl, ndbl=self.ndbl, nspd=self.nspd)
 
 
 def search_organizations(
     tech: Technology,
     spec: ArraySpec,
     weights: OptimizationWeights | None = None,
-) -> list["Bank"]:
-    """Evaluate candidate organizations, best first.
+) -> list[ScoredOrganization]:
+    """Score every tiling of ``spec``, best first.
 
     Candidates that meet the spec's timing targets sort before candidates
     that do not; within each group the weighted normalized objective ranks
-    them. With the :mod:`repro.fastpath` switch on (the default) the
-    field is rank-pruned with cheap analytic bounds first and only the
-    front-runners get the full circuit model; under
-    ``fastpath.disabled()`` every feasible tiling is evaluated and
-    ranked.
+    them, and ties keep enumeration order (:func:`candidate_organizations`).
+    Every tiling gets the full circuit model; the search is the same with
+    :func:`repro.fastpath.disabled`.
 
     Args:
         tech: Technology operating point.
@@ -260,42 +187,50 @@ def search_organizations(
     Raises:
         ValueError: If no organization tiles the spec at all.
     """
-    from repro.array.bank import Bank
-
     weights = weights or OptimizationWeights()
-    candidates = list(candidate_organizations(spec))
-    if fastpath.enabled() and len(candidates) > _PRUNE_MIN_CANDIDATES:
-        candidates = _prune_candidates(tech, spec, candidates)
-    banks = [
-        Bank(tech=tech, spec=spec, organization=org)
-        for org in candidates
-    ]
-    if not banks:
+    cells = subarray_constants(tech, spec.ports, spec.cell_type)
+    htree = htree_constants(tech, spec)
+    tilings = list(_tilings(spec))
+    # The wordline driver depends on the column count alone: size each
+    # distinct count's chain once.
+    drivers = {
+        cols: wordline_driver(cells, cols)
+        for cols in sorted({tiling[4] for tiling in tilings})
+    }
+    scored = []
+    for ndwl, ndbl, nspd, rows, cols in tilings:
+        sub = subarray_figures(cells, rows, cols, nspd, drivers[cols])
+        bank = bank_figures(htree, ndwl, ndbl, sub)
+        scored.append(ScoredOrganization(
+            ndwl, ndbl, nspd, bank.access_time, sub.cycle_time,
+            bank.read_energy, bank.leakage_power, bank.area,
+        ))
+    if not scored:
         raise ValueError(
             f"no feasible organization for array {spec.name!r} "
             f"({spec.entries_per_bank} entries x {spec.width_bits} bits)"
         )
 
-    best_delay = min(b.access_time for b in banks)
-    best_energy = min(b.read_energy for b in banks)
-    best_leak = min(b.leakage_power for b in banks)
-    best_area = min(b.area for b in banks)
+    best_delay = min(c.access_time for c in scored)
+    best_energy = min(c.read_energy for c in scored)
+    best_leak = min(c.leakage_power for c in scored)
+    best_area = min(c.area for c in scored)
 
-    def objective(bank: "Bank") -> float:
+    def objective(c: ScoredOrganization) -> float:
         return (
-            weights.delay * bank.access_time / best_delay
-            + weights.dynamic_energy * bank.read_energy / best_energy
-            + weights.leakage * bank.leakage_power / best_leak
-            + weights.area * bank.area / best_area
+            weights.delay * c.access_time / best_delay
+            + weights.dynamic_energy * c.read_energy / best_energy
+            + weights.leakage * c.leakage_power / best_leak
+            + weights.area * c.area / best_area
         )
 
-    def meets_timing(bank: "Bank") -> bool:
+    def meets_timing(c: ScoredOrganization) -> bool:
         if (spec.target_access_time is not None
-                and bank.access_time > spec.target_access_time):
+                and c.access_time > spec.target_access_time):
             return False
         if (spec.target_cycle_time is not None
-                and bank.cycle_time > spec.target_cycle_time):
+                and c.cycle_time > spec.target_cycle_time):
             return False
         return True
 
-    return sorted(banks, key=lambda b: (not meets_timing(b), objective(b)))
+    return sorted(scored, key=lambda c: (not meets_timing(c), objective(c)))

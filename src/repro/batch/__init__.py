@@ -7,9 +7,9 @@ instead of a loop of full evaluations:
 
 * :mod:`repro.batch.terms` — piecewise-affine frequency responses, the
   compiled numeric form (scalar and numpy evaluation).
-* :mod:`repro.batch.kernels` — vectorized mirrors of the hot scalar
-  formulas (``alpha*C*V^2*f``, Elmore/Bakoglu wire terms, leakage
-  curves); each is parity-tested against its scalar twin.
+* :mod:`repro.batch.kernels` — the leakage-temperature curve
+  ``exp(dT / 35 K)`` over numpy arrays, parity-tested against the
+  scalar device model.
 * :mod:`repro.batch.compile` — probes the exact scalar model per
   structure group, fits the closed forms, and validates every
   assumption with held-out probes (:class:`BatchFallback` on residual).

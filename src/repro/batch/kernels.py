@@ -1,19 +1,11 @@
-"""Vectorized circuit/technology kernels (structure-of-arrays form).
+"""Vectorized kernels (structure-of-arrays form).
 
-Each function mirrors one scalar formula from the model layers —
-``alpha * C * V^2 * f`` switching power, the Elmore repeated-wire segment
-delay and its Bakoglu closed-form sizing
-(:class:`repro.circuit.repeater.RepeatedWire`), and the leakage curves of
-:class:`repro.tech.device.DeviceParameters` — but accepts numpy arrays
-anywhere it accepts floats, evaluating a whole sweep axis per call. The
-scalar implementations stay the bit-identical reference; the parity
-suite asserts every kernel agrees with its scalar twin element-wise.
-
-:func:`leakage_temperature_scale` is the production workhorse: the group
-compiler (:mod:`repro.batch.compile`) uses it to evaluate chip leakage
-over a whole temperature axis from two probed endpoints. The wire
-kernels are the building blocks for vectorizing the structure-changing
-axes (cache geometry, NoC reach) in a later pass.
+:func:`leakage_temperature_scale` mirrors the leakage-temperature curve
+of :class:`repro.tech.device.DeviceParameters` but accepts numpy arrays
+anywhere it accepts floats, evaluating a whole temperature axis per
+call. The group compiler (:mod:`repro.batch.compile`) uses it to
+evaluate chip leakage over a temperature axis from two probed
+endpoints; the parity suite asserts it agrees with the scalar model.
 """
 
 from __future__ import annotations
@@ -22,7 +14,6 @@ import math
 from typing import Any, Union
 
 from repro.batch._numpy import get_numpy
-from repro.circuit.gates import DELAY_DERATE, SHORT_CIRCUIT_FRACTION
 from repro.tech.device import (
     _SUBTHRESHOLD_TEMPERATURE_EFOLD_K as TEMPERATURE_EFOLD_K,
 )
@@ -36,72 +27,6 @@ def _exp(x: ArrayLike) -> ArrayLike:
     if np is not None and isinstance(x, np.ndarray):
         return np.exp(x)
     return math.exp(x)
-
-
-def _sqrt(x: ArrayLike) -> ArrayLike:
-    np = get_numpy()
-    if np is not None and isinstance(x, np.ndarray):
-        return np.sqrt(x)
-    return math.sqrt(x)
-
-
-def switching_power(
-    capacitance_f: ArrayLike,
-    vdd_v: ArrayLike,
-    clock_hz: ArrayLike,
-    activity: ArrayLike = 1.0,
-) -> ArrayLike:  # repro: dim[activity: 1, return: w]
-    """Dynamic switching power ``alpha * C * V^2 * f`` (W).
-
-    ``capacitance_f`` is the effective switched capacitance including the
-    short-circuit surcharge the gate model applies
-    (:data:`~repro.circuit.gates.SHORT_CIRCUIT_FRACTION`); pass
-    :func:`gate_effective_capacitance` output to match
-    :meth:`repro.circuit.gates.Gate.switching_energy` exactly.
-    """
-    return activity * capacitance_f * vdd_v * vdd_v * clock_hz
-
-
-def gate_effective_capacitance(
-    self_capacitance_f: ArrayLike,
-    input_capacitance_f: ArrayLike,
-    load_capacitance_f: ArrayLike,
-) -> ArrayLike:  # repro: dim[return: f]
-    """Switched capacitance of one gate transition, incl. short circuit (F).
-
-    Mirrors :meth:`repro.circuit.gates.Gate.switching_energy`'s
-    ``(1 + SHORT_CIRCUIT_FRACTION) * (c_self + c_in + c_load)`` so that
-    ``switching_power(gate_effective_capacitance(...), vdd, f)`` equals
-    ``gate.switching_energy(c_load) * f``.
-    """
-    total = (
-        self_capacitance_f + input_capacitance_f + load_capacitance_f
-    )
-    return (1.0 + SHORT_CIRCUIT_FRACTION) * total
-
-
-def subthreshold_leakage_power(
-    i_off_per_width: ArrayLike,
-    nmos_width_m: ArrayLike,
-    vdd_v: ArrayLike,
-) -> ArrayLike:  # repro: dim[i_off_per_width: a/m, return: w]
-    """Subthreshold leakage ``i_off * width * vdd`` (W).
-
-    Mirrors :meth:`repro.tech.technology.Technology.subthreshold_leakage_power`.
-    """
-    return i_off_per_width * nmos_width_m * vdd_v
-
-
-def gate_leakage_power(
-    i_gate_per_width: ArrayLike,
-    nmos_width_m: ArrayLike,
-    vdd_v: ArrayLike,
-) -> ArrayLike:  # repro: dim[i_gate_per_width: a/m, return: w]
-    """Gate-tunneling leakage ``i_gate * width * vdd`` (W).
-
-    Mirrors :meth:`repro.tech.technology.Technology.gate_leakage_power`.
-    """
-    return i_gate_per_width * nmos_width_m * vdd_v
 
 
 def leakage_temperature_scale(
@@ -118,70 +43,3 @@ def leakage_temperature_scale(
     """
     delta = temperature_k - reference_temperature_k
     return _exp(delta / TEMPERATURE_EFOLD_K)
-
-
-def overdrive_current_scale(
-    vdd_v: ArrayLike,
-    vth_v: ArrayLike,
-    nominal_vdd_v: ArrayLike,
-) -> ArrayLike:  # repro: dim[return: 1]
-    """Alpha-power-law drive-current multiplier at a scaled supply.
-
-    Mirrors :meth:`repro.tech.device.DeviceParameters.at_voltage`:
-    ``I_on ~ ((vdd - vth) / (vdd_nom - vth))^1.3``. Voltage changes the
-    transistor operating point and therefore re-sizes every repeater and
-    gate, so the batch backend treats Vdd as a *group* axis (one exact
-    structure rebuild per distinct value) rather than interpolating with
-    this kernel; it exists for kernel-level studies and the parity suite.
-    """
-    return ((vdd_v - vth_v) / (nominal_vdd_v - vth_v)) ** 1.3
-
-
-def elmore_segment_delay(
-    drive_resistance_ohm: ArrayLike,
-    self_capacitance_f: ArrayLike,
-    input_capacitance_f: ArrayLike,
-    resistance_per_length: ArrayLike,
-    capacitance_per_length: ArrayLike,
-    spacing_m: ArrayLike,
-) -> ArrayLike:  # repro: dim[resistance_per_length: ohm/m, capacitance_per_length: f/m, return: s]
-    """Elmore delay of one repeater + wire segment (s).
-
-    Mirrors :meth:`repro.circuit.repeater.RepeatedWire._segment_delay`:
-    the derated driver RC into its parasitics, the wire, and the next
-    repeater's gate, plus the distributed-wire ``0.38 RC`` term.
-    """
-    r_seg = resistance_per_length * spacing_m
-    c_seg = capacitance_per_length * spacing_m
-    driver = DELAY_DERATE * 0.69 * drive_resistance_ohm * (
-        self_capacitance_f + c_seg + input_capacitance_f
-    )
-    wire_term = r_seg * (
-        0.38 * c_seg + 0.69 * input_capacitance_f
-    )
-    return driver + wire_term
-
-
-def bakoglu_repeater_sizing(
-    drive_resistance_ohm: ArrayLike,
-    self_capacitance_f: ArrayLike,
-    input_capacitance_f: ArrayLike,
-    resistance_per_length: ArrayLike,
-    capacitance_per_length: ArrayLike,
-) -> tuple[ArrayLike, ArrayLike]:  # repro: dim[resistance_per_length: ohm/m, capacitance_per_length: f/m]
-    """Closed-form (size, spacing) of a delay-optimal repeated wire.
-
-    Mirrors :meth:`repro.circuit.repeater.RepeatedWire.closed_form_optimum`
-    for a unit inverter with the given constants: the per-length delay is
-    the separable posynomial ``A/L + B/s + C*L + E*s`` whose optimum is
-    ``s* = sqrt(B/E)``, ``L* = sqrt(A/C)``. Sizes are min-inverter
-    multiples; spacings are meters.
-    """
-    r_drive = DELAY_DERATE * 0.69 * drive_resistance_ohm
-    term_per_wire = r_drive * (self_capacitance_f + input_capacitance_f)
-    term_per_size = r_drive * capacitance_per_length
-    term_len = 0.38 * resistance_per_length * capacitance_per_length
-    term_size = 0.69 * resistance_per_length * input_capacitance_f
-    size = _sqrt(term_per_size / term_size)
-    spacing_m = _sqrt(term_per_wire / term_len)
-    return size, spacing_m

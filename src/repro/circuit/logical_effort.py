@@ -4,7 +4,9 @@ CACTI/McPAT size every large driver (wordline drivers, predecoder drivers,
 output drivers, H-tree buffers) as a geometric chain of inverters whose
 per-stage effort is close to the optimum of ~4. :class:`BufferChain`
 captures one such chain and reports its delay, per-event energy, leakage,
-and area.
+and area. The formulas are :func:`chain_figures`, plain arithmetic over a
+:class:`~repro.circuit.gates.GateDevice` record, which the array
+organization search also calls directly.
 """
 
 from __future__ import annotations
@@ -12,9 +14,18 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from functools import cached_property
+from typing import NamedTuple
 
 from repro import obs
-from repro.circuit.gates import Gate, GateKind
+from repro.circuit.gates import (
+    Gate,
+    GateDevice,
+    GateKind,
+    gate_constants,
+    gate_delay,
+    gate_device,
+    gate_switching_energy,
+)
 from repro.tech import Technology
 
 #: Optimum stage effort; 4 is the classical sweet spot once parasitics are
@@ -35,6 +46,65 @@ def optimal_stage_count(path_effort: float) -> int:
         return 1
     stages = round(math.log(path_effort) / math.log(OPTIMAL_STAGE_EFFORT))
     return max(1, stages)
+
+
+class ChainFigures(NamedTuple):
+    """Delay, per-event energy, leakage and area of one buffer chain."""
+
+    delay: float  # repro: dim[delay: s]
+    energy_per_transition: float  # repro: dim[energy_per_transition: j]
+    leakage_power: float  # repro: dim[leakage_power: w]
+    area: float  # repro: dim[area: m2]
+
+
+def chain_shape(
+    device: GateDevice, load_capacitance: float, input_size: float,
+) -> tuple[int, float]:  # repro: dim[load_capacitance: f, input_size: 1]
+    """(stage count, per-stage effort) of a chain into ``load_capacitance``."""
+    c_in = gate_constants(
+        device, GateKind.INV, 1, input_size
+    ).input_capacitance
+    if load_capacitance <= c_in:
+        count = 1
+    else:
+        count = optimal_stage_count(load_capacitance / c_in)
+    ratio = max(1.0, load_capacitance / c_in)
+    return count, ratio ** (1.0 / count)
+
+
+def chain_sizes(
+    device: GateDevice, load_capacitance: float, input_size: float,
+) -> tuple[float, ...]:  # repro: dim[load_capacitance: f, input_size: 1]
+    """Drive strengths of the chain's inverters, input to output."""
+    count, effort = chain_shape(device, load_capacitance, input_size)
+    return tuple(input_size * effort**i for i in range(count))
+
+
+def chain_figures(
+    device: GateDevice, load_capacitance: float, input_size: float = 1.0,
+) -> ChainFigures:  # repro: dim[load_capacitance: f, input_size: 1]
+    """The figures of a geometric chain: the formulas behind
+    :class:`BufferChain`, in plain float arithmetic (no gate objects)."""
+    stages = [
+        gate_constants(device, GateKind.INV, 1, size)
+        for size in chain_sizes(device, load_capacitance, input_size)
+    ]
+    count = len(stages)
+    delay = 0.0
+    energy = 0.0
+    for i, stage in enumerate(stages):
+        if i + 1 < count:
+            load = stages[i + 1].input_capacitance
+        else:
+            load = load_capacitance
+        delay += gate_delay(stage, load)
+        energy += gate_switching_energy(stage, load, device.vdd)
+    return ChainFigures(
+        delay=delay,
+        energy_per_transition=energy,
+        leakage_power=sum(stage.leakage_power for stage in stages),
+        area=sum(stage.area for stage in stages),
+    )
 
 
 @dataclass(frozen=True)
@@ -59,80 +129,65 @@ class BufferChain:
             raise ValueError("input size must be positive")
 
     @cached_property
-    def _first_gate(self) -> Gate:
-        return Gate(self.tech, GateKind.INV, size=self.input_size)
+    def _device(self) -> GateDevice:
+        return gate_device(self.tech)
 
     @cached_property
+    def _shape(self) -> tuple[int, float]:
+        return chain_shape(self._device, self.load_capacitance, self.input_size)
+
+    @property
     def stage_count(self) -> int:
         """Number of inverters in the chain."""
-        c_in = self._first_gate.input_capacitance
-        if self.load_capacitance <= c_in:
-            return 1
-        return optimal_stage_count(self.load_capacitance / c_in)
+        return self._shape[0]
 
-    @cached_property
+    @property
     def stage_effort(self) -> float:
         """Realized per-stage effort (fanout)."""
-        c_in = self._first_gate.input_capacitance
-        ratio = max(1.0, self.load_capacitance / c_in)
-        return ratio ** (1.0 / self.stage_count)
+        return self._shape[1]
 
     @cached_property
     def stages(self) -> tuple[Gate, ...]:
-        """The sized gates, input to output.
-
-        Solved once per chain instance; traced as a *detail* span (these
-        fire thousands of times per cold evaluation, so they are only
-        recorded under ``obs.enable(detail=True)``).
-        """
-        with obs.span("circuit.logical_effort.solve", detail=True,
-                      stages=self.stage_count):
-            return tuple(
-                Gate(
-                    self.tech,
-                    GateKind.INV,
-                    size=self.input_size * self.stage_effort**i,
-                )
-                for i in range(self.stage_count)
-            )
+        """The sized gates, input to output."""
+        sizes = chain_sizes(
+            self._device, self.load_capacitance, self.input_size
+        )
+        return tuple(Gate(self.tech, GateKind.INV, size=s) for s in sizes)
 
     @property
     def input_capacitance(self) -> float:  # repro: dim[return: f]
         """Capacitance presented to the driver of this chain (F)."""
-        return self._first_gate.input_capacitance
+        return self.stages[0].input_capacitance
 
     @cached_property
+    def figures(self) -> ChainFigures:
+        """Delay, energy, leakage and area, solved once per chain.
+
+        Traced as a *detail* span, recorded only under
+        ``obs.enable(detail=True)``.
+        """
+        with obs.span("circuit.logical_effort.solve", detail=True,
+                      stages=self.stage_count):
+            return chain_figures(
+                self._device, self.load_capacitance, self.input_size
+            )
+
+    @property
     def delay(self) -> float:  # repro: dim[return: s]
         """Propagation delay through the chain into the load (s)."""
-        total = 0.0
-        gates = self.stages
-        for i, gate in enumerate(gates):
-            if i + 1 < len(gates):
-                load = gates[i + 1].input_capacitance
-            else:
-                load = self.load_capacitance
-            total += gate.delay(load)
-        return total
+        return self.figures.delay
 
-    @cached_property
+    @property
     def energy_per_transition(self) -> float:  # repro: dim[return: j]
         """Dynamic energy of one full propagation incl. the load (J)."""
-        total = 0.0
-        gates = self.stages
-        for i, gate in enumerate(gates):
-            if i + 1 < len(gates):
-                load = gates[i + 1].input_capacitance
-            else:
-                load = self.load_capacitance
-            total += gate.switching_energy(load)
-        return total
+        return self.figures.energy_per_transition
 
-    @cached_property
+    @property
     def leakage_power(self) -> float:  # repro: dim[return: w]
         """Total static power of the chain (W)."""
-        return sum(gate.leakage_power for gate in self.stages)
+        return self.figures.leakage_power
 
-    @cached_property
+    @property
     def area(self) -> float:  # repro: dim[return: m2]
         """Total layout area of the chain (m^2)."""
-        return sum(gate.area for gate in self.stages)
+        return self.figures.area

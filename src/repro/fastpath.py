@@ -1,21 +1,22 @@
 """Process-wide memoization fast path for single-chip evaluation.
 
-Profiling one cold :meth:`~repro.chip.processor.Processor.report` shows
-~95% of the work is recomputation of pure functions of immutable inputs:
-the repeated-wire optimizer re-solves the same ``(tech, plane, penalty)``
-design point hundreds of times per chip, every sized :class:`Gate`
-re-derives the same RC constants, and structurally identical arrays are
-rebuilt from scratch. This module provides the shared machinery those
-layers use to remember their answers:
+Much of one cold :meth:`~repro.chip.processor.Processor.report` would
+be recomputation of pure functions of immutable inputs: the
+repeated-wire optimizer re-solves the same ``(tech, plane, penalty)``
+design point dozens of times per chip, sized :class:`Gate` objects
+re-derive the same RC constants, and structurally identical arrays
+recur. This module provides the shared machinery those layers use to
+remember their answers:
 
 * :class:`Memo` — a small bounded (LRU) process-wide cache with hit/miss
   counters, automatically registered for :func:`clear_all` / :func:`stats`.
 * :func:`enabled` / :func:`disabled` — a global switch. Inside a
   ``with fastpath.disabled():`` block every memo is bypassed *and* the
-  search heuristics that ride on the fast path (repeater-grid windowing,
-  organization-search pruning) fall back to their exhaustive exact forms.
-  The parity suite uses this to assert that memoized and unmemoized
-  evaluations produce numerically identical reports.
+  repeater optimizer sweeps its whole grid instead of a window around
+  the closed-form seed. The organization search is the same exact
+  search in both modes. The parity suite uses this to assert that
+  memoized and unmemoized evaluations produce numerically identical
+  reports.
 * :func:`stable_hash` — the deterministic content-hash used by
   :func:`repro.engine.cache.config_key` and the ``build_array`` memo, so
   every cache layer keys on *content*, never object identity.
@@ -47,7 +48,7 @@ _REGISTRY: list["Memo"] = []
 
 
 def enabled() -> bool:
-    """Whether the fast path (memos + pruned searches) is active."""
+    """Whether the fast path (memos + windowed repeater sizing) is active."""
     return _enabled
 
 
@@ -56,9 +57,10 @@ def disabled() -> Iterator[None]:
     """Context manager: run the enclosed block on the exact, unmemoized path.
 
     All :class:`Memo` lookups are bypassed (values are recomputed and not
-    stored) and fast-path search heuristics revert to exhaustive sweeps.
-    Existing memo contents are left untouched and become live again on
-    exit.
+    stored) and the repeater optimizer sweeps its full grid. The array
+    organization search does not change: it scores every tiling in both
+    modes. Existing memo contents are left untouched and become live
+    again on exit.
     """
     global _enabled
     previous = _enabled

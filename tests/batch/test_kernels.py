@@ -1,4 +1,4 @@
-"""Parity tests: every batch kernel against its scalar twin."""
+"""Parity tests: the batch kernel against its scalar twin."""
 
 import math
 
@@ -6,10 +6,7 @@ import pytest
 
 from repro.batch import kernels
 from repro.batch._numpy import get_numpy, have_numpy
-from repro.circuit.gates import Gate, GateKind
-from repro.circuit.repeater import RepeatedWire
 from repro.tech import Technology
-from repro.tech.wire import WireType
 
 needs_numpy = pytest.mark.skipif(
     not have_numpy(), reason="numpy not installed"
@@ -18,44 +15,7 @@ needs_numpy = pytest.mark.skipif(
 TECH = Technology(node_nm=65, temperature_k=360.0)
 
 
-@pytest.fixture
-def wire() -> RepeatedWire:
-    return RepeatedWire(TECH, WireType.GLOBAL)
-
-
-class TestSwitchingPower:
-    def test_matches_gate_switching_energy(self):
-        gate = Gate(TECH, GateKind.INV, size=2.0)
-        load_f = 3.0e-15
-        clock_hz = 2.5e9
-        effective_f = kernels.gate_effective_capacitance(
-            gate.self_capacitance, gate.input_capacitance, load_f
-        )
-        assert kernels.switching_power(
-            effective_f, TECH.vdd, clock_hz
-        ) == pytest.approx(
-            gate.switching_energy(load_f) * clock_hz, rel=1e-12
-        )
-
-    def test_activity_scales_linearly(self):
-        full = kernels.switching_power(1e-12, 1.1, 1e9, activity=1.0)
-        half = kernels.switching_power(1e-12, 1.1, 1e9, activity=0.5)
-        assert half == 0.5 * full
-
-
 class TestLeakage:
-    def test_subthreshold_matches_technology(self):
-        width_m = 4.0 * TECH.min_width
-        assert kernels.subthreshold_leakage_power(
-            TECH.device.i_off, width_m, TECH.vdd
-        ) == TECH.subthreshold_leakage_power(width_m)
-
-    def test_gate_leakage_matches_technology(self):
-        width_m = 4.0 * TECH.min_width
-        assert kernels.gate_leakage_power(
-            TECH.device.i_gate, width_m, TECH.vdd
-        ) == TECH.gate_leakage_power(width_m)
-
     def test_temperature_scale_matches_device_model(self):
         device = TECH.device
         hot = device.at_temperature(device.temperature_k + 35.0)
@@ -67,74 +27,9 @@ class TestLeakage:
             device.i_off * scale, rel=1e-12
         )
 
-    def test_overdrive_scale_matches_at_voltage(self):
-        device = TECH.device
-        vdd_v = device.vdd * 0.9
-        scaled = device.at_voltage(vdd_v)
-        assert scaled.i_on == pytest.approx(
-            device.i_on * kernels.overdrive_current_scale(
-                vdd_v, device.vth, device.vdd
-            ),
-            rel=1e-12,
-        )
-
-
-class TestWireKernels:
-    def _unit(self):
-        return Gate(TECH, GateKind.INV, size=1.0).constants
-
-    @pytest.mark.parametrize("spacing_m", [20e-6, 160e-6, 1.28e-3])
-    def test_elmore_matches_segment_delay(self, wire, spacing_m):
-        unit = self._unit()
-        assert kernels.elmore_segment_delay(
-            unit.drive_resistance,
-            unit.self_capacitance,
-            unit.input_capacitance,
-            wire.wire.resistance_per_length,
-            wire.wire.capacitance_per_length,
-            spacing_m,
-        ) == pytest.approx(
-            wire._segment_delay(1.0, spacing_m), rel=1e-12
-        )
-
-    def test_bakoglu_matches_closed_form_optimum(self, wire):
-        unit = self._unit()
-        size, spacing_m = kernels.bakoglu_repeater_sizing(
-            unit.drive_resistance,
-            unit.self_capacitance,
-            unit.input_capacitance,
-            wire.wire.resistance_per_length,
-            wire.wire.capacitance_per_length,
-        )
-        ref_size, ref_spacing_m = wire.closed_form_optimum()
-        assert size == pytest.approx(ref_size, rel=1e-12)
-        assert spacing_m == pytest.approx(ref_spacing_m, rel=1e-12)
-
 
 @needs_numpy
 class TestArrayBroadcast:
-    def test_scalar_and_array_paths_agree(self, wire):
-        np = get_numpy()
-        unit = Gate(TECH, GateKind.INV, size=1.0).constants
-        spacings_m = np.array([20e-6, 160e-6, 1.28e-3])
-        out = kernels.elmore_segment_delay(
-            unit.drive_resistance,
-            unit.self_capacitance,
-            unit.input_capacitance,
-            wire.wire.resistance_per_length,
-            wire.wire.capacitance_per_length,
-            spacings_m,
-        )
-        for spacing_m, value in zip(spacings_m, out):
-            assert value == kernels.elmore_segment_delay(
-                unit.drive_resistance,
-                unit.self_capacitance,
-                unit.input_capacitance,
-                wire.wire.resistance_per_length,
-                wire.wire.capacitance_per_length,
-                float(spacing_m),
-            )
-
     def test_temperature_scale_vectorizes(self):
         np = get_numpy()
         temps_k = np.array([325.0, 360.0, 395.0])

@@ -1,25 +1,26 @@
-"""Wall-clock budget guard for the single-evaluation fast path.
+"""Budget guards for the single-evaluation fast path.
 
 A cold (empty-memo) ``Processor.report()`` on the heaviest validation
 preset must stay well below the pre-fast-path cost (~1.5-3 s per chip).
-The budgets are deliberately loose — several times the expected time on
-a developer machine — so only a real regression (a memo silently
-bypassed, the organization prune disabled) trips them, not CI noise.
+The wall-clock budgets are deliberately loose — many times the expected
+time on a developer machine — so CI noise never trips them; a memo
+silently bypassed is caught without timing, by the memo counters.
 """
 
+import os
+import subprocess
+import sys
 import time
+from pathlib import Path
 
 from repro import fastpath
 from repro.chip import Processor
 from repro.config import presets
 
 #: Upper bound on one cold fast-path evaluation (seconds). Measured
-#: ~0.1-0.25 s; the pre-fast-path cost is ~1.5-3 s.
+#: 15-40 ms per preset on a 2-vCPU Intel Xeon container (CPython 3.11);
+#: the pre-fast-path cost is ~1.5-3 s.
 COLD_EVAL_BUDGET_S = 1.0
-
-#: A cold fast-path evaluation must beat the exact path by at least this
-#: factor (the acceptance bar is 5x; measured 11-15x).
-MIN_COLD_SPEEDUP = 3.0
 
 
 def _time_report(config) -> float:
@@ -40,16 +41,22 @@ def test_cold_eval_within_budget():
     )
 
 
-def test_cold_eval_beats_exact_path():
+def test_cold_and_warm_eval_go_through_the_memos():
+    """A cold report shares gate constants and repeater solutions; a
+    repeat is served from the ``build_array`` memo and computes nothing
+    new. A bypassed memo shows up as missing hits or as fresh misses."""
     config = presets.VALIDATION_PRESETS["niagara1"]
-    with fastpath.disabled():
-        t_exact = _time_report(config())
     fastpath.clear_all()
-    t_cold = _time_report(config())
-    assert t_cold * MIN_COLD_SPEEDUP < t_exact, (
-        f"cold fast-path eval ({t_cold:.2f}s) is not {MIN_COLD_SPEEDUP}x "
-        f"faster than the exact path ({t_exact:.2f}s)"
-    )
+    Processor(config()).report()
+    cold = fastpath.stats()
+    assert cold["gate_constants"]["hits"] > 0, cold
+    assert cold["repeater_optimum"]["hits"] > 0, cold
+    assert cold["build_array"]["misses"] > 0, cold
+    Processor(config()).report()
+    warm = fastpath.stats()
+    assert warm["build_array"]["hits"] > cold["build_array"]["hits"], warm
+    for name, counters in warm.items():
+        assert counters["misses"] == cold[name]["misses"], (name, warm)
 
 
 def test_warm_eval_near_free():
@@ -59,3 +66,27 @@ def test_warm_eval_near_free():
     t_warm = _time_report(config())
     assert t_warm < t_cold
     assert t_warm < 0.25  # measured ~3 ms
+
+
+def test_cold_eval_does_not_import_numpy():
+    """The cold path is scalar Python: numpy (an optional extra, ~12 MB
+    resident) loads only for batch evaluation, so cold reports of every
+    validation preset in a fresh interpreter leave it out."""
+    root = Path(__file__).resolve().parents[2]
+    script = (
+        "import sys\n"
+        "from repro.chip import Processor\n"
+        "from repro.config import presets\n"
+        "for build in presets.VALIDATION_PRESETS.values():\n"
+        "    Processor(build()).report()\n"
+        "print('numpy' in sys.modules)\n"
+    )
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(
+        [str(root / "src"), env.get("PYTHONPATH", "")]
+    )
+    done = subprocess.run(
+        [sys.executable, "-c", script], cwd=root, env=env,
+        capture_output=True, text=True, timeout=120, check=True,
+    )
+    assert done.stdout.strip() == "False"

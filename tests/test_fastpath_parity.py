@@ -1,9 +1,9 @@
 """Numerical-parity guarantees of the evaluation fast path.
 
-The fast path (process-wide memos, Bakoglu-seeded repeater refinement,
-rank-pruned organization search) must change *nothing* about the
-numbers: every validation preset's report has to match the exhaustive
-``repro.fastpath.disabled()`` path exactly, field for field.
+The fast path (process-wide memos, Bakoglu-seeded repeater refinement)
+must change *nothing* about the numbers: every validation preset's
+report has to match the exhaustive ``repro.fastpath.disabled()`` path
+exactly, field for field.
 """
 
 import dataclasses
@@ -12,6 +12,7 @@ import pytest
 
 from repro import fastpath
 from repro.array import ArraySpec, build_array, search_organizations
+from repro.array.organization import candidate_organizations
 from repro.chip import Processor
 from repro.circuit import RepeatedWire
 from repro.config import presets
@@ -67,16 +68,19 @@ def test_build_array_parity_and_sharing():
 
 
 def test_search_exact_flag_is_superset():
-    """The pruned search keeps a subset of the exhaustive (disabled-mode)
-    candidate list, with the same winner."""
+    """Both modes score every tiling ``candidate_organizations`` yields,
+    rank them in the same order with the same numbers, and so pick the
+    same winner."""
     spec = ArraySpec(name="x", entries=8192, width_bits=512)
-    pruned = search_organizations(TECH, spec)
+    fast = search_organizations(TECH, spec)
     with fastpath.disabled():
         full = search_organizations(TECH, spec)
-    assert len(full) >= len(pruned)
-    assert pruned[0].organization == full[0].organization
-    full_orgs = {b.organization for b in full}
-    assert all(b.organization in full_orgs for b in pruned)
+    tilings = list(candidate_organizations(spec))
+    assert sorted(
+        (c.ndwl, c.ndbl, c.nspd) for c in fast
+    ) == sorted((o.ndwl, o.ndbl, o.nspd) for o in tilings)
+    assert fast == full
+    assert fast[0].organization == full[0].organization
 
 
 def test_repeater_window_matches_full_grid():

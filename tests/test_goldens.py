@@ -4,6 +4,9 @@ import json
 
 import pytest
 
+from repro import fastpath
+from repro.chip import Processor
+from repro.chip.export import result_to_dict
 from repro.config import presets
 from repro.goldens import (
     DEFAULT_GOLDENS_DIR,
@@ -28,6 +31,17 @@ class TestGoldenFiles:
         precise path into the result tree."""
         diffs = compare_to_goldens()
         assert not diffs, format_golden_diffs(diffs)
+
+    @pytest.mark.parametrize("preset", tuple(presets.VALIDATION_PRESETS))
+    def test_cold_report_equals_golden_exactly(self, preset):
+        """No tolerance: a cold report's tree equals the golden's to the
+        last bit, the same check the benchmark's ``cold_eval`` makes."""
+        golden = json.loads(
+            golden_path(DEFAULT_GOLDENS_DIR, preset).read_text()
+        )
+        fastpath.clear_all()
+        report = Processor(presets.VALIDATION_PRESETS[preset]()).report()
+        assert result_to_dict(report) == golden["report"]
 
 
 class TestGoldenMechanics:
