@@ -10,12 +10,17 @@ instead of a loop of full evaluations:
 * :mod:`repro.batch.kernels` — the leakage-temperature curve
   ``exp(dT / 35 K)`` over numpy arrays, parity-tested against the
   scalar device model.
-* :mod:`repro.batch.compile` — probes the exact scalar model per
-  structure group, fits the closed forms, and validates every
-  assumption with held-out probes (:class:`BatchFallback` on residual).
+* :mod:`repro.batch.compile` — probes the exact scalar model for one
+  chip structure over a :class:`Domain` (a clock interval times a set
+  of temperatures), fits the closed forms, and validates every
+  assumption with held-out probes (:class:`BatchFallback` on a
+  residual or a non-finite probe).
 * :mod:`repro.batch.backend` — backend resolution (``scalar`` |
   ``numpy`` | ``auto``) and group orchestration for
-  :func:`repro.engine.evaluate_many`.
+  :func:`repro.engine.evaluate_many`. One compiled fit is kept per
+  structure, keyed by the structure alone; a group inside its domain
+  costs no probe, and one reaching outside widens it by a compile over
+  the union.
 
 The scalar path remains the bit-identical reference; the numpy backend
 promises agreement within 1e-9 relative (enforced by the parity suite
@@ -38,6 +43,7 @@ from repro.batch.backend import (
 from repro.batch.compile import (
     BatchFallback,
     CompiledGroup,
+    Domain,
     compile_group,
 )
 from repro.batch.terms import PiecewiseAffine
@@ -47,6 +53,7 @@ __all__ = [
     "BACKENDS",
     "BatchFallback",
     "CompiledGroup",
+    "Domain",
     "GROUP_AXES",
     "METRICS",
     "PiecewiseAffine",

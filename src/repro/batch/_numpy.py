@@ -13,24 +13,29 @@ numpy installed.
 
 from __future__ import annotations
 
+import functools
 from typing import Any
 
 _UNLOADED: Any = object()
 
-#: The numpy module, ``None`` without the extra, or :data:`_UNLOADED`
-#: until the first :func:`get_numpy` call.
+#: An override of what :func:`get_numpy` returns (tests set ``None``);
+#: :data:`_UNLOADED` defers to the memoized import.
 _np: Any = _UNLOADED
+
+
+@functools.cache
+def _import_numpy() -> Any:
+    try:
+        import numpy
+    except ImportError:  # pragma: no cover
+        return None
+    return numpy
 
 
 def get_numpy() -> Any:
     """The numpy module, or ``None`` when the extra is not installed."""
-    global _np
     if _np is _UNLOADED:
-        try:
-            import numpy
-        except ImportError:  # pragma: no cover
-            numpy = None
-        _np = numpy
+        return _import_numpy()
     return _np
 
 

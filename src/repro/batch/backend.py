@@ -7,12 +7,19 @@ pending ``(key, config)`` points evaluates to (:func:`evaluate_batch`).
 
 :func:`evaluate_batch` partitions the points by *structure key* — the
 content hash of everything except ``clock_hz`` and ``temperature_k`` —
-compiles each group once (:func:`repro.batch.compile.compile_group`),
-and evaluates the group's frequency/temperature axis as numpy arrays.
-Points the backend cannot (or should not) vectorize come back as
-leftovers for the exact scalar path: groups too small to amortize a
-compile, groups whose validation probes fail, and anything with a
-workload attached (runtime simulation is per-point by nature).
+and evaluates each group's frequency/temperature axis as numpy arrays
+over one compiled fit per structure
+(:func:`repro.batch.compile.compile_group`). A structure's fit is kept
+with the :class:`~repro.batch.compile.Domain` it was validated over — a
+clock interval and a temperature set. A group inside that domain costs
+no probe, whatever its size; a group reaching outside it compiles the
+structure once more over the union of both domains, so a new clock
+window on a known structure widens the fit instead of re-probing per
+window. Points the backend cannot (or should not) vectorize come back
+as leftovers for the exact scalar path: a group of an unseen structure
+too small to amortize a compile, a group whose validation probes fail,
+and anything with a workload attached (runtime simulation is per-point
+by nature).
 
 Module-level counters mirror the :mod:`repro.fastpath` idiom: they are
 registered as a pull-side metrics collector, so ``GET /metrics`` and
@@ -22,12 +29,15 @@ back, and what the compile amortization looked like.
 
 from __future__ import annotations
 
+from dataclasses import dataclass
 from typing import Sequence
 
 from repro import fastpath, obs
 from repro.batch._numpy import get_numpy, have_numpy
 from repro.batch.compile import (
     BatchFallback,
+    CompiledGroup,
+    Domain,
     compile_group,
 )
 from repro.config.loader import system_config_to_dict
@@ -42,12 +52,16 @@ BACKENDS = ("scalar", "numpy")
 #: everything else defines the group's structure.
 GROUP_AXES = ("clock_hz", "temperature_k")
 
-#: A group must have this many points, and twice as many points as
-#: distinct temperatures, before compiling beats the per-point loop
-#: (compile costs ~1 construction per temperature plus a handful of
-#: report probes; a scalar point costs a construction each).
+#: A group of a structure with no compiled fit must have this many
+#: points, and twice as many points as distinct temperatures, before
+#: compiling beats the per-point loop (compile costs ~1 construction per
+#: temperature plus a handful of report probes; a scalar point costs a
+#: construction each). A structure with a fit grows it for any group.
 _MIN_GROUP_POINTS = 4
 _MIN_POINTS_PER_TEMPERATURE = 2
+
+#: Domains remembered per structure as failing to compile, newest last.
+_MAX_REMEMBERED_FAILURES = 8
 
 _COUNTER_NAMES = (
     "groups_compiled",
@@ -60,13 +74,40 @@ _COUNTER_NAMES = (
 
 _counters: dict[str, float] = {name: 0.0 for name in _COUNTER_NAMES}
 
-#: Compiled groups memoized across chunks and sweeps, keyed by the
-#: *content* hash of the structure plus the exact frequency/temperature
-#: sets — a compile is a pure function of those, so re-running a grid
-#: (or the next chunk of one) costs zero probes. Fallback verdicts are
-#: memoized too, so a group that failed validation is not re-probed on
-#: every chunk. Honors ``fastpath.disabled()`` like every other memo.
-_COMPILED_GROUPS = fastpath.Memo("batch.compiled_groups", max_entries=64)
+
+@dataclass(frozen=True)
+class _Structure:
+    """What the backend knows about one chip structure.
+
+    Attributes:
+        compiled: The fit over the widest domain validated so far, or
+            None while no compile of the structure has succeeded.
+        failed: Domains whose compile fell back, newest last; they are
+            not probed again.
+        made_by: The call that built this entry; that call alone adds
+            ``spent`` to the counters.
+        spent: ``(compiles that succeeded, scalar probes)`` building
+            this entry cost, failed compiles' probes included.
+    """
+
+    compiled: CompiledGroup | None = None
+    failed: tuple[Domain, ...] = ()
+    made_by: object = None
+    spent: tuple[int, int] = (0, 0)
+
+    def knows(self, domain: Domain) -> bool:
+        """Whether ``domain`` needs no compile: covered, or known to fail."""
+        return (
+            self.compiled is not None and self.compiled.domain.covers(domain)
+        ) or domain in self.failed
+
+
+#: One :class:`_Structure` per :func:`structure_key`, across chunks,
+#: sweeps and requests: a compile is exact over its whole domain, so a
+#: later group inside it (a new clock window, a repeated grid, the next
+#: chunk) costs zero probes. Honors ``fastpath.disabled()`` like every
+#: other memo: there, each group compiles its own domain.
+_STRUCTURES = fastpath.Memo("batch.compiled_groups", max_entries=64)
 
 
 def counters() -> dict[str, float]:
@@ -129,6 +170,76 @@ def _worth_compiling(n_points: int, n_temperatures: int) -> bool:
     )
 
 
+def _grow(
+    known: _Structure,
+    config: SystemConfig,
+    domain: Domain,
+    n_points: int,
+    call: object,
+) -> _Structure:
+    """``known`` extended to ``domain``: a compile over the union of its
+    domain and ``domain`` or, if that falls back, over ``domain`` alone.
+
+    Raises:
+        BatchFallback: When the structure has no fit and the group is
+            too small to be worth compiling one.
+    """
+    if known.compiled is None:
+        if not _worth_compiling(n_points, len(domain.temperatures_k)):
+            raise BatchFallback(
+                f"{n_points} point(s) do not amortize compiling a structure"
+            )
+        attempts = [domain]
+    else:
+        attempts = [known.compiled.domain.union(domain), domain]
+    failed = known.failed
+    probes = 0
+    for attempt in dict.fromkeys(attempts):
+        if attempt in failed:
+            continue
+        try:
+            compiled = compile_group(
+                config,
+                (attempt.f_lo_hz, attempt.f_hi_hz),
+                sorted(attempt.temperatures_k),
+            )
+        except BatchFallback as fallback:
+            probes += fallback.n_probes
+            failed = (failed + (attempt,))[-_MAX_REMEMBERED_FAILURES:]
+            continue
+        return _Structure(
+            compiled, failed, call, (1, probes + compiled.n_probes),
+        )
+    return _Structure(known.compiled, failed, call, (0, probes))
+
+
+def _compiled_for(
+    config: SystemConfig,
+    skey: str,
+    domain: Domain,
+    n_points: int,
+) -> CompiledGroup | None:
+    """The structure's fit if it can answer ``domain``, else None."""
+    call = object()
+    try:
+        known = _STRUCTURES.get_or_compute(
+            skey, lambda: _grow(_Structure(), config, domain, n_points, call),
+        )
+        if not known.knows(domain):
+            grown = _grow(known, config, domain, n_points, call)
+            _STRUCTURES.replace(skey, known, grown)
+            known = grown
+    except BatchFallback:  # too few points to compile a new structure
+        return None
+    if known.made_by is call:
+        _counters["groups_compiled"] += known.spent[0]
+        _counters["compile_probes"] += known.spent[1]
+    if known.compiled is not None and known.compiled.domain.covers(domain):
+        return known.compiled
+    _counters["groups_fallback"] += 1
+    return None
+
+
 def evaluate_batch(
     items: Sequence[tuple[str, SystemConfig]],
     group_keys: Sequence[str] | None = None,
@@ -138,9 +249,10 @@ def evaluate_batch(
     Args:
         items: Pending ``(cache key, config)`` points (already deduped
             and cache-missed by the engine).
-        group_keys: Optional precomputed :func:`structure_key` per item —
-            the sweep runner derives them from its axis values for free;
-            generic callers let this function hash each config.
+        group_keys: Optional precomputed group label per item — the
+            sweep runner derives them from its axis values for free;
+            generic callers let this function hash each config with
+            :func:`structure_key`.
 
     Returns:
         ``(records, leftovers)``: records keyed by cache key for every
@@ -169,39 +281,21 @@ def evaluate_batch(
         "batch.evaluate", category="batch",
         points=len(items), groups=len(groups),
     ):
-        for indices in groups.values():
+        for gkey, indices in groups.items():
             group_items = [items[i] for i in indices]
             points = [
                 (config.clock_hz, config.temperature_k)
                 for _, config in group_items
             ]
-            temperatures = sorted({t for _, t in points})
-            if not _worth_compiling(len(points), len(temperatures)):
-                _counters["points_fallback"] += len(points)
-                leftovers.extend(group_items)
-                continue
-            frequencies = sorted({f for f, _ in points})
             representative = group_items[0][1]
-            memo_key = (
-                structure_key(representative),
-                tuple(frequencies),
-                tuple(temperatures),
+            skey = (
+                gkey if group_keys is None
+                else structure_key(representative)
             )
-
-            def _compile() -> object:
-                try:
-                    compiled = compile_group(
-                        representative, frequencies, temperatures,
-                    )
-                except BatchFallback as fallback:
-                    return fallback
-                _counters["groups_compiled"] += 1
-                _counters["compile_probes"] += compiled.n_probes
-                return compiled
-
-            compiled = _COMPILED_GROUPS.get_or_compute(memo_key, _compile)
-            if isinstance(compiled, BatchFallback):
-                _counters["groups_fallback"] += 1
+            compiled = _compiled_for(
+                representative, skey, Domain.of(points), len(points),
+            )
+            if compiled is None:
                 _counters["points_fallback"] += len(points)
                 leftovers.extend(group_items)
                 continue

@@ -1,4 +1,4 @@
-"""Compile one sweep group into closed-form frequency/temperature terms.
+"""Compile one chip structure into closed-form frequency/temperature terms.
 
 The batch backend partitions a grid into *groups* of points sharing one
 chip structure (everything but ``clock_hz`` and ``temperature_k``).
@@ -18,22 +18,28 @@ metrics depend on the varying parameters in closed form:
 
 Rather than re-deriving those coefficients from the component models
 (fragile against model evolution), :func:`compile_group` *probes* the
-exact scalar model: it builds one :class:`~repro.chip.processor.Processor`
-per distinct temperature and samples
-``report(None, clock_hz=f)`` at each segment's endpoints, then
+exact scalar model over a :class:`Domain` — a closed clock interval
+times a set of temperatures: it builds one
+:class:`~repro.chip.processor.Processor` per probed temperature and
+samples ``report(None, clock_hz=f)`` at each segment's endpoints, then
 **validates** every closed-form assumption against held-out probes — the
 midpoint of every frequency segment, a dynamic/area probe per extra
-temperature, and the median temperature of an exp fit. Any residual
-above float-roundoff scale raises :class:`BatchFallback` and the caller
-re-runs the group through the scalar path, so the vectorized backend can
-be wrong about the model only by *falling back*, never by answering.
+temperature, and the median temperature of an exp fit. A non-finite
+probe, or any residual above float-roundoff scale, raises
+:class:`BatchFallback` and the caller re-runs the group through the
+scalar path, so the vectorized backend can be wrong about the model only
+by *falling back*, never by answering. The result answers for its
+domain only: :meth:`CompiledGroup.evaluate` refuses a point outside it
+rather than extrapolate, and the backend grows a structure's domain by
+compiling again over the union.
 """
 
 from __future__ import annotations
 
 import dataclasses
+import math
 from dataclasses import dataclass
-from typing import Any, Mapping, Sequence
+from typing import Any, Iterable, Mapping, NamedTuple, Sequence
 
 from repro import obs
 from repro.batch.kernels import leakage_temperature_scale
@@ -63,11 +69,18 @@ _MIN_SEGMENT_REL_SPAN = 1e-9
 
 
 class BatchFallback(Exception):
-    """A group cannot be compiled exactly; evaluate it on the scalar path."""
+    """A group cannot be compiled exactly; evaluate it on the scalar path.
+
+    Attributes:
+        reason: Which check failed.
+        n_probes: Scalar probes the failed compile had spent (set by
+            :func:`compile_group`), for the amortization counters.
+    """
 
     def __init__(self, reason: str) -> None:
         super().__init__(reason)
         self.reason = reason
+        self.n_probes = 0
 
 
 def _check(
@@ -76,29 +89,82 @@ def _check(
     actual: float,
     rel_tol: float,
 ) -> None:
+    # Written so NaN fails: ``nan > tol`` is False, ``nan <= tol`` too.
+    residual = predicted - actual
     scale = max(abs(actual), abs(predicted), 1e-30)
-    if abs(predicted - actual) > rel_tol * scale:
+    if not (math.isfinite(residual) and abs(residual) <= rel_tol * scale):
         raise BatchFallback(
             f"{label}: fitted value {predicted!r} disagrees with the "
             f"scalar model's {actual!r} beyond {rel_tol:g} relative"
         )
 
 
+def _probe(
+    processor: Any, f: float, probe_count: list[int],
+) -> dict[str, float]:
+    """One scalar sample of every metric; a non-finite one falls back."""
+    probe_count[0] += 1
+    sample = tdp_metrics(processor, f)
+    for name, value in sample.items():
+        if not math.isfinite(value):
+            raise BatchFallback(
+                f"{name} probe at {f:g} Hz is {value!r}, not finite"
+            )
+    return sample
+
+
+class Domain(NamedTuple):
+    """The operating points a compiled group answers for.
+
+    Attributes:
+        f_lo_hz: Lowest clock of the closed interval (Hz).
+        f_hi_hz: Highest clock of the closed interval (Hz).
+        temperatures_k: The temperatures, each one exactly (K).
+    """
+
+    f_lo_hz: float
+    f_hi_hz: float
+    temperatures_k: frozenset[float]
+
+    @classmethod
+    def of(cls, points: Iterable[tuple[float, float]]) -> "Domain":
+        """The smallest domain holding ``(clock_hz, temperature_k)`` points."""
+        frequencies, temperatures = zip(*points)
+        return cls(min(frequencies), max(frequencies),
+                   frozenset(temperatures))
+
+    def covers(self, other: "Domain") -> bool:
+        """Whether every point of ``other`` lies in this domain."""
+        return (self.f_lo_hz <= other.f_lo_hz
+                and other.f_hi_hz <= self.f_hi_hz
+                and other.temperatures_k <= self.temperatures_k)
+
+    def union(self, other: "Domain") -> "Domain":
+        """The smallest domain covering both."""
+        return Domain(
+            min(self.f_lo_hz, other.f_lo_hz),
+            max(self.f_hi_hz, other.f_hi_hz),
+            self.temperatures_k | other.temperatures_k,
+        )
+
+
 @dataclass(frozen=True)
 class CompiledGroup:
-    """Closed-form TDP metrics of one chip structure.
+    """Closed-form TDP metrics of one chip structure over one domain.
 
     Attributes:
         name: The group's chip label (every point shares it).
         t_ref_k: Temperature the frequency responses were fitted at.
         responses: Metric name -> piecewise-affine frequency response,
-            valid on the fitted ``[f_lo, f_hi]`` interval at ``t_ref_k``.
+            valid on the domain's clock interval at ``t_ref_k``.
         leak_deltas_w: Distinct temperature -> (chip leakage delta,
             core leakage delta) relative to ``t_ref_k``. Applies to
             ``leakage_w``/``core_leakage_w`` and, because dynamic power
             is temperature-invariant, equally to ``tdp_w``.
         n_probes: Scalar model samples spent compiling (for the
             amortization counters).
+        domain: The clock interval and temperatures the fit was
+            validated over; :meth:`evaluate` answers for nothing else.
     """
 
     name: str
@@ -106,17 +172,31 @@ class CompiledGroup:
     responses: Mapping[str, PiecewiseAffine]
     leak_deltas_w: Mapping[float, tuple[float, float]]
     n_probes: int
+    domain: Domain
 
     def evaluate(
         self,
         points: Sequence[tuple[float, float]],
         np: Any,
     ) -> dict[str, Any]:
-        """Metric arrays for ``(clock_hz, temperature_k)`` points at once."""
+        """Metric arrays for ``(clock_hz, temperature_k)`` points at once.
+
+        Raises:
+            ValueError: If a point lies outside :attr:`domain` — the fit
+                is never extrapolated.
+        """
         f = np.asarray([p[0] for p in points], dtype=float)
         temps = sorted(self.leak_deltas_w)
         t_index = {t: i for i, t in enumerate(temps)}
-        idx = np.asarray([t_index[p[1]] for p in points], dtype=int)
+        positions = [t_index.get(p[1]) for p in points]
+        if None in positions or not np.all(
+            (f >= self.domain.f_lo_hz) & (f <= self.domain.f_hi_hz)
+        ):
+            raise ValueError(
+                f"{self.name}: a point lies outside the compiled "
+                f"domain {self.domain}"
+            )
+        idx = np.asarray(positions, dtype=int)
         chip_delta = np.asarray(
             [self.leak_deltas_w[t][0] for t in temps], dtype=float,
         )[idx]
@@ -158,13 +238,14 @@ def _fit_frequency_responses(
     processor: Any,
     frequencies: Sequence[float],
     probes: dict[float, dict[str, float]],
+    probe_count: list[int],
 ) -> dict[str, PiecewiseAffine]:
     """Fit every metric over the frequency span, validating midpoints."""
     f_lo, f_hi = frequencies[0], frequencies[-1]
 
     def probe_at(f: float) -> dict[str, float]:
         if f not in probes:
-            probes[f] = tdp_metrics(processor, f)
+            probes[f] = _probe(processor, f, probe_count)
         return probes[f]
 
     if f_hi <= f_lo * (1.0 + _MIN_SEGMENT_REL_SPAN):
@@ -232,8 +313,7 @@ def _leak_deltas(
         processor = Processor(dataclasses.replace(
             config, clock_hz=f_probe, temperature_k=t,
         ))
-        sample = tdp_metrics(processor, f_probe)
-        probe_count[0] += 1
+        sample = _probe(processor, f_probe, probe_count)
         for name in METRICS:
             if name in _LEAKY_METRICS:
                 continue
@@ -304,18 +384,21 @@ def compile_group(
     frequencies: Sequence[float],
     temperatures: Sequence[float],
 ) -> CompiledGroup:
-    """Probe and fit one structure group.
+    """Probe and fit one structure over a clock interval and temperatures.
 
     Args:
-        config: A representative config of the group (its ``clock_hz``
-            and ``temperature_k`` are ignored in favor of the axes).
-        frequencies: Distinct ascending clock values of the group (Hz).
-        temperatures: Distinct ascending temperatures of the group (K).
+        config: A representative config of the structure (its
+            ``clock_hz`` and ``temperature_k`` are ignored in favor of
+            the axes).
+        frequencies: Ascending clock values (Hz); the fit covers the
+            closed interval from the first to the last.
+        temperatures: Distinct ascending temperatures (K).
 
     Raises:
-        BatchFallback: When any validation probe disagrees with the
-            fitted closed form — the caller evaluates the group through
-            the scalar path instead.
+        BatchFallback: When a probe is not finite or a validation probe
+            disagrees with the fitted closed form — the caller evaluates
+            the group through the scalar path instead. Its ``n_probes``
+            counts the probes spent before the failure.
     """
     from repro.chip import Processor
 
@@ -331,17 +414,24 @@ def compile_group(
             config, clock_hz=f_lo, temperature_k=t_ref,
         ))
         probes: dict[float, dict[str, float]] = {}
-        responses = _fit_frequency_responses(
-            processor, frequencies, probes,
-        )
-        probe_count = [len(probes)]
-        leak_deltas = _leak_deltas(
-            config, temperatures, f_lo, probes[f_lo], probe_count,
-        )
+        probe_count = [0]
+        try:
+            responses = _fit_frequency_responses(
+                processor, frequencies, probes, probe_count,
+            )
+            leak_deltas = _leak_deltas(
+                config, temperatures, f_lo, probes[f_lo], probe_count,
+            )
+        except BatchFallback as fallback:
+            fallback.n_probes = probe_count[0]
+            raise
         return CompiledGroup(
             name=config.name,
             t_ref_k=t_ref,
             responses=responses,
             leak_deltas_w=leak_deltas,
             n_probes=probe_count[0],
+            domain=Domain(
+                frequencies[0], frequencies[-1], frozenset(temperatures),
+            ),
         )

@@ -7,10 +7,26 @@ framework's job (the paper's usability claim vs. raw CACTI).
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 from enum import Enum
 
 from repro.tech import DeviceType
+
+
+# The chained comparisons below are written so that NaN fails them
+# (every comparison with NaN is False) and the ``< inf`` bound rejects
+# infinity; ``value <= 0`` would let both through.
+
+
+def _require_positive(name: str, value: float) -> None:
+    if not 0 < value < math.inf:
+        raise ValueError(f"{name} must be finite and > 0, got {value!r}")
+
+
+def _require_non_negative(name: str, value: float) -> None:
+    if not 0 <= value < math.inf:
+        raise ValueError(f"{name} must be finite and >= 0, got {value!r}")
 
 
 @dataclass(frozen=True)
@@ -199,8 +215,12 @@ class NocConfig:
             raise ValueError("virtual_channels must be >= 1")
         if self.buffer_depth < 1:
             raise ValueError("buffer_depth must be >= 1")
-        if self.has_separate_clock and self.clock_hz <= 0:
-            raise ValueError("separate NoC clock requires clock_hz > 0")
+        if not -math.inf < self.clock_hz < math.inf:
+            raise ValueError(
+                f"clock_hz must be finite, got {self.clock_hz!r}"
+            )
+        if self.has_separate_clock:
+            _require_positive("clock_hz (separate NoC clock)", self.clock_hz)
         if self.external_ports < 0:
             raise ValueError("external_ports must be non-negative")
 
@@ -237,8 +257,7 @@ class NiuConfig:
     def __post_init__(self) -> None:
         if self.ports < 0:
             raise ValueError("ports must be non-negative")
-        if self.bandwidth_gbps <= 0:
-            raise ValueError("bandwidth must be positive")
+        _require_positive("bandwidth_gbps", self.bandwidth_gbps)
 
 
 @dataclass(frozen=True)
@@ -273,8 +292,9 @@ class MemoryControllerConfig:
             raise ValueError("data_bus_bits must be >= 8")
         if self.request_queue_entries < 1:
             raise ValueError("request_queue_entries must be >= 1")
-        if self.peak_transfer_rate_mts <= 0:
-            raise ValueError("peak transfer rate must be positive")
+        _require_positive(
+            "peak_transfer_rate_mts", self.peak_transfer_rate_mts,
+        )
 
 
 @dataclass(frozen=True)
@@ -331,18 +351,16 @@ class SystemConfig:
     whitespace_fraction: float = 0.12
 
     def __post_init__(self) -> None:
-        if self.clock_hz <= 0:
-            raise ValueError("clock_hz must be positive")
+        _require_positive("clock_hz", self.clock_hz)
         if self.n_cores < 1:
             raise ValueError("n_cores must be >= 1")
         if not 0.0 <= self.io_area_fraction < 0.9:
             raise ValueError("io_area_fraction must be within [0, 0.9)")
-        if self.io_peak_power_w < 0:
-            raise ValueError("io_peak_power_w must be non-negative")
+        _require_non_negative("io_peak_power_w", self.io_peak_power_w)
         if not 0.0 <= self.whitespace_fraction < 0.9:
             raise ValueError("whitespace_fraction must be within [0, 0.9)")
-        if self.vdd_v is not None and self.vdd_v <= 0:
-            raise ValueError("vdd_v must be positive")
+        if self.vdd_v is not None:
+            _require_positive("vdd_v", self.vdd_v)
         if self.n_little_cores < 0:
             raise ValueError("n_little_cores must be non-negative")
         if self.n_little_cores > 0 and self.little_core is None:

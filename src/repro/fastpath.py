@@ -127,6 +127,26 @@ class Memo:
                 self.evictions += 1
         return value
 
+    def replace(self, key: Any, old: Any, new: Any) -> None:
+        """Swap ``key``'s entry from ``old`` to ``new``, atomically.
+
+        For values that grow: a caller that read ``old`` through
+        :meth:`get_or_compute` and derived ``new`` from it stores the
+        result only if no other thread replaced ``old`` meanwhile (an
+        evicted entry counts as unchanged). A no-op when the fast path
+        is :func:`disabled`.
+        """
+        if not _enabled:
+            return
+        with self._lock:
+            if self._entries.get(key, old) is not old:
+                return
+            self._entries[key] = new
+            self._entries.move_to_end(key)
+            while len(self._entries) > self.max_entries:
+                self._entries.popitem(last=False)
+                self.evictions += 1
+
     def clear(self) -> None:
         """Drop all entries and reset the counters."""
         with self._lock:

@@ -5,13 +5,14 @@ import dataclasses
 import pytest
 
 from repro import batch
-from repro.batch import backend as backend_mod
 from repro.engine import EvalCache, config_key, evaluate_many
 from tests.conftest import make_tiny_config
 
 needs_numpy = pytest.mark.skipif(
     not batch.have_numpy(), reason="numpy not installed"
 )
+
+pytestmark = pytest.mark.usefixtures("fresh_batch_state")
 
 
 def frequency_grid(n, base_config=None):
@@ -25,15 +26,6 @@ def frequency_grid(n, base_config=None):
 
 def keyed(configs):
     return [(config_key(config, None), config) for config in configs]
-
-
-@pytest.fixture(autouse=True)
-def _fresh_backend_state():
-    backend_mod._COMPILED_GROUPS.clear()
-    batch.reset_counters()
-    yield
-    backend_mod._COMPILED_GROUPS.clear()
-    batch.reset_counters()
 
 
 class TestResolveBackend:

@@ -15,13 +15,14 @@ import dataclasses
 import pytest
 
 from repro import batch
-from repro.batch import backend as backend_mod
 from repro.config.presets import VALIDATION_PRESETS
 from repro.engine import evaluate_many
 
 needs_numpy = pytest.mark.skipif(
     not batch.have_numpy(), reason="numpy not installed"
 )
+
+pytestmark = pytest.mark.usefixtures("fresh_batch_state")
 
 #: Backend promise from the package contract (see repro/batch/__init__).
 PARITY_REL_TOL = 1e-9
@@ -66,13 +67,6 @@ def assert_parity(scalar, vectorized, label):
             assert getattr(got, field) == pytest.approx(
                 getattr(ref, field), rel=PARITY_REL_TOL,
             ), f"{label}: {field} out of tolerance"
-
-
-@pytest.fixture(autouse=True)
-def _fresh_backend_state():
-    backend_mod._COMPILED_GROUPS.clear()
-    batch.reset_counters()
-    yield
 
 
 class TestScalarBackendIsTheDefaultPath:

@@ -1,5 +1,8 @@
 """Unit tests for the configuration schema validation."""
 
+import dataclasses
+import math
+
 import pytest
 
 from repro.config import (
@@ -7,11 +10,13 @@ from repro.config import (
     CacheGeometry,
     CoreConfig,
     MemoryControllerConfig,
+    NiuConfig,
     NocConfig,
     NocTopology,
     SharedCacheConfig,
     SystemConfig,
 )
+from repro.config.loader import system_config_from_dict, system_config_to_dict
 
 
 class TestCacheGeometry:
@@ -121,3 +126,67 @@ class TestSystemConfig:
     def test_bad_whitespace_rejected(self):
         with pytest.raises(ValueError):
             self._base(whitespace_fraction=-0.1)
+
+
+#: Float fields whose validators must reject NaN and infinity, as
+#: (path from SystemConfig, field name the message must carry).
+NON_FINITE_FIELDS = [
+    (("clock_hz",), "clock_hz"),
+    (("vdd_v",), "vdd_v"),
+    (("io_peak_power_w",), "io_peak_power_w"),
+    (("noc", "clock_hz"), "clock_hz"),
+    (("memory_controller", "peak_transfer_rate_mts"),
+     "peak_transfer_rate_mts"),
+    (("niu", "bandwidth_gbps"), "bandwidth_gbps"),
+]
+NON_FINITE_VALUES = [math.nan, math.inf, -math.inf]
+
+
+def _base_dict():
+    config = SystemConfig(
+        name="test", node_nm=65, clock_hz=2e9, n_cores=4,
+        core=CoreConfig(), niu=NiuConfig(),
+        noc=NocConfig(has_separate_clock=True, clock_hz=1e9),
+    )
+    return system_config_to_dict(config)
+
+
+@pytest.mark.parametrize("value", NON_FINITE_VALUES, ids=repr)
+@pytest.mark.parametrize("path, field", NON_FINITE_FIELDS,
+                         ids=lambda p: ".".join(p) if isinstance(p, tuple)
+                         else p)
+class TestNonFiniteFloatsRejected:
+    def test_loader_names_the_field(self, path, field, value):
+        payload = _base_dict()
+        target = payload
+        for part in path[:-1]:
+            target = target[part]
+        target[path[-1]] = value
+        with pytest.raises(ValueError, match=field):
+            system_config_from_dict(payload)
+
+    def test_direct_construction_names_the_field(self, path, field, value):
+        base = system_config_from_dict(_base_dict())
+        with pytest.raises(ValueError, match=field):
+            if len(path) == 1:
+                dataclasses.replace(base, **{field: value})
+            else:
+                dataclasses.replace(
+                    getattr(base, path[0]), **{field: value},
+                )
+
+
+class TestNonFiniteSweepValues:
+    @pytest.mark.parametrize("value", NON_FINITE_VALUES, ids=repr)
+    def test_sweep_replace_shortcut_rejects(self, value):
+        from repro.engine import SweepSpec, run_sweep
+
+        base = system_config_from_dict(_base_dict())
+        spec = SweepSpec.from_axes(base, {"clock_hz": [1e9, value]})
+        with pytest.raises(ValueError, match="clock_hz"):
+            run_sweep(spec, cache=None)
+
+    def test_unused_noc_clock_must_still_be_finite(self):
+        NocConfig(clock_hz=0.0)  # the default: no separate clock
+        with pytest.raises(ValueError, match="clock_hz"):
+            NocConfig(clock_hz=math.nan)

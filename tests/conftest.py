@@ -2,6 +2,7 @@
 
 import pytest
 
+from repro import batch, fastpath
 from repro.chip import Processor
 from repro.config import presets
 from repro.config.schema import (
@@ -33,6 +34,16 @@ def make_tiny_config(**overrides) -> SystemConfig:
     )
     fields.update(overrides)
     return SystemConfig(**fields)
+
+
+@pytest.fixture
+def fresh_batch_state():
+    """Cold memos and zeroed batch counters around one test."""
+    fastpath.clear_all()
+    batch.reset_counters()
+    yield
+    fastpath.clear_all()
+    batch.reset_counters()
 
 
 @pytest.fixture(scope="session")

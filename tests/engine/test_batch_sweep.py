@@ -7,7 +7,6 @@ from typing import Iterator
 import pytest
 
 from repro import batch
-from repro.batch import backend as backend_mod
 from repro.engine import (
     EvalCache,
     SweepAxis,
@@ -24,16 +23,11 @@ needs_numpy = pytest.mark.skipif(
     not batch.have_numpy(), reason="numpy not installed"
 )
 
+pytestmark = pytest.mark.usefixtures("fresh_batch_state")
+
 
 def freqs(n, base_hz=1.0e9):
     return tuple(base_hz * (1.0 + 0.05 * i) for i in range(n))
-
-
-@pytest.fixture(autouse=True)
-def _fresh_backend_state():
-    backend_mod._COMPILED_GROUPS.clear()
-    batch.reset_counters()
-    yield
 
 
 class TestLazyGrid:

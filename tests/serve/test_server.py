@@ -205,6 +205,19 @@ class TestEvaluate:
         assert exc.value.status == 400
         assert "config.l2.banks: expected int" in exc.value.detail
 
+    @pytest.mark.parametrize("value", [float("nan"), float("inf")])
+    def test_non_finite_config_float_400_names_field(self, value):
+        # The client sends the NaN/Infinity literals Python's json reads.
+        payload = tiny_dict(clock_hz=2.0e9)
+        payload["memory_controller"]["peak_transfer_rate_mts"] = value
+        with BackgroundServer(ServeConfig(port=0)) as server:
+            client = server.client()
+            with pytest.raises(ServeError) as exc:
+                client.evaluate(config=payload, report=False)
+            assert exc.value.status == 400
+            assert "peak_transfer_rate_mts" in exc.value.detail
+            assert len(server.server.cache) == 0
+
     @pytest.mark.parametrize("field, value", [
         ("report", "false"),
         ("depth", True),

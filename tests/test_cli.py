@@ -130,6 +130,20 @@ class TestSweep:
         with pytest.raises(SystemExit, match="n_cores must be >= 1"):
             main(["sweep", tiny_json, "--axis", "cores=0"])
 
+    @pytest.mark.parametrize("backend", ["scalar", "numpy"])
+    @pytest.mark.parametrize("values", [
+        "1.2e9,NaN,Infinity", "1.0e9,1.1e9,NaN,1.2e9,1.3e9", "-Infinity",
+    ])
+    def test_non_finite_axis_value_exits_nonzero(
+        self, tiny_json, values, backend,
+    ):
+        with pytest.raises(SystemExit) as exc:
+            main(["sweep", tiny_json, "--axis", f"clock_hz={values}",
+                  "--backend", backend])
+        # A message (not 0/None) is a failing exit status.
+        assert exc.value.code not in (0, None)
+        assert "clock_hz must be finite" in str(exc.value.code)
+
     def test_unknown_workload_fails(self, tiny_json):
         with pytest.raises(SystemExit, match="unknown workload"):
             main(["sweep", tiny_json, "--axis", "cores=1",

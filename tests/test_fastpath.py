@@ -34,6 +34,25 @@ class TestMemo:
         with pytest.raises(ValueError):
             fastpath.Memo("t-bad", max_entries=0)
 
+    def test_replace_swaps_only_the_entry_it_read(self):
+        memo = fastpath.Memo("t-replace")
+        old = memo.get_or_compute("k", lambda: ["old"])
+        new = ["new"]
+        memo.replace("k", old, new)
+        assert memo.get_or_compute("k", lambda: None) is new
+        # A writer that read ``old`` before ``new`` landed loses.
+        memo.replace("k", old, ["stale"])
+        assert memo.get_or_compute("k", lambda: None) is new
+
+    def test_replace_of_an_evicted_entry_stores_it(self):
+        memo = fastpath.Memo("t-replace-evicted", max_entries=1)
+        old = memo.get_or_compute("a", lambda: ["a"])
+        memo.get_or_compute("b", lambda: ["b"])  # evicts a
+        memo.replace("a", old, ["a2"])           # evicts b
+        assert memo.get_or_compute("a", lambda: None) == ["a2"]
+        assert len(memo) == 1
+        assert memo.evictions == 2
+
     def test_clear_resets_counters(self):
         memo = fastpath.Memo("t-clear")
         memo.get_or_compute("a", lambda: 1)
@@ -54,6 +73,13 @@ class TestDisabledContext:
         assert len(calls) == 2          # recomputed every time
         assert len(memo) == 0           # nothing stored
         assert fastpath.enabled()
+
+    def test_replace_is_a_no_op(self):
+        memo = fastpath.Memo("t-disabled-replace")
+        old = memo.get_or_compute("k", lambda: ["old"])
+        with fastpath.disabled():
+            memo.replace("k", old, ["new"])
+        assert memo.get_or_compute("k", lambda: None) is old
 
     def test_nesting_restores(self):
         with fastpath.disabled():
