@@ -8,7 +8,7 @@ test:
 
 lint:
 	$(PYTHON) -m repro.cli lint --all --jobs 4 src
-	$(PYTHON) -m repro.cli lint --concurrency --keysound tests
+	$(PYTHON) -m repro.cli lint --all tests
 	@if command -v ruff >/dev/null 2>&1; then \
 		ruff check src tests; \
 	else \

@@ -10,6 +10,7 @@ messages.
 from __future__ import annotations
 
 import ast
+from typing import Callable
 
 from repro.analysis.concurrency.contexts import (
     FORK,
@@ -17,8 +18,7 @@ from repro.analysis.concurrency.contexts import (
     MAIN,
     THREAD,
     ContextModel,
-    Node,
-    iter_own_statements,
+    outside_lambdas,
     trim_chain,
 )
 from repro.analysis.concurrency.state import (
@@ -31,6 +31,7 @@ from repro.analysis.concurrency.state import (
 )
 from repro.analysis.context import MUTATING_METHODS
 from repro.analysis.finding import Finding
+from repro.analysis.program import Function
 
 #: BFS depth cap for the reachability rules.
 _MAX_DEPTH = 16
@@ -44,7 +45,7 @@ def _ctx_list(contexts: frozenset[str] | set[str]) -> str:
     return "{" + ", ".join(ordered) + "}"
 
 
-def _pick_context(model: ContextModel, node: Node) -> str | None:
+def _pick_context(model: ContextModel, node: Function) -> str | None:
     for context in _CTX_ORDER:
         if context in model.contexts(node):
             return context
@@ -83,23 +84,23 @@ def check_conc001(model: ContextModel, state: StateModel,
             if access.atomic:
                 continue
             if declared is not None:
-                if declared == GIL_GUARD or access.guard is None \
-                        or access.guard == declared:
-                    # ``guard is None`` is trusted: guarding may happen
-                    # at the call site (the annotation says which lock).
+                if declared == GIL_GUARD or not access.held \
+                        or declared in access.held:
+                    # No lock held is trusted: guarding may happen at
+                    # the call site (the annotation says which lock).
                     continue
                 message = (
                     f"shared state '{render_key(key)}' is declared "
                     f"guarded-by[{declared}] but this {access.op} at "
                     f"line {access.line} runs under lock "
-                    f"'{access.guard}' instead"
+                    f"'{access.held[-1]}' instead"
                 )
                 findings.append(Finding(
                     path=access.node.module.path, line=access.line,
                     col=0, rule="CONC001", message=message,
                 ))
                 continue
-            if access.guard is not None:
+            if access.held:
                 continue  # lexically under a lock
             if reported:
                 continue  # one finding per state key
@@ -140,6 +141,32 @@ def check_conc001(model: ContextModel, state: StateModel,
     return findings
 
 
+def _reach(entry: Function, follow: Callable[[Function], bool]):
+    """(function, call path) pairs reachable from ``entry`` breadth
+    first, entering only the callees and lambdas ``follow`` accepts."""
+    queue: list[tuple[Function, tuple[str, ...]]] = [(entry, (entry.short,))]
+    visited: set[str] = set()
+    while queue:
+        node, path = queue.pop(0)
+        if node.qualname in visited or len(path) > _MAX_DEPTH:
+            continue
+        visited.add(node.qualname)
+        yield node, path
+        for edge in node.calls:
+            if edge.callee.qualname not in visited and follow(edge.callee):
+                queue.append((edge.callee, path + (edge.callee.short,)))
+        for lam in node.lambdas:
+            if follow(lam):
+                queue.append((lam, path + ("<lambda>",)))
+
+
+def _on_the_loop(fn: Function) -> bool:
+    """Whether a callee runs on the caller's event loop as a plain call
+    (blocking project functions are reported at their call edge)."""
+    return not fn.is_async and fn.qualname not in BLOCKING_PROJECT and \
+        not (fn.is_lambda and fn.is_spawn_target)
+
+
 def check_conc002(model: ContextModel, state: StateModel,
                   disable: frozenset[str]) -> list[Finding]:
     """Blocking calls reachable inside async defs without executor hops."""
@@ -147,42 +174,27 @@ def check_conc002(model: ContextModel, state: StateModel,
         return []
     # site (path, line, what) -> (chain text, roots that reach it)
     sites: dict[tuple[str, int, str], tuple[str, list[str]]] = {}
-    for root in model.nodes.values():
+
+    def note(root: Function, key: tuple[str, int, str], chain: str) -> None:
+        entry = sites.get(key)
+        if entry is None:
+            sites[key] = (chain, [root.short])
+        elif root.short not in entry[1]:
+            entry[1].append(root.short)
+
+    for root in model.program.functions.values():
         if not root.is_async:
             continue
-        queue: list[tuple[Node, tuple[str, ...]]] = [(root, (root.short,))]
-        visited: set[str] = set()
-        while queue:
-            node, path = queue.pop(0)
-            if node.qualname in visited or len(path) > _MAX_DEPTH:
-                continue
-            visited.add(node.qualname)
+        for node, path in _reach(root, _on_the_loop):
             for blocking in state.blocking.get(node.qualname, []):
-                key = (node.module.path, blocking.line, blocking.what)
-                chain = " -> ".join(path)
-                entry = sites.get(key)
-                if entry is None:
-                    sites[key] = (chain, [root.short])
-                elif root.short not in entry[1]:
-                    entry[1].append(root.short)
+                note(root, (node.module.path, blocking.line, blocking.what),
+                     " -> ".join(path))
             for edge in node.calls:
                 callee = edge.callee
-                if callee.is_async or callee.qualname in visited:
-                    continue
-                if callee.qualname in BLOCKING_PROJECT:
-                    what = BLOCKING_PROJECT[callee.qualname]
-                    key = (node.module.path, edge.line, what)
-                    chain = " -> ".join(path + (callee.short,))
-                    entry = sites.get(key)
-                    if entry is None:
-                        sites[key] = (chain, [root.short])
-                    elif root.short not in entry[1]:
-                        entry[1].append(root.short)
-                    continue
-                queue.append((callee, path + (callee.short,)))
-            for lam in node.inline_lambdas:
-                if not lam.is_spawn_target:
-                    queue.append((lam, path + ("<lambda>",)))
+                if not callee.is_async and callee.qualname in BLOCKING_PROJECT:
+                    note(root, (node.module.path, edge.line,
+                                BLOCKING_PROJECT[callee.qualname]),
+                         " -> ".join(path + (callee.short,)))
     findings: list[Finding] = []
     for (path, line, what), (chain, roots) in sorted(sites.items()):
         extra = f" (+{len(roots) - 1} more async entry points)" \
@@ -215,15 +227,7 @@ def check_conc003(model: ContextModel, state: StateModel,
     for entry in model.fork_entries:
         if id(entry) in atfork:
             continue  # reinit callbacks touch resources on purpose
-        queue: list[tuple[Node, tuple[str, ...]]] = [
-            (entry, (entry.short,)),
-        ]
-        visited: set[str] = set()
-        while queue:
-            node, path = queue.pop(0)
-            if node.qualname in visited or len(path) > _MAX_DEPTH:
-                continue
-            visited.add(node.qualname)
+        for node, path in _reach(entry, lambda fn: True):
             for access in accesses_by_node.get(node.qualname, []):
                 resource = state.resources.get(access.key)
                 if resource is None:
@@ -251,12 +255,6 @@ def check_conc003(model: ContextModel, state: StateModel,
                     path=node.module.path, line=access.line, col=0,
                     rule="CONC003", message=message,
                 ))
-            for edge in node.calls:
-                if edge.callee.qualname not in visited:
-                    queue.append((edge.callee,
-                                  path + (edge.callee.short,)))
-            for lam in node.inline_lambdas:
-                queue.append((lam, path + ("<lambda>",)))
     return findings
 
 
@@ -294,30 +292,16 @@ def check_conc004(model: ContextModel, state: StateModel,
     if "CONC004" in disable:
         return []
     findings: list[Finding] = []
-    for node in model.nodes.values():
-        body = node.body
-        if not isinstance(body, list):
-            continue
-        own = list(iter_own_statements(body))
+    for node in model.program.functions.values():
         # Mutations in the enclosing function, outside any lambda body.
-        lambda_items: set[int] = set()
-        for lam in node.inline_lambdas:
-            lam_body = lam.body
-            if isinstance(lam_body, ast.expr):
-                for item in ast.walk(lam_body):
-                    lambda_items.add(id(item))
-        outside = [i for i in own if id(i) not in lambda_items]
-        outside_mut = _local_mutations(outside)
+        outside_mut = _local_mutations(outside_lambdas(node))
         if not outside_mut:
             continue
         for spawn in node.spawns:
             target = spawn.target
-            if target.enclosing is not node:
-                continue  # only closures capture this node's locals
-            lam_body = target.body
-            if not isinstance(lam_body, ast.expr):
-                continue
-            inside = list(ast.walk(lam_body))
+            if not target.is_lambda or target.parent is not node:
+                continue  # only closures capture this function's locals
+            inside = target.own
             inside_mut = _local_mutations(inside)
             captured_reads = {
                 item.id
@@ -326,7 +310,7 @@ def check_conc004(model: ContextModel, state: StateModel,
                 and isinstance(item.ctx, ast.Load)
             }
             for name in sorted(set(inside_mut) & set(outside_mut)):
-                if name in target.params or name not in captured_reads:
+                if name in target.param_names or name not in captured_reads:
                     continue
                 message = (
                     f"'{name}' is captured into a closure {spawn.how} "
@@ -350,13 +334,7 @@ def check_concnote(model: ContextModel, state: StateModel,
     """Malformed or unverifiable guarded-by annotations."""
     if "CONCNOTE" in disable:
         return []
-    return [
-        Finding(
-            path=issue.path, line=issue.line, col=0,
-            rule="CONCNOTE", message=issue.message,
-        )
-        for issue in state.guard_issues
-    ]
+    return list(state.guard_issues)
 
 
 def run_rules(model: ContextModel, state: StateModel,

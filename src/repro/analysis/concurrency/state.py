@@ -1,16 +1,19 @@
 """Shared-state and lock modeling for the concurrency analysis.
 
-This module answers, for every :class:`~.contexts.Node`, four questions
-the CONC rules combine with the execution contexts:
+This module answers, for every function record of the shared program
+model (:class:`~repro.analysis.program.Function`), four questions the
+CONC rules combine with the execution contexts:
 
 * which *shared state keys* (module globals and instance fields of
   escaping classes) the node reads and writes, and whether each write is
   a GIL-atomic rebind or a compound operation (``+=``, subscript store,
   mutating container method);
-* which writes are *lock guarded* — lexically under ``with lock:`` or
-  between ``lock.acquire()`` / ``lock.release()`` statements — and which
-  state is covered by a trusted ``# repro: guarded-by[lockname]``
-  annotation (see :mod:`repro.analysis.directives` for the grammar);
+* which locks are *held* at each access — lexically under ``with
+  lock:`` or between ``lock.acquire()`` / ``lock.release()``
+  statements, in acquisition order — and which state is covered by a
+  trusted ``# repro: guarded-by[lockname]`` annotation (see
+  :mod:`repro.analysis.directives` for the grammar; the program model's
+  directive binder attaches each one to its statement);
 * which state keys hold *fork-unsafe resources* (locks, open files,
   sockets, executors) and which of those are reinitialized in an
   ``os.register_at_fork(after_in_child=...)`` callback;
@@ -25,18 +28,22 @@ import ast
 from dataclasses import dataclass, field
 
 from repro.analysis import fixpoint
-from repro.analysis.concurrency.contexts import (
-    ContextModel,
-    Node,
+from repro.analysis.concurrency.contexts import ContextModel
+from repro.analysis.context import MUTATING_METHODS, terminal_name
+from repro.analysis.directives import Directives
+from repro.analysis.finding import Finding
+from repro.analysis.program import (
+    Function,
+    Module,
+    Program,
     T_FILE,
     T_LOCK,
     T_PROCESS_EXECUTOR,
     T_SOCKET,
     T_THREAD_EXECUTOR,
+    assigned_names,
     dotted_chain,
 )
-from repro.analysis.context import MUTATING_METHODS, terminal_name
-from repro.analysis.directives import Directives
 
 #: A shared-state key: ("global", module_qual, name) or
 #: ("field", class_qual, attr).
@@ -97,37 +104,28 @@ _RESOURCE_TYPES: dict[str, str] = {
 }
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class Access:
-    """One read or write of a shared state key inside one node."""
+    """One read or write of a shared state key inside one function."""
 
     key: StateKey
-    node: Node
+    node: Function
     line: int
     write: bool
     atomic: bool  # plain rebind — a single STORE op under the GIL
-    guard: str | None  # lock terminal name the site is under, if any
+    held: tuple[str, ...]  # locks held at the site, in acquisition order
     op: str  # human description of the operation
     in_init: bool  # inside the owning class's __init__/__post_init__
 
 
 @dataclass(frozen=True)
 class BlockingCall:
-    """One direct call to a blocking primitive inside one node."""
+    """One direct call to a blocking primitive inside one function."""
 
-    node: Node
+    node: Function
     line: int
     what: str  # "time.sleep", "sync lock acquisition", ...
     under_lock: bool  # ``with lock: ...`` bodies are not re-flagged
-
-
-@dataclass(frozen=True)
-class GuardIssue:
-    """A malformed or unverifiable guarded-by annotation (CONCNOTE)."""
-
-    path: str
-    line: int
-    message: str
 
 
 @dataclass  # repro: noqa[SPEC001] -- mutable fixpoint fact table
@@ -142,6 +140,10 @@ class StateModel:
     shared_why: dict[str, str] = field(default_factory=dict)
     #: state key -> declared guard lock name (trusted annotation).
     guard_decls: dict[StateKey, str] = field(default_factory=dict)
+    #: state key -> (path, line) of the directive that declared it.
+    guard_where: dict[StateKey, tuple[str, int]] = field(
+        default_factory=dict,
+    )
     #: state key -> resource description, for CONC003.
     resources: dict[StateKey, str] = field(default_factory=dict)
     #: state keys rewritten inside an after-fork child callback.
@@ -149,11 +151,8 @@ class StateModel:
     #: attr names rewritten in an after-fork callback on *any* class —
     #: fallback for untyped loops over registries.
     reinit_attrs: set[str] = field(default_factory=set)
-    #: lock terminal names known per (scope kind, scope qual).
-    known_locks: dict[tuple[str, str], set[str]] = field(
-        default_factory=dict
-    )
-    guard_issues: list[GuardIssue] = field(default_factory=list)
+    #: CONCNOTE findings: malformed or unverifiable guarded-by.
+    guard_issues: list[Finding] = field(default_factory=list)
 
 
 def render_key(key: StateKey) -> str:
@@ -188,33 +187,31 @@ def _lock_name(expr: ast.expr) -> str | None:
     return terminal_name(expr)
 
 
-def _module_globals(tree: ast.Module) -> set[str]:
-    """Names bound by module-level (annotated) assignments."""
-    return {
-        target.id
-        for stmt in tree.body
-        if isinstance(stmt, (ast.Assign, ast.AnnAssign))
-        for target in (stmt.targets if isinstance(stmt, ast.Assign)
-                       else [stmt.target])
-        if isinstance(target, ast.Name)
-    }
+def _release(held: list[str], name: str) -> None:
+    """Drop the most recent acquisition of ``name`` from ``held``."""
+    if name in held:
+        del held[len(held) - 1 - held[::-1].index(name)]
 
 
 class _StateScanner:
-    """Collect accesses, guards, and blocking calls from one node."""
+    """Collect accesses, held locks, and blocking calls of one function."""
 
-    def __init__(self, model: ContextModel, state: StateModel,
-                 node: Node) -> None:
-        self.model = model
+    def __init__(self, program: Program, state: StateModel,
+                 fn: Function) -> None:
+        self.program = program
         self.state = state
-        self.node = node
-        self.module = node.module
-        self.in_init = node.owner is not None and node.name in (
+        self.fn = fn
+        self.module = fn.module
+        self.in_init = fn.owner is not None and fn.name in (
             "__init__", "__post_init__",
         )
-        self.module_globals = _module_globals(self.module.tree)
         self.declared_globals: set[str] = set()
-        self.locals_seen: set[str] = set(node.params)
+        self.locals_seen: set[str] = set(fn.param_names)
+        #: calls that sit directly under ``await``
+        self.awaited = {
+            id(item.value) for item in fn.own
+            if isinstance(item, ast.Await) and isinstance(item.value, ast.Call)
+        }
 
     # -- key resolution --------------------------------------------------
 
@@ -224,56 +221,36 @@ class _StateScanner:
             if name in self.locals_seen and name not in \
                     self.declared_globals:
                 return None
-            if name in self.module_globals:
+            if name in self.module.globals:
                 return ("global", self.module.qualname, name)
             return None
         if isinstance(expr, ast.Attribute) and isinstance(
             expr.value, ast.Name
         ):
-            if (
-                expr.value.id == self.node.self_name
-                and self.node.owner is not None
-            ):
-                return ("field", self.node.owner.qualname, expr.attr)
+            if expr.value.id == self.fn.self_name and \
+                    self.fn.owner is not None:
+                return ("field", self.fn.owner.qualname, expr.attr)
             # Module attribute access: ``metrics._COUNTERS``.
-            imported = self.module.imports.get(expr.value.id)
-            if imported is not None and imported[0] == "module":
-                target = self.model.project.by_qual.get(imported[1])
-                if target is not None:
-                    return ("global", target.qualname, expr.attr)
+            module_qual = self.program.module_ref(self.module, expr.value)
+            if module_qual in self.program.by_qual:
+                return ("global", module_qual, expr.attr)
             # Typed receiver: ``memo.hits`` where memo: Memo.
-            base = self._receiver_type(expr.value)
+            base = self.program.instance_type(self.fn, self.module,
+                                              expr.value)
             if base is not None and not base.startswith("#"):
                 return ("field", base, expr.attr)
-        return None
-
-    def _receiver_type(self, expr: ast.expr) -> str | None:
-        if isinstance(expr, ast.Name):
-            typ = self._local_types.get(expr.id)
-            if typ is not None:
-                return typ
-            got = self.model.global_types.get(
-                (self.module.qualname, expr.id)
-            )
-            return got
-        if isinstance(expr, ast.Attribute) and isinstance(
-            expr.value, ast.Name
-        ):
-            if expr.value.id == self.node.self_name \
-                    and self.node.owner is not None:
-                return self.model.field_types.get(
-                    (self.node.owner.qualname, expr.attr)
-                )
         return None
 
     # -- scanning --------------------------------------------------------
 
     def scan(self) -> None:
-        self._local_types: dict[str, str] = {}
-        self._scan_block(self.node.statements, guards=[], acquired=set())
+        if self.fn.is_lambda:
+            self._scan_expr(self.fn.node.body, held=[])
+        else:
+            self._scan_block(self.fn.node.body, held=[])
 
     def _scan_block(self, statements: list[ast.stmt],
-                    guards: list[str], acquired: set[str]) -> None:
+                    held: list[str]) -> None:
         for stmt in statements:
             if isinstance(stmt, (ast.FunctionDef, ast.AsyncFunctionDef,
                                  ast.ClassDef)):
@@ -281,20 +258,16 @@ class _StateScanner:
             if isinstance(stmt, ast.Global):
                 self.declared_globals.update(stmt.names)
                 continue
-            if isinstance(stmt, ast.With) or isinstance(
-                stmt, ast.AsyncWith
-            ):
+            if isinstance(stmt, (ast.With, ast.AsyncWith)):
                 names = []
                 for item in stmt.items:
-                    self._scan_expr(item.context_expr, guards, acquired)
+                    self._scan_expr(item.context_expr, held)
                     name = _lock_name(item.context_expr)
                     if name is not None and self._looks_like_lock(
                         item.context_expr, name,
                     ):
                         names.append(name)
-                self._scan_block(
-                    stmt.body, guards + names, acquired,
-                )
+                self._scan_block(stmt.body, held + names)
                 continue
             # lock.acquire() / lock.release() statement pairs.
             if isinstance(stmt, ast.Expr) and isinstance(
@@ -304,52 +277,47 @@ class _StateScanner:
                 name = _lock_name(stmt.value.func.value)
                 if attr == "acquire" and name is not None and \
                         self._looks_like_lock(stmt.value.func.value, name):
-                    self._scan_expr(stmt.value, guards, acquired)
-                    acquired.add(name)
+                    self._scan_expr(stmt.value, held)
+                    held.append(name)
                     continue
                 if attr == "release" and name is not None:
-                    acquired.discard(name)
-                    self._scan_expr(stmt.value, guards, acquired)
+                    _release(held, name)
+                    self._scan_expr(stmt.value, held)
                     continue
-            self._scan_stmt(stmt, guards, acquired)
+            self._scan_stmt(stmt, held)
 
     def _looks_like_lock(self, expr: ast.expr, name: str) -> bool:
-        typ = self._receiver_type(expr) if not isinstance(expr, ast.Call) \
-            else None
-        if typ == T_LOCK:
+        if not isinstance(expr, ast.Call) and self.program.instance_type(
+            self.fn, self.module, expr,
+        ) == T_LOCK:
             return True
-        if isinstance(expr, ast.Attribute) and self.node.owner is not None:
-            if self.model.field_types.get(
-                (self.node.owner.qualname, expr.attr)
-            ) == T_LOCK:
-                return True
+        owner = self.fn.owner
+        if isinstance(expr, ast.Attribute) and owner is not None and \
+                owner.attrs.get(expr.attr) == T_LOCK:
+            return True
         lower = name.lower()
         return "lock" in lower or "mutex" in lower or lower == "cond"
 
-    def _scan_stmt(self, stmt: ast.stmt, guards: list[str],
-                   acquired: set[str]) -> None:
-        guard = guards[-1] if guards else (
-            next(iter(acquired)) if acquired else None
-        )
+    def _scan_stmt(self, stmt: ast.stmt, held: list[str]) -> None:
+        guard = tuple(held)
         if isinstance(stmt, ast.Assign):
             for target in stmt.targets:
                 self._record_store(target, stmt.lineno, guard,
                                    augmented=False)
                 if isinstance(target, ast.Name):
                     self.locals_seen.add(target.id)
-            self._scan_expr(stmt.value, guards, acquired)
-            self._note_local_type(stmt)
+            self._scan_expr(stmt.value, held)
             return
         if isinstance(stmt, ast.AnnAssign):
             if stmt.value is not None:
                 self._record_store(stmt.target, stmt.lineno, guard,
                                    augmented=False)
-                self._scan_expr(stmt.value, guards, acquired)
+                self._scan_expr(stmt.value, held)
             return
         if isinstance(stmt, ast.AugAssign):
             self._record_store(stmt.target, stmt.lineno, guard,
                                augmented=True)
-            self._scan_expr(stmt.value, guards, acquired)
+            self._scan_expr(stmt.value, held)
             return
         if isinstance(stmt, (ast.Delete,)):
             for target in stmt.targets:
@@ -360,43 +328,24 @@ class _StateScanner:
             stmt.target, ast.Name
         ):
             self.locals_seen.add(stmt.target.id)
-            # ``for memo in _REGISTRY:`` — loop vars over an annotated
-            # module container get the container's element type, so the
-            # at-fork reinit pass can resolve ``memo._lock = Lock()``.
-            if isinstance(stmt.iter, ast.Name):
-                elem = self.model.elem_types.get(
-                    (self.module.qualname, stmt.iter.id)
-                )
-                if elem is not None:
-                    self._local_types[stmt.target.id] = elem
         # Compound statements: recurse into child blocks with the same
-        # guard state; scan embedded expressions.
+        # locks held; scan embedded expressions.
         for _field_name, value in ast.iter_fields(stmt):
             if isinstance(value, list) and value and isinstance(
                 value[0], ast.stmt
             ):
-                self._scan_block(value, guards, set(acquired))
+                self._scan_block(value, list(held))
             elif isinstance(value, ast.expr):
-                self._scan_expr(value, guards, acquired)
+                self._scan_expr(value, held)
             elif isinstance(value, list):
                 for item in value:
                     if isinstance(item, ast.expr):
-                        self._scan_expr(item, guards, acquired)
+                        self._scan_expr(item, held)
                     elif isinstance(item, ast.excepthandler):
-                        self._scan_block(item.body, guards,
-                                         set(acquired))
-
-    def _note_local_type(self, stmt: ast.Assign) -> None:
-        if len(stmt.targets) == 1 and isinstance(
-            stmt.targets[0], ast.Name
-        ):
-            from repro.analysis.concurrency.contexts import _ctor_type
-            typ = _ctor_type(stmt.value, self.module, self.model.project)
-            if typ is not None:
-                self._local_types[stmt.targets[0].id] = typ
+                        self._scan_block(item.body, list(held))
 
     def _record_store(self, target: ast.expr, line: int,
-                      guard: str | None, augmented: bool) -> None:
+                      guard: tuple[str, ...], augmented: bool) -> None:
         # Plain rebind of a name or attribute is a single STORE op and
         # is atomic under the GIL; compound ops and container element
         # stores are read-modify-write and race.
@@ -424,16 +373,11 @@ class _StateScanner:
         self._add_access(key, line, write=True, atomic=not augmented,
                          guard=guard, op=op)
 
-    def _scan_expr(self, expr: ast.expr, guards: list[str],
-                   acquired: set[str]) -> None:
-        guard = guards[-1] if guards else (
-            next(iter(acquired)) if acquired else None
-        )
+    def _scan_expr(self, expr: ast.expr, held: list[str]) -> None:
+        guard = tuple(held)
         for item in ast.walk(expr):
-            if isinstance(item, ast.Lambda):
-                continue  # scanned as its own node
             if isinstance(item, ast.Call):
-                self._scan_call(item, guard, bool(guards or acquired))
+                self._scan_call(item, guard)
             elif isinstance(item, (ast.Name, ast.Attribute)) and \
                     isinstance(item.ctx, ast.Load):
                 key = self._key_of(item)
@@ -441,8 +385,7 @@ class _StateScanner:
                     self._add_access(key, item.lineno, write=False,
                                      atomic=True, guard=guard, op="read")
 
-    def _scan_call(self, call: ast.Call, guard: str | None,
-                   under_lock: bool) -> None:
+    def _scan_call(self, call: ast.Call, guard: tuple[str, ...]) -> None:
         func = call.func
         # Mutating method on shared state: ``_REGISTRY.append(...)``.
         if isinstance(func, ast.Attribute) and \
@@ -467,267 +410,190 @@ class _StateScanner:
             what = "sync file open"
         elif isinstance(func, ast.Attribute) and \
                 func.attr in BLOCKING_ATTRS:
-            if id(call) not in self._awaited:
+            if id(call) not in self.awaited:
                 what = BLOCKING_ATTRS[func.attr]
         if what is not None:
             self.state.blocking.setdefault(
-                self.node.qualname, [],
+                self.fn.qualname, [],
             ).append(BlockingCall(
-                node=self.node, line=call.lineno, what=what,
-                under_lock=under_lock,
+                node=self.fn, line=call.lineno, what=what,
+                under_lock=bool(guard),
             ))
 
-    _awaited: frozenset[int] = frozenset()
-
-    def collect_awaited(self) -> None:
-        """Record calls that sit directly under ``await``."""
-        awaited: set[int] = set()
-        for stmt in self.node.statements:
-            for item in ast.walk(stmt):
-                if isinstance(item, ast.Await) and isinstance(
-                    item.value, ast.Call
-                ):
-                    awaited.add(id(item.value))
-        self._awaited = frozenset(awaited)
-
     def _add_access(self, key: StateKey, line: int, write: bool,
-                    atomic: bool, guard: str | None, op: str) -> None:
+                    atomic: bool, guard: tuple[str, ...], op: str) -> None:
         in_init = self.in_init and key[0] == "field" and \
-            self.node.owner is not None and key[1] == \
-            self.node.owner.qualname
+            self.fn.owner is not None and key[1] == \
+            self.fn.owner.qualname
         self.state.accesses.append(Access(
-            key=key, node=self.node, line=line, write=write,
-            atomic=atomic, guard=guard, op=op, in_init=in_init,
+            key=key, node=self.fn, line=line, write=write,
+            atomic=atomic, held=guard, op=op, in_init=in_init,
         ))
 
 
-def bind_guard_comments(model: ContextModel, state: StateModel) -> None:
-    """Parse and bind every module's guarded-by annotations."""
-    project = model.project
-    for info in project.by_qual.values():
-        by_line, errors = guard_table(info.directives)
-        for line, message in errors:
-            state.guard_issues.append(GuardIssue(
-                path=info.path, line=line, message=message,
-            ))
-        if not by_line:
+def _note(path: str, line: int, message: str) -> Finding:
+    return Finding(path=path, line=line, col=0, rule="CONCNOTE",
+                   message=message)
+
+
+def _guarded_keys(program: Program, module: Module,
+                  stmt: ast.stmt) -> tuple[list[StateKey], bool]:
+    """State keys a ``guarded-by`` on ``stmt`` declares, and whether it
+    covers a whole class (its fields keep their own declarations)."""
+    if isinstance(stmt, (ast.Assign, ast.AnnAssign)) and any(
+        stmt is top for top in module.tree.body
+    ):
+        names = assigned_names(stmt)
+        if isinstance(stmt, ast.Assign) and len(stmt.targets) != 1:
+            names = []
+        return [("global", module.qualname, name) for name in names], False
+    for cls in program.classes.values():
+        if cls.module is not module:
             continue
-        claimed: set[int] = set()
-        # Module-level globals.
-        for stmt in info.tree.body:
-            target_name: str | None = None
-            if isinstance(stmt, ast.Assign) and len(stmt.targets) == 1 \
-                    and isinstance(stmt.targets[0], ast.Name):
-                target_name = stmt.targets[0].id
-            elif isinstance(stmt, ast.AnnAssign) and isinstance(
-                stmt.target, ast.Name
-            ):
-                target_name = stmt.target.id
-            if target_name is None:
-                continue
-            for line in range(stmt.lineno, (stmt.end_lineno or
-                                            stmt.lineno) + 1):
-                if line in by_line:
-                    state.guard_decls[
-                        ("global", info.qualname, target_name)
-                    ] = by_line[line]
-                    claimed.add(line)
-        # Classes: class-line comments guard every field; class-body
-        # AnnAssign and in-method self.x stores guard one field.
-        for cls in project.classes.values():
-            if cls.module_qual != info.qualname:
-                continue
-            class_node = _class_node(info.tree, cls.name)
-            if class_node is None:
-                continue
-            header_end = class_node.body[0].lineno - 1 \
-                if class_node.body else class_node.lineno
-            for line in range(class_node.lineno, header_end + 1):
-                if line in by_line:
-                    lock = by_line[line]
-                    claimed.add(line)
-                    for attr in _class_attrs(class_node):
-                        state.guard_decls.setdefault(
-                            ("field", cls.qualname, attr), lock,
-                        )
-            for stmt in class_node.body:
-                if isinstance(stmt, ast.AnnAssign) and isinstance(
-                    stmt.target, ast.Name
-                ) and stmt.lineno in by_line:
-                    state.guard_decls[
-                        ("field", cls.qualname, stmt.target.id)
-                    ] = by_line[stmt.lineno]
-                    claimed.add(stmt.lineno)
-            for method in cls.methods.values():
-                self_name = method.self_name
-                if self_name is None:
-                    continue
-                for stmt in ast.walk(method.node):
-                    if not isinstance(stmt, (ast.Assign, ast.AnnAssign)):
-                        continue
-                    if stmt.lineno not in by_line:
-                        continue
-                    targets = stmt.targets if isinstance(
-                        stmt, ast.Assign
-                    ) else [stmt.target]
-                    for target in targets:
-                        if isinstance(target, ast.Attribute) and \
-                                isinstance(target.value, ast.Name) and \
-                                target.value.id == self_name:
-                            state.guard_decls[
-                                ("field", cls.qualname, target.attr)
-                            ] = by_line[stmt.lineno]
-                            claimed.add(stmt.lineno)
-        for line, lock in by_line.items():
-            if line not in claimed:
-                state.guard_issues.append(GuardIssue(
-                    path=info.path, line=line,
-                    message=(
-                        f"guarded-by[{lock}] is not attached to a "
-                        "module global, class, or self-field assignment"
-                    ),
-                ))
-    _validate_guard_locks(model, state)
-
-
-def _class_node(tree: ast.Module, name: str) -> ast.ClassDef | None:
-    for item in ast.walk(tree):
-        if isinstance(item, ast.ClassDef) and item.name == name:
-            return item
-    return None
-
-
-def _class_attrs(class_node: ast.ClassDef) -> list[str]:
-    attrs: list[str] = []
-    for stmt in class_node.body:
+        if stmt is cls.node:
+            return [("field", cls.qualname, attr) for attr in cls.attrs], True
         if isinstance(stmt, ast.AnnAssign) and isinstance(
             stmt.target, ast.Name
-        ):
-            attrs.append(stmt.target.id)
-    for item in ast.walk(class_node):
-        if isinstance(item, (ast.FunctionDef, ast.AsyncFunctionDef)):
-            args = item.args
-            formals = [*args.posonlyargs, *args.args]
-            self_name = formals[0].arg if formals else None
-            for sub in ast.walk(item):
-                if isinstance(sub, (ast.Assign, ast.AnnAssign)):
-                    targets = sub.targets if isinstance(sub, ast.Assign) \
-                        else [sub.target]
-                    for target in targets:
-                        if isinstance(target, ast.Attribute) and \
-                                isinstance(target.value, ast.Name) and \
-                                target.value.id == self_name:
-                            attrs.append(target.attr)
-    return attrs
+        ) and any(stmt is inner for inner in cls.node.body):
+            return [("field", cls.qualname, stmt.target.id)], False
+        targets = stmt.targets if isinstance(stmt, ast.Assign) else \
+            [stmt.target] if isinstance(stmt, ast.AnnAssign) else []
+        for method in cls.methods.values():
+            if method.self_name is None or \
+                    not any(stmt is item for item in method.own):
+                continue
+            return [
+                ("field", cls.qualname, target.attr) for target in targets
+                if isinstance(target, ast.Attribute)
+                and isinstance(target.value, ast.Name)
+                and target.value.id == method.self_name
+            ], False
+    return [], False
 
 
-def _validate_guard_locks(model: ContextModel, state: StateModel) -> None:
+def _bind_guards(program: Program, state: StateModel) -> None:
+    """Declare the state each bound ``guarded-by`` directive covers.
+
+    A module global's assignment guards that global; a class line every
+    field of the class; a class-body annotation or a ``self.x``
+    assignment in a method one field. Anything else, and a lock name not
+    defined in the state's scope, is a CONCNOTE on the directive's line.
+    """
+    for module in program.modules.values():
+        by_line, errors = guard_table(module.directives)
+        for line, message in errors:
+            state.guard_issues.append(_note(module.path, line, message))
+        claimed: set[int] = set()
+        for stmt in module.attached:
+            lines = [
+                d.line for d in module.held(stmt, "guarded-by")
+                if d.line in by_line
+            ]
+            if not lines:
+                continue
+            keys, whole_class = _guarded_keys(program, module, stmt)
+            for line in lines:
+                if keys:
+                    claimed.add(line)
+                for key in keys:
+                    if whole_class and key in state.guard_decls:
+                        continue
+                    state.guard_decls[key] = by_line[line]
+                    state.guard_where[key] = (module.path, line)
+        for line, lock in by_line.items():
+            if line not in claimed:
+                state.guard_issues.append(_note(
+                    module.path, line,
+                    f"guarded-by[{lock}] is not attached to a module "
+                    "global, class, or self-field assignment",
+                ))
+    _validate_guard_locks(program, state)
+
+
+def _validate_guard_locks(program: Program, state: StateModel) -> None:
     """Soft check: a declared guard lock should exist in its scope."""
-    # Known lock names per scope from the type maps.
-    for (mod, name), typ in model.global_types.items():
-        if typ == T_LOCK:
-            state.known_locks.setdefault(("global", mod), set()).add(name)
-    for (cls, attr), typ in model.field_types.items():
-        if typ == T_LOCK:
-            state.known_locks.setdefault(("field", cls), set()).add(attr)
+    known: dict[tuple[str, str], set[str]] = {}
+    for module in program.modules.values():
+        known[("global", module.qualname)] = {
+            name for name, typ in module.globals.items() if typ == T_LOCK
+        }
+    for cls in program.classes.values():
+        known[("field", cls.qualname)] = {
+            attr for attr, typ in cls.attrs.items() if typ == T_LOCK
+        }
     for key, lock in state.guard_decls.items():
         if lock == GIL_GUARD:
             continue
         kind, scope, _name = key
-        scoped = state.known_locks.get((kind, scope), set())
-        module_scope: set[str] = set()
+        scoped = known.get((kind, scope), set())
+        module_scope = scoped
         if kind == "field":
-            cls = model.project.classes.get(scope)
-            if cls is not None:
-                module_scope = state.known_locks.get(
-                    ("global", cls.module_qual), set(),
-                )
-        else:
-            module_scope = scoped
-        if lock not in scoped and lock not in module_scope:
-            info = model.project.by_qual.get(
-                scope if kind == "global" else
-                (model.project.classes[scope].module_qual
-                 if scope in model.project.classes else scope)
+            module_scope = known.get(
+                ("global", program.classes[scope].module.qualname), set(),
             )
-            path = info.path if info is not None else "<unknown>"
-            state.guard_issues.append(GuardIssue(
-                path=path, line=1,
-                message=(
-                    f"guarded-by[{lock}] on {render_key(key)} names a "
-                    f"lock that is not defined in its scope"
-                ),
+        if lock not in scoped and lock not in module_scope:
+            path, line = state.guard_where[key]
+            state.guard_issues.append(_note(
+                path, line,
+                f"guarded-by[{lock}] on {render_key(key)} names a lock "
+                "that is not defined in its scope",
             ))
 
 
-def _collect_shared_classes(model: ContextModel,
-                            state: StateModel) -> None:
+def _collect_shared_classes(program: Program, state: StateModel) -> None:
     """Escape analysis: which classes' instances are module-reachable."""
-    project = model.project
 
     def mark(qual: str, why: str) -> None:
-        if qual in state.shared_classes or qual not in project.classes:
+        if qual in state.shared_classes or qual not in program.classes:
             return
         state.shared_classes.add(qual)
         state.shared_why[qual] = why
 
     # Module-level instantiation / annotation.
-    for (mod, name), typ in model.global_types.items():
-        if not typ.startswith("#") and typ in project.classes:
-            cls = project.classes[typ]
-            mark(typ, f"instantiated at module level as {mod}.{name}")
-    for (mod, name), typ in model.elem_types.items():
-        if typ in project.classes:
-            mark(typ, f"stored in module-level container {mod}.{name}")
+    for module in program.modules.values():
+        for name, typ in module.globals.items():
+            if typ is not None:
+                mark(typ, f"instantiated at module level as "
+                          f"{module.qualname}.{name}")
+    for module in program.modules.values():
+        for name, typ in module.elem_types.items():
+            mark(typ, f"stored in module-level container "
+                      f"{module.qualname}.{name}")
     # self stored into a module global inside any method.
-    for cls in project.classes.values():
-        info = project.by_qual.get(cls.module_qual)
-        if info is None:
+    for fn in program.functions.values():
+        if fn.self_name is None or fn.owner is None:
             continue
-        module_globals = _module_globals(info.tree)
-        for method in cls.methods.values():
-            self_name = method.self_name
-            if self_name is None:
-                continue
-            for item in ast.walk(method.node):
-                stored = False
-                where = ""
-                if isinstance(item, ast.Call) and isinstance(
-                    item.func, ast.Attribute
-                ) and item.func.attr in MUTATING_METHODS:
-                    receiver = item.func.value
-                    if isinstance(receiver, ast.Name) and \
-                            receiver.id in module_globals:
-                        for arg in item.args:
-                            if isinstance(arg, ast.Name) and \
-                                    arg.id == self_name:
-                                stored = True
-                                where = f"registered into " \
-                                        f"{info.qualname}.{receiver.id}"
-                elif isinstance(item, ast.Assign):
-                    for target in item.targets:
-                        if isinstance(target, ast.Subscript) and \
-                                isinstance(target.value, ast.Name) and \
-                                target.value.id in module_globals and \
-                                isinstance(item.value, ast.Name) and \
-                                item.value.id == self_name:
-                            stored = True
-                            where = f"stored into " \
-                                    f"{info.qualname}.{target.value.id}"
-                if stored:
-                    mark(cls.qualname, where)
+        module = fn.module
+        for item in fn.own:
+            if isinstance(item, ast.Call) and isinstance(
+                item.func, ast.Attribute
+            ) and item.func.attr in MUTATING_METHODS:
+                receiver = item.func.value
+                if isinstance(receiver, ast.Name) and \
+                        receiver.id in module.globals and any(
+                            isinstance(arg, ast.Name)
+                            and arg.id == fn.self_name for arg in item.args
+                        ):
+                    mark(fn.owner.qualname, f"registered into "
+                                            f"{module.qualname}.{receiver.id}")
+            elif isinstance(item, ast.Assign) and isinstance(
+                item.value, ast.Name
+            ) and item.value.id == fn.self_name:
+                for target in item.targets:
+                    if isinstance(target, ast.Subscript) and \
+                            isinstance(target.value, ast.Name) and \
+                            target.value.id in module.globals:
+                        mark(fn.owner.qualname, f"stored into "
+                                                f"{module.qualname}."
+                                                f"{target.value.id}")
     # Instances constructed into module-level containers:
     # ``_HISTOGRAMS[name] = _HistogramState()``.
-    for node in model.nodes.values():
-        module_globals = _module_globals(node.module.tree)
-        body = node.body
-        if not isinstance(body, list):
-            continue
-        for item in ast.walk(ast.Module(body=body, type_ignores=[])):
+    for fn in program.functions.values():
+        module_globals = fn.module.globals
+        for item in fn.own:
             if not isinstance(item, ast.Assign):
                 continue
-            from repro.analysis.concurrency.contexts import _ctor_type
-            typ = _ctor_type(item.value, node.module, project)
+            typ = program.ctor_type(fn, fn.module, item.value)
             if typ is None or typ.startswith("#"):
                 continue
             for target in item.targets:
@@ -738,68 +604,65 @@ def _collect_shared_classes(model: ContextModel,
                 ) or (
                     isinstance(target, ast.Name)
                     and target.id in module_globals
-                    and target.id not in node.params
+                    and target.id not in fn.param_names
                 )
                 if escapes:
                     mark(typ, f"stored into a module-level container "
-                              f"by {node.short}")
+                              f"by {fn.short}")
     # Transitive: fields of shared classes are shared. A field entry is
     # revisited when its owning class becomes shared.
     Field = tuple[tuple[str, str], str]
-    fields: list[Field] = list(model.field_types.items())
+    fields: list[Field] = [
+        ((cls.qualname, attr), typ)
+        for cls in program.classes.values()
+        for attr, typ in cls.attrs.items() if typ in program.classes
+    ]
     fields_of: dict[str, list[Field]] = {}
     for entry in fields:
         fields_of.setdefault(entry[0][0], []).append(entry)
 
     def step(entry: Field) -> list[Field]:
         (cls, attr), typ = entry
-        if cls in state.shared_classes and \
-                not typ.startswith("#") and \
-                typ in project.classes and \
-                typ not in state.shared_classes:
+        if cls in state.shared_classes and typ not in state.shared_classes:
             mark(typ, f"held by shared class "
-                      f"{project.classes[cls].name} as .{attr}")
+                      f"{program.classes[cls].name} as .{attr}")
             return fields_of.get(typ, [])
         return []
 
     fixpoint.solve(fields, step)
 
 
-def _collect_resources(model: ContextModel, state: StateModel) -> None:
+def _collect_resources(program: Program, state: StateModel) -> None:
     """State keys that hold fork-unsafe resources.
 
     Runs after :func:`_collect_reinit`: a class whose resource fields
     are all rebuilt in an after-fork child callback does not make the
     globals that hold its instances fork-unsafe.
     """
-    for (mod, name), typ in model.global_types.items():
-        desc = _RESOURCE_TYPES.get(typ)
-        if desc is not None:
-            state.resources[("global", mod, name)] = desc
-        elif typ in model.project.classes:
-            fields = _class_resource_fields(model, state, typ)
-            if fields:
-                attr, field_desc = fields[0]
-                state.resources[("global", mod, name)] = (
-                    f"an instance of {model.project.classes[typ].name} "
-                    f"(which holds {field_desc} '{attr}')"
-                )
-    for (cls, attr), typ in model.field_types.items():
-        desc = _RESOURCE_TYPES.get(typ)
-        if desc is not None:
-            state.resources[("field", cls, attr)] = desc
-
-
-def _class_resource_fields(
-    model: ContextModel, state: StateModel, qual: str,
-) -> list[tuple[str, str]]:
-    """A class's fork-unsafe fields, minus ones reinitialized at fork."""
-    return [
-        (attr, _RESOURCE_TYPES[typ])
-        for (cls, attr), typ in sorted(model.field_types.items())
-        if cls == qual and typ in _RESOURCE_TYPES
-        and ("field", cls, attr) not in state.reinit_keys
-    ]
+    for module in program.modules.values():
+        for name, typ in module.globals.items():
+            desc = _RESOURCE_TYPES.get(typ)
+            if desc is not None:
+                state.resources[("global", module.qualname, name)] = desc
+            elif typ in program.classes:
+                cls = program.classes[typ]
+                fields = [
+                    (attr, _RESOURCE_TYPES[held])
+                    for attr, held in sorted(cls.attrs.items())
+                    if held in _RESOURCE_TYPES
+                    and ("field", typ, attr) not in state.reinit_keys
+                ]
+                if fields:
+                    attr, field_desc = fields[0]
+                    state.resources[("global", module.qualname, name)] = (
+                        f"an instance of {cls.name} "
+                        f"(which holds {field_desc} '{attr}')"
+                    )
+    for cls in program.classes.values():
+        for attr, typ in cls.attrs.items():
+            desc = _RESOURCE_TYPES.get(typ)
+            if desc is not None:
+                state.resources[("field", cls.qualname, attr)] = desc
 
 
 def _collect_reinit(model: ContextModel, state: StateModel) -> None:
@@ -808,30 +671,27 @@ def _collect_reinit(model: ContextModel, state: StateModel) -> None:
         stack = [entry]
         seen: set[str] = set()
         while stack:
-            node = stack.pop()
-            if node.qualname in seen:
+            fn = stack.pop()
+            if fn.qualname in seen:
                 continue
-            seen.add(node.qualname)
+            seen.add(fn.qualname)
             for access in state.accesses:
-                if access.node is node and access.write:
+                if access.node is fn and access.write:
                     state.reinit_keys.add(access.key)
                     state.reinit_attrs.add(access.key[2])
-            for edge in node.calls:
+            for edge in fn.calls:
                 stack.append(edge.callee)
-            for lam in node.inline_lambdas:
-                stack.append(lam)
+            stack.extend(fn.lambdas)
 
 
 def build_state(model: ContextModel) -> StateModel:
     """Run every state collection pass for a solved context model."""
+    program = model.program
     state = StateModel()
-    all_nodes = list(model.nodes.values()) + list(model.lambda_nodes)
-    for node in all_nodes:
-        scanner = _StateScanner(model, state, node)
-        scanner.collect_awaited()
-        scanner.scan()
-    bind_guard_comments(model, state)
-    _collect_shared_classes(model, state)
+    for fn in program.bodies:
+        _StateScanner(program, state, fn).scan()
+    _bind_guards(program, state)
+    _collect_shared_classes(program, state)
     _collect_reinit(model, state)
-    _collect_resources(model, state)
+    _collect_resources(program, state)
     return state

@@ -1,10 +1,14 @@
 """Interprocedural dimension inference and consistency checking.
 
-The engine runs in three phases over the :class:`Project` tables:
+The engine runs in three phases over the shared
+:class:`~repro.analysis.program.Program` model:
 
 1. **Constant pass** — module-level assignments are abstractly evaluated
-   (twice, for cross-module imports) so ``EPSILON_SIO2 = 3.9 * EPSILON_0``
-   picks up F/m from the :mod:`repro.units` seed table.
+   so ``EPSILON_SIO2 = 3.9 * EPSILON_0`` picks up F/m from the
+   :mod:`repro.units` seed table; a module is evaluated again whenever a
+   module whose constants it read changed, on the shared worklist solver
+   (:mod:`repro.analysis.fixpoint`), so chains of imports of any depth
+   resolve.
 2. **Fixpoint pass** — every function body is abstractly evaluated;
    call sites bind argument dimensions into unpinned callee parameters
    and return expressions join into the callee's return fact. Facts only
@@ -23,6 +27,10 @@ The engine runs in three phases over the :class:`Project` tables:
      quantity where dimensionless is expected, a wrong-dimension
      argument for a pinned parameter, a dimensioned exponent).
 
+Calls resolve through :meth:`repro.analysis.program.Program.resolve`,
+the resolver every whole-program pass shares, and ``dim[...]`` pins come
+from the statements the one directive binder attached them to.
+
 Everything the inference cannot prove stays silent: only concrete-vs-
 concrete disagreements are reported.
 """
@@ -33,13 +41,6 @@ import ast
 from typing import Iterable
 
 from repro.analysis import fixpoint
-from repro.analysis.dimensional import callgraph
-from repro.analysis.dimensional.callgraph import (
-    ClassInfo,
-    FunctionInfo,
-    ModuleInfo,
-    Project,
-)
 from repro.analysis.dimensional.dim import (
     ANY,
     DIMENSIONLESS,
@@ -56,8 +57,15 @@ from repro.analysis.dimensional.dim import (
     power,
     sqrt,
 )
-from repro.analysis.dimensional.seeds import suffix_dim
+from repro.analysis.dimensional.seeds import CONSTANT_DIMS, suffix_dim
 from repro.analysis.finding import Finding
+from repro.analysis.program import (
+    Class,
+    Function,
+    Module,
+    ParamSlot,
+    Program,
+)
 
 #: Math functions that demand a dimensionless argument and return one.
 _MATH_DIMENSIONLESS = frozenset({
@@ -88,7 +96,7 @@ class _SelfRef:
 
     __slots__ = ("cls",)
 
-    def __init__(self, cls: ClassInfo | None) -> None:
+    def __init__(self, cls: Class | None) -> None:
         self.cls = cls
 
 
@@ -100,6 +108,12 @@ class _Seq:
     def __init__(self, elem: DimValue, why: str | None) -> None:
         self.elem = elem
         self.why = why
+
+    def __eq__(self, other: object) -> bool:
+        # The constant pass compares a module's constants across visits.
+        return isinstance(other, _Seq) and other.elem == self.elem
+
+    __hash__ = None
 
 
 _Abstract = DimValue | _SelfRef | _Seq
@@ -123,32 +137,31 @@ class _Evaluator:
 
     def __init__(
         self,
-        project: Project,
-        module: ModuleInfo,
-        function: FunctionInfo | None,
+        program: Program,
+        module: Module,
+        function: Function | None,
         check: bool,
         findings: list[Finding] | None = None,
     ) -> None:
-        self.project = project
+        self.program = program
         self.module = module
         self.function = function
         self.check = check
         self.findings = findings if findings is not None else []
         #: functions whose parameter facts this evaluation moved
-        self.moved: list[FunctionInfo] = []
+        self.moved: list[Function] = []
         self.return_moved = False
         #: functions whose return summary this evaluation read
-        self.summaries_read: list[FunctionInfo] = []
+        self.summaries_read: list[Function] = []
+        #: modules whose constants this evaluation looked up
+        self.constants_read: set[str] = set()
         self.env: dict[str, _Abstract] = {}
-        self.return_sites: list[tuple[ast.Return, DimValue, str | None]] = []
-        self.self_class: ClassInfo | None = None
+        #: the statement being evaluated: its ``dim[...]`` pins apply
+        self.current: ast.stmt | None = None
         if function is not None:
-            if function.class_qual is not None:
-                self.self_class = project.classes.get(function.class_qual)
             if function.self_name is not None:
-                self.env[function.self_name] = _SelfRef(self.self_class)
-            start = 1 if function.self_name is not None else 0
-            for slot in function.params[start:]:
+                self.env[function.self_name] = _SelfRef(function.owner)
+            for slot in function.bindable:
                 self.env[slot.name] = slot.dim
 
     # -- reporting --------------------------------------------------------
@@ -177,7 +190,7 @@ class _Evaluator:
     # -- fact updates -----------------------------------------------------
 
     def _join_param(
-        self, fn: FunctionInfo, slot: callgraph.ParamSlot, value: DimValue,
+        self, fn: Function, slot: ParamSlot, value: DimValue,
     ) -> None:
         if self.check or slot.pin is not None:
             return
@@ -186,7 +199,7 @@ class _Evaluator:
             slot.value = new
             self.moved.append(fn)
 
-    def _join_return(self, fn: FunctionInfo, value: DimValue) -> None:
+    def _join_return(self, fn: Function, value: DimValue) -> None:
         if self.check or fn.return_pin is not None:
             return
         new = join(fn.return_value, value)
@@ -194,7 +207,7 @@ class _Evaluator:
             fn.return_value = new
             self.return_moved = True
 
-    def _summary(self, fn: FunctionInfo) -> DimValue:
+    def _summary(self, fn: Function) -> DimValue:
         """``fn``'s return dimension, noted as an input of this body."""
         if not self.check:
             self.summaries_read.append(fn)
@@ -207,6 +220,7 @@ class _Evaluator:
             self._stmt(stmt)
 
     def _stmt(self, stmt: ast.stmt) -> None:
+        self.current = stmt
         if isinstance(stmt, ast.Assign):
             self._assign_stmt(stmt, stmt.targets, stmt.value)
         elif isinstance(stmt, ast.AnnAssign):
@@ -319,11 +333,6 @@ class _Evaluator:
             return ref.cls.fields[target.attr]
         return suffix_dim(target.attr)
 
-    def _line_pins(self, stmt: ast.stmt) -> dict[str, Dim]:
-        return self.module.comments.in_range(
-            stmt.lineno, stmt.end_lineno or stmt.lineno
-        )
-
     def _bind_name(
         self,
         stmt: ast.stmt,
@@ -332,8 +341,7 @@ class _Evaluator:
         value: _Abstract,
         why: str | None,
     ) -> None:
-        pins = self._line_pins(stmt)
-        pin = pins.get(name)
+        pin = self.module.pins.get(stmt, {}).get(name)
         rule = "DIM002"  # explicit annotation contradicted
         if pin is None:
             pin = suffix_dim(name)
@@ -390,7 +398,6 @@ class _Evaluator:
             return
         value, why = self._eval(stmt.value)
         dim_value = _as_dim(value)
-        self.return_sites.append((stmt, dim_value, why))
         fn = self.function
         if fn is None:
             return
@@ -412,7 +419,8 @@ class _Evaluator:
         method = getattr(self, f"_eval_{type(node).__name__}", None)
         if method is not None:
             return method(node)
-        # Conservative fallback: evaluate children for their checks.
+        # Containers, subscripts, f-strings and the rest: evaluate the
+        # children for their checks; the value's dimension is unknown.
         for child in ast.iter_child_nodes(node):
             if isinstance(child, ast.expr):
                 self._eval(child)
@@ -440,28 +448,38 @@ class _Evaluator:
         if name in self.env:
             value = self.env[name]
             return value, self._dim_why(value, name)
-        constant = self.project.constant_dim(self.module.qualname, name)
+        constant = self._constant(self.module.qualname, name)
         if constant is not None:
             return constant, self._dim_why(constant, name)
         imported = self.module.imports.get(name)
         if imported is not None and imported[0] == "symbol":
             module_qual, _, symbol = imported[1].rpartition(".")
-            constant = self.project.constant_dim(module_qual, symbol)
+            constant = self._constant(module_qual, symbol)
             if constant is not None:
                 return constant, self._dim_why(constant, name)
-            if self._resolve_symbol(imported[1]) is not None:
+            if self.program.symbol(imported[1]) is not None:
                 return UNKNOWN, None  # class/function object as a value
         pinned = suffix_dim(name)
         if pinned is not None:
             return pinned, self._dim_why(pinned, name)
         return UNKNOWN, None
 
+    def _constant(self, module_qual: str, name: str) -> DimValue | None:
+        """Dim of ``module_qual.name`` if it is a known module constant."""
+        self.constants_read.add(module_qual)
+        if module_qual == "repro.units" and name in CONSTANT_DIMS:
+            return CONSTANT_DIMS[name]
+        info = self.program.by_qual.get(module_qual)
+        if info is not None and name in info.constants:
+            return info.constants[name]
+        return None
+
     def _eval_Attribute(self, node: ast.Attribute) -> tuple[_Abstract, str | None]:
-        module_qual = self._module_chain(node.value)
+        module_qual = self.program.module_ref(self.module, node.value)
         if module_qual is not None:
             if module_qual == "math":
                 return POLY, None  # math.pi, math.e, math.inf, ...
-            constant = self.project.constant_dim(module_qual, node.attr)
+            constant = self._constant(module_qual, node.attr)
             if constant is not None:
                 return constant, self._dim_why(constant, node.attr)
             return UNKNOWN, None
@@ -492,32 +510,17 @@ class _Evaluator:
         disagreement or gap collapses to UNKNOWN.
         """
         joined: DimValue = UNKNOWN
-        for pin in self.project.attr_fields.get(attr, ()):
+        for pin in self.program.attr_fields.get(attr, ()):
             if pin is None:
                 return UNKNOWN
             joined = join(joined, pin)
-        for fn in self.project.attr_funcs.get(attr, ()):
+        for fn in self.program.attr_funcs.get(attr, ()):
             if not fn.is_property:
                 continue
             joined = join(joined, self._summary(fn))
         if isinstance(joined, Dim):
             return joined
         return UNKNOWN
-
-    def _module_chain(self, node: ast.expr) -> str | None:
-        """Resolve a dotted module reference (``repro.units``), if any."""
-        if isinstance(node, ast.Name):
-            imported = self.module.imports.get(node.id)
-            if imported is not None and imported[0] == "module":
-                return imported[1]
-            return None
-        if isinstance(node, ast.Attribute):
-            base = self._module_chain(node.value)
-            if base is not None:
-                candidate = f"{base}.{node.attr}"
-                if candidate in self.project.by_qual or base == "repro":
-                    return candidate
-        return None
 
     def _eval_BinOp(self, node: ast.BinOp) -> tuple[_Abstract, str | None]:
         left, left_why = self._eval(node.left)
@@ -599,8 +602,6 @@ class _Evaluator:
 
     def _eval_UnaryOp(self, node: ast.UnaryOp) -> tuple[_Abstract, str | None]:
         value, why = self._eval(node.operand)
-        if isinstance(node.op, (ast.USub, ast.UAdd)):
-            return value, why
         if isinstance(node.op, ast.Not):
             return POLY, None
         return value, why
@@ -642,7 +643,7 @@ class _Evaluator:
     def _eval_NamedExpr(self, node: ast.NamedExpr) -> tuple[_Abstract, str | None]:
         value, why = self._eval(node.value)
         if isinstance(node.target, ast.Name):
-            self._bind_name(node, node, node.target.id, value, why)
+            self._bind_name(self.current, node, node.target.id, value, why)
         return value, why
 
     def _eval_Lambda(self, node: ast.Lambda) -> tuple[_Abstract, str | None]:
@@ -654,76 +655,27 @@ class _Evaluator:
         self.env = saved
         return UNKNOWN, None
 
-    def _eval_Subscript(self, node: ast.Subscript) -> tuple[_Abstract, str | None]:
-        self._eval(node.value)
-        self._eval(node.slice)
-        return UNKNOWN, None
-
-    def _eval_Starred(self, node: ast.Starred) -> tuple[_Abstract, str | None]:
-        self._eval(node.value)
-        return UNKNOWN, None
-
-    def _eval_Tuple(self, node: ast.Tuple) -> tuple[_Abstract, str | None]:
-        for elt in node.elts:
-            self._eval(elt)
-        return UNKNOWN, None
-
-    _eval_List = _eval_Tuple
-    _eval_Set = _eval_Tuple
-
-    def _eval_Dict(self, node: ast.Dict) -> tuple[_Abstract, str | None]:
-        for key in node.keys:
-            if key is not None:
-                self._eval(key)
-        for value in node.values:
-            self._eval(value)
-        return UNKNOWN, None
-
-    def _eval_JoinedStr(self, node: ast.JoinedStr) -> tuple[_Abstract, str | None]:
-        for part in node.values:
-            if isinstance(part, ast.FormattedValue):
-                self._eval(part.value)
-        return UNKNOWN, None
-
-    def _comprehension(self, node, elt: ast.expr | None) -> tuple[_Abstract, str | None]:
+    def _comprehension(self, node) -> tuple[_Abstract, str | None]:
         saved = dict(self.env)
         for gen in node.generators:
             self._eval(gen.iter)
-            self._bind_target(
-                ast.Pass(lineno=node.lineno, end_lineno=node.lineno,
-                         col_offset=0),
-                gen.target, UNKNOWN, None,
-            )
+            self._bind_target(self.current, gen.target, UNKNOWN, None)
             for condition in gen.ifs:
                 self._eval(condition)
         result: tuple[_Abstract, str | None] = (UNKNOWN, None)
-        if elt is not None:
-            elem, why = self._eval(elt)
+        if isinstance(node, ast.DictComp):
+            self._eval(node.key)
+            self._eval(node.value)
+        else:
+            elem, why = self._eval(node.elt)
             result = (_Seq(_as_dim(elem), why), why)
         self.env = saved
         return result
 
-    def _eval_GeneratorExp(self, node: ast.GeneratorExp):
-        return self._comprehension(node, node.elt)
-
-    _eval_ListComp = _eval_GeneratorExp
-    _eval_SetComp = _eval_GeneratorExp
-
-    def _eval_DictComp(self, node: ast.DictComp):
-        saved = dict(self.env)
-        for gen in node.generators:
-            self._eval(gen.iter)
-            self._bind_target(
-                ast.Pass(lineno=node.lineno, end_lineno=node.lineno,
-                         col_offset=0),
-                gen.target, UNKNOWN, None,
-            )
-            for condition in gen.ifs:
-                self._eval(condition)
-        self._eval(node.key)
-        self._eval(node.value)
-        self.env = saved
-        return UNKNOWN, None
+    _eval_GeneratorExp = _comprehension
+    _eval_ListComp = _comprehension
+    _eval_SetComp = _comprehension
+    _eval_DictComp = _comprehension
 
     # -- calls ------------------------------------------------------------
 
@@ -731,7 +683,7 @@ class _Evaluator:
         handler = self._call_special(node)
         if handler is not None:
             return handler
-        target = self._resolve_call(node.func)
+        targets = self._targets(node.func)
         arg_values = [self._eval(arg) for arg in node.args]
         kw_values = {
             kw.arg: self._eval(kw.value)
@@ -741,17 +693,17 @@ class _Evaluator:
         for kw in node.keywords:
             if kw.arg is None:  # **kwargs: evaluated, not bound
                 self._eval(kw.value)
-        if isinstance(target, FunctionInfo):
+        if len(targets) == 1:
+            target = targets[0]
             self._bind_call(node, target, arg_values, kw_values)
+            if isinstance(target, Class):
+                return UNKNOWN, None
             result = self._summary(target)
             label = f"{target.node.name}(...)"
             return result, self._dim_why(result, label)
-        if isinstance(target, ClassInfo):
-            self._bind_constructor(node, target, arg_values, kw_values)
-            return UNKNOWN, None
-        if isinstance(target, list):  # ambiguous duck candidates
+        if targets:  # ambiguous duck candidates
             joined: DimValue = UNKNOWN
-            for candidate in target:
+            for candidate in targets:
                 joined = join(joined, self._summary(candidate))
             if isinstance(joined, Dim):
                 name = getattr(node.func, "attr", "call")
@@ -762,75 +714,52 @@ class _Evaluator:
     def _bind_call(
         self,
         node: ast.Call,
-        fn: FunctionInfo,
+        target: Function | Class,
         arg_values: list[tuple[_Abstract, str | None]],
         kw_values: dict[str, tuple[_Abstract, str | None]],
     ) -> None:
-        has_star = any(isinstance(arg, ast.Starred) for arg in node.args)
-        slots = fn.bindable
+        """Bind arguments to a def's parameters or a class's fields: a
+        pinned one checks its argument, an unpinned parameter joins it."""
+        if isinstance(target, Class):
+            kind, name = "field", target.name
+            slots = [
+                ParamSlot(field_name, pin, UNKNOWN)
+                for field_name, pin in target.fields.items()
+            ]
+        else:
+            kind, name = "parameter", target.node.name
+            slots = target.bindable
         by_name = {slot.name: slot for slot in slots}
-        bindings: list[tuple[callgraph.ParamSlot, tuple[_Abstract, str | None]]] = []
-        if not has_star:
-            for slot, value in zip(slots, arg_values):
-                bindings.append((slot, value))
-        for name, value in kw_values.items():
-            slot = by_name.get(name)
-            if slot is not None:
-                bindings.append((slot, value))
+        bindings: list[tuple[ParamSlot, tuple[_Abstract, str | None]]] = []
+        if not any(isinstance(arg, ast.Starred) for arg in node.args):
+            bindings += zip(slots, arg_values)
+        bindings += [
+            (by_name[key], value) for key, value in kw_values.items()
+            if key in by_name
+        ]
         for slot, (value, why) in bindings:
             dim_value = _as_dim(value)
-            if slot.pin is not None:
-                if isinstance(dim_value, Dim) and dim_value != slot.pin:
-                    self._report(
-                        node, "DIM004",
-                        f"parameter {slot.name!r} of {fn.node.name!r} "
-                        f"expects '{format_dim(slot.pin)}' but the "
-                        f"argument infers '{format_dim(dim_value)}': "
-                        f"{self._chain(why)}",
-                    )
-            else:
-                self._join_param(fn, slot, dim_value)
-
-    def _bind_constructor(
-        self,
-        node: ast.Call,
-        cls: ClassInfo,
-        arg_values: list[tuple[_Abstract, str | None]],
-        kw_values: dict[str, tuple[_Abstract, str | None]],
-    ) -> None:
-        fields = list(cls.fields.items())
-        has_star = any(isinstance(arg, ast.Starred) for arg in node.args)
-        bindings: list[tuple[str, Dim | None, tuple[_Abstract, str | None]]] = []
-        if not has_star:
-            for (name, pin), value in zip(fields, arg_values):
-                bindings.append((name, pin, value))
-        for name, value in kw_values.items():
-            if name in cls.fields:
-                bindings.append((name, cls.fields[name], value))
-        for name, pin, (value, why) in bindings:
-            dim_value = _as_dim(value)
-            if (
-                pin is not None
-                and isinstance(dim_value, Dim)
-                and dim_value != pin
-            ):
+            if slot.pin is None:
+                if kind == "parameter":
+                    self._join_param(target, slot, dim_value)
+            elif isinstance(dim_value, Dim) and dim_value != slot.pin:
                 self._report(
                     node, "DIM004",
-                    f"field {name!r} of {cls.name!r} expects "
-                    f"'{format_dim(pin)}' but the argument infers "
+                    f"{kind} {slot.name!r} of {name!r} expects "
+                    f"'{format_dim(slot.pin)}' but the argument infers "
                     f"'{format_dim(dim_value)}': {self._chain(why)}",
                 )
 
     def _call_special(self, node: ast.Call) -> tuple[_Abstract, str | None] | None:
         func = node.func
         if isinstance(func, ast.Attribute):
-            if self._module_chain(func.value) == "math":
+            if self.program.module_ref(self.module, func.value) == "math":
                 return self._math_call(node, func.attr)
             return None
         if not isinstance(func, ast.Name) or func.id in self.env:
             return None
         name = func.id
-        if self._resolve_call(func) is not None:
+        if self._targets(func):
             return None  # a project symbol shadows the builtin name
         if name in ("min", "max"):
             return self._min_max(node)
@@ -941,106 +870,70 @@ class _Evaluator:
 
     # -- call resolution --------------------------------------------------
 
-    def _resolve_symbol(self, qualname: str) -> FunctionInfo | ClassInfo | None:
-        found = self.project.functions.get(qualname)
-        if found is not None:
-            return found
-        cls = self.project.classes.get(qualname)
-        if cls is not None:
-            return cls
-        terminal = qualname.rsplit(".", 1)[-1]
-        functions = self.project.func_by_name.get(terminal, [])
-        if len(functions) == 1:
-            return functions[0]
-        candidates = self.project.class_by_name.get(terminal, [])
-        if len(candidates) == 1:
-            return candidates[0]
-        return None
+    def _targets(self, func: ast.expr) -> list[Function | Class]:
+        """The defs or class a call reaches, through the shared resolver.
 
-    def _resolve_call(
-        self, func: ast.expr
-    ) -> FunctionInfo | ClassInfo | list[FunctionInfo] | None:
-        if isinstance(func, ast.Name):
-            name = func.id
-            local = self.project.functions.get(
-                f"{self.module.qualname}.{name}"
-            )
-            if local is not None:
-                return local
-            local_cls = self.project.classes.get(
-                f"{self.module.qualname}.{name}"
-            )
-            if local_cls is not None:
-                return local_cls
-            imported = self.module.imports.get(name)
-            if imported is not None and imported[0] == "symbol":
-                return self._resolve_symbol(imported[1])
-            if self.function is not None:
-                # Sibling nested def / method referenced without self.
-                scoped = self.project.functions.get(
-                    f"{self.function.qualname}.{name}"
-                )
-                if scoped is not None:
-                    return scoped
-            return None
+        A name the body bound is a local value, never a project symbol,
+        and a called property returns a value rather than running; the
+        receiver of an attribute call is evaluated for its own checks.
+        """
         if isinstance(func, ast.Attribute):
-            module_qual = self._module_chain(func.value)
-            if module_qual is not None:
-                return self._resolve_symbol(f"{module_qual}.{func.attr}")
-            if (
-                isinstance(func.value, ast.Name)
-                and isinstance(self.env.get(func.value.id), _SelfRef)
-            ):
-                ref = self.env[func.value.id]
-                assert isinstance(ref, _SelfRef)
+            if self.program.module_ref(self.module, func.value) is None:
                 self._eval(func.value)
-                if ref.cls is not None:
-                    method = ref.cls.methods.get(func.attr)
-                    if method is not None:
-                        return method
-            else:
-                self._eval(func.value)
-            methods = [
-                fn for fn in self.project.attr_funcs.get(func.attr, [])
-                if not fn.is_property
-            ]
-            if len(methods) == 1:
-                return methods[0]
-            if methods:
-                return methods
-            return None
-        self._eval(func)
-        return None
+        elif not isinstance(func, ast.Name):
+            self._eval(func)
+        elif func.id in self.env:
+            return []
+        return [
+            target for target in self.program.resolve(
+                self.function, self.module, func,
+            )
+            if isinstance(target, Class) or (
+                isinstance(target, Function) and not target.is_lambda
+                and not target.is_property
+            )
+        ]
 
 
 # -- project passes --------------------------------------------------------
 
 
-def _constant_pass(project: Project) -> None:
-    """Infer module-level constant dims (two sweeps for forward imports)."""
-    for _ in range(2):
-        for module in project.modules.values():
-            evaluator = _Evaluator(project, module, None, check=False)
-            evaluator.env = module.constants  # assignments land here
-            for stmt in module.tree.body:
-                if isinstance(stmt, (ast.Assign, ast.AnnAssign)):
-                    evaluator._stmt(stmt)
+def _constant_pass(program: Program) -> None:
+    """Infer module-level constant dims.
+
+    A module is evaluated again when a module whose constants it read
+    (itself included, for forward references) changed.
+    """
+    readers: dict[str, dict[int, Module]] = {}
+
+    def step(module: Module) -> list[Module]:
+        evaluator = _Evaluator(program, module, None, check=False)
+        evaluator.env = module.constants  # assignments land here
+        before = dict(module.constants)
+        for stmt in module.tree.body:
+            if isinstance(stmt, (ast.Assign, ast.AnnAssign)):
+                evaluator._stmt(stmt)
+        for qual in evaluator.constants_read:
+            readers.setdefault(qual, {})[id(module)] = module
+        if module.constants == before:
+            return []
+        return list(readers.get(module.qualname, {}).values())
+
+    fixpoint.solve(list(program.modules.values()), step)
 
 
-def solve_fixpoint(project: Project) -> int:
+def solve_fixpoint(program: Program) -> int:
     """Solve parameter/return summaries; returns the solver's rounds.
 
     A function is re-evaluated when a call site moved one of its
     parameters or when a return summary it read (a call, a ``self``
     property, a duck-typed property) moved.
     """
-    _constant_pass(project)
-    readers: dict[int, dict[int, FunctionInfo]] = {}
+    _constant_pass(program)
+    readers: dict[int, dict[int, Function]] = {}
 
-    def step(fn: FunctionInfo) -> list[FunctionInfo]:
-        evaluator = _Evaluator(
-            project, project.by_qual[fn.module_qual], fn, check=False,
-        )
+    def step(fn: Function) -> list[Function]:
+        evaluator = _Evaluator(program, fn.module, fn, check=False)
         evaluator.run_body(fn.node.body)
         for summary in evaluator.summaries_read:
             readers.setdefault(id(summary), {})[id(fn)] = fn
@@ -1048,25 +941,25 @@ def solve_fixpoint(project: Project) -> int:
             return evaluator.moved + list(readers.get(id(fn), {}).values())
         return evaluator.moved
 
-    return fixpoint.solve(list(project.functions.values()), step)
+    return fixpoint.solve(list(program.functions.values()), step)
 
 
-def check_module(project: Project, path: str) -> list[Finding]:
+def check_module(program: Program, path: str) -> list[Finding]:
     """Re-evaluate one module with frozen facts, collecting findings."""
-    module = project.modules[path]
+    module = program.modules[path]
     findings: list[Finding] = []
-    for line, message in module.comments.errors:
+    for line, message in module.dim_notes:
         findings.append(Finding(path, line, 0, "DIMNOTE", message))
-    top = _Evaluator(project, module, None, check=True, findings=findings)
+    top = _Evaluator(program, module, None, check=True, findings=findings)
     top.env = dict(module.constants)
     for stmt in module.tree.body:
         if not isinstance(stmt, (ast.FunctionDef, ast.AsyncFunctionDef,
                                  ast.ClassDef)):
             top._stmt(stmt)
-    for fn in project.functions.values():
-        if fn.module_qual != module.qualname:
+    for fn in program.functions.values():
+        if fn.module is not module:
             continue
-        evaluator = _Evaluator(project, module, fn, check=True,
+        evaluator = _Evaluator(program, module, fn, check=True,
                                findings=findings)
         evaluator.run_body(fn.node.body)
     return findings

@@ -116,18 +116,12 @@ class DimComments:
     by_line: dict[int, dict[str, Dim]] = field(default_factory=dict)
     errors: list[tuple[int, str]] = field(default_factory=list)
 
-    def in_range(self, first: int, last: int) -> dict[str, Dim]:
-        """Merged annotations over an inclusive line range."""
-        merged: dict[str, Dim] = {}
-        for line in range(first, last + 1):
-            merged.update(self.by_line.get(line, {}))
-        return merged
-
 
 def dim_table(directives: Directives) -> DimComments:
     """Parse a module's ``dim[...]`` directives into its pin table.
 
-    Each binds one or more names on its line:
+    Each pins one or more names of the statement or signature the
+    program model's directive binder attaches it to:
     ``# repro: dim[cap: f, return: s]``.
     """
     table = DimComments(errors=directives.notes("dim"))

@@ -8,7 +8,7 @@ human name, protected invariant) is what the CLI and the docs render.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Any
+from typing import Any, Iterable
 
 
 @dataclass(frozen=True, order=True)
@@ -38,6 +38,18 @@ class Finding:
             "rule": self.rule,
             "message": self.message,
         }
+
+
+def by_target(
+    targets: Iterable[Any], findings: Iterable[Finding],
+) -> dict[str, list[Finding]]:
+    """Sorted findings per target module (anything with a ``path``);
+    findings on other modules are dropped."""
+    results: dict[str, list[Finding]] = {target.path: [] for target in targets}
+    for finding in findings:
+        if finding.path in results:
+            results[finding.path].append(finding)
+    return {path: sorted(found) for path, found in results.items()}
 
 
 @dataclass(frozen=True)

@@ -1,11 +1,11 @@
 """One worklist fixpoint solver for every whole-program pass.
 
-Dimension summaries, execution contexts, transitive effects and the
-shared-class escape closure are all monotone problems over a fixed list
-of items (functions, call-graph nodes, field types). A pass supplies
-only its transfer function: ``step(item)`` updates the facts the item
-feeds and returns the items whose inputs it changed. :func:`solve`
-visits exactly those again.
+Module constants, dimension summaries, execution contexts, transitive
+effects and the shared-class escape closure are all monotone problems
+over a fixed list of items (modules, function records, field types). A
+pass supplies only its transfer function: ``step(item)`` updates the
+facts the item feeds and returns the items whose inputs it changed.
+:func:`solve` visits exactly those again.
 
 The visiting order is part of the contract. Dirty items are visited in
 the pass's own item order, round by round: an item dirtied ahead of the

@@ -21,8 +21,9 @@ whole-program:
   ``# repro: key-exempt[name: reason]`` declarations.
 
 The two declarations belong to the shared directive grammar
-(:mod:`repro.analysis.directives`). ``keyed-by[name, other]`` on a
-memoization site asserts that the named values *are* part of the cache
+(:mod:`repro.analysis.directives`), and the program model's one binder
+attaches each to the statement whose lines hold it. ``keyed-by[name,
+other]`` on a memoization site's statement asserts that the named values *are* part of the cache
 key even though the analysis cannot see the flow (e.g. the key is a
 content hash of a record that embeds them); KEY001/KEY002 treat them as
 covered. ``key-exempt[name: reason]`` on a site *or* a module-global
@@ -30,11 +31,11 @@ definition waives KEY/DET findings for that name. The reason is
 mandatory: an exemption without a written justification is exactly the
 silent staleness the pass exists to prevent.
 
-The pass reuses the concurrency substrate — the shared project call
-graph, the solved :class:`~repro.analysis.concurrency.contexts
-.ContextModel` (with decorator/partial resolution) and the
-:class:`~repro.analysis.concurrency.state.StateModel` access table —
-so a ``lint --all`` run builds each structure exactly once.
+The pass reuses the concurrency substrate — the shared program model
+(:mod:`repro.analysis.program`) with the call edges the solved
+:class:`~repro.analysis.concurrency.contexts.ContextModel` added, and the
+:class:`~repro.analysis.concurrency.state.StateModel` access table — so
+a ``lint --all`` run builds each structure exactly once.
 """
 
 from __future__ import annotations
@@ -47,7 +48,7 @@ from repro.analysis.concurrency.contexts import ContextModel
 from repro.analysis.concurrency.state import StateKey, StateModel
 from repro.analysis.context import ModuleSource
 from repro.analysis.directives import Directives
-from repro.analysis.finding import Finding
+from repro.analysis.finding import Finding, by_target
 from repro.analysis.keysound.effects import (
     EffectModel,
     is_neutral,
@@ -56,6 +57,7 @@ from repro.analysis.keysound.effects import (
 )
 from repro.analysis.keysound.rules import KEY_DERIVATION, run_rules
 from repro.analysis.keysound.sites import MemoSite, discover_sites
+from repro.analysis.program import Program, assigned_names
 
 __all__ = [
     "EffectModel",
@@ -81,25 +83,6 @@ class KeyComments:
     exempt: dict[int, dict[str, str]] = field(default_factory=dict)
     #: (line, message) pairs for malformed declarations (KEYNOTE).
     errors: list[tuple[int, str]] = field(default_factory=list)
-
-    def in_range(self, first: int, last: int) -> tuple[
-        set[str], dict[str, str], set[int],
-    ]:
-        """Declarations attached to a statement spanning the lines.
-
-        Returns ``(keyed_by names, exempt name->reason, claimed lines)``.
-        """
-        keyed: set[str] = set()
-        exempt: dict[str, str] = {}
-        claimed: set[int] = set()
-        for line in range(first, last + 1):
-            if line in self.keyed_by:
-                keyed |= self.keyed_by[line]
-                claimed.add(line)
-            if line in self.exempt:
-                exempt.update(self.exempt[line])
-                claimed.add(line)
-        return keyed, exempt, claimed
 
 
 def key_table(directives: Directives) -> KeyComments:
@@ -141,10 +124,28 @@ def key_table(directives: Directives) -> KeyComments:
     return out
 
 
-def _bind_comments(
-    model: ContextModel, sites: list[MemoSite],
+def _holder(site: MemoSite) -> ast.stmt | None:
+    """The statement a site's declarations attach to: an ``lru`` def
+    itself, otherwise the innermost statement holding the call."""
+    if site.kind == "lru":
+        return site.node.node
+    fn = site.node.parent if site.node.is_lambda else site.node
+    best: ast.stmt | None = None
+    for item in fn.own:
+        if isinstance(item, ast.stmt) and \
+                item.lineno <= site.line <= item.end_lineno and (
+                    best is None
+                    or item.end_lineno - item.lineno
+                    < best.end_lineno - best.lineno
+                ):
+            best = item
+    return best
+
+
+def _bind_declarations(
+    program: Program, sites: list[MemoSite],
 ) -> tuple[dict[StateKey, str], list[Finding]]:
-    """Attach declarations to sites and global definitions.
+    """Apply the bound declarations to sites and global definitions.
 
     Returns the project-wide definition-site exemptions plus the
     KEYNOTE findings for malformed or unattached declarations.
@@ -154,70 +155,51 @@ def _bind_comments(
     by_path: dict[str, list[MemoSite]] = {}
     for site in sites:
         by_path.setdefault(site.path, []).append(site)
-    for info in model.project.by_qual.values():
-        comments = key_table(info.directives)
+
+    def note(module, line: int, message: str) -> None:
+        notes.append(Finding(
+            path=module.path, line=line, col=0, rule="KEYNOTE",
+            message=message,
+        ))
+
+    for module in program.modules.values():
+        comments = key_table(module.directives)
         for line, message in comments.errors:
-            notes.append(Finding(
-                path=info.path, line=line, col=0, rule="KEYNOTE",
-                message=message,
-            ))
+            note(module, line, message)
         if not comments.keyed_by and not comments.exempt:
             continue
         claimed: set[int] = set()
-        # Memo sites claim declarations on their statement lines.
-        for site in by_path.get(info.path, []):
-            keyed, exempt, taken = comments.in_range(
-                site.line, site.end_line,
-            )
-            site.keyed_by |= keyed
-            site.exempt.update(exempt)
-            claimed |= taken
+        # A memo site claims the declarations on its statement.
+        for site in by_path.get(module.path, []):
+            for directive in module.held(_holder(site), "keyed-by",
+                                         "key-exempt"):
+                site.keyed_by |= comments.keyed_by.get(directive.line, set())
+                site.exempt.update(comments.exempt.get(directive.line, {}))
+                claimed.add(directive.line)
         # Module-global definitions claim key-exempt project-wide.
-        for stmt in info.tree.body:
-            targets: list[ast.expr] = []
-            if isinstance(stmt, ast.Assign):
-                targets = stmt.targets
-            elif isinstance(stmt, ast.AnnAssign):
-                targets = [stmt.target]
-            else:
-                continue
-            names = [
-                target.id for target in targets
-                if isinstance(target, ast.Name)
-            ]
+        for stmt in module.tree.body:
+            names = assigned_names(stmt)
             if not names:
                 continue
-            first = stmt.lineno
-            last = stmt.end_lineno or stmt.lineno
-            for line in range(first, last + 1):
+            for directive in module.held(stmt, "keyed-by", "key-exempt"):
+                line = directive.line
                 for name, reason in comments.exempt.get(line, {}).items():
                     if name in names:
                         global_exempt[
-                            ("global", info.qualname, name)
+                            ("global", module.qualname, name)
                         ] = reason
                         claimed.add(line)
                 if line in comments.keyed_by and line not in claimed:
-                    notes.append(Finding(
-                        path=info.path, line=line, col=0, rule="KEYNOTE",
-                        message=(
-                            "keyed-by attaches to a memoization site, "
-                            "not a definition; use key-exempt[name: "
-                            "reason] to exempt a global"
-                        ),
-                    ))
+                    note(module, line,
+                         "keyed-by attaches to a memoization site, not a "
+                         "definition; use key-exempt[name: reason] to "
+                         "exempt a global")
                     claimed.add(line)
-        for line in sorted(
-            set(comments.keyed_by) | set(comments.exempt),
-        ):
+        for line in sorted(set(comments.keyed_by) | set(comments.exempt)):
             if line not in claimed:
-                notes.append(Finding(
-                    path=info.path, line=line, col=0, rule="KEYNOTE",
-                    message=(
-                        "key declaration is not attached to a "
-                        "memoization site or a module-global "
-                        "definition"
-                    ),
-                ))
+                note(module, line,
+                     "key declaration is not attached to a memoization "
+                     "site or a module-global definition")
     return global_exempt, notes
 
 
@@ -230,9 +212,9 @@ def build_keysound_model(
     Exposed for the meta-suite, which asserts on the discovered sites
     and inferred effects directly in addition to the emitted findings.
     """
-    sites = discover_sites(model)
-    effects = solve_effects(model, state)
-    global_exempt, notes = _bind_comments(model, sites)
+    sites = discover_sites(model.program)
+    effects = solve_effects(model.program, state)
+    global_exempt, notes = _bind_declarations(model.program, sites)
     return sites, effects, global_exempt, notes
 
 
@@ -249,19 +231,10 @@ def analyze_keysound(
     from each project module's directive table. Returns a mapping of
     target path -> sorted findings.
     """
-    target_list = list(targets)
     sites, effects, global_exempt, notes = build_keysound_model(
         model, state,
     )
-    mutable = mutable_state_keys(state)
-    findings = run_rules(
-        sites, effects, state, model, mutable, global_exempt,
-        notes, disabled,
-    )
-    results: dict[str, list[Finding]] = {
-        source.path: [] for source in target_list
-    }
-    for finding in findings:
-        if finding.path in results:
-            results[finding.path].append(finding)
-    return {path: sorted(found) for path, found in results.items()}
+    return by_target(targets, run_rules(
+        sites, effects, state, model.program, mutable_state_keys(state),
+        global_exempt, notes, disabled,
+    ))

@@ -1,9 +1,9 @@
 """Transitive effect inference for the cache-key soundness pass.
 
-For every node in the project call graph this module computes, to a
-fixpoint of the shared worklist solver (:mod:`repro.analysis.fixpoint`)
-over call edges (including inline lambdas and the decorator bindings
-resolved by :mod:`..concurrency.contexts`):
+For every function of the shared program model this module computes, to
+a fixpoint of the shared worklist solver (:mod:`repro.analysis.fixpoint`)
+over the call edges :mod:`..concurrency.contexts` resolved (inline
+lambdas and decorator-wrapped functions included):
 
 * the *read set* — shared state keys (module globals, instance fields)
   the node transitively reads;
@@ -31,13 +31,8 @@ import ast
 from dataclasses import dataclass, field
 
 from repro.analysis import fixpoint
-from repro.analysis.concurrency.contexts import (
-    ContextModel,
-    Node,
-    dotted_chain,
-    iter_own_statements,
-)
 from repro.analysis.concurrency.state import StateKey, StateModel
+from repro.analysis.program import Function, Program, dotted_chain
 
 #: Module qualnames (exact or dotted prefixes) whose nodes are
 #: instrumentation: no facts in, no traversal through.
@@ -77,7 +72,7 @@ _FILE_READ_ATTRS: frozenset[str] = frozenset({
 })
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class Fact:
     """One effect fact: where it originates and how it was reached."""
 
@@ -95,7 +90,7 @@ class EffectModel:
     nondet: dict[str, dict[str, Fact]] = field(default_factory=dict)
     mentions: dict[str, set[str]] = field(default_factory=dict)
 
-    def merged(self, kind: str, nodes: tuple[Node, ...]) -> dict:
+    def merged(self, kind: str, nodes: tuple[Function, ...]) -> dict:
         """Union of one fact table across several entry nodes."""
         table = getattr(self, kind)
         out: dict = {}
@@ -104,14 +99,14 @@ class EffectModel:
                 out.setdefault(key, fact)
         return out
 
-    def merged_mentions(self, nodes: tuple[Node, ...]) -> set[str]:
+    def merged_mentions(self, nodes: tuple[Function, ...]) -> set[str]:
         out: set[str] = set()
         for node in nodes:
             out |= self.mentions.get(node.qualname, set())
         return out
 
 
-def is_neutral(node: Node) -> bool:
+def is_neutral(node: Function) -> bool:
     """Whether a node lives in an instrumentation module."""
     qual = node.module.qualname
     return any(
@@ -128,7 +123,7 @@ def _is_set_expr(expr: ast.expr) -> bool:
     return False
 
 
-def _scan_nondet(node: Node) -> dict[str, Fact]:
+def _scan_nondet(node: Function) -> dict[str, Fact]:
     """Direct nondeterministic sources in one node's own body."""
     found: dict[str, Fact] = {}
 
@@ -139,7 +134,7 @@ def _scan_nondet(node: Node) -> dict[str, Fact]:
                   f"in {node.short}",
         ))
 
-    for item in iter_own_statements(node.statements):
+    for item in node.own:
         if isinstance(item, ast.Call):
             chain = dotted_chain(item.func, node.module)
             if chain is not None:
@@ -175,9 +170,9 @@ def _scan_nondet(node: Node) -> dict[str, Fact]:
     return found
 
 
-def _scan_mentions(node: Node) -> set[str]:
+def _scan_mentions(node: Function) -> set[str]:
     names: set[str] = set()
-    for item in iter_own_statements(node.statements):
+    for item in node.own:
         if isinstance(item, ast.Name):
             names.add(item.id)
         elif isinstance(item, ast.Attribute):
@@ -187,11 +182,10 @@ def _scan_mentions(node: Node) -> set[str]:
     return names
 
 
-def solve_effects(model: ContextModel, state: StateModel) -> EffectModel:
-    """Collect per-node facts and propagate them along call edges."""
+def solve_effects(program: Program, state: StateModel) -> EffectModel:
+    """Collect per-function facts and propagate them along call edges."""
     effects = EffectModel()
-    all_nodes = list(model.nodes.values()) + list(model.lambda_nodes)
-    live = [node for node in all_nodes if not is_neutral(node)]
+    live = [node for node in program.bodies if not is_neutral(node)]
     # Base facts.
     for node in live:
         effects.reads[node.qualname] = {}
@@ -218,16 +212,12 @@ def solve_effects(model: ContextModel, state: StateModel) -> EffectModel:
     # Propagation: callee facts flow to callers with extended chains;
     # a node whose facts grew is re-pulled by its callers.
     ordered = sorted(live, key=lambda node: node.qualname)
-    hops: dict[int, list[tuple[Node, str]]] = {}
-    callers: dict[str, list[Node]] = {}
+    hops: dict[int, list[tuple[Function, str]]] = {}
+    callers: dict[str, list[Function]] = {}
     for node in ordered:
-        edges: list[tuple[Node, int]] = [
+        edges: list[tuple[Function, int]] = [
             (edge.callee, edge.line) for edge in node.calls
-        ] + [
-            (lam, lam.body.lineno if isinstance(lam.body, ast.expr)
-             else 0)
-            for lam in node.inline_lambdas
-        ]
+        ] + [(lam, lam.node.body.lineno) for lam in node.lambdas]
         hops[id(node)] = []
         for callee, line in edges:
             if is_neutral(callee) or callee.qualname == node.qualname:
@@ -238,7 +228,7 @@ def solve_effects(model: ContextModel, state: StateModel) -> EffectModel:
             )))
             callers.setdefault(callee.qualname, []).append(node)
 
-    def step(node: Node) -> list[Node]:
+    def step(node: Function) -> list[Function]:
         grew = False
         for callee, hop in hops[id(node)]:
             for kind in ("reads", "writes", "nondet"):

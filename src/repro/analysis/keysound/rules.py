@@ -1,8 +1,9 @@
 """The KEY/DET rule implementations.
 
 Each rule combines the memoization sites from :mod:`.sites` with the
-transitive effects from :mod:`.effects` and the declarations from
-:mod:`.comments`; messages carry the full read-set inference chain in
+transitive effects from :mod:`.effects` and the declarations the
+program model's directive binder attached to sites and definitions;
+messages carry the full read-set inference chain in
 the DIM/CONC style.
 """
 
@@ -17,6 +18,7 @@ from repro.analysis.concurrency.state import (
 from repro.analysis.finding import Finding
 from repro.analysis.keysound.effects import EffectModel, Fact
 from repro.analysis.keysound.sites import MemoSite
+from repro.analysis.program import Function, Program
 
 #: Functions whose output *is* a cache key: nondeterminism or mutable
 #: state inside them corrupts every key they derive (DET001).
@@ -119,8 +121,7 @@ def check_key002(
 def check_det001(
     sites: list[MemoSite],
     effects: EffectModel,
-    model_nodes: dict,
-    project,
+    functions: dict[str, Function],
     global_exempt: dict[StateKey, str],
     mutable: frozenset[StateKey],
     disable: frozenset[str],
@@ -150,11 +151,10 @@ def check_det001(
             ))
     # Key-derivation functions must themselves be deterministic and
     # read no mutable state: their output is the key.
-    for qual, node in sorted(model_nodes.items()):
+    for qual, node in sorted(functions.items()):
         if node.name not in KEY_DERIVATION:
             continue
-        fn = project.functions.get(qual)
-        line = fn.node.lineno if fn is not None else 1
+        line = node.node.lineno
         for source in sorted(effects.nondet.get(qual, {})):
             fact = effects.nondet[qual][source]
             findings.append(Finding(
@@ -231,7 +231,7 @@ def run_rules(
     sites: list[MemoSite],
     effects: EffectModel,
     state: StateModel,
-    model,
+    program: Program,
     mutable: frozenset[StateKey],
     global_exempt: dict[StateKey, str],
     note_findings: list[Finding],
@@ -244,7 +244,7 @@ def run_rules(
     ))
     findings.extend(check_key002(sites, effects, disable))
     findings.extend(check_det001(
-        sites, effects, model.nodes, model.project, global_exempt,
+        sites, effects, program.functions, global_exempt,
         mutable, disable,
     ))
     findings.extend(check_det002(

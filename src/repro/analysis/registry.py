@@ -13,8 +13,9 @@ shape:
   callable ``(targets, shared, disabled) -> {path: [Finding]}``;
 * :class:`SharedAnalysis` owns every cross-pass structure — the parsed
   module list, the purity :class:`~repro.analysis.context.ProjectIndex`,
-  the :class:`~repro.analysis.dimensional.callgraph.Project` symbol
-  tables, and the concurrency :class:`ContextModel`/:class:`StateModel`
+  the one :class:`~repro.analysis.program.Program` model (function,
+  class and module tables, bound directives, and the one call
+  resolver), and the concurrency :class:`ContextModel`/:class:`StateModel`
   pair (which the keysound pass reuses) — each built **once** per lint
   invocation and handed to every pass that wants it;
 * :func:`run_passes` dispatches the enabled passes, optionally in
@@ -26,12 +27,12 @@ Thread-safety: shared structures are built eagerly by
 pass bodies only ever *read* them concurrently. That includes each
 module's ``# repro:`` directive table
 (:attr:`~repro.analysis.context.ModuleSource.directives`), scanned once
-per lint: by the project build for every context module when a
+per lint: by the program build for every context module when a
 whole-program pass runs, otherwise by the runner's suppression filter
 for the target files alone. The one exception is
 the dimensional fixpoint, which accumulates inferred facts onto the
-shared ``Project``'s fact slots; no other pass reads those slots, so
-the mutation is private to that pass by construction.
+shared ``Program``'s dimension slots; no other pass reads those slots,
+so the mutation is private to that pass by construction.
 """
 
 from __future__ import annotations
@@ -48,6 +49,7 @@ from repro.analysis.finding import (
     DIM_RULE_IDS,
     KEY_RULE_IDS,
     Finding,
+    by_target,
 )
 
 #: Uniform pass entry point: findings for the target modules, keyed by
@@ -97,7 +99,7 @@ class SharedAnalysis:
         self.context: list[ModuleSource] = list(context)
         self._lock = threading.RLock()
         self._index: ProjectIndex | None = None
-        self._project = None
+        self._program = None
         self._conc_model = None
         self._conc_state = None
 
@@ -108,21 +110,19 @@ class SharedAnalysis:
                 self._index = build_index(self.context)
             return self._index
 
-    def project(self):
-        """The whole-program symbol tables (shared call graph)."""
+    def program(self):
+        """The one whole-program model (shared call resolution)."""
         with self._lock:
-            if self._project is None:
-                from repro.analysis.dimensional.callgraph import (
-                    build_project,
-                )
+            if self._program is None:
+                from repro.analysis.program import build_program
 
-                self._project = build_project(self.context)
-            return self._project
+                self._program = build_program(self.context)
+            return self._program
 
     def concurrency_model(self):
         """The solved (ContextModel, StateModel) pair.
 
-        Built on top of :meth:`project`; consumed by both the
+        Built on top of :meth:`program`; consumed by both the
         concurrency and the keysound passes.
         """
         with self._lock:
@@ -132,7 +132,7 @@ class SharedAnalysis:
                 )
                 from repro.analysis.concurrency.state import build_state
 
-                self._conc_model = build_contexts(self.project())
+                self._conc_model = build_contexts(self.program())
                 self._conc_state = build_state(self._conc_model)
             return self._conc_model, self._conc_state
 
@@ -141,7 +141,7 @@ class SharedAnalysis:
         passes = list(passes)
         self.index()
         if any(p.needs_callgraph for p in passes):
-            self.project()
+            self.program()
         if any(p.name in ("concurrency", "keysound") for p in passes):
             self.concurrency_model()
 
@@ -173,11 +173,15 @@ def _run_dimensional(
     shared: SharedAnalysis,
     disabled: frozenset[str],
 ) -> dict[str, list[Finding]]:
-    from repro.analysis.dimensional import analyze_dimensions
+    """Solve dimension summaries, then re-check the targets with them."""
+    from repro.analysis.dimensional import check_module, solve_fixpoint
 
-    return analyze_dimensions(
-        targets, shared.context, project=shared.project(),
-    )
+    program = shared.program()
+    solve_fixpoint(program)
+    return by_target(targets, [
+        finding for module in targets if module.path in program.modules
+        for finding in check_module(program, module.path)
+    ])
 
 
 def _run_concurrency(
@@ -185,12 +189,9 @@ def _run_concurrency(
     shared: SharedAnalysis,
     disabled: frozenset[str],
 ) -> dict[str, list[Finding]]:
-    from repro.analysis.concurrency import analyze_concurrency
+    from repro.analysis.concurrency.rules import run_rules
 
-    model, state = shared.concurrency_model()
-    return analyze_concurrency(
-        targets, shared.context, disabled, model=model, state=state,
-    )
+    return by_target(targets, run_rules(*shared.concurrency_model(), disabled))
 
 
 def _run_keysound(
@@ -200,10 +201,7 @@ def _run_keysound(
 ) -> dict[str, list[Finding]]:
     from repro.analysis.keysound import analyze_keysound
 
-    model, state = shared.concurrency_model()
-    return analyze_keysound(
-        targets, model=model, state=state, disabled=disabled,
-    )
+    return analyze_keysound(targets, *shared.concurrency_model(), disabled)
 
 
 #: Every registered pass, in canonical run/report order. ``base``

@@ -199,6 +199,8 @@ def _build_array_uncached(
                   entries=spec.entries, width_bits=spec.width_bits):
         if spec.cell_type is CellType.DFF:
             return _build_dff_array(tech, spec)
-        best = search_organizations(tech, spec, weights)[0]
-        bank = Bank(tech=tech, spec=spec, organization=best.organization)
-        return _assemble_banks(tech, spec, bank)
+        with obs.span("array.search"):
+            best = search_organizations(tech, spec, weights)[0]
+        with obs.span("array.assemble", banks=spec.n_banks):
+            bank = Bank(tech=tech, spec=spec, organization=best.organization)
+            return _assemble_banks(tech, spec, bank)

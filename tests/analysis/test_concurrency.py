@@ -8,6 +8,9 @@ the CI job enforces: the pass runs clean over ``src/`` within budget.
 """
 
 import json
+import os
+import subprocess
+import sys
 import textwrap
 import time
 from pathlib import Path
@@ -62,7 +65,7 @@ class TestContexts:
             async def handle(request):
                 return request
         """)
-        (node,) = [n for n in model.nodes.values() if n.short == "handle"]
+        (node,) = [n for n in model.program.functions.values() if n.short == "handle"]
         assert LOOP in model.contexts(node)
         assert "event loop" in model.reason(node, LOOP)
 
@@ -77,7 +80,7 @@ class TestContexts:
                 pool = ThreadPoolExecutor(max_workers=4)
                 return [pool.submit(work, p) for p in points]
         """)
-        (work,) = [n for n in model.nodes.values() if n.short == "work"]
+        (work,) = [n for n in model.program.functions.values() if n.short == "work"]
         assert THREAD in model.contexts(work)
         assert "thread executor" in model.reason(work, THREAD)
 
@@ -91,7 +94,7 @@ class TestContexts:
             def drive():
                 multiprocessing.Process(target=work, args=(1,)).start()
         """)
-        (work,) = [n for n in model.nodes.values() if n.short == "work"]
+        (work,) = [n for n in model.program.functions.values() if n.short == "work"]
         assert FORK in model.contexts(work)
 
     def test_unreferenced_function_is_assumed_main(self):
@@ -99,7 +102,7 @@ class TestContexts:
             def entry():
                 return 1
         """)
-        (node,) = [n for n in model.nodes.values() if n.short == "entry"]
+        (node,) = [n for n in model.program.functions.values() if n.short == "entry"]
         assert model.contexts(node) == {MAIN}
 
     def test_contexts_propagate_through_call_edges(self):
@@ -115,7 +118,7 @@ class TestContexts:
             def drive():
                 threading.Thread(target=middle).start()
         """)
-        (leaf,) = [n for n in model.nodes.values() if n.short == "leaf"]
+        (leaf,) = [n for n in model.program.functions.values() if n.short == "leaf"]
         assert THREAD in model.contexts(leaf)
         # The why-chain walks back through the call edge to the spawn.
         assert "called from middle" in model.reason(leaf, THREAD)
@@ -132,7 +135,7 @@ class TestContexts:
                 return await _admitted(lambda: x + 1)
         """)
         assert any(
-            THREAD in model.contexts(lam) for lam in model.lambda_nodes
+            THREAD in model.contexts(lam) for lam in model.program.lambdas
         )
 
 
@@ -316,6 +319,73 @@ class TestCONC001:
         (finding,) = _findings(snippet, "CONC001")
         assert "declared guarded-by[_LOCK]" in finding.message
         assert "'_OTHER' instead" in finding.message
+
+    #: Two locks around one store into a _B_LOCK-guarded dict; each
+    #: ``{order}`` body takes both locks, in one of four ways.
+    BOTH_LOCKS = textwrap.dedent("""
+        import threading
+
+        _A_LOCK = threading.Lock()
+        _B_LOCK = threading.Lock()
+        _COUNTS = {{}}  # repro: guarded-by[_B_LOCK]
+
+
+        def record(key):
+        {order}
+
+
+        def drive():
+            threading.Thread(target=record, args=("x",)).start()
+    """)
+
+    STORE = "_COUNTS[key] = _COUNTS.get(key, 0) + 1"
+
+    @pytest.mark.parametrize("order", [
+        ["_A_LOCK.acquire()", "_B_LOCK.acquire()", STORE,
+         "_B_LOCK.release()", "_A_LOCK.release()"],
+        ["_B_LOCK.acquire()", "_A_LOCK.acquire()", STORE,
+         "_A_LOCK.release()", "_B_LOCK.release()"],
+        ["with _A_LOCK:", "    with _B_LOCK:", f"        {STORE}"],
+        ["with _B_LOCK:", "    with _A_LOCK:", f"        {STORE}"],
+    ], ids=["acquire-a-b", "acquire-b-a", "with-a-b", "with-b-a"])
+    def test_declared_lock_held_with_another_is_satisfied(self, order):
+        body = "\n".join("    " + line for line in order)
+        snippet = self.BOTH_LOCKS.format(order=body)
+        assert _result(snippet).findings == ()
+
+    def test_lock_attribution_does_not_depend_on_the_hash_seed(
+        self, tmp_path,
+    ):
+        # Three locks held, none the declared one: the message must name
+        # the innermost, whatever the run's hash seed.
+        body = "\n".join("    " + line for line in [
+            "_A_LOCK.acquire()", "_B_LOCK.acquire()", "_C_LOCK.acquire()",
+            self.STORE,
+        ])
+        snippet = self.BOTH_LOCKS.format(order=body).replace(
+            "_B_LOCK = threading.Lock()",
+            "_B_LOCK = threading.Lock()\n_C_LOCK = threading.Lock()",
+        ).replace("guarded-by[_B_LOCK]", "guarded-by[_D_LOCK]")
+        target = tmp_path / "seeds.py"
+        target.write_text(snippet)
+        script = (
+            "import sys\n"
+            "from repro.analysis import format_json, lint_source\n"
+            "source = open(sys.argv[1]).read()\n"
+            "result = lint_source(source, concurrency=True)\n"
+            "print(format_json(result).split('\"timings_ms\"')[0])\n"
+        )
+        outputs = set()
+        for seed in ("0", "1", "5"):
+            done = subprocess.run(
+                [sys.executable, "-c", script, str(target)],
+                capture_output=True, text=True, check=True,
+                env={**os.environ, "PYTHONHASHSEED": seed,
+                     "PYTHONPATH": str(REPO_ROOT / "src")},
+            )
+            outputs.add(done.stdout)
+        (output,) = outputs
+        assert "runs under lock '_C_LOCK' instead" in output
 
     def test_atomic_rebind_is_not_a_race(self):
         snippet = """
@@ -576,6 +646,29 @@ class TestGuardGrammar:
         """
         (finding,) = _findings(snippet, "CONCNOTE")
         assert "not defined in its scope" in finding.message
+
+    COUNTER = """
+        import threading
+
+
+        class Counter:
+            def __init__(self):
+                self._lock = threading.Lock()
+                # the misspelt lock name below is the only problem
+                self.hits = 0  # repro: guarded-by[_lokc]{noqa}
+    """
+
+    def test_unknown_lock_is_reported_on_the_directive_line(self):
+        (finding,) = _findings(self.COUNTER.format(noqa=""), "CONCNOTE")
+        assert finding.line == 9
+        assert "guarded-by[_lokc]" in finding.message
+
+    def test_unknown_lock_note_is_suppressible_on_its_line(self):
+        result = _result(self.COUNTER.format(
+            noqa="  # repro: noqa[CONCNOTE]",
+        ))
+        assert result.findings == ()
+        assert result.suppressed == 1
 
     def test_gil_guard_accepts_plain_counters(self):
         snippet = """

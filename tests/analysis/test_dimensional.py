@@ -17,7 +17,6 @@ from repro.analysis.dimensional import (
     DIMENSIONLESS,
     POLY,
     UNKNOWN,
-    build_project,
     format_dim,
     parse_unit_expr,
     solve_fixpoint,
@@ -44,6 +43,7 @@ from repro.analysis.dimensional.dim import (
     sqrt,
 )
 from repro.analysis.fixpoint import MAX_ROUNDS
+from repro.analysis.program import build_program
 from repro.cli import main
 
 REPO_ROOT = Path(__file__).resolve().parents[2]
@@ -367,7 +367,7 @@ class TestFixpoint:
         module = ModuleSource(
             path="<fixpoint>", source=source, tree=ast.parse(source)
         )
-        return build_project([module])
+        return build_program([module])
 
     def test_recursive_chain_converges_below_the_cap(self):
         project = self._project("""
@@ -406,6 +406,29 @@ class TestFixpoint:
                 power_w = relay(cap_f)
                 return power_w
         """)
+
+    def test_module_constants_resolve_through_any_import_depth(
+        self, tmp_path,
+    ):
+        # c -> b -> a, read inside a function: a module's constants
+        # must be final before any body reads them, at any depth.
+        modules = {
+            "c.py": "from repro.units import NM\n\nBASE_PITCH = 3.0 * NM\n",
+            "b.py": "from c import BASE_PITCH\n\n"
+                    "DOUBLE_PITCH = 2.0 * BASE_PITCH\n",
+            "a.py": "from b import DOUBLE_PITCH\n\n"
+                    "TRIPLE = 1.5 * DOUBLE_PITCH\n\n\n"
+                    "def stage():\n    delay_s = TRIPLE\n    return delay_s\n",
+            "d.py": "from c import BASE_PITCH\n\n\n"
+                    "def stage():\n    delay_s = 2.0 * BASE_PITCH\n"
+                    "    return delay_s\n",
+        }
+        for name, text in modules.items():
+            (tmp_path / name).write_text(text)
+        result = lint_paths([tmp_path], dimensional=True)
+        assert sorted(
+            (Path(f.path).name, f.line, f.rule) for f in result.findings
+        ) == [("a.py", 7, "DIM003"), ("d.py", 5, "DIM003")]
 
 
 class TestSeededGateEnergyBug:

@@ -127,10 +127,10 @@ def _snippet_modules():
 def _solved_facts(load_modules):
     """Every fact the solver produces for the given modules."""
     shared = SharedAnalysis(load_modules())
-    project = shared.project()
+    project = shared.program()
     solve_fixpoint(project)
     model, state = shared.concurrency_model()
-    effects = solve_effects(model, state)
+    effects = solve_effects(project, state)
     return {
         "dims": {
             qual: ([repr(slot.value) for slot in fn.params],

@@ -440,7 +440,7 @@ class TestDecoratorAndPartialResolution:
     def test_decorator_binding_is_recorded(self):
         infos = _modules(("mod.py", self.DECORATED))
         model, _ = build_concurrency_model(infos)
-        bound = model.decorator_bindings.get("mod.memoize", [])
+        bound = model.program.decorated.get("mod.memoize", [])
         assert [node.short for node in bound] == ["lookup"]
 
     def test_partial_compute_is_resolved(self):

@@ -97,7 +97,7 @@ class TestSharedAnalysis:
         shared.prepare(resolve_passes(
             dimensional=True, concurrency=True, keysound=True,
         ))
-        assert shared._project is not None
+        assert shared._program is not None
         assert shared._conc_model is not None
         assert shared._conc_state is not None
 

@@ -48,9 +48,9 @@ class TestBufferChain:
             assert b / a == pytest.approx(chain.stage_effort, rel=1e-6)
 
     def test_energy_at_least_load_energy(self):
-        load = 1e-12
-        chain = BufferChain(TECH, load_capacitance=load)
-        assert chain.energy_per_transition > load * TECH.vdd**2
+        load_f = 1e-12
+        chain = BufferChain(TECH, load_capacitance=load_f)
+        assert chain.energy_per_transition > load_f * TECH.vdd**2
 
     def test_bigger_load_bigger_delay_energy_area(self):
         small = BufferChain(TECH, load_capacitance=10e-15)

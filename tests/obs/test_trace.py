@@ -177,3 +177,39 @@ def test_reset_clears_spans():
         pass
     obs.reset()
     assert obs.spans() == ()
+
+
+def test_every_sram_array_build_has_search_and_assemble_children(
+    monkeypatch,
+):
+    from repro import fastpath
+    from repro.array import array_model
+    from repro.chip import Processor
+    from repro.config import presets
+
+    dff_arrays: list[str] = []
+    build_dff = array_model._build_dff_array
+
+    def recording_dff(tech, spec):
+        dff_arrays.append(spec.name)
+        return build_dff(tech, spec)
+
+    monkeypatch.setattr(array_model, "_build_dff_array", recording_dff)
+    fastpath.clear_all()
+    obs.enable()
+    Processor(presets.niagara1()).report()
+    obs.disable()
+    spans = obs.spans()
+    children: dict[int, list[str]] = {}
+    for span in spans:
+        children.setdefault(span.parent_id, []).append(span.name)
+    builds = [span for span in spans if span.name == "array.build"]
+    sram = [b for b in builds if b.attrs["array"] not in dff_arrays]
+    assert sram
+    for build in sram:
+        assert sorted(children.get(build.span_id, [])) == [
+            "array.assemble", "array.search",
+        ]
+    for build in builds:
+        if build.attrs["array"] in dff_arrays:
+            assert children.get(build.span_id, []) == []
