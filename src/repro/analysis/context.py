@@ -8,8 +8,8 @@ every module before any rule runs.
 
 A function is considered *memoized* when its body calls
 ``<memo>.get_or_compute(...)`` (the :class:`repro.fastpath.Memo`
-protocol) or builds a cache key through ``stable_hash`` /
-``config_key``. The compute callback handed to ``get_or_compute`` is
+protocol) or builds a cache key through one of
+:data:`KEY_FUNCTIONS`. The compute callback handed to ``get_or_compute`` is
 memoized by extension: its return value is the object the memo shares.
 
 The module also holds the AST vocabulary every pass shares:
@@ -24,9 +24,14 @@ from functools import cached_property
 
 from repro.analysis.directives import Directives, scan_directives
 
-#: Key-derivation callables that mark the enclosing function as part of
-#: the content-hash cache contract.
-KEY_FUNCTIONS = frozenset({"stable_hash", "config_key"})
+#: Every function through which a content-hash cache key is derived
+#: (``config_keys`` is the engine's one-encoding pair of
+#: ``config_key`` and ``structure_key``). A call to one marks the
+#: enclosing function as part of the cache contract (CP002); each is a
+#: root that must itself be deterministic (DET001).
+KEY_FUNCTIONS = frozenset({
+    "stable_hash", "config_key", "config_keys", "structure_key",
+})
 
 #: Container/object methods that mutate their receiver in place.
 MUTATING_METHODS: frozenset[str] = frozenset({

@@ -55,13 +55,12 @@ from repro.analysis.keysound.effects import (
     mutable_state_keys,
     solve_effects,
 )
-from repro.analysis.keysound.rules import KEY_DERIVATION, run_rules
+from repro.analysis.keysound.rules import run_rules
 from repro.analysis.keysound.sites import MemoSite, discover_sites
 from repro.analysis.program import Program, assigned_names
 
 __all__ = [
     "EffectModel",
-    "KEY_DERIVATION",
     "KeyComments",
     "MemoSite",
     "analyze_keysound",

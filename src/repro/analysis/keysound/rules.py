@@ -15,15 +15,11 @@ from repro.analysis.concurrency.state import (
     StateModel,
     render_key,
 )
+from repro.analysis.context import KEY_FUNCTIONS
 from repro.analysis.finding import Finding
 from repro.analysis.keysound.effects import EffectModel, Fact
 from repro.analysis.keysound.sites import MemoSite
 from repro.analysis.program import Function, Program
-
-#: Functions whose output *is* a cache key: nondeterminism or mutable
-#: state inside them corrupts every key they derive (DET001).
-KEY_DERIVATION: frozenset[str] = frozenset({"stable_hash", "config_key"})
-
 
 def _field_immutable(key: StateKey, mutable: frozenset[StateKey],
                      state: StateModel) -> bool:
@@ -150,9 +146,10 @@ def check_det001(
                 ),
             ))
     # Key-derivation functions must themselves be deterministic and
-    # read no mutable state: their output is the key.
+    # read no mutable state: their output is the key, so nondeterminism
+    # or mutable state inside them corrupts every key they derive.
     for qual, node in sorted(functions.items()):
-        if node.name not in KEY_DERIVATION:
+        if node.name not in KEY_FUNCTIONS:
             continue
         line = node.node.lineno
         for source in sorted(effects.nondet.get(qual, {})):

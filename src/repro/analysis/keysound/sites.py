@@ -26,7 +26,7 @@ import ast
 from dataclasses import dataclass, field
 
 from repro.analysis.concurrency.contexts import outside_lambdas
-from repro.analysis.context import terminal_name
+from repro.analysis.context import KEY_FUNCTIONS, terminal_name
 from repro.analysis.program import Function, Program, runs
 
 #: Decorator terminals that memoize the decorated def on its arguments.
@@ -36,10 +36,10 @@ LRU_DECORATORS: frozenset[str] = frozenset({
 
 #: Names that appear in key expressions but are derivation machinery,
 #: never key *data*.
-_KEY_MACHINERY: frozenset[str] = frozenset({
-    "stable_hash", "config_key", "sorted", "tuple", "frozenset", "str",
-    "repr", "len", "asdict", "astuple", "dict", "hash", "id", "type",
-    "isinstance", "min", "max", "round", "zip", "enumerate", "range",
+_KEY_MACHINERY: frozenset[str] = KEY_FUNCTIONS | frozenset({
+    "sorted", "tuple", "frozenset", "str", "repr", "len", "asdict",
+    "astuple", "dict", "hash", "id", "type", "isinstance", "min", "max",
+    "round", "zip", "enumerate", "range",
 })
 
 

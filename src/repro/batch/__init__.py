@@ -33,12 +33,10 @@ mcpat-repro[fast]``); without it every request resolves to scalar.
 from repro.batch._numpy import get_numpy, have_numpy
 from repro.batch.backend import (
     BACKENDS,
-    GROUP_AXES,
     counters,
     evaluate_batch,
     reset_counters,
     resolve_backend,
-    structure_key,
 )
 from repro.batch.compile import (
     BatchFallback,
@@ -47,6 +45,7 @@ from repro.batch.compile import (
     compile_group,
 )
 from repro.batch.terms import PiecewiseAffine
+from repro.engine.cache import GROUP_AXES, structure_key
 from repro.engine.record import METRICS
 
 __all__ = [

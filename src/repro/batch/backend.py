@@ -3,11 +3,12 @@
 The engine asks this module two questions: which backend a request
 resolves to (:func:`resolve_backend` — ``numpy`` silently degrades to
 ``scalar`` when the optional extra is missing), and what a batch of
-pending ``(key, config)`` points evaluates to (:func:`evaluate_batch`).
+pending ``(key, structure key, config)`` points evaluates to
+(:func:`evaluate_batch`).
 
 :func:`evaluate_batch` partitions the points by *structure key* — the
-content hash of everything except ``clock_hz`` and ``temperature_k`` —
-and evaluates each group's frequency/temperature axis as numpy arrays
+canonical text of everything except ``clock_hz`` and ``temperature_k``
+— and evaluates each group's frequency/temperature axis as numpy arrays
 over one compiled fit per structure
 (:func:`repro.batch.compile.compile_group`). A structure's fit is kept
 with the :class:`~repro.batch.compile.Domain` it was validated over — a
@@ -40,17 +41,13 @@ from repro.batch.compile import (
     Domain,
     compile_group,
 )
-from repro.config.loader import system_config_to_dict
 from repro.config.schema import SystemConfig
+from repro.engine.cache import StructureKey
 from repro.engine.record import METRICS, EvalRecord
 from repro.obs import metrics as _obs_metrics
 
 #: Backend names accepted by ``resolve_backend`` (besides ``auto``).
 BACKENDS = ("scalar", "numpy")
-
-#: Top-level config fields a compiled group evaluates in closed form;
-#: everything else defines the group's structure.
-GROUP_AXES = ("clock_hz", "temperature_k")
 
 #: A group of a structure with no compiled fit must have this many
 #: points, and twice as many points as distinct temperatures, before
@@ -59,6 +56,8 @@ GROUP_AXES = ("clock_hz", "temperature_k")
 #: construction each). A structure with a fit grows it for any group.
 _MIN_GROUP_POINTS = 4
 _MIN_POINTS_PER_TEMPERATURE = 2
+
+Item = tuple[str, StructureKey, SystemConfig]
 
 #: Domains remembered per structure as failing to compile, newest last.
 _MAX_REMEMBERED_FAILURES = 8
@@ -102,7 +101,7 @@ class _Structure:
         ) or domain in self.failed
 
 
-#: One :class:`_Structure` per :func:`structure_key`, across chunks,
+#: One :class:`_Structure` per structure key, across chunks,
 #: sweeps and requests: a compile is exact over its whole domain, so a
 #: later group inside it (a new clock window, a repeated grid, the next
 #: chunk) costs zero probes. Honors ``fastpath.disabled()`` like every
@@ -153,14 +152,6 @@ def resolve_backend(backend: str | None) -> str:
         f"unknown backend {backend!r} "
         f"(choices: auto, {', '.join(BACKENDS)})"
     )
-
-
-def structure_key(config: SystemConfig) -> str:
-    """Content hash of the config minus the batch-evaluable axes."""
-    payload = system_config_to_dict(config)
-    for axis in GROUP_AXES:
-        payload.pop(axis, None)
-    return fastpath.stable_hash(payload)
 
 
 def _worth_compiling(n_points: int, n_temperatures: int) -> bool:
@@ -215,7 +206,7 @@ def _grow(
 
 def _compiled_for(
     config: SystemConfig,
-    skey: str,
+    skey: StructureKey,
     domain: Domain,
     n_points: int,
 ) -> CompiledGroup | None:
@@ -241,18 +232,14 @@ def _compiled_for(
 
 
 def evaluate_batch(
-    items: Sequence[tuple[str, SystemConfig]],
-    group_keys: Sequence[str] | None = None,
-) -> tuple[dict[str, EvalRecord], list[tuple[str, SystemConfig]]]:
+    items: Sequence[Item],
+) -> tuple[dict[str, EvalRecord], list[Item]]:
     """Vectorize what can be vectorized; return the rest as leftovers.
 
     Args:
-        items: Pending ``(cache key, config)`` points (already deduped
-            and cache-missed by the engine).
-        group_keys: Optional precomputed group label per item — the
-            sweep runner derives them from its axis values for free;
-            generic callers let this function hash each config with
-            :func:`structure_key`.
+        items: Pending ``(cache key, structure key, config)`` points
+            (deduped and cache-missed by the engine, which took both
+            keys from one :func:`~repro.engine.cache.config_keys`).
 
     Returns:
         ``(records, leftovers)``: records keyed by cache key for every
@@ -262,38 +249,24 @@ def evaluate_batch(
     np = get_numpy()
     if np is None or not items:
         return {}, list(items)
-    if group_keys is not None and len(group_keys) != len(items):
-        raise ValueError(
-            f"got {len(group_keys)} group keys for {len(items)} items"
-        )
 
-    groups: dict[str, list[int]] = {}
-    for i, (_, config) in enumerate(items):
-        gkey = (
-            group_keys[i] if group_keys is not None
-            else structure_key(config)
-        )
-        groups.setdefault(gkey, []).append(i)
+    groups: dict[StructureKey, list[Item]] = {}
+    for item in items:
+        groups.setdefault(item[1], []).append(item)
 
     records: dict[str, EvalRecord] = {}
-    leftovers: list[tuple[str, SystemConfig]] = []
+    leftovers: list[Item] = []
     with obs.span(
         "batch.evaluate", category="batch",
         points=len(items), groups=len(groups),
     ):
-        for gkey, indices in groups.items():
-            group_items = [items[i] for i in indices]
+        for skey, group_items in groups.items():
             points = [
                 (config.clock_hz, config.temperature_k)
-                for _, config in group_items
+                for _, _, config in group_items
             ]
-            representative = group_items[0][1]
-            skey = (
-                gkey if group_keys is None
-                else structure_key(representative)
-            )
             compiled = _compiled_for(
-                representative, skey, Domain.of(points), len(points),
+                group_items[0][2], skey, Domain.of(points), len(points),
             )
             if compiled is None:
                 _counters["points_fallback"] += len(points)
@@ -302,7 +275,7 @@ def evaluate_batch(
             _counters["points_vectorized"] += len(points)
             arrays = compiled.evaluate(points, np)
             columns = [arrays[name].tolist() for name in METRICS]
-            for (key, _), values in zip(group_items, zip(*columns)):
+            for (key, _, _), values in zip(group_items, zip(*columns)):
                 records[key] = EvalRecord(
                     compiled.name, key, *values, backend="numpy",
                 )

@@ -105,13 +105,17 @@ _AS_IS: dict[type, dict[str, frozenset[type]]] = {
 
 def _build(cls: type, data: Mapping[str, Any], path: str) -> Any:
     """``cls`` from its dict form, every value checked against the
-    field tables before any schema validator runs."""
+    field tables before any schema validator runs; a validator's error
+    is prefixed with the object's path (``config.l2: ...``)."""
     as_is = _AS_IS[cls]
     kwargs = dict(data)
     for name, value in data.items():
         if value.__class__ not in as_is.get(name, ()):
             kwargs[name] = _convert(cls, name, value, f"{path}.{name}")
-    return cls(**kwargs)
+    try:
+        return cls(**kwargs)
+    except ValueError as exc:
+        raise ValueError(f"{path}: {exc}") from None
 
 
 def _convert(cls: type, name: str, value: Any, where: str) -> Any:

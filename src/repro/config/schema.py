@@ -11,7 +11,8 @@ import math
 from dataclasses import dataclass, field
 from enum import Enum
 
-from repro.tech import DeviceType
+from repro.tech import SUPPORTED_NODES_NM, DeviceType
+from repro.tech.technology import MAX_TEMPERATURE_K, MIN_TEMPERATURE_K
 
 
 # The chained comparisons below are written so that NaN fails them
@@ -27,6 +28,36 @@ def _require_positive(name: str, value: float) -> None:
 def _require_non_negative(name: str, value: float) -> None:
     if not 0 <= value < math.inf:
         raise ValueError(f"{name} must be finite and >= 0, got {value!r}")
+
+
+def _require_power_of_two(name: str, value: int) -> None:
+    if value < 1 or value & (value - 1):
+        raise ValueError(f"{name} must be a power of two, got {value!r}")
+
+
+def _require_cache_shape(capacity_bytes: int, block_bytes: int,
+                         associativity: int, banks: int) -> None:
+    """What the cache array model (:mod:`repro.array`) builds: a
+    power-of-two line and bank count, at least one line, and whole
+    sets (associativity 0 is fully associative)."""
+    _require_power_of_two("block_bytes", block_bytes)
+    if capacity_bytes < block_bytes:
+        raise ValueError(
+            f"capacity_bytes must hold at least one {block_bytes}-byte "
+            f"block, got {capacity_bytes!r}"
+        )
+    if associativity < 0:
+        raise ValueError(
+            f"associativity must be >= 0 (0 = fully associative), "
+            f"got {associativity!r}"
+        )
+    blocks = capacity_bytes // block_bytes
+    if associativity and blocks % associativity:
+        raise ValueError(
+            f"capacity_bytes must divide into whole {associativity}-way "
+            f"sets of {block_bytes}-byte blocks, got {capacity_bytes!r}"
+        )
+    _require_power_of_two("banks", banks)
 
 
 @dataclass(frozen=True)
@@ -48,12 +79,10 @@ class CacheGeometry:
     banks: int = 1
 
     def __post_init__(self) -> None:
-        if self.capacity_bytes < self.block_bytes:
-            raise ValueError("cache capacity must be at least one block")
+        _require_cache_shape(self.capacity_bytes, self.block_bytes,
+                             self.associativity, self.banks)
         if self.mshr_entries < 0:
             raise ValueError("mshr_entries must be non-negative")
-        if self.banks < 1:
-            raise ValueError("banks must be >= 1")
 
 
 @dataclass(frozen=True)
@@ -132,14 +161,13 @@ class CoreConfig:
     def __post_init__(self) -> None:
         for name in ("hardware_threads", "fetch_width", "decode_width",
                      "issue_width", "commit_width", "pipeline_stages",
-                     "machine_bits"):
+                     "machine_bits", "itlb_entries", "dtlb_entries"):
             if getattr(self, name) < 1:
                 raise ValueError(f"{name} must be >= 1")
         for name in ("int_alus", "fpus", "mul_divs", "phys_int_regs",
                      "phys_fp_regs", "rob_entries", "issue_window_entries",
                      "fp_issue_window_entries", "load_queue_entries",
-                     "store_queue_entries", "itlb_entries", "dtlb_entries",
-                     "instruction_buffer_entries"):
+                     "store_queue_entries", "instruction_buffer_entries"):
             if getattr(self, name) < 0:
                 raise ValueError(f"{name} must be non-negative")
         if self.is_ooo:
@@ -239,10 +267,12 @@ class SharedCacheConfig:
     directory_sharers: int = 0  # extra per-line bits for coherence state
 
     def __post_init__(self) -> None:
-        if self.capacity_bytes < self.block_bytes:
-            raise ValueError("capacity must be at least one block")
+        _require_cache_shape(self.capacity_bytes, self.block_bytes,
+                             self.associativity, self.banks)
         if self.instances < 1:
             raise ValueError("instances must be >= 1")
+        if self.mshr_entries < 0:
+            raise ValueError("mshr_entries must be non-negative")
         if self.directory_sharers < 0:
             raise ValueError("directory_sharers must be non-negative")
 
@@ -351,6 +381,17 @@ class SystemConfig:
     whitespace_fraction: float = 0.12
 
     def __post_init__(self) -> None:
+        if self.node_nm not in SUPPORTED_NODES_NM:
+            raise ValueError(
+                "node_nm must be one of "
+                f"{', '.join(str(n) for n in SUPPORTED_NODES_NM)}, "
+                f"got {self.node_nm!r}"
+            )
+        if not MIN_TEMPERATURE_K <= self.temperature_k <= MAX_TEMPERATURE_K:
+            raise ValueError(
+                f"temperature_k must be within [{MIN_TEMPERATURE_K:g}, "
+                f"{MAX_TEMPERATURE_K:g}] K, got {self.temperature_k!r}"
+            )
         _require_positive("clock_hz", self.clock_hz)
         if self.n_cores < 1:
             raise ValueError("n_cores must be >= 1")

@@ -39,7 +39,9 @@ from repro.engine.cache import (
     CACHE_SCHEMA_VERSION,
     DEFAULT_CACHE,
     EvalCache,
+    StructureKey,
     config_key,
+    config_keys,
 )
 from repro.engine.pool import (
     default_jobs,
@@ -78,10 +80,10 @@ def evaluate_many(
     jobs: int = 1,
     cache: EvalCache | None = DEFAULT_CACHE,
     backend: str | None = None,
-    _keys: Sequence[str] | None = None,
-    _group_keys: Sequence[str] | None = None,
 ) -> list[EvalRecord]:
     """Evaluate many configurations through the cache and worker pool.
+
+    Each config is encoded once, for both its cache and structure keys.
 
     Args:
         configs: Candidate configurations.
@@ -92,20 +94,13 @@ def evaluate_many(
         backend: ``None``/``"scalar"`` (default) evaluates every point
             on the exact per-point path; ``"numpy"`` (or ``"auto"``)
             routes TDP-only points through the vectorized batch backend
-            (:mod:`repro.batch`), which groups them by chip structure
+            (:mod:`repro.batch`), which groups them by structure key
             and evaluates shared frequency/temperature axes as array
             math — within 1e-9 relative of scalar. Points the backend
             cannot vectorize (workload runs, tiny groups, validation
             fallbacks) transparently use the scalar path. Cache
             accounting is identical either way: every point is looked
             up and stored per key.
-        _keys: Internal — precomputed
-            :func:`~repro.engine.cache.config_key` per config (the
-            sweep runner renders keys through a validated template;
-            recomputing them here would dominate warm-sweep time).
-        _group_keys: Internal — precomputed
-            :func:`repro.batch.structure_key` per config (the sweep
-            runner derives them from its axes without hashing).
 
     Returns:
         One :class:`EvalRecord` per config, in input order. Records for
@@ -126,24 +121,18 @@ def evaluate_many(
         raise ValueError("need at least one configuration to evaluate")
     resolved_backend = batch.resolve_backend(backend)
 
-    if _keys is not None:
-        if len(_keys) != len(configs):
-            raise ValueError(
-                f"got {len(_keys)} precomputed keys for "
-                f"{len(configs)} configs"
-            )
-        keys = list(_keys)
-    else:
-        keys = [config_key(config, workload) for config in configs]
+    # One key object per distinct structure, not one per config.
+    structures: dict[StructureKey, StructureKey] = {}
+    pairs = []
+    for config in configs:
+        key, structure = config_keys(config, workload)
+        pairs.append((key, structures.setdefault(structure, structure)))
     records: dict[str, EvalRecord] = {}
 
     # Serve cache hits, and deduplicate repeats within the batch.
-    to_compute: list[tuple[str, SystemConfig]] = []
-    compute_group_keys: list[str] | None = (
-        [] if _group_keys is not None else None
-    )
+    to_compute: list[tuple[str, StructureKey, SystemConfig]] = []
     seen: set[str] = set()
-    for i, (key, config) in enumerate(zip(keys, configs)):
+    for (key, structure), config in zip(pairs, configs):
         if key in seen:
             continue
         seen.add(key)
@@ -151,31 +140,23 @@ def evaluate_many(
         if hit is not None:
             records[key] = hit
         else:
-            to_compute.append((key, config))
-            if compute_group_keys is not None:
-                assert _group_keys is not None
-                compute_group_keys.append(_group_keys[i])
+            to_compute.append((key, structure, config))
 
+    computed: dict[str, EvalRecord] = {}
     if to_compute and resolved_backend == "numpy" and workload is None:
-        batched, to_compute = batch.evaluate_batch(
-            to_compute, group_keys=compute_group_keys,
-        )
-        for key, record in batched.items():
-            records[key] = record
-            if cache is not None:
-                cache.put(key, record)
-
+        computed, to_compute = batch.evaluate_batch(to_compute)
     if to_compute:
         fresh = evaluate_payloads(
-            [(key, config, workload) for key, config in to_compute],
+            [(key, config, workload) for key, _, config in to_compute],
             jobs=jobs,
         )
-        for (key, _), record in zip(to_compute, fresh):
-            records[key] = record
-            if cache is not None:
-                cache.put(key, record)
+        computed.update(zip((key for key, _, _ in to_compute), fresh))
+    for key, record in computed.items():
+        records[key] = record
+        if cache is not None:
+            cache.put(key, record)
 
-    return [records[key] for key in keys]
+    return [records[key] for key, _ in pairs]
 
 
 __all__ = [
@@ -189,6 +170,7 @@ __all__ = [
     "SweepPointResult",
     "SweepSpec",
     "config_key",
+    "config_keys",
     "default_jobs",
     "evaluate_config",
     "evaluate_many",

@@ -28,15 +28,16 @@ load.
 from __future__ import annotations
 
 import dataclasses
+import hashlib
 import json
+import operator
 import os
 import threading
 from collections import OrderedDict
 from pathlib import Path
-from typing import Any
 
 from repro import fastpath
-from repro.config.loader import system_config_to_dict
+from repro.config import schema
 from repro.config.schema import SystemConfig
 from repro.engine.record import EvalRecord
 from repro.perf.workload import Workload
@@ -50,90 +51,64 @@ CACHE_SCHEMA_VERSION = 1
 #: grid, so resuming a larger grid still finds every logged point).
 CACHE_CAPACITY = 4096
 
-#: JSON scalar types usable as mapping keys in a hashable payload.
-_JSON_KEY_TYPES = (str, int, float, bool, type(None))
+#: Top-level config fields a compiled batch group evaluates in closed
+#: form (:mod:`repro.batch`); the others are the config's structure.
+GROUP_AXES = ("clock_hz", "temperature_k")
+
+#: Every dataclass a cache key encodes, laid out once at import.
+_ENCODER = fastpath.CanonicalEncoder((
+    *(cls for cls in vars(schema).values()
+      if isinstance(cls, type) and dataclasses.is_dataclass(cls)),
+    Workload,
+))
+
+#: A config's fields' texts but :data:`GROUP_AXES`, in key order.
+StructureKey = tuple[str, ...]
+_STRUCTURE = operator.itemgetter(*(
+    i for i, name in enumerate(_ENCODER.names(SystemConfig))
+    if name not in GROUP_AXES
+))
 
 
-def _unserializable_path(node: Any, path: str,
-                         seen: set[int]) -> str | None:
-    """Locate the first value ``stable_hash`` cannot canonicalize.
-
-    Walks the payload the way :func:`repro.fastpath.stable_hash` will,
-    returning a dotted path to the offending value (cycles, non-scalar
-    mapping keys, mixed-type key sets, or leaves whose ``str`` fails) —
-    or None when the payload is fully serializable.
-    """
-    if isinstance(node, (dict, list, tuple)):
-        if id(node) in seen:
-            return f"{path} (circular reference)"
-        seen.add(id(node))
-    if dataclasses.is_dataclass(node) and not isinstance(node, type):
-        node = {
-            f.name: getattr(node, f.name)
-            for f in dataclasses.fields(node)
-        }
-    if isinstance(node, dict):
-        for key in node:
-            if not isinstance(key, _JSON_KEY_TYPES):
-                return (
-                    f"{path}[{key!r}] (mapping key of type "
-                    f"{type(key).__name__}; JSON keys must be scalars)"
-                )
-        try:
-            sorted(node)
-        except TypeError as exc:
-            return f"{path} (unsortable mapping keys: {exc})"
-        for key, value in node.items():
-            hit = _unserializable_path(value, f"{path}.{key}", seen)
-            if hit is not None:
-                return hit
-        return None
-    if isinstance(node, (list, tuple)):
-        for i, value in enumerate(node):
-            hit = _unserializable_path(value, f"{path}[{i}]", seen)
-            if hit is not None:
-                return hit
-        return None
+def config_keys(
+    config: SystemConfig, workload: Workload | None = None,
+) -> tuple[str, StructureKey]:
+    """``(config_key(config, workload), structure_key(config))``, from
+    one encoding of the config."""
     try:
-        json.dumps(node, default=str)
-    except (TypeError, ValueError) as exc:
-        return f"{path} (value of type {type(node).__name__}: {exc})"
-    return None
+        config_text, texts = _ENCODER.fields(config, "config")
+        workload_text = _ENCODER.text(workload, "workload")
+    except ValueError as exc:
+        label = getattr(config, "name", None)
+        label = label if isinstance(label, str) else "<config>"
+        raise ValueError(
+            f"configuration {label!r} cannot be content-hashed: {exc}"
+        ) from None
+    # The canonical text of {"v": ..., "config": ..., "workload": ...}.
+    key_text = (
+        f'{{"config":{config_text},"v":{CACHE_SCHEMA_VERSION},'
+        f'"workload":{workload_text}}}'
+    )
+    return hashlib.sha256(key_text.encode()).hexdigest(), _STRUCTURE(texts)
 
 
 def config_key(config: SystemConfig, workload: Workload | None = None) -> str:
     """Deterministic content-hash key for one (config, workload) pair.
 
     The same configuration always maps to the same key; changing any
-    field — however deeply nested — produces a different key.
-
-    Raises:
-        ValueError: When the config (or workload) holds a value that
-            cannot be content-hashed — the message names the offending
-            field path instead of surfacing a deep ``stable_hash``
-            traceback.
+    field — however deeply nested — produces a different key. It is the
+    sha256 of the canonical JSON text of ``{"v": 1, "config": <fields>,
+    "workload": <fields or null>}``, the same bytes in every release.
+    A value that cannot be content-hashed raises ``ValueError`` naming
+    its field path.
     """
-    payload = {
-        "v": CACHE_SCHEMA_VERSION,
-        "config": system_config_to_dict(config),
-        "workload": (
-            dataclasses.asdict(workload) if workload is not None else None
-        ),
-    }
-    try:
-        return fastpath.stable_hash(payload)
-    except (TypeError, ValueError, RecursionError) as exc:
-        label = getattr(config, "name", None)
-        label = label if isinstance(label, str) else "<config>"
-        where = (
-            _unserializable_path(payload["config"], "config", set())
-            or _unserializable_path(payload["workload"], "workload", set())
-            or "an unidentified field"
-        )
-        raise ValueError(
-            f"configuration {label!r} cannot be content-hashed: "
-            f"{where} is not serializable"
-        ) from exc
+    return config_keys(config, workload)[0]
+
+
+def structure_key(config: SystemConfig) -> StructureKey:
+    """What one compiled batch group's configs share: the texts
+    themselves, not a hash, so two structures never share a key."""
+    return config_keys(config)[1]
 
 
 class EvalCache:

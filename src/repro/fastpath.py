@@ -17,9 +17,9 @@ remember their answers:
   search in both modes. The parity suite uses this to assert that
   memoized and unmemoized evaluations produce numerically identical
   reports.
-* :func:`stable_hash` — the deterministic content-hash used by
-  :func:`repro.engine.cache.config_key` and the ``build_array`` memo, so
-  every cache layer keys on *content*, never object identity.
+* :class:`CanonicalEncoder` / :func:`stable_hash` — the one canonical
+  encoding every cache key is derived from, so every cache layer keys
+  on *content*, never object identity. There is no ``str`` fallback.
 
 Memos are per-process. Worker processes forked by ``repro.engine`` each
 warm their own copy, which is exactly what makes repeated points inside
@@ -30,12 +30,14 @@ from __future__ import annotations
 
 import dataclasses
 import hashlib
-import json
+import operator
 import os
 import threading
 from collections import OrderedDict
-from contextlib import contextmanager
-from typing import Any, Callable, Iterator, TypeVar, cast
+from contextlib import contextmanager, suppress
+from enum import Enum
+from json.encoder import encode_basestring_ascii
+from typing import Any, Callable, Iterator, NamedTuple, TypeVar, cast
 
 from repro.obs import metrics as _obs_metrics
 
@@ -213,21 +215,157 @@ def _obs_collect() -> dict[str, float]:
 _obs_metrics.register_collector("fastpath.memos", _obs_collect)
 
 
-def stable_hash(payload: Any) -> str:
-    """Deterministic sha256 over the canonical JSON form of ``payload``.
+#: Where an instance keeps its canonical text: not a field, so equality,
+#: ``repr`` and ``dataclasses.replace`` never see it.
+_TEXT = "_canonical_json"
 
-    Dataclasses are flattened with :func:`dataclasses.asdict`; anything
-    JSON cannot represent falls back to ``str``. Two structurally equal
-    payloads always hash identically regardless of how they were built.
-    """
-    def canonical(obj: Any) -> Any:
-        if dataclasses.is_dataclass(obj) and not isinstance(obj, type):
-            return dataclasses.asdict(obj)
-        return obj
+#: ``float.__repr__`` spellings JSON writes differently.
+_NON_FINITE = {"nan": "NaN", "inf": "Infinity", "-inf": "-Infinity"}
 
-    blob = json.dumps(
-        canonical(payload), sort_keys=True, separators=(",", ":"),
-        default=lambda o: canonical(o) if dataclasses.is_dataclass(o)
-        else str(o),
+
+def _float_text(value: float) -> str:
+    text = float.__repr__(value)
+    return _NON_FINITE.get(text, text)
+
+
+#: Text of each exact leaf class: most of every payload.
+_LEAVES: dict[type, Callable[[Any], str]] = {
+    str: encode_basestring_ascii,
+    int: int.__repr__,
+    float: _float_text,
+    bool: {True: "true", False: "false"}.__getitem__,
+    type(None): {None: "null"}.__getitem__,
+}
+
+
+class _Layout(NamedTuple):
+    """A dataclass's fields in key order; ``form % texts`` is its text."""
+
+    names: tuple[str, ...]
+    form: str
+    values: Callable[[Any], tuple[Any, ...]]
+
+
+def _layout(cls: type[Any]) -> _Layout:
+    names = tuple(sorted(f.name for f in dataclasses.fields(cls)))
+    form = "{" + ",".join(
+        encode_basestring_ascii(name) + ":%s" for name in names
+    ) + "}"
+    values: Callable[[Any], tuple[Any, ...]] = (
+        operator.attrgetter(*names) if len(names) > 1
+        else lambda obj: tuple(getattr(obj, name) for name in names)
     )
-    return hashlib.sha256(blob.encode("utf-8")).hexdigest()
+    return _Layout(names, form, values)
+
+
+def _unencodable(path: str, reason: str) -> ValueError:
+    return ValueError(f"{path} ({reason}) is not serializable")
+
+
+class CanonicalEncoder:
+    """The text ``json.dumps(payload, sort_keys=True, separators=(",",
+    ":"))`` writes for ``payload`` with its dataclasses as objects of
+    their fields: enums by value, ``str``/``int``/``float`` subclasses
+    (``numpy.float64``) as their base class, ints as ints even in float
+    fields. Any other value is an error naming its path.
+
+    A frozen dataclass instance keeps its text when its fields all hold
+    leaves, enums or kept texts (not a list, a dict, a mutable
+    dataclass): a ``dataclasses.replace`` of a config re-encodes only
+    its top-level fields. ``classes`` are laid out once, here.
+    """
+
+    def __init__(self, classes: tuple[type, ...] = ()) -> None:
+        self._layouts = {cls: _layout(cls) for cls in classes}
+
+    def text(self, payload: Any, root: str = "payload") -> str:
+        """Raises ValueError naming the path from ``root`` of a value
+        with no JSON form (``config.niu[0] (circular reference)``)."""
+        return self._value(payload, root, set())
+
+    def names(self, cls: type[Any]) -> tuple[str, ...]:
+        """The field names of dataclass ``cls``, in key order."""
+        return (self._layouts.get(cls) or _layout(cls)).names
+
+    def fields(self, obj: Any, root: str) -> tuple[str, list[str]]:
+        """Dataclass ``obj``'s text and its fields' texts, in key order;
+        unlike its sub-objects, ``obj`` keeps no text (a sweep point)."""
+        return self._object(obj, root, {id(obj)}, keep=False)
+
+    def _value(self, value: Any, path: str, active: set[int]) -> str:
+        kept = getattr(value, _TEXT, None)
+        if kept is not None:
+            return cast(str, kept)
+        for base in value.__class__.__mro__:  # str enums, numpy.float64
+            if base in _LEAVES:
+                return _LEAVES[base](value)
+        if isinstance(value, Enum):
+            return self._value(value.value, path, active)
+        is_object = hasattr(value.__class__, "__dataclass_fields__")
+        if not is_object and not isinstance(value, (list, tuple, dict)):
+            raise _unencodable(path, f"value of type {type(value).__name__}")
+        if id(value) in active:
+            raise _unencodable(path, "circular reference")
+        active.add(id(value))
+        if is_object:
+            text = self._object(value, path, active)[0]
+        elif isinstance(value, dict):
+            text = self._mapping(value, path, active)
+        else:
+            text = "[" + ",".join(
+                self._value(item, f"{path}[{i}]", active)
+                for i, item in enumerate(value)
+            ) + "]"
+        active.discard(id(value))
+        return text
+
+    def _object(self, obj: Any, path: str, active: set[int],
+                keep: bool = True) -> tuple[str, list[str]]:
+        layout = self._layouts.get(obj.__class__) or _layout(obj.__class__)
+        leaf_of = _LEAVES.get
+        texts: list[str] = [
+            leaf(value) if (leaf := leaf_of(value.__class__)) is not None
+            else getattr(value, _TEXT, None)
+            or self._value(value, f"{path}.{name}", active)
+            for name, value in zip(layout.names, layout.values(obj))
+        ]
+        text = layout.form % tuple(texts)
+        if keep and obj.__dataclass_params__.frozen and all(
+            value.__class__ in _LEAVES or isinstance(value, Enum)
+            or hasattr(value, _TEXT) for value in layout.values(obj)
+        ):
+            with suppress(AttributeError):  # slotted: nowhere to keep it
+                object.__setattr__(obj, _TEXT, text)
+        return text, texts
+
+    def _mapping(self, mapping: dict[Any, Any], path: str,
+                 active: set[int]) -> str:
+        for key in mapping:
+            if not isinstance(key, (str, int, float, type(None))):
+                raise _unencodable(
+                    f"{path}[{key!r}]",
+                    f"mapping key of type {type(key).__name__}; "
+                    "JSON keys must be scalars",
+                )
+        try:
+            items = sorted(mapping.items())
+        except TypeError as exc:
+            raise _unencodable(
+                path, f"unsortable mapping keys: {exc}",
+            ) from None
+        return "{" + ",".join(
+            (encode_basestring_ascii(key) if isinstance(key, str)
+             else f'"{self._value(key, path, active)}"')
+            + ":" + self._value(value, f"{path}.{key}", active)
+            for key, value in items
+        ) + "}"
+
+
+_ENCODER = CanonicalEncoder()
+
+
+def stable_hash(payload: Any) -> str:
+    """sha256 of ``payload``'s :class:`CanonicalEncoder` text: two
+    structurally equal payloads hash identically however they were
+    built."""
+    return hashlib.sha256(_ENCODER.text(payload).encode()).hexdigest()

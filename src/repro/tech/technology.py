@@ -23,6 +23,10 @@ from repro.tech.wire import WireParameters, WireType, wire_parameters
 #: Default junction/design temperature used for TDP-style analysis (K).
 DEFAULT_TEMPERATURE_K = 360.0
 
+#: Junction temperatures the device model accepts (K).
+MIN_TEMPERATURE_K = 200.0
+MAX_TEMPERATURE_K = 500.0
+
 #: Minimum transistor width, as a multiple of the feature size. CACTI draws
 #: minimum devices at 3x the half-pitch wide.
 MIN_WIDTH_FEATURE_MULTIPLE = 3.0
@@ -72,7 +76,7 @@ class Technology:
             raise ValueError(
                 f"unsupported node {self.node_nm} nm; supported: {supported}"
             )
-        if not 200.0 <= self.temperature_k <= 500.0:
+        if not MIN_TEMPERATURE_K <= self.temperature_k <= MAX_TEMPERATURE_K:
             raise ValueError(
                 f"temperature {self.temperature_k} K outside sane range"
             )

@@ -5,7 +5,7 @@ import dataclasses
 import pytest
 
 from repro import batch
-from repro.engine import EvalCache, config_key, evaluate_many
+from repro.engine import EvalCache, config_keys, evaluate_many
 from tests.conftest import make_tiny_config
 
 needs_numpy = pytest.mark.skipif(
@@ -25,7 +25,9 @@ def frequency_grid(n, base_config=None):
 
 
 def keyed(configs):
-    return [(config_key(config, None), config) for config in configs]
+    return [
+        (*config_keys(config, None), config) for config in configs
+    ]
 
 
 class TestResolveBackend:
@@ -87,7 +89,7 @@ class TestEvaluateBatch:
         items = keyed(frequency_grid(6))
         records, leftovers = batch.evaluate_batch(items)
         assert leftovers == []
-        assert set(records) == {key for key, _ in items}
+        assert set(records) == {key for key, _, _ in items}
         assert all(
             record.backend == "numpy" and not record.from_cache
             for record in records.values()
@@ -106,12 +108,6 @@ class TestEvaluateBatch:
         assert leftovers == []
         assert len(records) == 6
         assert batch.counters()["compile_probes"] == probes_first
-
-    @needs_numpy
-    def test_group_keys_length_mismatch_is_an_error(self):
-        items = keyed(frequency_grid(4))
-        with pytest.raises(ValueError, match="group keys"):
-            batch.evaluate_batch(items, group_keys=["only-one"])
 
     @needs_numpy
     def test_mixed_structures_partition_into_groups(self):

@@ -190,3 +190,52 @@ class TestNonFiniteSweepValues:
         NocConfig(clock_hz=0.0)  # the default: no separate clock
         with pytest.raises(ValueError, match="clock_hz"):
             NocConfig(clock_hz=math.nan)
+
+
+#: Well-typed niagara1 variants the model cannot build, with the error
+#: the schema must raise first: ``(path, value, message)``.
+MODEL_CONSTRAINT_VARIANTS = [
+    ("temperature_k", 0,
+     "config: temperature_k must be within [200, 500] K, got 0"),
+    ("temperature_k", 1e4,
+     "config: temperature_k must be within [200, 500] K, got 10000.0"),
+    ("node_nm", 7,
+     "config: node_nm must be one of 180, 90, 65, 45, 32, 22, got 7"),
+    ("l2.banks", 3, "config.l2: banks must be a power of two, got 3"),
+    ("l2.banks", 0, "config.l2: banks must be a power of two, got 0"),
+    ("core.icache.banks", 3,
+     "config.core.icache: banks must be a power of two, got 3"),
+    ("l2.block_bytes", 3,
+     "config.l2: block_bytes must be a power of two, got 3"),
+    ("core.icache.block_bytes", 48,
+     "config.core.icache: block_bytes must be a power of two, got 48"),
+    ("l2.capacity_bytes", 3 * 1024 * 1024 + 64,
+     "config.l2: capacity_bytes must divide into whole 12-way sets"),
+    ("core.icache.associativity", 3,
+     "config.core.icache: capacity_bytes must divide into whole 3-way "
+     "sets"),
+    ("core.dtlb_entries", 0, "config.core: dtlb_entries must be >= 1"),
+    ("l2.mshr_entries", -1,
+     "config.l2: mshr_entries must be non-negative"),
+]
+
+
+def niagara1_variant(path, value):
+    """niagara1's dict form with ``path`` (dotted) set to ``value``."""
+    from repro.config import presets
+
+    payload = system_config_to_dict(presets.niagara1())
+    target = payload
+    *parents, leaf = path.split(".")
+    for part in parents:
+        target = target[part]
+    target[leaf] = value
+    return payload
+
+
+@pytest.mark.parametrize("path, value, message", MODEL_CONSTRAINT_VARIANTS,
+                         ids=lambda v: str(v)[:24])
+def test_model_constraints_fail_at_the_schema(path, value, message):
+    with pytest.raises(ValueError) as exc:
+        system_config_from_dict(niagara1_variant(path, value))
+    assert str(exc.value).startswith(message)

@@ -1,4 +1,4 @@
-"""Sweeps under the batch backend: laziness, key templates, resume."""
+"""Sweeps under the batch backend: laziness, cache keys, resume."""
 
 import itertools
 import json
@@ -14,7 +14,6 @@ from repro.engine import (
     config_key,
     run_sweep,
 )
-from repro.engine.sweep import _KeyTemplate, _SweepKeys
 from repro.tech.device import DeviceType
 
 from tests.conftest import make_tiny_config
@@ -86,34 +85,34 @@ class TestLazyGrid:
 
 
 class TestKeyTemplate:
-    def assert_keys_exact(self, spec, workload=None):
-        keys = _SweepKeys(spec, workload)
-        for combo, _, config in spec._iter_built():
-            assert keys.key_for(combo, config) == config_key(
-                config, workload
-            )
-        return keys
+    """Every key a sweep renders for a point is that point's config_key."""
+
+    def assert_keys_exact(self, spec):
+        results = run_sweep(spec, cache=EvalCache())
+        assert len(results) == spec.n_points
+        for result in results:
+            assert result.record.key == config_key(result.config)
+        return results
 
     def test_scalar_axes_render_exact_keys(self):
         spec = SweepSpec.from_axes(
             make_tiny_config(),
             {"clock_hz": freqs(3), "temperature_k": (340.0, 360.0)},
         )
-        keys = self.assert_keys_exact(spec)
-        assert keys.template is not None  # fast path stayed engaged
+        results = self.assert_keys_exact(spec)
+        assert len({r.record.key for r in results}) == spec.n_points
 
     def test_alias_and_dotted_axes_render_exact_keys(self):
         spec = SweepSpec.from_axes(
             make_tiny_config(),
             {"cores": (1, 2), "core.issue_width": (1, 2)},
         )
-        keys = self.assert_keys_exact(spec)
-        assert keys.template is not None
+        results = self.assert_keys_exact(spec)
+        assert len({r.record.key for r in results}) == spec.n_points
 
     def test_enum_string_axis_falls_back_to_exact_keys(self):
-        # "hp" renders into the template as a JSON string — which is
-        # also how the canonical payload serializes the enum, so the
-        # template survives; every distinct value is cross-checked.
+        # "hp" is swept as a string but built as a DeviceType; its key
+        # encodes the enum by value, as config_key does.
         spec = SweepSpec.from_axes(
             make_tiny_config(),
             {"device_type": ("hp", "lop"), "clock_hz": freqs(2)},
@@ -122,9 +121,8 @@ class TestKeyTemplate:
 
     def test_shadowed_axis_cannot_be_templated(self):
         # Two axes addressing the same field (built directly, since
-        # from_axes rejects them): the second sentinel overwrites the
-        # first, so the template refuses the payload and every key takes
-        # the exact path.
+        # from_axes rejects them): the later axis wins, and each key is
+        # still the exact key of the config that was built.
         spec = SweepSpec(
             base=make_tiny_config(),
             axes=(
@@ -132,8 +130,8 @@ class TestKeyTemplate:
                 SweepAxis("n_cores", "n_cores", (3, 4)),
             ),
         )
-        assert _KeyTemplate.build(spec, None) is None
-        self.assert_keys_exact(spec)
+        results = self.assert_keys_exact(spec)
+        assert {r.config.n_cores for r in results} == {3, 4}
 
 
 @needs_numpy

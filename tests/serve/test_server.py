@@ -24,6 +24,10 @@ from repro.serve import (
     ServeError,
 )
 
+from tests.config.test_schema import (
+    MODEL_CONSTRAINT_VARIANTS,
+    niagara1_variant,
+)
 from tests.conftest import make_tiny_config
 
 
@@ -204,6 +208,18 @@ class TestEvaluate:
                 server.client().evaluate(config=payload, report=False)
         assert exc.value.status == 400
         assert "config.l2.banks: expected int" in exc.value.detail
+
+    def test_model_constraints_400_name_the_field(self):
+        with BackgroundServer(ServeConfig(port=0)) as server:
+            client = server.client()
+            for path, value, message in MODEL_CONSTRAINT_VARIANTS:
+                with pytest.raises(ServeError) as exc:
+                    client.evaluate(
+                        config=niagara1_variant(path, value), report=False,
+                    )
+                assert exc.value.status == 400, path
+                assert message in exc.value.detail, path
+            assert len(server.server.cache) == 0
 
     @pytest.mark.parametrize("value", [float("nan"), float("inf")])
     def test_non_finite_config_float_400_names_field(self, value):

@@ -1,6 +1,9 @@
 """Unit tests for the fast-path memo substrate."""
 
 import dataclasses
+import enum
+import json
+import math
 import threading
 
 import pytest
@@ -156,6 +159,18 @@ class _Point:
     y: str = "z"
 
 
+class _Color(str, enum.Enum):
+    RED = "red"
+
+
+class _Count(enum.IntEnum):
+    TWO = 2
+
+
+class _Text(str):
+    pass
+
+
 class TestStableHash:
     def test_deterministic(self):
         assert fastpath.stable_hash({"a": 1}) == fastpath.stable_hash({"a": 1})
@@ -171,8 +186,44 @@ class TestStableHash:
         b = fastpath.stable_hash({"p": _Point(1), "q": [_Point(2)]})
         assert a == b
 
+    @pytest.mark.parametrize("payload", [
+        {"b": [1, 2.5, None, True], "a": "é\"\\\n"},
+        {3: "int key", 1.5: "float key", True: "bool key"},
+        {None: "null key"},
+        {"p": _Point(1), "q": (_Point(2), [_Point(3, "ü")])},
+        [math.nan, math.inf, -math.inf, -0.0, 1e300, 0],
+        {"e": _Color.RED, "n": _Count.TWO, "s": _Text("sub")},
+    ])
+    def test_text_is_what_json_dumps_writes(self, payload):
+        def plain(obj):
+            return dataclasses.asdict(obj)
+
+        expected = json.dumps(
+            plain(payload) if dataclasses.is_dataclass(payload) else payload,
+            sort_keys=True, separators=(",", ":"), default=plain,
+        )
+        assert fastpath.CanonicalEncoder().text(payload) == expected
+
+    def test_no_text_names_the_path(self):
+        with pytest.raises(ValueError, match=(
+            r"payload\.q\[1\]\.x \(value of type set\) "
+            r"is not serializable"
+        )):
+            fastpath.stable_hash({"q": [_Point(1), _Point({2})]})
+
+    def test_frozen_instances_keep_their_text_unless_mutable_below(self):
+        point = _Point(1)
+        holder = _Point([1])
+        first = fastpath.stable_hash([point, holder])
+        assert fastpath.stable_hash([point, holder]) == first
+        assert "_canonical_json" in vars(point)
+        assert "_canonical_json" not in vars(holder)
+        holder.x.append(2)
+        assert fastpath.stable_hash([point, holder]) != first
+
     def test_matches_engine_cache_keys(self):
-        """config_key must keep producing the same on-disk cache keys."""
+        """A copy keys like its original: config_key hashes content.
+        (The on-disk key bytes are pinned in tests/engine/test_keys.py.)"""
         from repro.engine.cache import config_key
         from tests.conftest import make_tiny_config
 
