@@ -20,7 +20,7 @@ from repro.array.organization import (
     OptimizationWeights,
     search_organizations,
 )
-from repro.array.spec import ArraySpec, CellType
+from repro.array.spec import ArraySpec, CellType, PortCounts
 from repro.circuit.repeater import RepeatedWire
 from repro.tech import Technology
 from repro.tech.wire import WireType
@@ -163,6 +163,11 @@ def _build_dff_array(tech: Technology, spec: ArraySpec) -> SramArray:
 #: :class:`SramArray` is immutable, so sharing one instance is safe.
 _BUILD_MEMO = fastpath.Memo("build_array", max_entries=2048)
 
+#: Every dataclass a build key encodes, laid out once at import.
+_KEY_ENCODER = fastpath.CanonicalEncoder(
+    (Technology, ArraySpec, PortCounts, OptimizationWeights),
+)
+
 
 def build_array(
     tech: Technology,
@@ -182,7 +187,7 @@ def build_array(
     weights = weights or OptimizationWeights()
     if not fastpath.enabled():
         return _build_array_uncached(tech, spec, weights)
-    key = fastpath.stable_hash(
+    key = _KEY_ENCODER.stable_hash(
         {"tech": tech, "spec": spec, "weights": weights}
     )
     return _BUILD_MEMO.get_or_compute(

@@ -19,9 +19,10 @@ metrics depend on the varying parameters in closed form:
 Rather than re-deriving those coefficients from the component models
 (fragile against model evolution), :func:`compile_group` *probes* the
 exact scalar model over a :class:`Domain` — a closed clock interval
-times a set of temperatures: it builds one
-:class:`~repro.chip.processor.Processor` per probed temperature and
-samples ``report(None, clock_hz=f)`` at each segment's endpoints, then
+times a set of temperatures: it takes one
+:class:`~repro.chip.processor.Processor` per probed temperature from
+:func:`~repro.engine.record.built_chip` (shared with the scalar path)
+and samples ``report(None, clock_hz=f)`` at each segment's endpoints, then
 **validates** every closed-form assumption against held-out probes — the
 midpoint of every frequency segment, a dynamic/area probe per extra
 temperature, and the median temperature of an exp fit. A non-finite
@@ -45,7 +46,7 @@ from repro import obs
 from repro.batch.kernels import leakage_temperature_scale
 from repro.batch.terms import PiecewiseAffine
 from repro.config.schema import SystemConfig
-from repro.engine.record import METRICS, tdp_metrics
+from repro.engine.record import METRICS, built_chip, tdp_metrics
 from repro.tech.device import LEAKAGE_REFERENCE_TEMPERATURE_K
 
 #: Metrics that shift with temperature (through subthreshold leakage).
@@ -301,8 +302,6 @@ def _leak_deltas(
     Every probed temperature also validates that the remaining metrics
     did not move (a temperature-sensitive organization search would).
     """
-    from repro.chip import Processor
-
     t_ref = temperatures[0]
     deltas: dict[float, tuple[float, float]] = {t_ref: (0.0, 0.0)}
     others = list(temperatures[1:])
@@ -310,9 +309,7 @@ def _leak_deltas(
         return deltas
 
     def probe_temperature(t: float) -> tuple[float, float]:
-        processor = Processor(dataclasses.replace(
-            config, clock_hz=f_probe, temperature_k=t,
-        ))
+        processor = built_chip(dataclasses.replace(config, temperature_k=t))
         sample = _probe(processor, f_probe, probe_count)
         for name in METRICS:
             if name in _LEAKY_METRICS:
@@ -400,8 +397,6 @@ def compile_group(
             the group through the scalar path instead. Its ``n_probes``
             counts the probes spent before the failure.
     """
-    from repro.chip import Processor
-
     if not frequencies or not temperatures:
         raise BatchFallback("a group needs at least one (f, T) point")
     f_lo = frequencies[0]
@@ -410,9 +405,9 @@ def compile_group(
         "batch.compile_group", category="batch", chip=config.name,
         frequencies=len(frequencies), temperatures=len(temperatures),
     ):
-        processor = Processor(dataclasses.replace(
-            config, clock_hz=f_lo, temperature_k=t_ref,
-        ))
+        processor = built_chip(
+            dataclasses.replace(config, temperature_k=t_ref),
+        )
         probes: dict[float, dict[str, float]] = {}
         probe_count = [0]
         try:

@@ -125,23 +125,26 @@ class Processor:
 
     @cached_property
     def _blocks_area(self) -> float:
-        """Area of cores + caches + MC (before NoC and clocking) (m^2)."""
+        """Area of cores + caches + MC (before NoC and clocking) (m^2).
+
+        No area depends on the clock; like :attr:`Core.area`, each is
+        read at a fixed one, so nothing the chip keeps comes from the
+        clock it was built with.
+        """
         area = self.config.n_cores * self.core.area
         if self.little_core is not None:
             area += self.config.n_little_cores * self.little_core.area
         if self.l2 is not None:
             area += (
                 self.config.l2.instances
-                * self.l2.result(self.config.clock_hz).total_area
+                * self.l2.result(clock_hz=1e9).total_area
             )
         if self.l3 is not None:
             area += (
                 self.config.l3.instances
-                * self.l3.result(self.config.clock_hz).total_area
+                * self.l3.result(clock_hz=1e9).total_area
             )
-        area += self.memory_controller.result(
-            self.config.clock_hz
-        ).total_area
+        area += self.memory_controller.result(clock_hz=1e9).total_area
         return area
 
     @cached_property
@@ -213,9 +216,12 @@ class Processor:
                 of the config's. Construction (array organization,
                 repeater sizing, floorplan) is clock-free, so the result
                 is bit-identical to rebuilding the processor with the
-                other clock — this is the split between *construction*
-                and *numeric evaluation* the batch backend compiles
-                sweeps through (see :mod:`repro.batch`).
+                other clock (``tests/chip/test_clock_free_build.py``
+                checks it). This is the split between *construction*
+                and *numeric evaluation* that both the batch backend's
+                compiles (see :mod:`repro.batch`) and the scalar path's
+                one chip per structure and temperature
+                (:func:`repro.engine.record.built_chip`) rely on.
         """
         with obs.span("chip.report", chip=self.config.name):
             return self._build_report(activity, clock_hz=clock_hz)

@@ -103,6 +103,12 @@ _AS_IS: dict[type, dict[str, frozenset[type]]] = {
 }
 
 
+def _rejected(path: str, exc: ValueError) -> ValueError:
+    """A schema validator's error, prefixed with the path of the object
+    it rejected (``config.l2: banks must be ...``)."""
+    return ValueError(f"{path}: {exc}")
+
+
 def _build(cls: type, data: Mapping[str, Any], path: str) -> Any:
     """``cls`` from its dict form, every value checked against the
     field tables before any schema validator runs; a validator's error
@@ -115,7 +121,7 @@ def _build(cls: type, data: Mapping[str, Any], path: str) -> Any:
     try:
         return cls(**kwargs)
     except ValueError as exc:
-        raise ValueError(f"{path}: {exc}") from None
+        raise _rejected(path, exc) from None
 
 
 def _convert(cls: type, name: str, value: Any, where: str) -> Any:
@@ -162,6 +168,19 @@ def system_config_from_dict(data: Mapping[str, Any]) -> SystemConfig:
         raise ValueError(f"config: expected object, got "
                          f"{type(data).__name__}")
     return _build(SystemConfig, data, "config")
+
+
+def replace_system_config(
+    config: SystemConfig, **changes: Any,
+) -> SystemConfig:
+    """``dataclasses.replace(config, **changes)``, for values of the
+    fields' own classes; a validator's error names its path as in
+    :func:`system_config_from_dict` (``config: n_cores must be ...``).
+    """
+    try:
+        return dataclasses.replace(config, **changes)
+    except ValueError as exc:
+        raise _rejected("config", exc) from None
 
 
 def save_system_config(config: SystemConfig, path: str | Path) -> None:

@@ -69,6 +69,22 @@ _STRUCTURE = operator.itemgetter(*(
     if name not in GROUP_AXES
 ))
 
+#: A config's fields' texts but ``clock_hz``, in key order: its
+#: structure key plus its temperature.
+ChipKey = tuple[str, ...]
+_CHIP = operator.itemgetter(*(
+    i for i, name in enumerate(_ENCODER.names(SystemConfig))
+    if name != "clock_hz"
+))
+
+
+def _unhashable(config: SystemConfig, exc: ValueError) -> ValueError:
+    label = getattr(config, "name", None)
+    label = label if isinstance(label, str) else "<config>"
+    return ValueError(
+        f"configuration {label!r} cannot be content-hashed: {exc}"
+    )
+
 
 def config_keys(
     config: SystemConfig, workload: Workload | None = None,
@@ -79,11 +95,7 @@ def config_keys(
         config_text, texts = _ENCODER.fields(config, "config")
         workload_text = _ENCODER.text(workload, "workload")
     except ValueError as exc:
-        label = getattr(config, "name", None)
-        label = label if isinstance(label, str) else "<config>"
-        raise ValueError(
-            f"configuration {label!r} cannot be content-hashed: {exc}"
-        ) from None
+        raise _unhashable(config, exc) from None
     # The canonical text of {"v": ..., "config": ..., "workload": ...}.
     key_text = (
         f'{{"config":{config_text},"v":{CACHE_SCHEMA_VERSION},'
@@ -109,6 +121,21 @@ def structure_key(config: SystemConfig) -> StructureKey:
     """What one compiled batch group's configs share: the texts
     themselves, not a hash, so two structures never share a key."""
     return config_keys(config)[1]
+
+
+def chip_key(config: SystemConfig) -> ChipKey:
+    """What building ``config``'s chip reads: the texts of every field
+    but ``clock_hz`` (:func:`repro.engine.record.built_chip`).
+
+    Texts, not dataclass equality: a ``temperature_k`` of 360 and one
+    of 360.0 are two keys here, as in :func:`config_key`.
+    """
+    try:
+        texts = _ENCODER.fields(config, "config")[1]
+    except ValueError as exc:
+        raise _unhashable(config, exc) from None
+    key: ChipKey = _CHIP(texts)
+    return key
 
 
 class EvalCache:

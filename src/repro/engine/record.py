@@ -10,7 +10,9 @@ JSON-round-trippable for the on-disk cache log, from which sweeps resume.
 This module owns the record's TDP metric set: :data:`METRICS` names it
 and :func:`tdp_metrics` extracts it from a built processor, for the
 scalar path here and for the batch backend's probes and records
-(:mod:`repro.batch`).
+(:mod:`repro.batch`). The scalar path and the probes take their
+processor from :func:`built_chip`: one chip per structure and
+temperature, evaluated at each caller's clock.
 """
 
 from __future__ import annotations
@@ -19,6 +21,7 @@ import dataclasses
 from dataclasses import dataclass, field
 from typing import TYPE_CHECKING, Any
 
+from repro import fastpath
 from repro.config.schema import SystemConfig
 from repro.perf.workload import Workload
 
@@ -36,6 +39,35 @@ METRICS = (
     "core_peak_dynamic_w",
     "core_leakage_w",
 )
+
+
+#: One built chip per :func:`~repro.engine.cache.chip_key`, shared by
+#: scalar evaluations and batch compile probes across requests, sweeps
+#: and chunks. Honors ``fastpath.disabled()`` and ``clear_all()``.
+_BUILT_CHIPS = fastpath.Memo("engine.built_chips", max_entries=64)
+
+
+def built_chip(config: SystemConfig) -> "Processor":
+    """``Processor(config)``, built once per structure and temperature.
+
+    Building a chip reads no clock (see
+    :meth:`~repro.chip.processor.Processor.report`), so every config
+    that differs from ``config`` only in ``clock_hz`` shares this chip,
+    keyed by :func:`~repro.engine.cache.chip_key`. Its
+    ``config.clock_hz`` is the clock of whichever config built it
+    first, so evaluate it only through calls that pass the clock:
+    ``tdp_metrics(chip, clock_hz)`` or ``chip.report(None,
+    clock_hz=...)``. Whatever reads the config's clock builds its own
+    chip: a workload run (``MulticoreSimulator`` reads
+    ``processor.config.clock_hz``), ``report()`` without a clock, and
+    report rendering.
+    """
+    from repro.chip import Processor
+    from repro.engine.cache import chip_key
+
+    return _BUILT_CHIPS.get_or_compute(
+        chip_key(config), lambda: Processor(config),
+    )
 
 
 def tdp_metrics(processor: "Processor", clock_hz: float) -> dict[str, float]:
@@ -144,21 +176,26 @@ def evaluate_config(
     """Model one chip and flatten the result into an :class:`EvalRecord`.
 
     This is the single evaluation the engine fans out; it runs inside
-    worker processes, so it imports nothing process-global and returns
-    plain data. The whole evaluation runs under an ``engine.evaluate``
-    trace span (the root of the per-evaluation span tree).
+    worker processes and returns plain data. Without a workload it
+    evaluates :func:`built_chip` at ``config.clock_hz``: a new clock on
+    a structure and temperature this process has built re-evaluates
+    that chip, bit-identical to building a new one. A workload run
+    builds its own chip. The whole evaluation runs under an
+    ``engine.evaluate`` trace span (the root of the per-evaluation span
+    tree).
     """
     from repro import obs
     from repro.chip import Processor
 
     with obs.span("engine.evaluate", category="engine", config=config.name):
-        processor = Processor(config)
-        metrics = tdp_metrics(processor, config.clock_hz)
-
         runtime_s = power_w = throughput_ips = None
-        if workload is not None:
+        if workload is None:
+            metrics = tdp_metrics(built_chip(config), config.clock_hz)
+        else:
             from repro.perf import MulticoreSimulator
 
+            processor = Processor(config)
+            metrics = tdp_metrics(processor, config.clock_hz)
             with obs.span("engine.workload_sim", category="engine"):
                 sim = MulticoreSimulator(processor).run(workload)
                 runtime_s = sim.runtime_s

@@ -20,13 +20,13 @@ pending work in memory, not 100k config dicts.
 
 from __future__ import annotations
 
-import dataclasses
 import itertools
 from dataclasses import dataclass
 from typing import Any, Iterable, Iterator, Mapping, Sequence
 
 from repro import obs
 from repro.config.loader import (
+    replace_system_config,
     system_config_from_dict,
     system_config_to_dict,
 )
@@ -146,9 +146,11 @@ class SweepSpec:
     def from_axes(
         cls,
         base: SystemConfig,
-        axes: Mapping[str, Sequence[Any]],
+        axes: Mapping[str, Iterable[Any]],
     ) -> "SweepSpec":
         """Build a spec from ``{axis name: values}``.
+
+        ``values`` may be any iterable, a numpy array included.
 
         Raises:
             ValueError: On an unknown axis name/path, an empty axis, or
@@ -156,7 +158,8 @@ class SweepSpec:
         """
         base_dict = system_config_to_dict(base)
         resolved: list[SweepAxis] = []
-        for name, values in axes.items():
+        for name, axis_values in axes.items():
+            values = tuple(axis_values)
             if not values:
                 raise ValueError(f"axis {name!r} has no values")
             path = _resolve_path(base_dict, name)
@@ -166,9 +169,7 @@ class SweepSpec:
                         f"axes {other.name!r} and {name!r} both set "
                         f"config field {path!r}"
                     )
-            resolved.append(SweepAxis(
-                name=name, path=path, values=tuple(values),
-            ))
+            resolved.append(SweepAxis(name=name, path=path, values=values))
         if not resolved:
             raise ValueError("a sweep needs at least one axis")
         return cls(base=base, axes=tuple(resolved))
@@ -189,7 +190,9 @@ class SweepSpec:
         axis is a top-level scalar field (the common
         frequency/voltage/temperature sweeps), one template config is
         built from the first point and every other point is a
-        ``dataclasses.replace`` of it: the frozen sub-configs, and the
+        ``dataclasses.replace`` of it
+        (:func:`~repro.config.loader.replace_system_config`, whose
+        errors read as the loader's): the frozen sub-configs, and the
         canonical text they keep for cache keys, are shared; only the
         top-level dataclass (and its validators) is rebuilt. The
         shortcut only fires when each axis value has exactly the class
@@ -213,7 +216,7 @@ class SweepSpec:
                 value.__class__ is kind
                 for value, kind in zip(combo, field_types)
             ):
-                config = dataclasses.replace(
+                config = replace_system_config(
                     template_config,
                     **{parts[0]: value
                        for parts, value in zip(paths, combo)},

@@ -283,6 +283,11 @@ class CanonicalEncoder:
         with no JSON form (``config.niu[0] (circular reference)``)."""
         return self._value(payload, root, set())
 
+    def stable_hash(self, payload: Any) -> str:
+        """sha256 of ``payload``'s text: two structurally equal
+        payloads hash identically however they were built."""
+        return hashlib.sha256(self.text(payload).encode()).hexdigest()
+
     def names(self, cls: type[Any]) -> tuple[str, ...]:
         """The field names of dataclass ``cls``, in key order."""
         return (self._layouts.get(cls) or _layout(cls)).names
@@ -361,11 +366,8 @@ class CanonicalEncoder:
         ) + "}"
 
 
-_ENCODER = CanonicalEncoder()
-
-
-def stable_hash(payload: Any) -> str:
-    """sha256 of ``payload``'s :class:`CanonicalEncoder` text: two
-    structurally equal payloads hash identically however they were
-    built."""
-    return hashlib.sha256(_ENCODER.text(payload).encode()).hexdigest()
+#: :meth:`CanonicalEncoder.stable_hash` with no classes laid out ahead.
+#: A caller hashing the same classes on every call lays them out in an
+#: encoder of its own at import (``build_array``); the digest is the
+#: same.
+stable_hash = CanonicalEncoder().stable_hash

@@ -8,6 +8,7 @@ from pathlib import Path
 
 import pytest
 
+from repro import batch
 from repro.engine import (
     EvalCache,
     SweepSpec,
@@ -69,6 +70,40 @@ class TestSpec:
     def test_no_axes_rejected(self):
         with pytest.raises(ValueError, match="at least one axis"):
             SweepSpec.from_axes(make_tiny_config(), {})
+
+    @pytest.mark.skipif(not batch.have_numpy(),
+                        reason="numpy not installed")
+    def test_numpy_axis_is_the_list_of_its_values(self):
+        np = batch.get_numpy()
+        clocks = np.linspace(1.0e9, 2.0e9, 3)
+        from_array, from_list = (
+            SweepSpec.from_axes(make_tiny_config(), {"clock_hz": values})
+            for values in (clocks, list(clocks))
+        )
+        assert list(from_array.iter_points()) == list(
+            from_list.iter_points()
+        )
+        keys = [
+            [result.record.key for result in run_sweep(spec, cache=None)]
+            for spec in (from_array, from_list)
+        ]
+        assert keys[0] == keys[1]
+        assert len(set(keys[0])) == 3
+
+    @pytest.mark.parametrize("axis, bad, good", [
+        ("cores", 0, 1), ("clock_hz", -1.0, 1.0e9),
+    ])
+    def test_invalid_value_message_is_independent_of_position(
+        self, axis, bad, good,
+    ):
+        messages = set()
+        for values in ((bad, good), (good, bad)):
+            spec = SweepSpec.from_axes(make_tiny_config(), {axis: values})
+            with pytest.raises(ValueError) as exc:
+                list(spec.iter_points())
+            messages.add(str(exc.value))
+        (message,) = messages
+        assert message.startswith("config: ")
 
     def test_axes_aliasing_one_field_rejected(self):
         # An alias and its target would label points cores=2 and
