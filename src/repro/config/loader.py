@@ -170,19 +170,6 @@ def system_config_from_dict(data: Mapping[str, Any]) -> SystemConfig:
     return _build(SystemConfig, data, "config")
 
 
-def replace_system_config(
-    config: SystemConfig, **changes: Any,
-) -> SystemConfig:
-    """``dataclasses.replace(config, **changes)``, for values of the
-    fields' own classes; a validator's error names its path as in
-    :func:`system_config_from_dict` (``config: n_cores must be ...``).
-    """
-    try:
-        return dataclasses.replace(config, **changes)
-    except ValueError as exc:
-        raise _rejected("config", exc) from None
-
-
 def save_system_config(config: SystemConfig, path: str | Path) -> None:
     """Write a system config as JSON."""
     Path(path).write_text(

@@ -90,7 +90,9 @@ def config_keys(
     config: SystemConfig, workload: Workload | None = None,
 ) -> tuple[str, StructureKey]:
     """``(config_key(config, workload), structure_key(config))``, from
-    one encoding of the config."""
+    one encoding of the config, or none: a config walked before, or a
+    flat sweep point (:meth:`~repro.engine.sweep.SweepSpec.iter_points`),
+    kept its fields' texts, and keying it is one format and one hash."""
     try:
         config_text, texts = _ENCODER.fields(config, "config")
         workload_text = _ENCODER.text(workload, "workload")
@@ -224,16 +226,18 @@ class EvalCache:
     def put(self, key: str, record: EvalRecord) -> None:
         """Store a record, appending to the JSONL log for new keys.
 
-        The append is one ``write`` on an ``O_APPEND`` descriptor, so
+        A fresh record (``from_cache=False``) is stored as it is; only a
+        record served from a cache is copied, to clear its flag. The
+        append is one ``write`` on an ``O_APPEND`` descriptor, so
         concurrent writers — threads of this process or other processes
         sharing the log — produce interleaved whole lines, never spliced
         partial ones.
         """
+        if record.from_cache:
+            record = dataclasses.replace(record, from_cache=False)
         with self._lock:
             is_new = key not in self._records
-            self._records[key] = dataclasses.replace(
-                record, from_cache=False,
-            )
+            self._records[key] = record
             self._records.move_to_end(key)
             self._evict_locked()
         if is_new and self.path is not None:

@@ -26,12 +26,12 @@ from typing import Any, Iterable, Iterator, Mapping, Sequence
 
 from repro import obs
 from repro.config.loader import (
-    replace_system_config,
+    _rejected,
     system_config_from_dict,
     system_config_to_dict,
 )
 from repro.config.schema import SystemConfig
-from repro.engine.cache import DEFAULT_CACHE, EvalCache
+from repro.engine.cache import _ENCODER, DEFAULT_CACHE, EvalCache
 from repro.engine.record import EvalRecord
 from repro.perf.workload import Workload
 
@@ -150,15 +150,25 @@ class SweepSpec:
     ) -> "SweepSpec":
         """Build a spec from ``{axis name: values}``.
 
-        ``values`` may be any iterable, a numpy array included.
+        ``values`` may be any iterable of values (a list, a tuple, a
+        range, a generator, a numpy array), but not one value: not a
+        string, bytes or a mapping, which would sweep their characters,
+        bytes or keys.
 
         Raises:
-            ValueError: On an unknown axis name/path, an empty axis, or
-                two axes naming the same config field.
+            ValueError: On an unknown axis name/path, an axis that is
+                not a collection of values or has none, or two axes
+                naming the same config field.
         """
         base_dict = system_config_to_dict(base)
         resolved: list[SweepAxis] = []
         for name, axis_values in axes.items():
+            if isinstance(axis_values, (str, bytes, bytearray, Mapping)) \
+                    or not isinstance(axis_values, Iterable):
+                raise ValueError(
+                    f"axis {name!r} needs a list of values, got "
+                    f"{type(axis_values).__name__} {axis_values!r}"
+                )
             values = tuple(axis_values)
             if not values:
                 raise ValueError(f"axis {name!r} has no values")
@@ -186,49 +196,58 @@ class SweepSpec:
         """Stream the cross product lazily, last axis varying fastest.
 
         Each point is built on demand — the grid is never materialized,
-        so arbitrarily large sweeps use constant memory here. When every
-        axis is a top-level scalar field (the common
-        frequency/voltage/temperature sweeps), one template config is
-        built from the first point and every other point is a
-        ``dataclasses.replace`` of it
-        (:func:`~repro.config.loader.replace_system_config`, whose
-        errors read as the loader's): the frozen sub-configs, and the
-        canonical text they keep for cache keys, are shared; only the
-        top-level dataclass (and its validators) is rebuilt. The
-        shortcut only fires when each axis value has exactly the class
-        of the field's built value (``from_dict`` converts enum-typed
-        fields and type-checks every value, which ``replace`` must not
-        skip: a bool is an ``int`` subclass); nested axes and
-        type-changing values take the general dict-overlay path.
+        so arbitrarily large sweeps use constant memory here. A point is
+        built from its dict form, the base's with the axis values
+        overlaid (:func:`~repro.config.loader.system_config_from_dict`),
+        except in a flat sweep, where every axis is a top-level leaf
+        field (the common clock/voltage/temperature sweeps). There the
+        first point built from its dict is the template, and each later
+        point whose axis values have exactly the classes of the
+        template's fields is derived from it
+        (:meth:`~repro.fastpath.CanonicalEncoder.derivation`): built as
+        ``dataclasses.replace`` would, validators and all, keeping the
+        template's field texts with its axis fields' texts swapped in.
+        The template is read once and each axis value encoded once, so
+        keying a point costs one format and one hash. A value of
+        another class (an enum given as its string, an int in a float
+        field, a bool in an int one) is built and type-checked by the
+        loader and becomes the new template. Either way a validator's
+        error reads as the loader's (``config: n_cores must be >= 1``).
         """
         base_dict = system_config_to_dict(self.base)
         paths = [axis.path.split(".") for axis in self.axes]
         names = [axis.name for axis in self.axes]
+        values = [axis.values for axis in self.axes]
         flat = all(
             len(parts) == 1 and not isinstance(base_dict[parts[0]], dict)
             for parts in paths
         )
+        derive = _ENCODER.derivation([
+            (parts[0], axis_values)
+            for parts, axis_values in zip(paths, values)
+        ]) if flat else None
         # Set once a flat grid has its template config.
-        field_types: tuple[type, ...] | None = None
-        template_config = self.base
-        for combo in itertools.product(*(a.values for a in self.axes)):
-            if field_types is not None and all(
-                value.__class__ is kind
-                for value, kind in zip(combo, field_types)
-            ):
-                config = replace_system_config(
-                    template_config,
-                    **{parts[0]: value
-                       for parts, value in zip(paths, combo)},
-                )
+        template: SystemConfig | None = None
+        field_types: tuple[type, ...] = ()
+        for combo, positions in zip(
+            itertools.product(*values),
+            itertools.product(*(range(len(v)) for v in values)),
+        ):
+            if derive is not None and template is not None and tuple(
+                map(type, combo)
+            ) == field_types:
+                try:
+                    config = derive(template, positions)
+                except ValueError as exc:
+                    raise _rejected("config", exc) from None
             else:
-                config_dict = _overlay(base_dict, paths, combo)
-                config = system_config_from_dict(config_dict)
-                template_config = config
-                if flat:
+                config = system_config_from_dict(
+                    _overlay(base_dict, paths, combo)
+                )
+                if derive is not None:
+                    template = config
                     field_types = tuple(
-                        type(getattr(config, parts[0]))
-                        for parts in paths
+                        type(getattr(config, parts[0])) for parts in paths
                     )
             yield SweepPoint(overrides=dict(zip(names, combo)), config=config)
 

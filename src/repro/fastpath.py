@@ -37,7 +37,15 @@ from collections import OrderedDict
 from contextlib import contextmanager, suppress
 from enum import Enum
 from json.encoder import encode_basestring_ascii
-from typing import Any, Callable, Iterator, NamedTuple, TypeVar, cast
+from typing import (
+    Any,
+    Callable,
+    Iterator,
+    NamedTuple,
+    Sequence,
+    TypeVar,
+    cast,
+)
 
 from repro.obs import metrics as _obs_metrics
 
@@ -215,9 +223,11 @@ def _obs_collect() -> dict[str, float]:
 _obs_metrics.register_collector("fastpath.memos", _obs_collect)
 
 
-#: Where an instance keeps its canonical text: not a field, so equality,
-#: ``repr`` and ``dataclasses.replace`` never see it.
+#: Where an instance keeps its canonical text and its fields' texts (in
+#: key order): not fields, so equality, ``repr``, ``dataclasses.replace``
+#: and ``system_config_to_dict`` never see them.
 _TEXT = "_canonical_json"
+_FIELD_TEXTS = "_canonical_fields"
 
 #: ``float.__repr__`` spellings JSON writes differently.
 _NON_FINITE = {"nan": "NaN", "inf": "Infinity", "-inf": "-Infinity"}
@@ -258,6 +268,14 @@ def _layout(cls: type[Any]) -> _Layout:
     return _Layout(names, form, values)
 
 
+def _immutable(value: Any) -> bool:
+    """Whether ``value``'s text can never change: a leaf (a subclass
+    such as ``numpy.float64`` too), an enum or a kept text."""
+    return (value.__class__ in _LEAVES
+            or isinstance(value, (str, int, float, Enum))
+            or hasattr(value, _TEXT))
+
+
 def _unencodable(path: str, reason: str) -> ValueError:
     return ValueError(f"{path} ({reason}) is not serializable")
 
@@ -269,10 +287,11 @@ class CanonicalEncoder:
     (``numpy.float64``) as their base class, ints as ints even in float
     fields. Any other value is an error naming its path.
 
-    A frozen dataclass instance keeps its text when its fields all hold
-    leaves, enums or kept texts (not a list, a dict, a mutable
-    dataclass): a ``dataclasses.replace`` of a config re-encodes only
-    its top-level fields. ``classes`` are laid out once, here.
+    A frozen dataclass instance keeps its text and its fields' texts
+    when its fields all hold leaves, enums or kept texts (not a list, a
+    dict, a mutable dataclass), so it is walked once. The points of a
+    flat sweep keep their fields' texts from birth (:meth:`derivation`).
+    ``classes`` are laid out once, here.
     """
 
     def __init__(self, classes: tuple[type, ...] = ()) -> None:
@@ -292,10 +311,17 @@ class CanonicalEncoder:
         """The field names of dataclass ``cls``, in key order."""
         return (self._layouts.get(cls) or _layout(cls)).names
 
-    def fields(self, obj: Any, root: str) -> tuple[str, list[str]]:
+    def fields(self, obj: Any, root: str) -> tuple[str, tuple[str, ...]]:
         """Dataclass ``obj``'s text and its fields' texts, in key order;
-        unlike its sub-objects, ``obj`` keeps no text (a sweep point)."""
-        return self._object(obj, root, {id(obj)}, keep=False)
+        texts it kept are returned without a walk."""
+        return self._object(obj, root, {id(obj)})
+
+    def derivation(
+        self, axes: Sequence[tuple[str, Sequence[Any]]],
+    ) -> "Derivation":
+        """The points of a flat sweep over ``axes``, ``(field name,
+        values)`` pairs: see :class:`Derivation`."""
+        return Derivation(self, axes)
 
     def _value(self, value: Any, path: str, active: set[int]) -> str:
         kept = getattr(value, _TEXT, None)
@@ -324,23 +350,25 @@ class CanonicalEncoder:
         active.discard(id(value))
         return text
 
-    def _object(self, obj: Any, path: str, active: set[int],
-                keep: bool = True) -> tuple[str, list[str]]:
+    def _object(self, obj: Any, path: str,
+                active: set[int]) -> tuple[str, tuple[str, ...]]:
         layout = self._layouts.get(obj.__class__) or _layout(obj.__class__)
+        kept: tuple[str, ...] | None = getattr(obj, _FIELD_TEXTS, None)
+        if kept is not None:
+            return layout.form % kept, kept
+        values = layout.values(obj)
         leaf_of = _LEAVES.get
-        texts: list[str] = [
+        texts = tuple([
             leaf(value) if (leaf := leaf_of(value.__class__)) is not None
             else getattr(value, _TEXT, None)
             or self._value(value, f"{path}.{name}", active)
-            for name, value in zip(layout.names, layout.values(obj))
-        ]
-        text = layout.form % tuple(texts)
-        if keep and obj.__dataclass_params__.frozen and all(
-            value.__class__ in _LEAVES or isinstance(value, Enum)
-            or hasattr(value, _TEXT) for value in layout.values(obj)
-        ):
-            with suppress(AttributeError):  # slotted: nowhere to keep it
+            for name, value in zip(layout.names, values)
+        ])
+        text = layout.form % texts
+        if obj.__dataclass_params__.frozen and all(map(_immutable, values)):
+            with suppress(AttributeError):  # slotted: nowhere to keep them
                 object.__setattr__(obj, _TEXT, text)
+                object.__setattr__(obj, _FIELD_TEXTS, texts)
         return text, texts
 
     def _mapping(self, mapping: dict[Any, Any], path: str,
@@ -364,6 +392,87 @@ class CanonicalEncoder:
             + ":" + self._value(value, f"{path}.{key}", active)
             for key, value in items
         ) + "}"
+
+
+class Derivation:
+    """Instances of a dataclass that differ from a template only in
+    some top-level fields, each set from an axis of values: the points
+    of a flat sweep. Made by :meth:`CanonicalEncoder.derivation`.
+
+    ``derive(template, positions)`` builds ``template`` with each axis
+    field set to its axis's value at ``positions``, as
+    ``dataclasses.replace`` would: ``__init__`` and its validators run,
+    and their errors propagate. The instance keeps its fields' texts:
+    the template's, read once per template, with each axis field's text
+    encoded once per axis position, never looked up by value (``-0.0 ==
+    0.0`` and ``360 == 360.0``, but each pair encodes apart). Keying it
+    walks nothing. It keeps none, and is walked when keyed, unless the
+    template keeps its own (by the encoder's rule: frozen, every field
+    a leaf, an enum or a kept text) and its axis value could keep one
+    (not a list, a mutable dataclass, a value with no JSON form). The
+    class's validators must check fields, not rewrite them, as the
+    config schema's do.
+    """
+
+    def __init__(self, encoder: CanonicalEncoder,
+                 axes: Sequence[tuple[str, Sequence[Any]]]) -> None:
+        self._encoder = encoder
+        self._names = tuple(name for name, _ in axes)
+        self._axes = tuple(values for _, values in axes)
+        #: Each axis value's text by position; "" where it keeps none.
+        self._axis_texts = tuple(
+            tuple(map(self._text, values)) for values in self._axes
+        )
+        self._template: Any = None
+        self._values: dict[str, Any] = {}
+        self._slots: tuple[int, ...] = ()
+        self._texts: list[str] | None = None
+
+    def _text(self, value: Any) -> str:
+        if not _immutable(value):
+            return ""
+        try:
+            return self._encoder.text(value)
+        except ValueError:  # an enum member with no JSON form
+            return ""
+
+    def _read(self, template: Any) -> None:
+        """Read ``template``'s values and the texts it keeps, once."""
+        cls = template.__class__
+        names = self._encoder.names(cls)
+        self._template = template
+        self._values = {
+            f.name: getattr(template, f.name)
+            for f in dataclasses.fields(cls) if f.init
+        }
+        self._slots = tuple(map(names.index, self._names))
+        with suppress(ValueError):  # keyed later, where it names its path
+            self._encoder.fields(template, "template")
+        kept = getattr(template, _FIELD_TEXTS, None)
+        self._texts = (
+            list(kept) if kept is not None and len(self._values) == len(names)
+            else None
+        )
+
+    def __call__(self, template: T, positions: Sequence[int]) -> T:
+        if template is not self._template:
+            self._read(template)
+        values = self._values.copy()
+        for name, axis, position in zip(self._names, self._axes, positions):
+            values[name] = axis[position]
+        point = template.__class__(**values)
+        if self._texts is None:
+            return point
+        texts = self._texts.copy()
+        for slot, axis_texts, position in zip(
+            self._slots, self._axis_texts, positions,
+        ):
+            text = axis_texts[position]
+            if not text:
+                return point
+            texts[slot] = text
+        object.__setattr__(point, _FIELD_TEXTS, tuple(texts))
+        return point
 
 
 #: :meth:`CanonicalEncoder.stable_hash` with no classes laid out ahead.

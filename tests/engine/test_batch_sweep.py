@@ -17,6 +17,7 @@ from repro.engine import (
 from repro.tech.device import DeviceType
 
 from tests.conftest import make_tiny_config
+from tests.engine.test_keys import reference_key
 
 needs_numpy = pytest.mark.skipif(
     not batch.have_numpy(), reason="numpy not installed"
@@ -85,13 +86,18 @@ class TestLazyGrid:
 
 
 class TestKeyTemplate:
-    """Every key a sweep renders for a point is that point's config_key."""
+    """Every key a sweep renders for a point follows the key formula.
+
+    The formula (``reference_key``, the ``json.dumps`` of the point's
+    dict form) shares no text with the encoder, so a text a point kept
+    wrongly cannot pass by being read on both sides.
+    """
 
     def assert_keys_exact(self, spec):
         results = run_sweep(spec, cache=EvalCache())
         assert len(results) == spec.n_points
         for result in results:
-            assert result.record.key == config_key(result.config)
+            assert result.record.key == reference_key(result.config)
         return results
 
     def test_scalar_axes_render_exact_keys(self):

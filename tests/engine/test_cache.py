@@ -82,6 +82,21 @@ class TestEvalCacheMemory:
         with pytest.raises(ValueError):
             EvalCache(max_entries=0)
 
+    def test_put_stores_a_fresh_record_as_it_is(self):
+        cache = EvalCache()
+        fresh = record()
+        cache.put("k", fresh)
+        assert cache._records["k"] is fresh
+
+    def test_put_clears_the_flag_of_a_served_record(self):
+        cache = EvalCache()
+        served = dataclasses.replace(record(), from_cache=True)
+        cache.put("k", served)
+        stored = cache._records["k"]
+        assert stored.from_cache is False and stored == served
+        assert served.from_cache is True  # the caller's copy is untouched
+        assert cache.get("k").from_cache is True
+
 
 class TestEvalCacheDisk:
     def test_round_trip(self, tmp_path):
@@ -94,6 +109,19 @@ class TestEvalCacheDisk:
         assert len(reloaded) == 2
         assert reloaded.get("k1").tdp_w == pytest.approx(11.0)
         assert reloaded.get("k2").from_cache is True
+
+    def test_fresh_and_served_records_round_trip(self, tmp_path):
+        path = tmp_path / "cache.jsonl"
+        fresh = record("a", tdp=11.0)
+        served = dataclasses.replace(record("b", tdp=12.0), from_cache=True)
+        first = EvalCache(path=path)
+        first.put("a", fresh)
+        first.put("b", served)
+        assert [json.loads(line) for line in path.read_text().splitlines()] \
+            == [{"key": "a", "record": fresh.to_dict()},
+                {"key": "b", "record": served.to_dict()}]
+        reloaded = EvalCache(path=path)
+        assert reloaded.get("a") == fresh and reloaded.get("b") == served
 
     def test_corrupt_lines_skipped(self, tmp_path):
         path = tmp_path / "cache.jsonl"

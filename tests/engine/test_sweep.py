@@ -67,6 +67,20 @@ class TestSpec:
         with pytest.raises(ValueError, match="no values"):
             SweepSpec.from_axes(make_tiny_config(), {"cores": ()})
 
+    @pytest.mark.parametrize("axis, value", [
+        ("name", "abc"),  # not the points "a", "b" and "c"
+        ("clock_hz", b"ab"),  # not 97 and 98
+        ("clock_hz", {"a": 1}),  # not its key
+        ("clock_hz", 1e9),
+        ("clock_hz", None),
+    ], ids=["str", "bytes", "mapping", "float", "none"])
+    def test_one_value_is_not_an_axis(self, axis, value):
+        with pytest.raises(ValueError, match=(
+            f"axis '{axis}' needs a list of values, "
+            f"got {type(value).__name__} "
+        )):
+            SweepSpec.from_axes(make_tiny_config(), {axis: value})
+
     def test_no_axes_rejected(self):
         with pytest.raises(ValueError, match="at least one axis"):
             SweepSpec.from_axes(make_tiny_config(), {})
