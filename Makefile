@@ -22,11 +22,6 @@ lint:
 
 verify: lint test
 	$(PYTHON) -m pytest -q benchmarks/suite
-	@if $(PYTHON) -c "import pytest_benchmark" >/dev/null 2>&1; then \
-		$(PYTHON) -m pytest -q --benchmark-disable benchmarks/bench_*.py; \
-	else \
-		echo "pytest-benchmark not installed; skipping the paper-claim benches (pip install -e '.[test]')"; \
-	fi
 
 bench:
 	$(PYTHON) benchmarks/suite/run.py --workload all --seed 1 --runs 10 --out bench-set.json

@@ -81,13 +81,12 @@ def render_report_text(
     byte-identical to the offline command's output (the breakdown tree,
     a blank line, TDP/area, then the timing summary).
     """
+    report = processor.report()
     lines = [
-        format_report(
-            processor.report(), max_depth=max_depth, include_runtime=False,
-        ),
+        format_report(report, max_depth=max_depth, include_runtime=False),
         "",
-        f"TDP  = {processor.tdp:.1f} W",
-        f"Area = {processor.area * 1e6:.1f} mm^2",
+        f"TDP  = {report.total_peak_power:.1f} W",
+        f"Area = {report.total_area * 1e6:.1f} mm^2",
     ]
     for name, cycles in processor.timing_summary().items():
         lines.append(f"{name:<22} = {cycles:.2f} cycles")

@@ -2,7 +2,6 @@
 
 from __future__ import annotations
 
-from repro.activity import CoreActivity
 from repro.array.array_model import SramArray
 from repro.array.cam import CamArray
 from repro.chip.results import ComponentResult
@@ -68,8 +67,3 @@ def cam_result(
         runtime_dynamic_power=dynamic(runtime_searches, runtime_writes),
         leakage_power=cam.leakage_power,
     )
-
-
-def runtime_or_zero(activity: CoreActivity | None) -> CoreActivity | None:
-    """Pass-through helper clarifying the 'no stats supplied' case."""
-    return activity

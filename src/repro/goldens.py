@@ -7,17 +7,17 @@ goldens catches unintended model drift the way the paper's published
 tables catch gross errors: any refactor that changes a reported number
 shows up as a precise path into the result tree.
 
-Comparison is tolerance-based (``math.isclose`` with pytest.approx-style
-relative tolerance) so goldens survive harmless float re-association,
-while genuine model changes fail loudly. Regenerate deliberately with
-``make goldens`` (or ``mcpat-repro validate --update-goldens``) and
-review the diff like any other code change.
+Comparison is exact: every number must equal its golden to the last
+bit, since the model is deterministic and JSON round-trips a float
+exactly. A float re-association that moves the last digit is a model
+change like any other. Regenerate deliberately with ``make goldens``
+(or ``mcpat-repro validate --update-goldens``) and review the diff like
+any other code change.
 """
 
 from __future__ import annotations
 
 import json
-import math
 from dataclasses import dataclass
 from pathlib import Path
 from typing import Any, Iterable, Mapping
@@ -33,10 +33,6 @@ GOLDEN_SCHEMA_VERSION = 1
 DEFAULT_GOLDENS_DIR = (
     Path(__file__).resolve().parents[2] / "tests" / "goldens"
 )
-
-#: pytest.approx-style default tolerances.
-DEFAULT_REL_TOL = 1e-6
-DEFAULT_ABS_TOL = 1e-12
 
 
 @dataclass(frozen=True)
@@ -106,8 +102,6 @@ def _walk_diffs(
     path: str,
     expected: Any,
     actual: Any,
-    rel_tol: float,
-    abs_tol: float,
     out: list[GoldenDiff],
 ) -> None:
     if isinstance(expected, Mapping) and isinstance(actual, Mapping):
@@ -118,8 +112,7 @@ def _walk_diffs(
             elif key not in actual:
                 out.append(GoldenDiff(preset, where, expected[key], None))
             else:
-                _walk_diffs(preset, where, expected[key], actual[key],
-                            rel_tol, abs_tol, out)
+                _walk_diffs(preset, where, expected[key], actual[key], out)
         return
     if isinstance(expected, list) and isinstance(actual, list):
         if len(expected) != len(actual):
@@ -128,16 +121,7 @@ def _walk_diffs(
             ))
             return
         for i, (left, right) in enumerate(zip(expected, actual)):
-            _walk_diffs(preset, f"{path}[{i}]", left, right,
-                        rel_tol, abs_tol, out)
-        return
-    if (isinstance(expected, (int, float))
-            and isinstance(actual, (int, float))
-            and not isinstance(expected, bool)
-            and not isinstance(actual, bool)):
-        if not math.isclose(float(expected), float(actual),
-                            rel_tol=rel_tol, abs_tol=abs_tol):
-            out.append(GoldenDiff(preset, path, expected, actual))
+            _walk_diffs(preset, f"{path}[{i}]", left, right, out)
         return
     if expected != actual:
         out.append(GoldenDiff(preset, path, expected, actual))
@@ -146,13 +130,11 @@ def _walk_diffs(
 def compare_to_goldens(
     directory: Path | str = DEFAULT_GOLDENS_DIR,
     preset_names: Iterable[str] | None = None,
-    rel_tol: float = DEFAULT_REL_TOL,
-    abs_tol: float = DEFAULT_ABS_TOL,
 ) -> list[GoldenDiff]:
-    """Compare fresh evaluations to the checked-in goldens.
+    """Compare fresh evaluations to the checked-in goldens, exactly.
 
     Returns every divergence found; an empty list means all presets
-    match within tolerance.
+    match bit for bit.
 
     Raises:
         FileNotFoundError: If a golden file is missing (run
@@ -170,7 +152,7 @@ def compare_to_goldens(
             )
         expected = json.loads(path.read_text())
         actual = golden_payload(name)
-        _walk_diffs(name, "", expected, actual, rel_tol, abs_tol, diffs)
+        _walk_diffs(name, "", expected, actual, diffs)
     return diffs
 
 

@@ -14,12 +14,6 @@ relative behavior across design points, which is all the case study needs.
 from repro.perf.workload import Workload, SPLASH2_PROFILES
 from repro.perf.cpi_model import CpiBreakdown, estimate_cpi
 from repro.perf.multicore_sim import MulticoreSimulator, SimulationResult
-from repro.perf.suite import (
-    SuiteEntry,
-    SuiteSummary,
-    format_suite_table,
-    run_suite,
-)
 
 __all__ = [
     "Workload",
@@ -28,8 +22,4 @@ __all__ = [
     "estimate_cpi",
     "MulticoreSimulator",
     "SimulationResult",
-    "SuiteEntry",
-    "SuiteSummary",
-    "format_suite_table",
-    "run_suite",
 ]

@@ -8,6 +8,9 @@ from repro.units import KB, MB
 
 TECH = Technology(node_nm=65, temperature_k=360)
 
+#: The access-mode ablation's L2, checked beside build()'s 32 KB L1.
+L2_1MB = dict(name="l2", capacity=1 * MB, assoc=8)
+
 
 def build(name="l1", capacity=32 * KB, block=64, assoc=4,
           mode=CacheAccessMode.NORMAL, **kwargs):
@@ -53,15 +56,27 @@ class TestSetAssociative:
         assert cache.tag_cam is None
 
     def test_sequential_slower_but_cheaper(self):
-        normal = build(mode=CacheAccessMode.NORMAL)
-        seq = build(mode=CacheAccessMode.SEQUENTIAL)
-        assert seq.access_time > normal.access_time * 0.99
-        assert seq.read_hit_energy < normal.read_hit_energy
+        for shape in ({}, L2_1MB):
+            normal = build(mode=CacheAccessMode.NORMAL, **shape)
+            seq = build(mode=CacheAccessMode.SEQUENTIAL, **shape)
+            assert seq.access_time > normal.access_time * 0.99
+            assert seq.read_hit_energy < normal.read_hit_energy
 
     def test_fast_mode_fastest(self):
-        fast = build(mode=CacheAccessMode.FAST)
-        normal = build(mode=CacheAccessMode.NORMAL)
-        assert fast.access_time <= normal.access_time
+        for shape in ({}, L2_1MB):
+            fast = build(mode=CacheAccessMode.FAST, **shape)
+            normal = build(mode=CacheAccessMode.NORMAL, **shape)
+            assert fast.access_time <= normal.access_time
+
+    def test_ecc_taxes_area_and_read_energy(self):
+        """SECDED check bits in a 4 MB L2: 5-25 % more area, and every
+        read pays for the wider words."""
+        plain = build(name="l2", capacity=4 * MB, assoc=16,
+                      mode=CacheAccessMode.SEQUENTIAL)
+        ecc = build(name="l2", capacity=4 * MB, assoc=16,
+                    mode=CacheAccessMode.SEQUENTIAL, ecc=True)
+        assert 0.05 < ecc.area / plain.area - 1 < 0.25
+        assert ecc.read_hit_energy > plain.read_hit_energy
 
     def test_miss_cheaper_than_hit_in_sequential_mode(self):
         seq = build(mode=CacheAccessMode.SEQUENTIAL)

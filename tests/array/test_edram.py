@@ -7,10 +7,12 @@ from repro.array.mat import Subarray
 from repro.tech import Technology
 
 TECH = Technology(node_nm=45, temperature_k=360)
+#: The eDRAM ablation's node, checked beside TECH at the array level.
+NODES = (TECH, Technology(node_nm=65, temperature_k=360))
 
 
-def build(cell_type, entries=16384, width=512):
-    return build_array(TECH, ArraySpec(
+def build(cell_type, entries=16384, width=512, tech=TECH):
+    return build_array(tech, ArraySpec(
         name="slice", entries=entries, width_bits=width,
         cell_type=cell_type,
     ))
@@ -54,14 +56,16 @@ class TestSubarrayEdram:
 
 class TestArrayLevelEdram:
     def test_edram_denser_than_sram(self):
-        sram = build(CellType.SRAM)
-        edram = build(CellType.EDRAM)
-        assert edram.area < sram.area / 2
+        for tech in NODES:
+            sram = build(CellType.SRAM, tech=tech)
+            edram = build(CellType.EDRAM, tech=tech)
+            assert edram.area < sram.area / 2
 
     def test_edram_reports_refresh(self):
-        edram = build(CellType.EDRAM)
-        assert edram.refresh_power > 0
-        assert edram.leakage_power > edram.refresh_power
+        for tech in NODES:
+            edram = build(CellType.EDRAM, tech=tech)
+            assert edram.refresh_power > 0
+            assert edram.leakage_power > edram.refresh_power
 
     def test_sram_refresh_zero(self):
         assert build(CellType.SRAM).refresh_power == pytest.approx(0.0)
@@ -73,6 +77,7 @@ class TestArrayLevelEdram:
 
     def test_edram_total_static_below_hp_sram(self):
         """The headline eDRAM trade: much lower standing power."""
-        sram = build(CellType.SRAM)
-        edram = build(CellType.EDRAM)
-        assert edram.leakage_power < sram.leakage_power
+        for tech in NODES:
+            sram = build(CellType.SRAM, tech=tech)
+            edram = build(CellType.EDRAM, tech=tech)
+            assert edram.leakage_power < sram.leakage_power

@@ -90,6 +90,33 @@ class TestSearch:
         all_banks = search_organizations(TECH, spec)
         assert cheap.read_energy == min(b.read_energy for b in all_banks)
 
+    def test_tightening_target_is_met_and_reorganizes(self):
+        """F-O: a 1 MB array at 45 nm under access-time targets from
+        4 ns down to one only the fastest organization meets. Every
+        target is reachable and met, tightening never slows the pick,
+        and the binding target picks a different organization."""
+        tech = Technology(node_nm=45, temperature_k=360)
+
+        def best(target=None):
+            spec = ArraySpec(name="l2slice", entries=16384, width_bits=512,
+                             target_access_time=target)
+            return search_organizations(tech, spec)
+
+        times = sorted({b.access_time for b in best()})
+        binding = (times[0] + times[1]) / 2
+        targets = (4e-9, 2e-9, 1e-9, 0.7e-9, 0.5e-9, binding)
+        picks = [best(target)[0] for target in targets]
+        for target, bank in zip(targets, picks):
+            assert bank.access_time <= target, (target, bank.organization)
+        delays = [bank.access_time for bank in picks]
+        assert delays == sorted(delays, reverse=True)
+        assert len({bank.organization for bank in picks}) >= 2
+
+    def test_many_feasible_organizations(self):
+        spec = ArraySpec(name="cache", entries=8192, width_bits=512)
+        tech = Technology(node_nm=45, temperature_k=360)
+        assert len(search_organizations(tech, spec)) > 5
+
     @settings(max_examples=10, deadline=None)
     @given(st.sampled_from([64, 256, 1024, 4096]),
            st.sampled_from([32, 64, 128, 512]))

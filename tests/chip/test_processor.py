@@ -5,6 +5,7 @@ import pytest
 from repro.activity import CoreActivity, SystemActivity
 from repro.chip import Processor
 from repro.config import presets
+from repro.experiments import PUBLISHED
 
 
 @pytest.fixture(scope="module")
@@ -81,25 +82,18 @@ class TestRuntimeAnalysis:
 
 
 class TestValidationBands:
-    """The headline validation claims (see EXPERIMENTS.md)."""
-
-    PUBLISHED = {
-        "niagara1": (63.0, 378.0),
-        "niagara2": (84.0, 342.0),
-        "alpha21364": (125.0, 396.0),
-        "xeon_tulsa": (150.0, 435.0),
-    }
+    """The headline validation claims, T2-T5 and F-A (EXPERIMENTS.md)."""
 
     @pytest.mark.parametrize("name", list(PUBLISHED))
     def test_power_within_band(self, name, preset_processors):
-        power, _ = self.PUBLISHED[name]
+        power = PUBLISHED[name].power_w
         processor = preset_processors(name)
         error = abs(processor.tdp - power) / power
         assert error < 0.25, f"{name}: {processor.tdp:.1f} vs {power}"
 
     @pytest.mark.parametrize("name", list(PUBLISHED))
     def test_area_within_band(self, name, preset_processors):
-        _, area = self.PUBLISHED[name]
+        area = PUBLISHED[name].area_mm2
         processor = preset_processors(name)
         error = abs(processor.area * 1e6 - area) / area
         assert error < 0.40, f"{name}: {processor.area * 1e6:.1f} vs {area}"

@@ -7,6 +7,7 @@ from repro.config.loader import (
     system_config_from_dict,
     system_config_to_dict,
 )
+from repro.experiments import PUBLISHED
 
 
 class TestPresets:
@@ -17,18 +18,15 @@ class TestPresets:
         assert config.clock_hz > 0
 
     def test_table1_configurations(self):
-        """The paper's Table 1: node and clock of each target."""
-        expected = {
-            "niagara1": (90, 1.2e9, 8),
-            "niagara2": (65, 1.4e9, 8),
-            "alpha21364": (180, 1.2e9, 1),
-            "xeon_tulsa": (65, 3.4e9, 2),
-        }
-        for name, (node, clock, cores) in expected.items():
+        """The paper's Table 1: each target is modeled at the node and
+        clock of its published record, with its shipping core count."""
+        cores = {"niagara1": 8, "niagara2": 8, "alpha21364": 1,
+                 "xeon_tulsa": 2}
+        for name, record in PUBLISHED.items():
             config = presets.VALIDATION_PRESETS[name]()
-            assert config.node_nm == node, name
-            assert config.clock_hz == clock, name
-            assert config.n_cores == cores, name
+            assert (config.name, config.node_nm, config.clock_hz) == (
+                record.name, record.node_nm, record.clock_hz)
+            assert config.n_cores == cores[name], name
 
     def test_ooo_targets_are_ooo(self):
         assert presets.alpha21364().core.is_ooo

@@ -1,7 +1,17 @@
-"""Integration tests for the experiment drivers (tables & figures)."""
+"""Integration tests for the experiment drivers (tables & figures).
+
+Each study runs once, at the defaults EXPERIMENTS.md reports.
+"""
+
+import dataclasses
+import re
+from pathlib import Path
 
 import pytest
 
+from repro.chip import Processor
+from repro.cli import main
+from repro.config import presets
 from repro.experiments import (
     PUBLISHED,
     format_clustering_table,
@@ -13,6 +23,15 @@ from repro.experiments import (
     run_validation,
 )
 from repro.tech import DeviceType
+
+EXPERIMENTS_MD = Path(__file__).resolve().parents[2] / "EXPERIMENTS.md"
+
+#: A fenced block whose first line is a ``mcpat-repro`` command; the
+#: rest of the block is that command's stdout.
+CLI_BLOCK = re.compile(
+    r"^```\n\$ mcpat-repro (?P<args>[^\n]*)\n(?P<out>.*?)^```$",
+    re.MULTILINE | re.DOTALL,
+)
 
 
 @pytest.fixture(scope="module")
@@ -27,23 +46,14 @@ def scaling_rows():
 
 @pytest.fixture(scope="module")
 def cluster_points():
-    # 16 cores keeps the sweep quick while preserving the shape.
-    return run_clustering_study(
-        n_cores=16, cluster_sizes=(1, 2, 4, 8),
-        workload_names=("barnes", "ocean", "lu"),
-    )
+    """64 cores, six workloads, 1-16 cores per cluster."""
+    return run_clustering_study()
 
 
 class TestValidation:
     def test_all_chips_covered(self, validation_rows):
         chips = {row.chip for row in validation_rows}
         assert chips == set(PUBLISHED)
-
-    def test_chip_power_within_paper_band(self, validation_rows):
-        """The paper's headline: chip power errors within ~10-23%."""
-        for row in validation_rows:
-            if row.metric == "power_w":
-                assert abs(row.error_fraction) < 0.25, row
 
     def test_component_ranking_niagara(self, validation_rows):
         """Cores must dominate Niagara's power, as published."""
@@ -102,6 +112,14 @@ class TestTechScaling:
             if row.device_type is DeviceType.LSTP:
                 assert row.leakage_fraction < 0.05
 
+    def test_lstp_cuts_whole_chip_leakage_tenfold(self, preset_processors):
+        """The same claim for a whole chip: Niagara2 on LSTP devices."""
+        hp = preset_processors("niagara2")
+        lstp = Processor(dataclasses.replace(
+            presets.niagara2(), device_type=DeviceType.LSTP,
+        ))
+        assert lstp.leakage_power < hp.leakage_power / 10
+
     def test_table_renders(self, scaling_rows):
         assert "lstp" in format_scaling_table(scaling_rows)
 
@@ -111,17 +129,22 @@ class TestClustering:
         noc = [p.noc_power_w for p in cluster_points]
         assert noc == sorted(noc, reverse=True)
 
-    def test_interior_or_boundary_optimum_exists(self, cluster_points):
-        best_edp = optimal_cluster_size(cluster_points, "edp")
-        assert best_edp in {p.cores_per_cluster for p in cluster_points}
-
-    def test_ed2p_optimum_not_larger_than_edp_optimum_by_much(
+    def test_runtime_and_edp_minimal_at_an_interior_size(
             self, cluster_points):
-        """ED^2P weighs delay harder, so its optimum is at most the EDP
-        optimum (or one step off in this quantized sweep)."""
+        """F-C2, F-C3: shared L2s first shorten the run, then contention
+        lengthens it, so runtime and EDP bottom out between the
+        smallest and the largest cluster swept."""
+        sizes = [p.cores_per_cluster for p in cluster_points]
+        for metric in ("runtime_s", "edp"):
+            best = optimal_cluster_size(cluster_points, metric)
+            assert min(sizes) < best < max(sizes), (metric, best)
+
+    def test_ed2p_optimum_not_larger_than_edp_optimum(self, cluster_points):
+        """F-C4: ED^2P weighs delay harder, so its optimum is no larger
+        a cluster than the EDP optimum."""
         edp_opt = optimal_cluster_size(cluster_points, "edp")
         ed2p_opt = optimal_cluster_size(cluster_points, "ed2p")
-        assert ed2p_opt <= 2 * edp_opt
+        assert ed2p_opt <= edp_opt
 
     def test_uneven_cluster_size_rejected(self):
         with pytest.raises(ValueError):
@@ -137,3 +160,15 @@ class TestClustering:
     def test_table_renders(self, cluster_points):
         text = format_clustering_table(cluster_points)
         assert "EDP" in text
+
+
+def test_experiments_md_cli_blocks_match_the_cli(capsys):
+    """Every table EXPERIMENTS.md reports as a command's output is that
+    command's stdout today, verbatim."""
+    blocks = CLI_BLOCK.findall(EXPERIMENTS_MD.read_text())
+    commands = {args.split()[0] for args, _ in blocks}
+    assert commands >= {"validate", "scaling", "clustering", "dvfs",
+                        "pipeline", "manycore"}
+    for args, expected in blocks:
+        assert main(args.split()) == 0
+        assert capsys.readouterr().out == expected, args

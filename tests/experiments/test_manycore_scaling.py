@@ -11,7 +11,8 @@ from repro.experiments.manycore_scaling import (
 
 @pytest.fixture(scope="module")
 def points():
-    return run_manycore_scaling(nodes=(65, 22))
+    """90 -> 22 nm under the 260 mm^2 / 130 W budgets."""
+    return sorted(run_manycore_scaling(), key=lambda p: -p.node_nm)
 
 
 class TestManycoreScaling:
@@ -21,8 +22,14 @@ class TestManycoreScaling:
             assert p.tdp_w <= 130.0
 
     def test_smaller_node_fits_more_cores(self, points):
-        by_node = {p.node_nm: p for p in points}
-        assert by_node[22].max_cores >= by_node[65].max_cores
+        counts = [p.max_cores for p in points]
+        assert counts == sorted(counts)
+        assert counts[-1] > counts[0]
+
+    def test_binding_budget_flips_from_area_to_power(self, points):
+        """The dark-silicon transition: area binds at the oldest node,
+        power at the newest."""
+        assert (points[0].limiter, points[-1].limiter) == ("area", "power")
 
     def test_limiter_labels(self, points):
         for p in points:

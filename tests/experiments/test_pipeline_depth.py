@@ -52,15 +52,26 @@ class TestIpcModel:
 class TestStudy:
     @pytest.fixture(scope="class")
     def points(self):
-        return run_pipeline_depth_study(depths=(6, 12, 20, 32))
+        return run_pipeline_depth_study()
 
     def test_interior_efficiency_optimum(self, points):
-        best = max(points, key=lambda p: p.bips3_per_watt)
-        assert best.stages not in (6, 32)
+        """The published shape: both optima are interior, and the
+        BIPS^3/W optimum is no deeper than the BIPS optimum."""
+        depths = [p.stages for p in points]
+        best_perf = max(points, key=lambda p: p.bips)
+        best_eff = max(points, key=lambda p: p.bips3_per_watt)
+        assert (min(depths) < best_eff.stages <= best_perf.stages
+                < max(depths))
 
     def test_power_grows_with_depth(self, points):
         powers = [p.power_w for p in points]
         assert powers == sorted(powers)
+
+    def test_clock_rises_and_ipc_falls_with_depth(self, points):
+        clocks = [p.clock_hz for p in points]
+        ipcs = [p.ipc for p in points]
+        assert clocks == sorted(clocks)
+        assert ipcs == sorted(ipcs, reverse=True)
 
     def test_table_renders(self, points):
         assert "BIPS^3/W" in format_pipeline_table(points)

@@ -1,8 +1,7 @@
-"""Integration tests for the temperature extension experiment."""
+"""Integration tests for the temperature extension experiment (Niagara2)."""
 
 import pytest
 
-from repro.config import presets
 from repro.experiments.temperature import (
     TemperaturePoint,
     format_temperature_table,
@@ -12,11 +11,7 @@ from repro.experiments.temperature import (
 
 @pytest.fixture(scope="module")
 def points():
-    return run_temperature_study(
-        base_config=presets.manycore_cluster(
-            n_cores=4, cores_per_cluster=2),
-        temperatures_k=(300.0, 340.0, 380.0),
-    )
+    return sorted(run_temperature_study(), key=lambda p: p.temperature_k)
 
 
 class TestTemperatureStudy:
@@ -25,8 +20,15 @@ class TestTemperatureStudy:
         assert leaks == sorted(leaks)
 
     def test_growth_magnitude(self, points):
+        """About an order of magnitude from 300 K to 380 K on HP devices."""
+        assert (points[0].temperature_k, points[-1].temperature_k) == (
+            300.0, 380.0)
         ratio = points[-1].leakage_w / points[0].leakage_w
-        assert 3.0 < ratio < 30.0
+        assert 4.0 < ratio < 25.0
+
+    def test_leakage_share_of_tdp_grows(self, points):
+        fractions = [p.leakage_fraction for p in points]
+        assert fractions == sorted(fractions)
 
     def test_fraction_property(self):
         point = TemperaturePoint(temperature_k=360, leakage_w=20,

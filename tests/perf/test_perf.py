@@ -71,6 +71,16 @@ class TestCpiModel:
         cpi_4 = estimate_cpi(quad, self.WL, 20.0, 0.3, 200.0)
         assert cpi_4.l2_miss_stall < cpi_1.l2_miss_stall
 
+    def test_cpi_falls_with_each_thread_doubling(self):
+        """The Niagara bet: on ocean with slow memory, each doubling of
+        hardware threads up to 8 hides more of the stall."""
+        cpis = [
+            estimate_cpi(CoreConfig(hardware_threads=threads),
+                         SPLASH2_PROFILES["ocean"], 20.0, 0.4, 200.0).total
+            for threads in (1, 2, 4, 8)
+        ]
+        assert all(more < fewer for fewer, more in zip(cpis, cpis[1:]))
+
     def test_invalid_inputs_rejected(self):
         core = CoreConfig()
         with pytest.raises(ValueError):

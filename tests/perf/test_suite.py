@@ -1,53 +1,6 @@
-"""Tests for the workload-suite runner."""
+"""Tests for the gem5 ``stats.txt`` parser feeding the activity adapter."""
 
 import pytest
-
-from repro.chip import Processor
-from repro.config import presets
-from repro.perf import SPLASH2_PROFILES, format_suite_table, run_suite
-
-
-@pytest.fixture(scope="module")
-def chip():
-    return Processor(presets.manycore_cluster(
-        n_cores=8, cores_per_cluster=4))
-
-
-@pytest.fixture(scope="module")
-def summary(chip):
-    names = ("barnes", "ocean", "lu")
-    return run_suite(chip, {n: SPLASH2_PROFILES[n] for n in names})
-
-
-class TestSuiteRunner:
-    def test_entry_per_workload(self, summary):
-        assert len(summary.entries) == 3
-        assert {e.workload for e in summary.entries} == {
-            "barnes", "ocean", "lu"}
-
-    def test_aggregates_positive(self, summary):
-        assert summary.mean_runtime_s > 0
-        assert summary.mean_power_w > 0
-        assert summary.geomean_epi_nj > 0
-        assert 0 < summary.geomean_ipc < 2.0
-
-    def test_geomean_between_extremes(self, summary):
-        ipcs = [e.result.ipc_per_core for e in summary.entries]
-        assert min(ipcs) <= summary.geomean_ipc <= max(ipcs)
-
-    def test_empty_suite_rejected(self, chip):
-        with pytest.raises(ValueError, match="at least one"):
-            run_suite(chip, {})
-
-    def test_table_renders(self, summary):
-        text = format_suite_table(summary)
-        assert "geomean" in text
-        assert "barnes" in text
-
-    def test_epi_magnitude(self, summary):
-        """Energy per instruction should be O(0.1-10 nJ) at 22nm."""
-        for entry in summary.entries:
-            assert 0.05 < entry.energy_per_instruction_nj < 20.0
 
 
 class TestGem5Parser:

@@ -63,13 +63,15 @@ class TestGoldenMechanics:
         assert any(d.path == "tdp_w" for d in diffs)
         assert "niagara1" in format_golden_diffs(diffs)
 
-    def test_within_tolerance_passes(self, tmp_path):
+    def test_tiny_drift_is_reported(self, tmp_path):
+        """The comparison is exact: a 1e-9 relative drift is a diff."""
         write_goldens(tmp_path, preset_names=["niagara1"])
         path = golden_path(tmp_path, "niagara1")
         payload = json.loads(path.read_text())
-        payload["tdp_w"] *= 1.0 + 1e-9  # well inside rel_tol=1e-6
+        payload["tdp_w"] *= 1.0 + 1e-9
         path.write_text(json.dumps(payload))
-        assert not compare_to_goldens(tmp_path, preset_names=["niagara1"])
+        diffs = compare_to_goldens(tmp_path, preset_names=["niagara1"])
+        assert [d.path for d in diffs] == ["tdp_w"]
 
     def test_structural_change_is_reported(self, tmp_path):
         write_goldens(tmp_path, preset_names=["niagara1"])

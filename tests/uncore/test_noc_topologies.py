@@ -43,6 +43,7 @@ class TestTorus:
 
 class TestConcentratedMesh:
     def test_quarter_the_routers(self):
+        assert make(NocTopology.MESH_2D).n_routers == 64
         assert make(NocTopology.CMESH_2D).n_routers == 16
 
     def test_higher_radix_routers(self):
