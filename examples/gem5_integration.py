@@ -57,7 +57,7 @@ def main() -> None:
     activity = system_activity_from_stats(
         counters,
         n_l2_instances=1,
-        n_routers=chip.noc_endpoints,
+        n_routers=chip.parts.noc_endpoints,
     )
     print(f"core IPC from counters: {activity.core.ipc:.2f}, "
           f"D-miss rate {activity.core.dcache_miss_rate:.1%}")

@@ -173,9 +173,12 @@ def search_organizations(
 ) -> list[ScoredOrganization]:
     """Score every tiling of ``spec``, best first.
 
-    Candidates that meet the spec's timing targets sort before candidates
-    that do not; within each group the weighted normalized objective ranks
-    them, and ties keep enumeration order (:func:`candidate_organizations`).
+    Candidates that meet the spec's timing targets sort first, ranked by
+    the weighted normalized objective. The others follow, closest first:
+    by how far they miss the access-time target, then the cycle-time
+    target, then by the objective. So when no tiling meets the targets,
+    the best is the one that comes closest, not the untargeted pick.
+    Ties keep enumeration order (:func:`candidate_organizations`).
     Every tiling gets the full circuit model; the search is the same with
     :func:`repro.fastpath.disabled`.
 
@@ -224,13 +227,11 @@ def search_organizations(
             + weights.area * c.area / best_area
         )
 
-    def meets_timing(c: ScoredOrganization) -> bool:
-        if (spec.target_access_time is not None
-                and c.access_time > spec.target_access_time):
-            return False
-        if (spec.target_cycle_time is not None
-                and c.cycle_time > spec.target_cycle_time):
-            return False
-        return True
+    def miss(value: float, target: float | None) -> float:
+        return 0.0 if target is None else max(0.0, value - target)
 
-    return sorted(scored, key=lambda c: (not meets_timing(c), objective(c)))
+    return sorted(scored, key=lambda c: (
+        miss(c.access_time, spec.target_access_time),
+        miss(c.cycle_time, spec.target_cycle_time),
+        objective(c),
+    ))

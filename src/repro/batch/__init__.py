@@ -45,7 +45,7 @@ from repro.batch.compile import (
     compile_group,
 )
 from repro.batch.terms import PiecewiseAffine
-from repro.engine.cache import GROUP_AXES, structure_key
+from repro.config.loader import GROUP_AXES, structure_key
 from repro.engine.record import METRICS
 
 __all__ = [

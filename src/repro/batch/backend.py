@@ -41,8 +41,8 @@ from repro.batch.compile import (
     Domain,
     compile_group,
 )
+from repro.config.loader import StructureKey
 from repro.config.schema import SystemConfig
-from repro.engine.cache import StructureKey
 from repro.engine.record import METRICS, EvalRecord
 from repro.obs import metrics as _obs_metrics
 

@@ -19,10 +19,9 @@ metrics depend on the varying parameters in closed form:
 Rather than re-deriving those coefficients from the component models
 (fragile against model evolution), :func:`compile_group` *probes* the
 exact scalar model over a :class:`Domain` — a closed clock interval
-times a set of temperatures: it takes one
-:class:`~repro.chip.processor.Processor` per probed temperature from
-:func:`~repro.engine.record.built_chip` (shared with the scalar path)
-and samples ``report(None, clock_hz=f)`` at each segment's endpoints, then
+times a set of temperatures: it samples the TDP metrics of
+``Processor(config)`` at each segment's endpoints (every probe of one
+temperature shares the chip's parts with the scalar path), then
 **validates** every closed-form assumption against held-out probes — the
 midpoint of every frequency segment, a dynamic/area probe per extra
 temperature, and the median temperature of an exp fit. A non-finite
@@ -45,8 +44,9 @@ from typing import Any, Iterable, Mapping, NamedTuple, Sequence
 from repro import obs
 from repro.batch.kernels import leakage_temperature_scale
 from repro.batch.terms import PiecewiseAffine
+from repro.chip.processor import Processor
 from repro.config.schema import SystemConfig
-from repro.engine.record import METRICS, built_chip, tdp_metrics
+from repro.engine.record import METRICS, tdp_metrics
 from repro.tech.device import LEAKAGE_REFERENCE_TEMPERATURE_K
 
 #: Metrics that shift with temperature (through subthreshold leakage).
@@ -101,11 +101,14 @@ def _check(
 
 
 def _probe(
-    processor: Any, f: float, probe_count: list[int],
+    config: SystemConfig, f: float, t: float, probe_count: list[int],
 ) -> dict[str, float]:
-    """One scalar sample of every metric; a non-finite one falls back."""
+    """One scalar sample of every metric at ``(f, t)``; a non-finite
+    one falls back."""
     probe_count[0] += 1
-    sample = tdp_metrics(processor, f)
+    sample = tdp_metrics(Processor(
+        dataclasses.replace(config, clock_hz=f, temperature_k=t),
+    ))
     for name, value in sample.items():
         if not math.isfinite(value):
             raise BatchFallback(
@@ -216,12 +219,12 @@ class CompiledGroup:
 
 
 def _frequency_boundaries(
-    processor: Any, f_lo: float, f_hi: float,
+    processor: Processor, f_lo: float, f_hi: float,
 ) -> list[float]:
     """Segment boundaries: the span endpoints plus interior cache kinks."""
     boundaries = [f_lo]
     kinks: set[float] = set()
-    for cache in (processor.l2, processor.l3):
+    for cache in (processor.parts.l2, processor.parts.l3):
         if cache is None:
             continue
         occupancy = max(cache.cache.access_time, cache.cache.cycle_time)
@@ -236,17 +239,18 @@ def _frequency_boundaries(
 
 
 def _fit_frequency_responses(
-    processor: Any,
+    config: SystemConfig,
     frequencies: Sequence[float],
     probes: dict[float, dict[str, float]],
     probe_count: list[int],
 ) -> dict[str, PiecewiseAffine]:
-    """Fit every metric over the frequency span, validating midpoints."""
+    """Fit every metric over the frequency span at ``config``'s
+    temperature, validating midpoints."""
     f_lo, f_hi = frequencies[0], frequencies[-1]
 
     def probe_at(f: float) -> dict[str, float]:
         if f not in probes:
-            probes[f] = _probe(processor, f, probe_count)
+            probes[f] = _probe(config, f, config.temperature_k, probe_count)
         return probes[f]
 
     if f_hi <= f_lo * (1.0 + _MIN_SEGMENT_REL_SPAN):
@@ -256,7 +260,7 @@ def _fit_frequency_responses(
             for name in METRICS
         }
 
-    boundaries = _frequency_boundaries(processor, f_lo, f_hi)
+    boundaries = _frequency_boundaries(Processor(config), f_lo, f_hi)
     breakpoints = tuple(boundaries[1:-1])
     anchors: dict[str, list[float]] = {name: [] for name in METRICS}
     values: dict[str, list[float]] = {name: [] for name in METRICS}
@@ -309,8 +313,7 @@ def _leak_deltas(
         return deltas
 
     def probe_temperature(t: float) -> tuple[float, float]:
-        processor = built_chip(dataclasses.replace(config, temperature_k=t))
-        sample = _probe(processor, f_probe, probe_count)
+        sample = _probe(config, f_probe, t, probe_count)
         for name in METRICS:
             if name in _LEAKY_METRICS:
                 continue
@@ -405,14 +408,12 @@ def compile_group(
         "batch.compile_group", category="batch", chip=config.name,
         frequencies=len(frequencies), temperatures=len(temperatures),
     ):
-        processor = built_chip(
-            dataclasses.replace(config, temperature_k=t_ref),
-        )
         probes: dict[float, dict[str, float]] = {}
         probe_count = [0]
         try:
             responses = _fit_frequency_responses(
-                processor, frequencies, probes, probe_count,
+                dataclasses.replace(config, temperature_k=t_ref),
+                frequencies, probes, probe_count,
             )
             leak_deltas = _leak_deltas(
                 config, temperatures, f_lo, probes[f_lo], probe_count,

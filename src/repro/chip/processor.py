@@ -1,9 +1,13 @@
 """Top-level processor assembly — the chip McPAT reports on.
 
-A :class:`Processor` instantiates one core model (replicated ``n_cores``
-times), the shared cache levels, the interconnect, the memory controllers,
-and the clock network, floorplans them into a square die, and produces the
-hierarchical power/area report for TDP and (optionally) runtime activity.
+:class:`ChipParts` instantiates one core model (replicated ``n_cores``
+times), the shared cache levels, the interconnect, the memory
+controllers, and the clock network, and floorplans them into a square
+die. Building them reads no clock. A :class:`Processor` evaluates them
+at its config's clock: the hierarchical power/area report for TDP and
+(optionally) runtime activity. Every config that differs only in
+``clock_hz`` shares one :class:`ChipParts`, so a new clock on a known
+chip re-evaluates it instead of rebuilding it.
 """
 
 from __future__ import annotations
@@ -12,7 +16,7 @@ import math
 from dataclasses import dataclass
 from functools import cached_property
 
-from repro import obs
+from repro import fastpath, obs
 from repro.activity import (
     CacheActivity,
     CoreActivity,
@@ -20,6 +24,7 @@ from repro.activity import (
 )
 from repro.chip.results import ComponentResult
 from repro.clocking import ClockNetwork
+from repro.config.loader import chip_key
 from repro.config.schema import SystemConfig
 from repro.core import Core
 from repro.mc import MemoryController
@@ -29,8 +34,13 @@ from repro.tech import Technology
 
 
 @dataclass(frozen=True)
-class Processor:
-    """One modeled chip."""
+class ChipParts:
+    """The built blocks of one chip and its floorplan.
+
+    Nothing here reads ``config.clock_hz``, so the parts built for one
+    config serve every config that differs from it only in the clock
+    (``tests/chip/test_clock_free_build.py`` checks it bit for bit).
+    """
 
     config: SystemConfig
 
@@ -165,6 +175,26 @@ class Processor:
         side = math.sqrt(self._blocks_area)
         return ClockNetwork(self.tech, chip_width=side, chip_height=side)
 
+
+#: One :class:`ChipParts` per :func:`~repro.config.loader.chip_key`,
+#: shared by every caller across requests, sweeps and batch compiles.
+#: Honors ``fastpath.disabled()`` and ``clear_all()``.
+_PARTS = fastpath.Memo("chip.parts", max_entries=64)
+
+
+@dataclass(frozen=True)
+class Processor:
+    """One modeled chip at its config's operating point."""
+
+    config: SystemConfig
+
+    @cached_property
+    def parts(self) -> ChipParts:
+        """The chip's blocks, built once per structure and temperature."""
+        return _PARTS.get_or_compute(
+            chip_key(self.config), lambda: ChipParts(self.config),
+        )
+
     # -- derived activity ----------------------------------------------------------
 
     def _derive_l2_activity(self, core_activity: CoreActivity) -> CacheActivity:
@@ -199,55 +229,39 @@ class Processor:
 
     # -- reports -----------------------------------------------------------------------
 
-    def report(
-        self,
-        activity: SystemActivity | None = None,
-        *,
-        clock_hz: float | None = None,
-    ) -> ComponentResult:
-        """Build the full chip result tree.
+    def report(self, activity: SystemActivity | None = None) -> ComponentResult:
+        """Build the full chip result tree at the config's clock.
 
         Args:
             activity: Runtime statistics. ``None`` reports TDP only
                 (runtime powers are zero). If the cache/NoC/MC activities
                 inside are ``None``, they are derived from the core
                 activity via the L1 miss streams.
-            clock_hz: Evaluate the built structure at this clock instead
-                of the config's. Construction (array organization,
-                repeater sizing, floorplan) is clock-free, so the result
-                is bit-identical to rebuilding the processor with the
-                other clock (``tests/chip/test_clock_free_build.py``
-                checks it). This is the split between *construction*
-                and *numeric evaluation* that both the batch backend's
-                compiles (see :mod:`repro.batch`) and the scalar path's
-                one chip per structure and temperature
-                (:func:`repro.engine.record.built_chip`) rely on.
         """
         with obs.span("chip.report", chip=self.config.name):
-            return self._build_report(activity, clock_hz=clock_hz)
+            return self._build_report(activity)
 
     def _build_report(
-        self,
-        activity: SystemActivity | None,
-        clock_hz: float | None = None,
+        self, activity: SystemActivity | None,
     ) -> ComponentResult:
-        clock = self.config.clock_hz if clock_hz is None else clock_hz
+        parts = self.parts
+        clock = self.config.clock_hz
         core_activity = activity.core if activity else None
 
         with obs.span("chip.cores"):
-            core_result = self.core.result(clock, core_activity)
+            core_result = parts.core.result(clock, core_activity)
         children = [
             ComponentResult(
                 name=f"Cores (x{self.config.n_cores})",
                 children=(core_result.scaled(self.config.n_cores),),
             )
         ]
-        if self.little_core is not None:
+        if parts.little_core is not None:
             little_activity = (
                 activity.little_core if activity is not None else None
             )
             with obs.span("chip.little_cores"):
-                little_result = self.little_core.result(
+                little_result = parts.little_core.result(
                     clock, little_activity
                 )
             children.append(ComponentResult(
@@ -258,20 +272,20 @@ class Processor:
             ))
 
         l2_activity = None
-        if activity is not None and self.l2 is not None:
+        if activity is not None and parts.l2 is not None:
             l2_activity = activity.l2 or self._derive_l2_activity(
                 activity.core
             )
-        if self.l2 is not None:
+        if parts.l2 is not None:
             instances = self.config.l2.instances
             with obs.span("chip.l2"):
-                single = self.l2.result(clock, l2_activity)
+                single = parts.l2.result(clock, l2_activity)
             children.append(ComponentResult(
                 name=f"L2 (x{instances})",
                 children=(single.scaled(instances),),
             ))
 
-        if self.l3 is not None:
+        if parts.l3 is not None:
             l3_activity = None
             if activity is not None:
                 l3_activity = activity.l3 or self._derive_l3_activity(
@@ -279,36 +293,36 @@ class Processor:
                 )
             instances = self.config.l3.instances
             with obs.span("chip.l3"):
-                single = self.l3.result(clock, l3_activity)
+                single = parts.l3.result(clock, l3_activity)
             children.append(ComponentResult(
                 name=f"L3 (x{instances})",
                 children=(single.scaled(instances),),
             ))
 
         with obs.span("chip.noc"):
-            children.append(self.noc.result(
+            children.append(parts.noc.result(
                 clock, activity.noc if activity else None
             ))
         with obs.span("chip.memory_controller"):
-            children.append(self.memory_controller.result(
+            children.append(parts.memory_controller.result(
                 clock, activity.memory_controller if activity else None
             ))
-        if self.niu is not None:
+        if parts.niu is not None:
             with obs.span("chip.niu"):
-                children.append(self.niu.result(
+                children.append(parts.niu.result(
                     clock,
                     activity.niu_utilization
                     if activity is not None else None,
                 ))
-        if self.pcie is not None:
+        if parts.pcie is not None:
             with obs.span("chip.pcie"):
-                children.append(self.pcie.result(
+                children.append(parts.pcie.result(
                     clock,
                     activity.pcie_utilization
                     if activity is not None else None,
                 ))
         with obs.span("chip.clock_network"):
-            children.append(self.clock_network.result(
+            children.append(parts.clock_network.result(
                 clock,
                 duty_cycle=(
                     activity.core.duty_cycle
@@ -394,11 +408,11 @@ class Processor:
                fo4_per_stage) <= 0:
             raise ValueError("pipeline allocations must be positive")
         limits = [
-            l1_pipeline_cycles / self.core.ifu.icache.access_time,
-            l1_pipeline_cycles / self.core.lsu.dcache.access_time,
+            l1_pipeline_cycles / self.parts.core.ifu.icache.access_time,
+            l1_pipeline_cycles / self.parts.core.lsu.dcache.access_time,
             regfile_pipeline_cycles
-            / self.core.exu.int_regfile.access_time,
-            1.0 / (fo4_per_stage * self.tech.fo4_delay),
+            / self.parts.core.exu.int_regfile.access_time,
+            1.0 / (fo4_per_stage * self.parts.tech.fo4_delay),
         ]
         return min(limits)
 
@@ -411,14 +425,14 @@ class Processor:
         """
         cycle = self.config.cycle_time
         summary = {
-            "icache_cycles": self.core.ifu.icache.access_time / cycle,
-            "dcache_cycles": self.core.lsu.dcache.access_time / cycle,
+            "icache_cycles": self.parts.core.ifu.icache.access_time / cycle,
+            "dcache_cycles": self.parts.core.lsu.dcache.access_time / cycle,
             "int_regfile_cycles": (
-                self.core.exu.int_regfile.access_time / cycle
+                self.parts.core.exu.int_regfile.access_time / cycle
             ),
         }
-        if self.l2 is not None:
-            summary["l2_cycles"] = self.l2.cache.access_time / cycle
-        if self.l3 is not None:
-            summary["l3_cycles"] = self.l3.cache.access_time / cycle
+        if self.parts.l2 is not None:
+            summary["l2_cycles"] = self.parts.l2.cache.access_time / cycle
+        if self.parts.l3 is not None:
+            summary["l3_cycles"] = self.parts.l3.cache.access_time / cycle
         return summary

@@ -3,18 +3,27 @@
 McPAT consumes an XML description; this reproduction uses JSON with the
 same information content. Round-tripping is exact: ``load(save(cfg)) ==
 cfg``.
+
+The same canonical text keys what a config shares with others:
+:func:`chip_key` (its built chip parts) and :func:`structure_key` (its
+compiled batch group), both read from :func:`config_texts`, as is the
+engine's :func:`~repro.engine.cache.config_key`. They live here, below
+the engine, so a cold report computes its chip key without importing
+:mod:`repro.engine`.
 """
 
 from __future__ import annotations
 
 import dataclasses
 import json
+import operator
 import typing
 from collections.abc import Mapping
 from enum import Enum
 from pathlib import Path
 from typing import Any, NamedTuple
 
+from repro import fastpath
 from repro.config.schema import (
     LinkSignaling,
     NocTopology,
@@ -168,6 +177,75 @@ def system_config_from_dict(data: Mapping[str, Any]) -> SystemConfig:
         raise ValueError(f"config: expected object, got "
                          f"{type(data).__name__}")
     return _build(SystemConfig, data, "config")
+
+
+#: Top-level config fields a compiled batch group evaluates in closed
+#: form (:mod:`repro.batch`); the others are the config's structure.
+GROUP_AXES = ("clock_hz", "temperature_k")
+
+#: Every schema dataclass, laid out once at import: the encoder of every
+#: config key.
+_ENCODER = fastpath.CanonicalEncoder(tuple(_FIELDS))
+
+#: A config's fields' texts but :data:`GROUP_AXES`, in key order.
+StructureKey = tuple[str, ...]
+_STRUCTURE = operator.itemgetter(*(
+    i for i, name in enumerate(_ENCODER.names(SystemConfig))
+    if name not in GROUP_AXES
+))
+
+#: A config's fields' texts but ``clock_hz``, in key order: its
+#: structure key plus its temperature.
+ChipKey = tuple[str, ...]
+_CHIP = operator.itemgetter(*(
+    i for i, name in enumerate(_ENCODER.names(SystemConfig))
+    if name != "clock_hz"
+))
+
+
+def _texts(
+    config: SystemConfig, workload: Any = None,
+) -> tuple[str, str, tuple[str, ...]]:
+    try:
+        text, fields = _ENCODER.fields(config, "config")
+        return text, _ENCODER.text(workload, "workload"), fields
+    except ValueError as exc:
+        label = getattr(config, "name", None)
+        label = label if isinstance(label, str) else "<config>"
+        raise ValueError(
+            f"configuration {label!r} cannot be content-hashed: {exc}"
+        ) from None
+
+
+def config_texts(
+    config: SystemConfig, workload: Any = None,
+) -> tuple[str, str, StructureKey]:
+    """``config``'s canonical text, ``workload``'s (``null`` for none)
+    and ``config``'s structure key, from one walk of the config, or
+    none: a config walked before, or a flat sweep point
+    (:meth:`~repro.engine.sweep.SweepSpec.iter_points`), kept its
+    fields' texts. A value with no JSON form raises ``ValueError``
+    naming the config and the value's path."""
+    text, workload_text, fields = _texts(config, workload)
+    return text, workload_text, _STRUCTURE(fields)
+
+
+def structure_key(config: SystemConfig) -> StructureKey:
+    """What one compiled batch group's configs share: the texts
+    themselves, not a hash, so two structures never share a key."""
+    return config_texts(config)[2]
+
+
+def chip_key(config: SystemConfig) -> ChipKey:
+    """What building ``config``'s chip reads: the texts of every field
+    but ``clock_hz`` (:attr:`repro.chip.processor.Processor.parts`).
+
+    Texts, not dataclass equality: a ``temperature_k`` of 360 and one
+    of 360.0 are two keys here, as in
+    :func:`~repro.engine.cache.config_key`.
+    """
+    key: ChipKey = _CHIP(_texts(config)[2])
+    return key
 
 
 def save_system_config(config: SystemConfig, path: str | Path) -> None:

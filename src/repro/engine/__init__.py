@@ -33,13 +33,13 @@ from __future__ import annotations
 from typing import Iterable, Sequence
 
 from repro import obs
+from repro.config.loader import StructureKey
 from repro.config.schema import SystemConfig
 from repro.engine.cache import (
     CACHE_CAPACITY,
     CACHE_SCHEMA_VERSION,
     DEFAULT_CACHE,
     EvalCache,
-    StructureKey,
     config_key,
     config_keys,
 )

@@ -30,14 +30,12 @@ from __future__ import annotations
 import dataclasses
 import hashlib
 import json
-import operator
 import os
 import threading
 from collections import OrderedDict
 from pathlib import Path
 
-from repro import fastpath
-from repro.config import schema
+from repro.config.loader import StructureKey, config_texts
 from repro.config.schema import SystemConfig
 from repro.engine.record import EvalRecord
 from repro.perf.workload import Workload
@@ -51,59 +49,20 @@ CACHE_SCHEMA_VERSION = 1
 #: grid, so resuming a larger grid still finds every logged point).
 CACHE_CAPACITY = 4096
 
-#: Top-level config fields a compiled batch group evaluates in closed
-#: form (:mod:`repro.batch`); the others are the config's structure.
-GROUP_AXES = ("clock_hz", "temperature_k")
-
-#: Every dataclass a cache key encodes, laid out once at import.
-_ENCODER = fastpath.CanonicalEncoder((
-    *(cls for cls in vars(schema).values()
-      if isinstance(cls, type) and dataclasses.is_dataclass(cls)),
-    Workload,
-))
-
-#: A config's fields' texts but :data:`GROUP_AXES`, in key order.
-StructureKey = tuple[str, ...]
-_STRUCTURE = operator.itemgetter(*(
-    i for i, name in enumerate(_ENCODER.names(SystemConfig))
-    if name not in GROUP_AXES
-))
-
-#: A config's fields' texts but ``clock_hz``, in key order: its
-#: structure key plus its temperature.
-ChipKey = tuple[str, ...]
-_CHIP = operator.itemgetter(*(
-    i for i, name in enumerate(_ENCODER.names(SystemConfig))
-    if name != "clock_hz"
-))
-
-
-def _unhashable(config: SystemConfig, exc: ValueError) -> ValueError:
-    label = getattr(config, "name", None)
-    label = label if isinstance(label, str) else "<config>"
-    return ValueError(
-        f"configuration {label!r} cannot be content-hashed: {exc}"
-    )
-
 
 def config_keys(
     config: SystemConfig, workload: Workload | None = None,
 ) -> tuple[str, StructureKey]:
     """``(config_key(config, workload), structure_key(config))``, from
-    one encoding of the config, or none: a config walked before, or a
-    flat sweep point (:meth:`~repro.engine.sweep.SweepSpec.iter_points`),
-    kept its fields' texts, and keying it is one format and one hash."""
-    try:
-        config_text, texts = _ENCODER.fields(config, "config")
-        workload_text = _ENCODER.text(workload, "workload")
-    except ValueError as exc:
-        raise _unhashable(config, exc) from None
+    one :func:`~repro.config.loader.config_texts`: a config that kept
+    its fields' texts is keyed with one format and one hash."""
+    config_text, workload_text, structure = config_texts(config, workload)
     # The canonical text of {"v": ..., "config": ..., "workload": ...}.
     key_text = (
         f'{{"config":{config_text},"v":{CACHE_SCHEMA_VERSION},'
         f'"workload":{workload_text}}}'
     )
-    return hashlib.sha256(key_text.encode()).hexdigest(), _STRUCTURE(texts)
+    return hashlib.sha256(key_text.encode()).hexdigest(), structure
 
 
 def config_key(config: SystemConfig, workload: Workload | None = None) -> str:
@@ -117,27 +76,6 @@ def config_key(config: SystemConfig, workload: Workload | None = None) -> str:
     its field path.
     """
     return config_keys(config, workload)[0]
-
-
-def structure_key(config: SystemConfig) -> StructureKey:
-    """What one compiled batch group's configs share: the texts
-    themselves, not a hash, so two structures never share a key."""
-    return config_keys(config)[1]
-
-
-def chip_key(config: SystemConfig) -> ChipKey:
-    """What building ``config``'s chip reads: the texts of every field
-    but ``clock_hz`` (:func:`repro.engine.record.built_chip`).
-
-    Texts, not dataclass equality: a ``temperature_k`` of 360 and one
-    of 360.0 are two keys here, as in :func:`config_key`.
-    """
-    try:
-        texts = _ENCODER.fields(config, "config")[1]
-    except ValueError as exc:
-        raise _unhashable(config, exc) from None
-    key: ChipKey = _CHIP(texts)
-    return key
 
 
 class EvalCache:

@@ -8,11 +8,11 @@ substrate. Records are plain data: picklable for the worker pool and
 JSON-round-trippable for the on-disk cache log, from which sweeps resume.
 
 This module owns the record's TDP metric set: :data:`METRICS` names it
-and :func:`tdp_metrics` extracts it from a built processor, for the
-scalar path here and for the batch backend's probes and records
-(:mod:`repro.batch`). The scalar path and the probes take their
-processor from :func:`built_chip`: one chip per structure and
-temperature, evaluated at each caller's clock.
+and :func:`tdp_metrics` extracts it from a processor, for the scalar
+path here and for the batch backend's probes and records
+(:mod:`repro.batch`). Both evaluate ``Processor(config)`` at the
+config's own clock; the chip's parts are built once per structure and
+temperature (:attr:`~repro.chip.processor.Processor.parts`).
 """
 
 from __future__ import annotations
@@ -21,7 +21,6 @@ import dataclasses
 from dataclasses import dataclass, field
 from typing import TYPE_CHECKING, Any
 
-from repro import fastpath
 from repro.config.schema import SystemConfig
 from repro.perf.workload import Workload
 
@@ -41,39 +40,10 @@ METRICS = (
 )
 
 
-#: One built chip per :func:`~repro.engine.cache.chip_key`, shared by
-#: scalar evaluations and batch compile probes across requests, sweeps
-#: and chunks. Honors ``fastpath.disabled()`` and ``clear_all()``.
-_BUILT_CHIPS = fastpath.Memo("engine.built_chips", max_entries=64)
-
-
-def built_chip(config: SystemConfig) -> "Processor":
-    """``Processor(config)``, built once per structure and temperature.
-
-    Building a chip reads no clock (see
-    :meth:`~repro.chip.processor.Processor.report`), so every config
-    that differs from ``config`` only in ``clock_hz`` shares this chip,
-    keyed by :func:`~repro.engine.cache.chip_key`. Its
-    ``config.clock_hz`` is the clock of whichever config built it
-    first, so evaluate it only through calls that pass the clock:
-    ``tdp_metrics(chip, clock_hz)`` or ``chip.report(None,
-    clock_hz=...)``. Whatever reads the config's clock builds its own
-    chip: a workload run (``MulticoreSimulator`` reads
-    ``processor.config.clock_hz``), ``report()`` without a clock, and
-    report rendering.
-    """
-    from repro.chip import Processor
-    from repro.engine.cache import chip_key
-
-    return _BUILT_CHIPS.get_or_compute(
-        chip_key(config), lambda: Processor(config),
-    )
-
-
-def tdp_metrics(processor: "Processor", clock_hz: float) -> dict[str, float]:
-    """The :data:`METRICS` of one built processor evaluated at ``clock_hz``."""
-    report = processor.report(None, clock_hz=clock_hz)
-    core_result = processor.core.result(clock_hz, None)
+def tdp_metrics(processor: "Processor") -> dict[str, float]:
+    """The :data:`METRICS` of one processor at its config's clock."""
+    report = processor.report(None)
+    core_result = processor.parts.core.result(processor.config.clock_hz, None)
     return {
         "area_mm2": report.total_area * 1e6,
         "tdp_w": report.total_peak_power,
@@ -176,26 +146,22 @@ def evaluate_config(
     """Model one chip and flatten the result into an :class:`EvalRecord`.
 
     This is the single evaluation the engine fans out; it runs inside
-    worker processes and returns plain data. Without a workload it
-    evaluates :func:`built_chip` at ``config.clock_hz``: a new clock on
-    a structure and temperature this process has built re-evaluates
-    that chip, bit-identical to building a new one. A workload run
-    builds its own chip. The whole evaluation runs under an
-    ``engine.evaluate`` trace span (the root of the per-evaluation span
-    tree).
+    worker processes and returns plain data. A new clock on a structure
+    and temperature this process has built re-evaluates that chip's
+    parts, bit-identical to building new ones, with or without a
+    workload. The whole evaluation runs under an ``engine.evaluate``
+    trace span (the root of the per-evaluation span tree).
     """
     from repro import obs
     from repro.chip import Processor
 
     with obs.span("engine.evaluate", category="engine", config=config.name):
+        processor = Processor(config)
+        metrics = tdp_metrics(processor)
         runtime_s = power_w = throughput_ips = None
-        if workload is None:
-            metrics = tdp_metrics(built_chip(config), config.clock_hz)
-        else:
+        if workload is not None:
             from repro.perf import MulticoreSimulator
 
-            processor = Processor(config)
-            metrics = tdp_metrics(processor, config.clock_hz)
             with obs.span("engine.workload_sim", category="engine"):
                 sim = MulticoreSimulator(processor).run(workload)
                 runtime_s = sim.runtime_s

@@ -26,12 +26,13 @@ from typing import Any, Iterable, Iterator, Mapping, Sequence
 
 from repro import obs
 from repro.config.loader import (
+    _ENCODER,
     _rejected,
     system_config_from_dict,
     system_config_to_dict,
 )
 from repro.config.schema import SystemConfig
-from repro.engine.cache import _ENCODER, DEFAULT_CACHE, EvalCache
+from repro.engine.cache import DEFAULT_CACHE, EvalCache
 from repro.engine.record import EvalRecord
 from repro.perf.workload import Workload
 

@@ -9,7 +9,6 @@ against the published reference in
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import lru_cache
 
 from repro.chip import Processor
 from repro.chip.results import ComponentResult
@@ -75,12 +74,6 @@ def _component_power(report: ComponentResult, key: str) -> float:
     raise KeyError(f"unknown component group {key!r}")
 
 
-@lru_cache(maxsize=None)
-def _build(chip: str) -> tuple[Processor, ComponentResult]:
-    processor = Processor(presets.VALIDATION_PRESETS[chip]())
-    return processor, processor.report(activity=None)
-
-
 def run_validation(chips: tuple[str, ...] | None = None) -> list[ValidationRow]:
     """Run the validation experiment.
 
@@ -94,7 +87,7 @@ def run_validation(chips: tuple[str, ...] | None = None) -> list[ValidationRow]:
     rows: list[ValidationRow] = []
     for chip in chips or tuple(PUBLISHED):
         reference: PublishedChip = PUBLISHED[chip]
-        processor, report = _build(chip)
+        report = Processor(presets.VALIDATION_PRESETS[chip]()).report()
         rows.append(ValidationRow(
             chip=chip, metric="power_w",
             published=reference.power_w,

@@ -291,7 +291,7 @@ class CanonicalEncoder:
     when its fields all hold leaves, enums or kept texts (not a list, a
     dict, a mutable dataclass), so it is walked once. The points of a
     flat sweep keep their fields' texts from birth (:meth:`derivation`).
-    ``classes`` are laid out once, here.
+    ``classes`` are laid out here, any other dataclass on its first walk.
     """
 
     def __init__(self, classes: tuple[type, ...] = ()) -> None:
@@ -309,7 +309,7 @@ class CanonicalEncoder:
 
     def names(self, cls: type[Any]) -> tuple[str, ...]:
         """The field names of dataclass ``cls``, in key order."""
-        return (self._layouts.get(cls) or _layout(cls)).names
+        return (self._layouts.get(cls) or self._lay_out(cls)).names
 
     def fields(self, obj: Any, root: str) -> tuple[str, tuple[str, ...]]:
         """Dataclass ``obj``'s text and its fields' texts, in key order;
@@ -322,6 +322,12 @@ class CanonicalEncoder:
         """The points of a flat sweep over ``axes``, ``(field name,
         values)`` pairs: see :class:`Derivation`."""
         return Derivation(self, axes)
+
+    def _lay_out(self, cls: type[Any]) -> _Layout:
+        layout = _layout(cls)
+        # A copy, rebound: no reader sees the dict change under it.
+        self._layouts = {**self._layouts, cls: layout}
+        return layout
 
     def _value(self, value: Any, path: str, active: set[int]) -> str:
         kept = getattr(value, _TEXT, None)
@@ -352,7 +358,8 @@ class CanonicalEncoder:
 
     def _object(self, obj: Any, path: str,
                 active: set[int]) -> tuple[str, tuple[str, ...]]:
-        layout = self._layouts.get(obj.__class__) or _layout(obj.__class__)
+        layout = (self._layouts.get(obj.__class__)
+                  or self._lay_out(obj.__class__))
         kept: tuple[str, ...] | None = getattr(obj, _FIELD_TEXTS, None)
         if kept is not None:
             return layout.form % kept, kept

@@ -97,7 +97,7 @@ class MulticoreSimulator:
     @cached_property
     def _noc_hop_cycles(self) -> float:
         """Latency of one NoC hop in core cycles."""
-        noc = self.processor.noc
+        noc = self.processor.parts.noc
         if noc.link is None:
             return 1.0
         link_cycles = noc.link.delay * self._config.clock_hz
@@ -107,9 +107,9 @@ class MulticoreSimulator:
     def _l2_base_latency_cycles(self) -> float:
         """Uncontended L1-miss-to-L2-hit latency in core cycles."""
         cfg = self._config
-        if self.processor.l2 is None:
+        if self.processor.parts.l2 is None:
             return 10.0
-        array = self.processor.l2.cache.access_time * cfg.clock_hz
+        array = self.processor.parts.l2.cache.access_time * cfg.clock_hz
         return 2.0 + array  # request/response sequencing overhead
 
     def _l2_effective_miss_rate(self, workload: Workload) -> float:
@@ -134,9 +134,10 @@ class MulticoreSimulator:
         cfg = self._config
         clock = cfg.clock_hz
         core = cfg.core
+        parts = self.processor.parts
 
         l2_miss_rate = self._l2_effective_miss_rate(workload)
-        avg_hops = self.processor.noc.average_hops
+        avg_hops = parts.noc.average_hops
         hop_cycles = self._noc_hop_cycles
 
         memory_latency = (
@@ -144,10 +145,7 @@ class MulticoreSimulator:
             + (avg_hops / 2.0) * hop_cycles
         )
 
-        peak_bw = (
-            self.processor.memory_controller.peak_bandwidth_bits_per_second
-            / 8.0
-        )
+        peak_bw = parts.memory_controller.peak_bandwidth_bits_per_second / 8.0
         line_bytes = cfg.l2.block_bytes if cfg.l2 else 64
 
         cpi = CpiBreakdown(pipeline=1.0, l1_miss_stall=0.0, l2_miss_stall=0.0)
@@ -171,8 +169,8 @@ class MulticoreSimulator:
                 + workload.icache_miss_rate / max(1, core.fetch_width)
             )
             offered = ipc * accesses_per_instr * self._cores_per_l2
-            if self.processor.l2 is not None:
-                capacity = self.processor.l2.max_accesses_per_cycle(clock)
+            if parts.l2 is not None:
+                capacity = parts.l2.max_accesses_per_cycle(clock)
             else:
                 capacity = 1.0
             rho = min(_MAX_UTILIZATION, offered / max(capacity, 1e-12))
@@ -266,10 +264,9 @@ class MulticoreSimulator:
         miss_flits_per_cycle = (
             cfg.n_cores * ipc * accesses_per_instr * l2_miss_rate
         )
-        routers = max(1, self.processor.noc.n_routers or cfg.n_cores)
-        traversals = (
-            2.0 * miss_flits_per_cycle * self.processor.noc.average_hops
-        )
+        noc = self.processor.parts.noc
+        routers = max(1, noc.n_routers or cfg.n_cores)
+        traversals = 2.0 * miss_flits_per_cycle * noc.average_hops
         noc_activity = NocActivity(
             flits_per_cycle_per_router=min(1.0, traversals / routers),
         )

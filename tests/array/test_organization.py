@@ -112,6 +112,26 @@ class TestSearch:
         assert delays == sorted(delays, reverse=True)
         assert len({bank.organization for bank in picks}) >= 2
 
+    @pytest.mark.parametrize("target", [0.185e-9, 0.1e-9])
+    def test_unreachable_target_picks_the_closest(self, target):
+        """No organization of the F-O array reaches ``target``: the pick
+        is the one that misses it least, the fastest (Ndwl 8, Ndbl 64,
+        Nspd 4 at 0.1853 ns), not the untargeted pick."""
+        tech = Technology(node_nm=45, temperature_k=360)
+        spec = ArraySpec(name="l2slice", entries=16384, width_bits=512,
+                         target_access_time=target)
+        banks = search_organizations(tech, spec)
+        fastest = min(b.access_time for b in banks)
+        assert fastest > target
+        assert banks[0].access_time == fastest
+        assert banks[0].organization == ArrayOrganization(8, 64, 4)
+
+    def test_unreachable_cycle_target_picks_the_closest(self):
+        spec = ArraySpec(name="x", entries=4096, width_bits=512,
+                         target_cycle_time=1e-15)
+        banks = search_organizations(TECH, spec)
+        assert banks[0].cycle_time == min(b.cycle_time for b in banks)
+
     def test_many_feasible_organizations(self):
         spec = ArraySpec(name="cache", entries=8192, width_bits=512)
         tech = Technology(node_nm=45, temperature_k=360)

@@ -69,7 +69,7 @@ def l2_config():
 
 
 def kink_hz(config):
-    cache = Processor(config).l2.cache
+    cache = Processor(config).parts.l2.cache
     return 1.0 / max(cache.access_time, cache.cycle_time)
 
 
@@ -205,8 +205,8 @@ class TestFallback:
 
         real = compile_mod.tdp_metrics
 
-        def poisoned(processor, clock_hz):
-            sample = real(processor, clock_hz)
+        def poisoned(processor):
+            sample = real(processor)
             sample["leakage_w"] = math.nan
             return sample
 

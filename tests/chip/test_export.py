@@ -4,6 +4,7 @@ import json
 
 import pytest
 
+from repro.chip import Processor
 from repro.chip.export import (
     compare_results,
     format_csv,
@@ -11,11 +12,12 @@ from repro.chip.export import (
     result_to_dict,
     result_to_json,
 )
+from repro.config import presets
 
 
 @pytest.fixture(scope="module")
-def report(preset_processors):
-    return preset_processors("niagara1").report()
+def report():
+    return Processor(presets.niagara1()).report()
 
 
 class TestDictExport:
@@ -60,8 +62,8 @@ class TestCompare:
             if row["peak_power_baseline_w"] > 0:
                 assert row["power_ratio"] == pytest.approx(1.0)
 
-    def test_compare_different_chips(self, report, preset_processors):
-        other = preset_processors("niagara2").report()
+    def test_compare_different_chips(self, report):
+        other = Processor(presets.niagara2()).report()
         rows = compare_results(report, other)
         names = {row["name"] for row in rows}
         # Niagara2 adds NIU/PCIe; those appear with baseline at zero.

@@ -88,27 +88,26 @@ class TestHeterogeneousProcessor:
 
 
 class TestMaxFeasibleClock:
-    def test_positive_and_bounded(self, preset_processors):
-        chip = preset_processors("niagara1")
+    def test_positive_and_bounded(self):
+        chip = Processor(presets.niagara1())
         fmax = chip.max_feasible_clock()
         assert 0.5e9 < fmax < 50e9
 
-    def test_validation_targets_meet_shipping_clock(
-            self, preset_processors):
+    def test_validation_targets_meet_shipping_clock(self):
         """Every validated chip must be able to run at its shipping
         frequency under the model's timing check."""
         for name in presets.VALIDATION_PRESETS:
-            chip = preset_processors(name)
+            chip = Processor(presets.VALIDATION_PRESETS[name]())
             assert chip.max_feasible_clock() >= chip.config.clock_hz, name
 
-    def test_tighter_allocations_lower_fmax(self, preset_processors):
-        chip = preset_processors("niagara1")
+    def test_tighter_allocations_lower_fmax(self):
+        chip = Processor(presets.niagara1())
         loose = chip.max_feasible_clock(l1_pipeline_cycles=4.0)
         tight = chip.max_feasible_clock(l1_pipeline_cycles=1.0)
         assert tight < loose
 
-    def test_bad_allocation_rejected(self, preset_processors):
-        chip = preset_processors("niagara1")
+    def test_bad_allocation_rejected(self):
+        chip = Processor(presets.niagara1())
         with pytest.raises(ValueError):
             chip.max_feasible_clock(l1_pipeline_cycles=0)
 

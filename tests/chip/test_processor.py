@@ -9,13 +9,13 @@ from repro.experiments import PUBLISHED
 
 
 @pytest.fixture(scope="module")
-def niagara(preset_processors):
-    return preset_processors("niagara1")
+def niagara():
+    return Processor(presets.niagara1())
 
 
 @pytest.fixture(scope="module")
-def tulsa(preset_processors):
-    return preset_processors("xeon_tulsa")
+def tulsa():
+    return Processor(presets.xeon_tulsa())
 
 
 class TestAssembly:
@@ -38,7 +38,7 @@ class TestAssembly:
         report = niagara.report()
         cores = next(c for c in report.children
                      if c.name.startswith("Cores"))
-        single = niagara.core.result(niagara.config.clock_hz)
+        single = niagara.parts.core.result(niagara.config.clock_hz)
         assert cores.total_area == pytest.approx(8 * single.total_area)
 
     def test_headline_numbers_positive(self, niagara):
@@ -52,10 +52,10 @@ class TestAssembly:
     def test_noc_endpoints_follow_l2_instances(self):
         clustered = Processor(presets.manycore_cluster(
             n_cores=16, cores_per_cluster=4))
-        assert clustered.noc_endpoints == 4
+        assert clustered.parts.noc_endpoints == 4
 
     def test_noc_endpoints_default_to_cores(self, niagara):
-        assert niagara.noc_endpoints == 8
+        assert niagara.parts.noc_endpoints == 8
 
 
 class TestRuntimeAnalysis:
@@ -85,16 +85,16 @@ class TestValidationBands:
     """The headline validation claims, T2-T5 and F-A (EXPERIMENTS.md)."""
 
     @pytest.mark.parametrize("name", list(PUBLISHED))
-    def test_power_within_band(self, name, preset_processors):
+    def test_power_within_band(self, name):
         power = PUBLISHED[name].power_w
-        processor = preset_processors(name)
+        processor = Processor(presets.VALIDATION_PRESETS[name]())
         error = abs(processor.tdp - power) / power
         assert error < 0.25, f"{name}: {processor.tdp:.1f} vs {power}"
 
     @pytest.mark.parametrize("name", list(PUBLISHED))
-    def test_area_within_band(self, name, preset_processors):
+    def test_area_within_band(self, name):
         area = PUBLISHED[name].area_mm2
-        processor = preset_processors(name)
+        processor = Processor(presets.VALIDATION_PRESETS[name]())
         error = abs(processor.area * 1e6 - area) / area
         assert error < 0.40, f"{name}: {processor.area * 1e6:.1f} vs {area}"
 

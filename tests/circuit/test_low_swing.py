@@ -90,7 +90,7 @@ class TestNocLinkSignaling:
             noc=dataclasses.replace(base.noc,
                                     link_signaling=LS.LOW_SWING),
         )
-        full_noc = Processor(base).noc
-        low_noc = Processor(low).noc
+        full_noc = Processor(base).parts.noc
+        low_noc = Processor(low).parts.noc
         assert (low_noc.energy_per_flit_hop
                 < full_noc.energy_per_flit_hop)

@@ -1,10 +1,8 @@
-"""Shared fixtures: cheap configs and session-cached preset builds."""
+"""Shared fixtures: cheap configs and cold batch state."""
 
 import pytest
 
 from repro import batch, fastpath
-from repro.chip import Processor
-from repro.config import presets
 from repro.config.schema import (
     CacheGeometry,
     CoreConfig,
@@ -50,21 +48,3 @@ def fresh_batch_state():
 def tiny_config_factory():
     """Factory for cheap configs (see :func:`make_tiny_config`)."""
     return make_tiny_config
-
-
-@pytest.fixture(scope="session")
-def preset_processors():
-    """Session-cached Processor builds for the validation presets.
-
-    Building a preset chip costs ~2 s; several test modules want the
-    same four chips. This fixture builds each at most once per session —
-    callers must treat the returned Processors as read-only.
-    """
-    built: dict[str, Processor] = {}
-
-    def get(name: str) -> Processor:
-        if name not in built:
-            built[name] = Processor(presets.VALIDATION_PRESETS[name]())
-        return built[name]
-
-    return get

@@ -14,10 +14,14 @@ import math
 import pytest
 
 from repro import batch, fastpath
-from repro.config.loader import system_config_from_dict, system_config_to_dict
+from repro.config.loader import (
+    chip_key,
+    structure_key,
+    system_config_from_dict,
+    system_config_to_dict,
+)
 from repro.config.schema import SystemConfig
 from repro.engine import EvalCache, SweepSpec, config_key, run_sweep
-from repro.engine.cache import chip_key, structure_key
 from repro.engine.sweep import _BATCH_CHUNK_POINTS
 from repro.tech.device import DeviceType
 

@@ -112,9 +112,9 @@ class TestTechScaling:
             if row.device_type is DeviceType.LSTP:
                 assert row.leakage_fraction < 0.05
 
-    def test_lstp_cuts_whole_chip_leakage_tenfold(self, preset_processors):
+    def test_lstp_cuts_whole_chip_leakage_tenfold(self):
         """The same claim for a whole chip: Niagara2 on LSTP devices."""
-        hp = preset_processors("niagara2")
+        hp = Processor(presets.niagara2())
         lstp = Processor(dataclasses.replace(
             presets.niagara2(), device_type=DeviceType.LSTP,
         ))

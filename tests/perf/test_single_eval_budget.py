@@ -7,6 +7,7 @@ time on a developer machine — so CI noise never trips them; a memo
 silently bypassed is caught without timing, by the memo counters.
 """
 
+import dataclasses
 import os
 import subprocess
 import sys
@@ -43,8 +44,10 @@ def test_cold_eval_within_budget():
 
 def test_cold_and_warm_eval_go_through_the_memos():
     """A cold report shares gate constants and repeater solutions; a
-    repeat is served from the ``build_array`` memo and computes nothing
-    new. A bypassed memo shows up as missing hits or as fresh misses."""
+    repeat evaluates the chip parts the ``chip.parts`` memo kept and
+    computes nothing new; so does a rebuild of the same blocks for a
+    config new to that memo, from the ``build_array`` memo. A bypassed
+    memo shows up as missing hits or as fresh misses."""
     config = presets.VALIDATION_PRESETS["niagara1"]
     fastpath.clear_all()
     Processor(config()).report()
@@ -54,9 +57,18 @@ def test_cold_and_warm_eval_go_through_the_memos():
     assert cold["build_array"]["misses"] > 0, cold
     Processor(config()).report()
     warm = fastpath.stats()
-    assert warm["build_array"]["hits"] > cold["build_array"]["hits"], warm
+    assert warm["chip.parts"]["hits"] == cold["chip.parts"]["hits"] + 1, warm
     for name, counters in warm.items():
         assert counters["misses"] == cold[name]["misses"], (name, warm)
+
+    Processor(dataclasses.replace(config(), name="renamed")).report()
+    rebuilt = fastpath.stats()
+    assert rebuilt["build_array"]["hits"] > warm["build_array"]["hits"]
+    for name, counters in rebuilt.items():
+        new_misses = 1 if name == "chip.parts" else 0
+        assert counters["misses"] == warm[name]["misses"] + new_misses, (
+            name, rebuilt,
+        )
 
 
 def test_warm_eval_near_free():
@@ -65,13 +77,15 @@ def test_warm_eval_near_free():
     t_cold = _time_report(config())
     t_warm = _time_report(config())
     assert t_warm < t_cold
-    assert t_warm < 0.25  # measured ~3 ms
+    assert t_warm < 0.25  # measured ~1 ms: a chip.parts hit
 
 
-def test_cold_eval_does_not_import_numpy():
+def test_cold_eval_imports_neither_numpy_nor_the_engine():
     """The cold path is scalar Python: numpy (an optional extra, ~12 MB
-    resident) loads only for batch evaluation, so cold reports of every
-    validation preset in a fresh interpreter leave it out."""
+    resident) loads only for batch evaluation, and the engine with its
+    ``multiprocessing`` pool only for batches of configs, so cold
+    reports of every validation preset in a fresh interpreter leave
+    them out. The chip key is computed below the engine for this."""
     root = Path(__file__).resolve().parents[2]
     script = (
         "import sys\n"
@@ -79,7 +93,8 @@ def test_cold_eval_does_not_import_numpy():
         "from repro.config import presets\n"
         "for build in presets.VALIDATION_PRESETS.values():\n"
         "    Processor(build()).report()\n"
-        "print('numpy' in sys.modules)\n"
+        "print(sorted({'numpy', 'repro.engine', 'multiprocessing'}\n"
+        "             & set(sys.modules)))\n"
     )
     env = dict(os.environ)
     env["PYTHONPATH"] = os.pathsep.join(
@@ -89,4 +104,4 @@ def test_cold_eval_does_not_import_numpy():
         [sys.executable, "-c", script], cwd=root, env=env,
         capture_output=True, text=True, timeout=120, check=True,
     )
-    assert done.stdout.strip() == "False"
+    assert done.stdout.strip() == "[]"

@@ -169,6 +169,17 @@ class TestEvaluate:
         assert first["report_text"] == second["report_text"]
         assert counters["memo.serve.report_text.hits"] >= 1.0
 
+    @pytest.mark.usefixtures("fresh_batch_state")
+    def test_report_miss_builds_the_parts_once(self):
+        # The evaluation builds the chip's parts; the render finds them.
+        with BackgroundServer(ServeConfig(port=0)) as server:
+            client = server.client()
+            served = client.evaluate(config=tiny_dict(name="parts-once"))
+            counters = client.metrics()["counters"]
+        assert served["report_text"]
+        assert counters["memo.chip.parts.misses"] == pytest.approx(1.0)
+        assert counters["memo.chip.parts.hits"] == pytest.approx(1.0)
+
     def test_workload_round_trip(self):
         config = make_tiny_config()
         with BackgroundServer(ServeConfig(port=0)) as server:

@@ -4,7 +4,9 @@ import dataclasses
 import enum
 import json
 import math
+import sys
 import threading
+from concurrent.futures import ThreadPoolExecutor
 
 import pytest
 
@@ -230,3 +232,40 @@ class TestStableHash:
         config = make_tiny_config()
         assert config_key(config) == config_key(
             dataclasses.replace(config))
+
+
+class TestEncoderLayouts:
+    def test_a_class_not_given_is_laid_out_once(self, monkeypatch):
+        calls = []
+        layout = fastpath._layout
+        monkeypatch.setattr(
+            fastpath, "_layout", lambda cls: calls.append(cls) or layout(cls),
+        )
+        encoder = fastpath.CanonicalEncoder()
+        for x in range(3):  # a list field: the instance keeps no text
+            encoder.text(_Point([x]))
+        assert calls == [_Point]
+
+    def test_threads_laying_out_new_classes_get_exact_texts(self):
+        classes = [
+            dataclasses.make_dataclass(f"_New{i}", [("a", int), ("b", list)])
+            for i in range(24)
+        ]
+        encoder = fastpath.CanonicalEncoder()
+
+        def work(tid):
+            wrong = []
+            for i in range(200):
+                obj = classes[(tid * 5 + i) % len(classes)](i, [tid])
+                if encoder.text(obj) != f'{{"a":{i},"b":[{tid}]}}':
+                    wrong.append((tid, i))
+            return wrong
+
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-5)
+        try:
+            with ThreadPoolExecutor(max_workers=8) as pool:
+                wrong = list(pool.map(work, range(8), timeout=60))
+        finally:
+            sys.setswitchinterval(interval)
+        assert wrong == [[]] * 8

@@ -59,15 +59,15 @@ class TestChipGolden:
     }
 
     @pytest.mark.parametrize("name,expected", EXPECTED.items())
-    def test_headline_numbers(self, name, expected, preset_processors):
+    def test_headline_numbers(self, name, expected):
         tdp, area = expected
-        chip = preset_processors(name)
+        chip = Processor(presets.VALIDATION_PRESETS[name]())
         assert chip.tdp == pytest.approx(tdp, rel=0.12), name
         assert chip.area * 1e6 == pytest.approx(area, rel=0.15), name
 
-    def test_niagara_component_ordering(self, preset_processors):
+    def test_niagara_component_ordering(self):
         """The breakdown shape that the validation tables assert."""
-        report = preset_processors("niagara1").report()
+        report = Processor(presets.niagara1()).report()
         cores = report.child("Cores (x8)").total_peak_power
         l2 = report.child("L2 (x1)").total_peak_power
         noc = report.child("NoC").total_peak_power

@@ -4,6 +4,8 @@ import pytest
 from hypothesis import given, strategies as st
 
 from repro import obs
+from repro.chip import Processor
+from repro.config import presets
 from repro.stats_adapter import (
     core_activity_from_stats,
     parse_gem5_stats,
@@ -73,6 +75,19 @@ class TestParseGem5Stats:
         ))
         assert parse_gem5_stats(path) == {"sim_cycles": 5.0}
 
+    def test_parse_round_trip(self, tmp_path):
+        path = self._write(tmp_path, (
+            "---------- Begin Simulation Statistics ----------\n"
+            "sim_cycles  1000  # cycles\n"
+            "committed_insts 800 # instructions\n"
+            "weird_hist | 1 2 3\n"
+            "host_seconds nan # skipped\n"
+            "\n"
+            "---------- End Simulation Statistics ----------\n"
+        ))
+        assert parse_gem5_stats(path) == {"sim_cycles": 1000.0,
+                                          "committed_insts": 800.0}
+
     def test_missing_file_raises(self, tmp_path):
         with pytest.raises(FileNotFoundError):
             parse_gem5_stats(tmp_path / "absent.txt")
@@ -99,6 +114,18 @@ class TestParseGem5Stats:
         activity = core_activity_from_stats(parse_gem5_stats(path))
         assert activity.ipc == pytest.approx(0.5)
         assert activity.load_fraction == pytest.approx(0.2)
+
+    def test_parsed_counters_feed_the_system_adapter(self, tmp_path):
+        path = self._write(tmp_path, (
+            "sim_cycles 1000000\n"
+            "committed_insts 700000\n"
+            "num_load_insts 180000\n"
+            "l2_accesses 9000\n"
+            "l2_misses 3000\n"
+        ))
+        bundle = system_activity_from_stats(parse_gem5_stats(path))
+        assert bundle.core.ipc == pytest.approx(0.7)
+        assert bundle.l2 is not None
 
 
 class TestCoreAdapter:
@@ -189,8 +216,8 @@ class TestSystemAdapter:
         assert bundle.memory_controller.writes_per_cycle == pytest.approx(0.0)
         assert bundle.noc.flits_per_cycle_per_router == pytest.approx(0.0)
 
-    def test_drives_power_model_end_to_end(self, preset_processors):
-        chip = preset_processors("niagara1")
+    def test_drives_power_model_end_to_end(self):
+        chip = Processor(presets.niagara1())
         bundle = system_activity_from_stats(GOOD)
         power = chip.report(bundle).total_runtime_power
         assert 0 < power < chip.tdp

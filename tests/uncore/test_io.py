@@ -2,6 +2,8 @@
 
 import pytest
 
+from repro.chip import Processor
+from repro.config import presets
 from repro.config.schema import NiuConfig, PcieConfig
 from repro.io import NetworkInterfaceUnit, PcieController
 from repro.io.serdes import SerdesLane
@@ -89,8 +91,8 @@ class TestPcie:
 
 
 class TestChipIntegration:
-    def test_niagara2_has_io_components(self, preset_processors):
-        chip = preset_processors("niagara2")
+    def test_niagara2_has_io_components(self):
+        chip = Processor(presets.niagara2())
         names = {c.name for c in chip.report().children}
         assert "NIU" in names
         assert "PCIe" in names
