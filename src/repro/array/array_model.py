@@ -1,9 +1,11 @@
 """Public facade: build an array from a spec and get its costs.
 
 :func:`build_array` runs the internal organization optimizer (for SRAM
-arrays) or the DFF model (for latch-based buffers), assembles banks, and
-returns a flat, immutable :class:`SramArray` result that the architecture
-level consumes.
+arrays) or the DFF model (for latch-based buffers) and returns a flat,
+immutable :class:`SramArray` result that the architecture level
+consumes. An SRAM array is assembled from the figures the search scored
+its winning tiling with: only the write energy, the eDRAM refresh and
+the inter-bank routing are computed after the search, once.
 """
 
 from __future__ import annotations
@@ -13,16 +15,17 @@ from dataclasses import dataclass
 
 from repro import fastpath
 from repro import obs
-from repro.array.bank import Bank
 from repro.array.dff_array import DffArrayModel
 from repro.array.organization import (
     ArrayOrganization,
     OptimizationWeights,
+    ScoredOrganization,
     search_organizations,
 )
 from repro.array.spec import ArraySpec, CellType, PortCounts
 from repro.circuit.repeater import RepeatedWire
 from repro.tech import Technology
+from repro.tech.technology import EDRAM_RETENTION_TIME_S
 from repro.tech.wire import WireType
 
 
@@ -86,8 +89,30 @@ def _interbank_wire(tech: Technology) -> RepeatedWire:
     return RepeatedWire(tech, WireType.SEMI_GLOBAL)
 
 
-def _assemble_banks(tech: Technology, spec: ArraySpec, bank: Bank) -> SramArray:
-    """Combine ``spec.n_banks`` copies of ``bank`` with inter-bank routing."""
+def _assemble_banks(
+    tech: Technology, spec: ArraySpec, best: ScoredOrganization,
+) -> SramArray:
+    """Combine ``spec.n_banks`` banks of the ``best`` tiling with
+    inter-bank routing."""
+    sub, bank = best.subarray, best.bank
+    # A write drives one bit per sense amp in each of the ndwl active
+    # subarrays; the tiling admits only column counts the mux divides.
+    bits = best.cols // best.nspd
+    sub_write = (
+        sub.decoder_energy + sub.wordline_energy
+        + bits * sub.write_energy_per_column
+    )
+    bank_write = best.ndwl * sub_write + bank.htree_energy
+    if spec.cell_type is CellType.EDRAM:
+        # Every row of every subarray is rewritten once per retention time.
+        row_energy = (
+            sub.wordline_energy + best.cols * sub.write_energy_per_column
+        )
+        sub_refresh = best.rows * row_energy / EDRAM_RETENTION_TIME_S
+        bank_refresh = best.ndwl * best.ndbl * sub_refresh
+    else:
+        bank_refresh = 0.0
+
     n = spec.n_banks
     grid = max(1, int(math.sqrt(n)))
     array_width = grid * bank.width * 1.05
@@ -107,21 +132,21 @@ def _assemble_banks(tech: Technology, spec: ArraySpec, bank: Bank) -> SramArray:
         route_leak = 0.0
 
     access_time = bank.access_time + route_delay
-    cycle_time = bank.cycle_time
+    cycle_time = sub.cycle_time
     meets = True
     if spec.target_access_time is not None:
         meets = meets and access_time <= spec.target_access_time
     if spec.target_cycle_time is not None:
         meets = meets and cycle_time <= spec.target_cycle_time
 
-    refresh = n * bank.refresh_power
+    refresh = n * bank_refresh
     return SramArray(
         spec=spec,
-        organization=bank.organization,
+        organization=best.organization,
         access_time=access_time,
         cycle_time=cycle_time,
         read_energy=bank.read_energy + route_energy,
-        write_energy=bank.write_energy + route_energy,
+        write_energy=bank_write + route_energy,
         clock_energy_per_cycle=0.0,
         leakage_power=n * bank.leakage_power + route_leak + refresh,
         area=area,
@@ -207,5 +232,4 @@ def _build_array_uncached(
         with obs.span("array.search"):
             best = search_organizations(tech, spec, weights)[0]
         with obs.span("array.assemble", banks=spec.n_banks):
-            bank = Bank(tech=tech, spec=spec, organization=best.organization)
-            return _assemble_banks(tech, spec, bank)
+            return _assemble_banks(tech, spec, best)

@@ -5,25 +5,21 @@ A bank is ``Ndwl x Ndbl`` subarrays. On an access, one horizontal stripe of
 after column muxing); the address is broadcast down an H-tree and the data
 returns on a matching tree, both on repeated semi-global wires.
 
-As in :mod:`repro.array.mat`, the formulas live in one function,
-:func:`bank_figures`, which the organization search calls for every
-candidate and :class:`Bank` reads its fields from.
+As in :mod:`repro.array.mat`, the model is one function,
+:func:`bank_figures`: the organization search calls it for every
+candidate, and the built array is assembled from the winner's
+:class:`BankFigures`.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from functools import cached_property
-from typing import TYPE_CHECKING, NamedTuple
+from typing import NamedTuple
 
-from repro.array.mat import Subarray, SubarrayFigures
+from repro.array.mat import SubarrayFigures
 from repro.array.spec import ArraySpec
 from repro.circuit.repeater import RepeatedWire
 from repro.tech import Technology
 from repro.tech.wire import WireType
-
-if TYPE_CHECKING:
-    from repro.array.organization import ArrayOrganization
 
 #: Extra area factor for intra-bank routing channels, redundancy rows, and
 #: BIST — the gap between cell-array math and shipped macros.
@@ -54,7 +50,7 @@ def htree_constants(tech: Technology, spec: ArraySpec) -> HtreeConstants:
 
 
 class BankFigures(NamedTuple):
-    """The derived numbers of one bank (see :class:`Bank`)."""
+    """The derived numbers of one bank, from :func:`bank_figures`."""
 
     width: float  # repro: dim[width: m]
     height: float  # repro: dim[height: m]
@@ -93,124 +89,3 @@ def bank_figures(
         read_energy=ndwl * sub.read_energy + htree_energy,
         leakage_power=ndwl * ndbl * sub.leakage_power + htree_leakage,
     )
-
-
-@dataclass(frozen=True)
-class Bank:
-    """One bank of an SRAM array under a specific organization.
-
-    Attributes:
-        tech: Technology operating point.
-        spec: The full array spec (entries here are per-bank).
-        organization: Chosen (Ndwl, Ndbl, Nspd).
-    """
-
-    tech: Technology
-    spec: ArraySpec
-    organization: ArrayOrganization
-
-    def __post_init__(self) -> None:
-        org = self.organization
-        if not org.fits(self.spec):
-            raise ValueError(
-                f"organization {org} does not tile {self.spec.name!r}"
-            )
-
-    # -- structure ----------------------------------------------------------
-
-    @cached_property
-    def subarray(self) -> Subarray:
-        org = self.organization
-        return Subarray(
-            tech=self.tech,
-            rows=org.rows_per_subarray(self.spec),
-            cols=org.cols_per_subarray(self.spec),
-            ports=self.spec.ports,
-            column_mux_degree=org.nspd,
-            cell_type=self.spec.cell_type,
-        )
-
-    @property
-    def subarray_count(self) -> int:
-        return self.organization.ndwl * self.organization.ndbl
-
-    @property
-    def active_subarrays(self) -> int:
-        """Subarrays that fire on each access (one horizontal stripe)."""
-        return self.organization.ndwl
-
-    @cached_property
-    def figures(self) -> BankFigures:
-        org = self.organization
-        return bank_figures(
-            htree_constants(self.tech, self.spec), org.ndwl, org.ndbl,
-            self.subarray.figures,
-        )
-
-    # -- geometry -----------------------------------------------------------
-
-    @property
-    def width(self) -> float:  # repro: dim[return: m]
-        """Bank width (m)."""
-        return self.figures.width
-
-    @property
-    def height(self) -> float:  # repro: dim[return: m]
-        """Bank height (m)."""
-        return self.figures.height
-
-    @property
-    def area(self) -> float:  # repro: dim[return: m2]
-        """Bank footprint (m^2)."""
-        return self.figures.area
-
-    # -- H-tree -------------------------------------------------------------
-
-    @property
-    def htree_length(self) -> float:  # repro: dim[return: m]
-        """Average one-way routing distance, edge to active stripe (m)."""
-        return self.figures.htree_length
-
-    @property
-    def htree_delay(self) -> float:  # repro: dim[return: s]
-        """Address-in plus data-out tree traversal (s)."""
-        return self.figures.htree_delay
-
-    # -- timing ---------------------------------------------------------------
-
-    @property
-    def access_time(self) -> float:  # repro: dim[return: s]
-        """Address-at-bank to data-at-bank-edge (s)."""
-        return self.figures.access_time
-
-    @property
-    def cycle_time(self) -> float:  # repro: dim[return: s]
-        """Minimum time between random accesses to the bank (s)."""
-        return self.subarray.cycle_time
-
-    # -- energy -----------------------------------------------------------------
-
-    @property
-    def read_energy(self) -> float:  # repro: dim[return: j]
-        """Dynamic energy of one read (J)."""
-        return self.figures.read_energy
-
-    @cached_property
-    def write_energy(self) -> float:  # repro: dim[return: j]
-        """Dynamic energy of one write (J)."""
-        return (
-            self.active_subarrays * self.subarray.write_energy
-            + self.figures.htree_energy
-        )
-
-    # -- leakage -------------------------------------------------------------------
-
-    @property
-    def leakage_power(self) -> float:  # repro: dim[return: w]
-        """Static power of the whole bank (W)."""
-        return self.figures.leakage_power
-
-    @cached_property
-    def refresh_power(self) -> float:  # repro: dim[return: w]
-        """Average eDRAM refresh power of the bank (W); zero for SRAM."""
-        return self.subarray_count * self.subarray.refresh_power

@@ -5,18 +5,16 @@ strip on its left edge and a precharge / sense-amplifier / column-mux strip
 on its bottom edge. All delay and energy numbers are derived from the RC
 content of those structures, CACTI style.
 
-The formulas live in :func:`subarray_figures`, a function of the tiling
+The model is one function, :func:`subarray_figures`, of the tiling
 (rows, columns, mux degree) and of a :class:`SubarrayConstants` record
 gathered once per technology, port set and cell type. The organization
-search scores every candidate tiling through it without building any
-objects, and :class:`Subarray` reads its fields from it.
+search scores every candidate tiling through it, and the array it
+builds is assembled from the winner's :class:`SubarrayFigures`.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
-from functools import cached_property
 from typing import NamedTuple
 
 from repro.array.spec import CellType, PortCounts
@@ -31,7 +29,6 @@ from repro.circuit.gates import (
 )
 from repro.circuit.logical_effort import ChainFigures, chain_figures
 from repro.tech import Technology
-from repro.tech.technology import EDRAM_RETENTION_TIME_S
 
 #: Differential bitline sense swing as a fraction of Vdd (floored in volts).
 _SWING_FRACTION = 0.125
@@ -147,7 +144,12 @@ def subarray_constants(
 
 
 class SubarrayFigures(NamedTuple):
-    """Every derived number of one subarray (see :class:`Subarray`)."""
+    """Every derived number of one subarray, from :func:`subarray_figures`.
+
+    ``write_energy_per_column`` drives one column's bitline pair
+    rail-to-rail: a write pays it once per bit written, an eDRAM row
+    refresh once per column.
+    """
 
     cell_block_width: float  # repro: dim[cell_block_width: m]
     cell_block_height: float  # repro: dim[cell_block_height: m]
@@ -161,6 +163,7 @@ class SubarrayFigures(NamedTuple):
     decoder_energy: float  # repro: dim[decoder_energy: j]
     wordline_energy: float  # repro: dim[wordline_energy: j]
     bitline_read_energy: float  # repro: dim[bitline_read_energy: j]
+    write_energy_per_column: float  # repro: dim[write_energy_per_column: j]
     senseamp_energy: float  # repro: dim[senseamp_energy: j]
     restore_energy: float  # repro: dim[restore_energy: j]
     read_energy: float  # repro: dim[read_energy: j]
@@ -257,6 +260,7 @@ def subarray_figures(
         decoder_energy=decoder_energy,
         wordline_energy=driver.energy_per_transition,
         bitline_read_energy=bitline_read_energy,
+        write_energy_per_column=_WRITE_SWING_FACTOR * bitline_c * k.vdd**2,
         senseamp_energy=senseamp_energy,
         restore_energy=restore_energy,
         read_energy=read_energy,
@@ -268,213 +272,3 @@ def subarray_figures(
         width=block_width + decoder_area / max(block_height, 1e-9),
         height=block_height + senseamp_area / max(block_width, 1e-9),
     )
-
-
-@dataclass(frozen=True)
-class Subarray:
-    """One subarray of an SRAM array.
-
-    Attributes:
-        tech: Technology operating point.
-        rows: Number of wordlines.
-        cols: Number of bitline pairs (physical storage columns).
-        ports: Port configuration (affects cell geometry and leakage).
-        column_mux_degree: Bitline pairs sharing one sense amplifier.
-        cell_type: SRAM (6T, non-destructive) or EDRAM (1T1C,
-            destructive read with restore, refresh required).
-    """
-
-    tech: Technology
-    rows: int
-    cols: int
-    ports: PortCounts
-    column_mux_degree: int = 1
-    cell_type: CellType = CellType.SRAM
-
-    def __post_init__(self) -> None:
-        if self.rows < 1 or self.cols < 1:
-            raise ValueError("subarray must have at least one row and column")
-        if self.column_mux_degree < 1:
-            raise ValueError("column mux degree must be >= 1")
-        if self.cols % self.column_mux_degree:
-            raise ValueError(
-                f"columns ({self.cols}) must be divisible by the column mux "
-                f"degree ({self.column_mux_degree})"
-            )
-        if self.cell_type is CellType.DFF:
-            raise ValueError("DFF storage uses DffArrayModel, not Subarray")
-
-    @property
-    def is_edram(self) -> bool:
-        return self.cell_type is CellType.EDRAM
-
-    @cached_property
-    def constants(self) -> SubarrayConstants:
-        return subarray_constants(self.tech, self.ports, self.cell_type)
-
-    @cached_property
-    def figures(self) -> SubarrayFigures:
-        return subarray_figures(
-            self.constants, self.rows, self.cols, self.column_mux_degree,
-            wordline_driver(self.constants, self.cols),
-        )
-
-    # -- geometry ------------------------------------------------------------
-
-    @property
-    def cell_width(self) -> float:  # repro: dim[return: m]
-        """Storage cell width including multi-port growth (m)."""
-        return self.constants.cell_width
-
-    @property
-    def cell_height(self) -> float:  # repro: dim[return: m]
-        """Storage cell height including multi-port growth (m)."""
-        return self.constants.cell_height
-
-    @property
-    def cell_block_width(self) -> float:  # repro: dim[return: m]
-        return self.figures.cell_block_width
-
-    @property
-    def cell_block_height(self) -> float:  # repro: dim[return: m]
-        return self.figures.cell_block_height
-
-    # -- timing ----------------------------------------------------------------
-
-    @property
-    def decoder_delay(self) -> float:  # repro: dim[return: s]
-        """Row-decode delay up to the wordline driver input (s)."""
-        return self.figures.decoder_delay
-
-    @property
-    def wordline_delay(self) -> float:  # repro: dim[return: s]
-        """Wordline driver + wire delay (s)."""
-        return self.figures.wordline_delay
-
-    @property
-    def bitline_delay(self) -> float:  # repro: dim[return: s]
-        """Time for a cell to develop the sense swing (s)."""
-        return self.figures.bitline_delay
-
-    @property
-    def senseamp_delay(self) -> float:  # repro: dim[return: s]
-        """Sense amplifier resolution time (s)."""
-        return self.figures.senseamp_delay
-
-    @property
-    def access_delay(self) -> float:  # repro: dim[return: s]
-        """Address-in to data-at-subarray-edge delay (s)."""
-        return self.figures.access_delay
-
-    @property
-    def cycle_time(self) -> float:  # repro: dim[return: s]
-        """Minimum random-access cycle: develop swing then precharge (s)."""
-        return self.figures.cycle_time
-
-    # -- energy ------------------------------------------------------------------
-
-    @property
-    def decoder_energy(self) -> float:  # repro: dim[return: j]
-        """Dynamic energy of one row decode (J)."""
-        return self.figures.decoder_energy
-
-    @property
-    def wordline_energy(self) -> float:  # repro: dim[return: j]
-        """Dynamic energy of firing one wordline (J)."""
-        return self.figures.wordline_energy
-
-    @property
-    def bitline_read_energy(self) -> float:  # repro: dim[return: j]
-        """Energy of a read: all columns swing by the sense margin (J)."""
-        return self.figures.bitline_read_energy
-
-    def bitline_write_energy(self, bits_written: int) -> float:  # repro: dim[return: j]
-        """Energy of a write driving ``bits_written`` columns rail-to-rail (J)."""
-        if bits_written < 0 or bits_written > self.cols:
-            raise ValueError(
-                f"bits_written must be in [0, {self.cols}], got {bits_written}"
-            )
-        per_pair = (
-            _WRITE_SWING_FACTOR * self.figures.bitline_capacitance
-            * self.constants.vdd**2
-        )
-        return bits_written * per_pair
-
-    @property
-    def senseamp_energy(self) -> float:  # repro: dim[return: j]
-        """Energy of the sense amps that fire on one read (J)."""
-        return self.figures.senseamp_energy
-
-    @property
-    def _restore_energy(self) -> float:  # repro: dim[return: j]
-        """Row-restore energy after a destructive eDRAM read (J)."""
-        return self.figures.restore_energy
-
-    @property
-    def read_energy(self) -> float:  # repro: dim[return: j]
-        """Total dynamic energy of one read access (J)."""
-        return self.figures.read_energy
-
-    @cached_property
-    def write_energy(self) -> float:  # repro: dim[return: j]
-        """Total dynamic energy of one write access (J)."""
-        bits = self.cols // self.column_mux_degree
-        return (
-            self.decoder_energy
-            + self.wordline_energy
-            + self.bitline_write_energy(bits)
-        )
-
-    # -- leakage -------------------------------------------------------------------
-
-    @property
-    def cell_leakage_power(self) -> float:  # repro: dim[return: w]
-        """Static power of the storage cells (W)."""
-        return self.figures.cell_leakage_power
-
-    @cached_property
-    def refresh_power(self) -> float:  # repro: dim[return: w]
-        """Average power to rewrite every eDRAM row each retention (W)."""
-        if not self.is_edram:
-            return 0.0
-        row_energy = self.wordline_energy + self.bitline_write_energy(
-            self.cols
-        )
-        return self.rows * row_energy / EDRAM_RETENTION_TIME_S
-
-    @property
-    def peripheral_leakage_power(self) -> float:  # repro: dim[return: w]
-        """Static power of decoder, drivers, sense amps, precharge (W)."""
-        return self.figures.peripheral_leakage_power
-
-    @property
-    def leakage_power(self) -> float:  # repro: dim[return: w]
-        """Total static power (W)."""
-        return self.figures.leakage_power
-
-    # -- area -----------------------------------------------------------------------
-
-    @property
-    def decoder_area(self) -> float:  # repro: dim[return: m2]
-        """Area of the row-decode strip (m^2)."""
-        return self.figures.decoder_area
-
-    @property
-    def senseamp_area(self) -> float:  # repro: dim[return: m2]
-        """Area of the precharge + sense-amp + mux strip (m^2)."""
-        return self.figures.senseamp_area
-
-    @property
-    def width(self) -> float:  # repro: dim[return: m]
-        """Physical width of the subarray including the decode strip (m)."""
-        return self.figures.width
-
-    @property
-    def height(self) -> float:  # repro: dim[return: m]
-        """Physical height including the sense-amp strip (m)."""
-        return self.figures.height
-
-    @property
-    def area(self) -> float:  # repro: dim[return: m2]
-        """Total footprint (m^2)."""
-        return self.width * self.height

@@ -12,18 +12,21 @@ Every tiling is scored exactly, in plain float arithmetic: the
 technology-dependent numbers are gathered once per search
 (:func:`~repro.array.mat.subarray_constants`,
 :func:`~repro.array.bank.htree_constants`) and each candidate runs the
-same :func:`~repro.array.mat.subarray_figures` and
-:func:`~repro.array.bank.bank_figures` the model objects read, so no
-candidate builds a :class:`~repro.array.bank.Bank`.
+array model itself, :func:`~repro.array.mat.subarray_figures` and
+:func:`~repro.array.bank.bank_figures`. Each
+:class:`ScoredOrganization` keeps those figures, so the built array is
+assembled from the winner's without computing it again.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from typing import Iterator, NamedTuple
 
-from repro.array.bank import bank_figures, htree_constants
+from repro.array.bank import BankFigures, bank_figures, htree_constants
 from repro.array.mat import (
+    SubarrayFigures,
     subarray_constants,
     subarray_figures,
     wordline_driver,
@@ -66,19 +69,6 @@ class ArrayOrganization:
             if value < 1 or value & (value - 1):
                 raise ValueError(f"{name} must be a positive power of two")
 
-    def rows_per_subarray(self, spec: ArraySpec) -> int:
-        return spec.entries_per_bank // (self.ndbl * self.nspd)
-
-    def cols_per_subarray(self, spec: ArraySpec) -> int:
-        return spec.width_bits * self.nspd // self.ndwl
-
-    def fits(self, spec: ArraySpec) -> bool:
-        """Whether this organization tiles the spec exactly and sanely."""
-        return _subarray_shape(
-            spec.entries_per_bank, spec.width_bits, _max_rows(spec),
-            self.ndwl, self.ndbl, self.nspd,
-        ) is not None
-
     def __str__(self) -> str:  # pragma: no cover - cosmetic
         return f"(Ndwl={self.ndwl}, Ndbl={self.ndbl}, Nspd={self.nspd})"
 
@@ -98,8 +88,14 @@ class OptimizationWeights:
 
     def __post_init__(self) -> None:
         values = (self.delay, self.dynamic_energy, self.leakage, self.area)
-        if any(w < 0 for w in values):
-            raise ValueError("weights must be non-negative")
+        for name, weight in zip(
+            ("delay", "dynamic_energy", "leakage", "area"), values,
+        ):
+            # Chained so that NaN fails it too (``weight < 0`` would not).
+            if not 0 <= weight < math.inf:
+                raise ValueError(
+                    f"weight {name} must be finite and >= 0, got {weight!r}"
+                )
         if not any(values):
             raise ValueError("at least one weight must be positive")
 
@@ -116,8 +112,8 @@ def _subarray_shape(
         return None
     if (width * nspd) % ndwl:
         return None
-    rows = entries // (ndbl * nspd)  # as ArrayOrganization.rows_per_subarray
-    cols = width * nspd // ndwl  # as ArrayOrganization.cols_per_subarray
+    rows = entries // (ndbl * nspd)
+    cols = width * nspd // ndwl
     if cols % nspd:
         return None  # column mux cannot select evenly
     if not _MIN_ROWS <= rows <= max_rows:
@@ -150,7 +146,12 @@ def candidate_organizations(spec: ArraySpec) -> Iterator[ArrayOrganization]:
 
 
 class ScoredOrganization(NamedTuple):
-    """One candidate tiling and the costs of one bank built with it."""
+    """One candidate tiling and the model of one bank built with it.
+
+    ``subarray`` and ``bank`` are the tiling's figures; the five floats
+    before them are the ones the search ranks by, copied out of them.
+    Each subarray is ``rows x cols``.
+    """
 
     ndwl: int
     ndbl: int
@@ -160,6 +161,10 @@ class ScoredOrganization(NamedTuple):
     read_energy: float  # repro: dim[read_energy: j]
     leakage_power: float  # repro: dim[leakage_power: w]
     area: float  # repro: dim[area: m2]
+    rows: int
+    cols: int
+    subarray: SubarrayFigures
+    bank: BankFigures
 
     @property
     def organization(self) -> ArrayOrganization:
@@ -207,6 +212,7 @@ def search_organizations(
         scored.append(ScoredOrganization(
             ndwl, ndbl, nspd, bank.access_time, sub.cycle_time,
             bank.read_energy, bank.leakage_power, bank.area,
+            rows, cols, sub, bank,
         ))
     if not scored:
         raise ValueError(

@@ -116,9 +116,13 @@ class ArraySpec:
                 f"output_bits must be in [1, {self.width_bits}], "
                 f"got {self.output_bits}"
             )
-        for target in (self.target_access_time, self.target_cycle_time):
-            if target is not None and target <= 0:
-                raise ValueError("timing targets must be positive")
+        for name in ("target_access_time", "target_cycle_time"):
+            target = getattr(self, name)
+            # Chained so that NaN fails it too (``target <= 0`` would not).
+            if target is not None and not 0 < target < math.inf:
+                raise ValueError(
+                    f"{name} must be finite and positive, got {target!r}"
+                )
 
     @property
     def capacity_bits(self) -> int:

@@ -20,9 +20,10 @@ and appends are written with ``O_APPEND`` as one whole line per
 ``write`` syscall, so interleaved writers (threads, or even several
 processes sharing one log file) can never splice lines into each other.
 The loader is correspondingly corruption-tolerant: a truncated trailing
-line (a crash mid-append) or an unreadable line is skipped and counted
-in :attr:`EvalCache.corrupt_lines_skipped` rather than poisoning the
-load.
+line (a crash mid-append), an unreadable line or a line that is not a
+well-typed record is skipped and counted in
+:attr:`EvalCache.corrupt_lines_skipped` rather than poisoning the load
+or being served.
 """
 
 from __future__ import annotations
@@ -125,8 +126,10 @@ class EvalCache:
         """Replay the JSONL log, skipping (and counting) unreadable lines.
 
         A line that does not parse — typically the trailing line of a
-        log truncated by a crash or a concurrent writer mid-append — is
-        skipped and counted, never fatal.
+        log truncated by a crash or a concurrent writer mid-append — or
+        that is not ``{"key": <string>, "record": <object>}`` with the
+        field types :meth:`EvalRecord.from_dict` checks, is skipped and
+        counted, never fatal and never served.
         """
         assert self.path is not None
         for line in self.path.read_text().splitlines():
@@ -136,6 +139,8 @@ class EvalCache:
             try:
                 entry = json.loads(line)
                 key = entry["key"]
+                if not isinstance(key, str):
+                    raise TypeError("a cache key must be a string")
                 record = EvalRecord.from_dict(entry["record"])
             except (json.JSONDecodeError, KeyError, TypeError):
                 self.corrupt_lines_skipped += 1

@@ -40,6 +40,10 @@ METRICS = (
 )
 
 
+def _is_number(value: object) -> bool:
+    return isinstance(value, (int, float)) and not isinstance(value, bool)
+
+
 def tdp_metrics(processor: "Processor") -> dict[str, float]:
     """The :data:`METRICS` of one processor at its config's clock."""
     report = processor.report(None)
@@ -133,7 +137,29 @@ class EvalRecord:
 
     @classmethod
     def from_dict(cls, data: dict[str, Any]) -> "EvalRecord":
-        """Rebuild a record written by :meth:`to_dict`."""
+        """Rebuild a record written by :meth:`to_dict`.
+
+        Raises:
+            TypeError: If ``data`` is not a dict or holds a field
+                :meth:`to_dict` cannot have written: ``name`` and ``key``
+                must be strings, each of :data:`METRICS` a number and
+                each workload metric a number or None (a bool is not a
+                number).
+        """
+        if not isinstance(data, dict):
+            raise TypeError(
+                f"a record must be a dict, got {type(data).__name__}"
+            )
+        for name in ("name", "key"):
+            if not isinstance(data.get(name), str):
+                raise TypeError(f"record {name} must be a string")
+        for name in METRICS:
+            if not _is_number(data.get(name)):
+                raise TypeError(f"record {name} must be a number")
+        for name in ("runtime_s", "power_w", "throughput_ips"):
+            value = data.get(name)
+            if value is not None and not _is_number(value):
+                raise TypeError(f"record {name} must be a number or null")
         known = {f.name for f in dataclasses.fields(cls)}
         return cls(**{k: v for k, v in data.items() if k in known})
 

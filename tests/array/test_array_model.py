@@ -3,7 +3,9 @@
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from repro import fastpath
 from repro.array import ArraySpec, CellType, PortCounts, build_array
+from repro.array import array_model, mat, organization
 from repro.tech import Technology
 
 TECH = Technology(node_nm=65, temperature_k=360)
@@ -51,6 +53,32 @@ class TestSramArrays:
             name="x", entries=1024, width_bits=256, target_access_time=1e-15))
         assert relaxed.meets_timing
         assert not impossible.meets_timing
+
+    def test_cold_build_scores_each_tiling_once(self, monkeypatch):
+        """The search computes the subarray model once per tiling, and
+        the winner is assembled from the figures it was scored with."""
+        events = []
+        real_figures, real_search = (
+            mat.subarray_figures, organization.search_organizations)
+
+        def figures(*args):
+            events.append("figures")
+            return real_figures(*args)
+
+        def search(*args):
+            ranked = real_search(*args)
+            events.append(("searched", len(ranked)))
+            return ranked
+
+        monkeypatch.setattr(mat, "subarray_figures", figures)
+        monkeypatch.setattr(organization, "subarray_figures", figures)
+        monkeypatch.setattr(array_model, "search_organizations", search)
+        spec = ArraySpec(name="x", entries=4096, width_bits=512)
+        tilings = len(list(organization.candidate_organizations(spec)))
+        with fastpath.disabled():  # bypass the build memo: a cold build
+            build_array(TECH, spec)
+        assert tilings > 1
+        assert events == ["figures"] * tilings + [("searched", tilings)]
 
     def test_dynamic_power_helper(self):
         arr = build_array(TECH, ArraySpec(name="x", entries=256,

@@ -1,79 +1,51 @@
-"""Detailed tests for the bank assembly and DFF-array internals."""
+"""Detailed tests for the bank model, :func:`bank_figures`, as the
+organization search scores one tiling with it."""
 
 import pytest
 
-from repro.array.bank import Bank
-from repro.array.dff_array import DffArrayModel
-from repro.array.organization import ArrayOrganization
-from repro.array.spec import ArraySpec, CellType
+from repro.array import build_array, search_organizations
+from repro.array.spec import ArraySpec
 from repro.tech import Technology
 
 TECH = Technology(node_nm=65, temperature_k=360)
 
 
-def make_bank(entries=1024, width=256, ndwl=2, ndbl=2, nspd=1):
+def scored(entries=1024, width=256, ndwl=2, ndbl=2, nspd=1):
+    """The search's figures for one tiling of an ``entries x width``
+    array."""
     spec = ArraySpec(name="bank-test", entries=entries, width_bits=width)
-    return Bank(TECH, spec, ArrayOrganization(ndwl=ndwl, ndbl=ndbl,
-                                              nspd=nspd))
+    return next(
+        c for c in search_organizations(TECH, spec)
+        if (c.ndwl, c.ndbl, c.nspd) == (ndwl, ndbl, nspd)
+    )
 
 
 class TestBank:
-    def test_mismatched_organization_rejected(self):
-        spec = ArraySpec(name="x", entries=100, width_bits=64)
-        with pytest.raises(ValueError, match="does not tile"):
-            Bank(TECH, spec, ArrayOrganization(ndwl=1, ndbl=8, nspd=1))
-
     def test_active_subarrays_is_ndwl(self):
-        assert make_bank(ndwl=4, ndbl=2).active_subarrays == 4
-        assert make_bank(ndwl=4, ndbl=2).subarray_count == 8
+        """One stripe of ndwl subarrays fires; all ndwl x ndbl leak."""
+        tiling = scored(ndwl=4, ndbl=2)
+        sub, bank = tiling.subarray, tiling.bank
+        assert bank.read_energy == 4 * sub.read_energy + bank.htree_energy
+        assert bank.leakage_power > 8 * sub.leakage_power
 
     def test_htree_length_from_geometry(self):
-        bank = make_bank()
+        bank = scored().bank
         assert bank.htree_length == pytest.approx(
             0.25 * (bank.width + bank.height))
 
     def test_read_energy_composition(self):
-        bank = make_bank()
-        assert bank.read_energy > (
-            bank.active_subarrays * bank.subarray.read_energy)
+        tiling = scored()
+        assert tiling.bank.read_energy > (
+            tiling.ndwl * tiling.subarray.read_energy)
 
     def test_more_partitions_shorter_access(self):
-        monolithic = make_bank(entries=1024, width=512, ndwl=1, ndbl=1)
-        partitioned = make_bank(entries=1024, width=512, ndwl=4, ndbl=4)
+        monolithic = scored(entries=1024, width=512, ndwl=1, ndbl=1)
+        partitioned = scored(entries=1024, width=512, ndwl=4, ndbl=4)
         assert (partitioned.subarray.access_delay
                 < monolithic.subarray.access_delay)
 
     def test_cycle_time_from_subarray(self):
-        bank = make_bank()
-        assert bank.cycle_time == bank.subarray.cycle_time
-
-
-class TestDffArrayInternals:
-    def make(self, entries=16, width=64):
-        spec = ArraySpec(name="dff", entries=entries, width_bits=width,
-                         cell_type=CellType.DFF)
-        return DffArrayModel(TECH, spec)
-
-    def test_mux_depth_log2(self):
-        assert self.make(entries=16)._mux_depth == 4
-        assert self.make(entries=2)._mux_depth == 1
-
-    def test_write_beats_read_energy_for_wide_entries(self):
-        model = self.make(entries=8, width=256)
-        assert model.write_energy > model.read_energy * 0.1
-
-    def test_clock_energy_scales_with_bits(self):
-        small = self.make(entries=8, width=32)
-        big = self.make(entries=32, width=64)
-        assert big.clock_energy_per_cycle == pytest.approx(
-            small.clock_energy_per_cycle * (32 * 64) / (8 * 32))
-
-    def test_area_square_floorplan(self):
-        model = self.make()
-        assert model.width * model.height == pytest.approx(model.area)
-
-
-class TestOrganizationStrings:
-    def test_str_format(self):
-        org = ArrayOrganization(ndwl=2, ndbl=4, nspd=1)
-        assert str(org) == "(Ndwl=2, Ndbl=4, Nspd=1)"
+        spec = ArraySpec(name="bank-test", entries=1024, width_bits=256)
+        best = search_organizations(TECH, spec)[0]
+        assert best.cycle_time == best.subarray.cycle_time
+        assert build_array(TECH, spec).cycle_time == best.subarray.cycle_time

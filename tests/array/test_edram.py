@@ -2,55 +2,74 @@
 
 import pytest
 
-from repro.array import ArraySpec, CellType, PortCounts, build_array
-from repro.array.mat import Subarray
+from repro.array import (
+    ArraySpec,
+    CellType,
+    PortCounts,
+    build_array,
+    search_organizations,
+)
+from repro.array.mat import (
+    subarray_constants,
+    subarray_figures,
+    wordline_driver,
+)
 from repro.tech import Technology
+from repro.tech.technology import EDRAM_RETENTION_TIME_S
 
 TECH = Technology(node_nm=45, temperature_k=360)
 #: The eDRAM ablation's node, checked beside TECH at the array level.
 NODES = (TECH, Technology(node_nm=65, temperature_k=360))
 
 
+def spec(cell_type, entries=16384, width=512):
+    return ArraySpec(name="slice", entries=entries, width_bits=width,
+                     cell_type=cell_type)
+
+
 def build(cell_type, entries=16384, width=512, tech=TECH):
-    return build_array(tech, ArraySpec(
-        name="slice", entries=entries, width_bits=width,
-        cell_type=cell_type,
-    ))
+    return build_array(tech, spec(cell_type, entries, width))
+
+
+def subarray(cell_type, rows=128, cols=128):
+    k = subarray_constants(TECH, PortCounts(), cell_type)
+    return subarray_figures(k, rows, cols, 1, wordline_driver(k, cols))
 
 
 class TestSubarrayEdram:
-    def test_dff_rejected_by_subarray(self):
-        with pytest.raises(ValueError, match="DffArrayModel"):
-            Subarray(TECH, rows=64, cols=64, ports=PortCounts(),
-                     cell_type=CellType.DFF)
-
     def test_edram_cell_smaller(self):
-        sram = Subarray(TECH, rows=128, cols=128, ports=PortCounts())
-        edram = Subarray(TECH, rows=128, cols=128, ports=PortCounts(),
-                         cell_type=CellType.EDRAM)
-        assert edram.cell_width < sram.cell_width / 1.5
-        assert edram.area < sram.area
+        def cell_width(cell_type):
+            return subarray_constants(TECH, PortCounts(), cell_type).cell_width
+
+        assert cell_width(CellType.EDRAM) < cell_width(CellType.SRAM) / 1.5
+        sram, edram = subarray(CellType.SRAM), subarray(CellType.EDRAM)
+        assert edram.width * edram.height < sram.width * sram.height
 
     def test_edram_read_includes_restore(self):
-        edram = Subarray(TECH, rows=128, cols=128, ports=PortCounts(),
-                         cell_type=CellType.EDRAM)
-        assert edram._restore_energy > 0
+        edram = subarray(CellType.EDRAM)
+        assert edram.restore_energy > 0
         assert edram.read_energy > edram.bitline_read_energy
 
     def test_sram_has_no_restore_or_refresh(self):
-        sram = Subarray(TECH, rows=128, cols=128, ports=PortCounts())
-        assert sram._restore_energy == pytest.approx(0.0)
-        assert sram.refresh_power == pytest.approx(0.0)
+        assert subarray(CellType.SRAM).restore_energy == pytest.approx(0.0)
+        assert build(CellType.SRAM, entries=1024).refresh_power == (
+            pytest.approx(0.0))
 
     def test_edram_refresh_positive(self):
-        edram = Subarray(TECH, rows=128, cols=128, ports=PortCounts(),
-                         cell_type=CellType.EDRAM)
-        assert edram.refresh_power > 0
+        """Every row of every subarray of the winning tiling is rewritten
+        once per retention time."""
+        best = search_organizations(TECH, spec(CellType.EDRAM))[0]
+        sub = best.subarray
+        row_energy = sub.wordline_energy + best.cols * (
+            sub.write_energy_per_column)
+        expected = (best.ndwl * best.ndbl * best.rows * row_energy
+                    / EDRAM_RETENTION_TIME_S)
+        assert expected > 0
+        assert build(CellType.EDRAM).refresh_power == pytest.approx(expected)
 
     def test_edram_cells_leak_less(self):
-        sram = Subarray(TECH, rows=256, cols=256, ports=PortCounts())
-        edram = Subarray(TECH, rows=256, cols=256, ports=PortCounts(),
-                         cell_type=CellType.EDRAM)
+        sram = subarray(CellType.SRAM, rows=256, cols=256)
+        edram = subarray(CellType.EDRAM, rows=256, cols=256)
         assert edram.cell_leakage_power < sram.cell_leakage_power / 2
 
 

@@ -1,5 +1,7 @@
 """Unit tests for the organization search (the internal optimizer)."""
 
+import math
+
 import pytest
 from hypothesis import given, settings, strategies as st
 
@@ -12,6 +14,8 @@ from repro.array.organization import (
 from repro.array.spec import ArraySpec
 from repro.tech import Technology
 
+from tests.conftest import experiments_section
+
 TECH = Technology(node_nm=65, temperature_k=360)
 
 
@@ -22,18 +26,26 @@ class TestArrayOrganization:
 
     def test_tiling_math(self):
         spec = ArraySpec(name="x", entries=1024, width_bits=256)
-        org = ArrayOrganization(ndwl=4, ndbl=2, nspd=2)
-        assert org.rows_per_subarray(spec) == 256
-        assert org.cols_per_subarray(spec) == 128
+        tiling = next(c for c in search_organizations(TECH, spec)
+                      if (c.ndwl, c.ndbl, c.nspd) == (4, 2, 2))
+        assert (tiling.rows, tiling.cols) == (256, 128)
 
     def test_fits_rejects_uneven_tiling(self):
         spec = ArraySpec(name="x", entries=100, width_bits=64)
-        assert not ArrayOrganization(ndwl=1, ndbl=8, nspd=1).fits(spec)
+        candidates = set(candidate_organizations(spec))
+        assert ArrayOrganization(ndwl=1, ndbl=1, nspd=1) in candidates
+        assert ArrayOrganization(ndwl=1, ndbl=8, nspd=1) not in candidates
 
     def test_fits_rejects_mux_mismatch(self):
         # cols = 29 with nspd 2 cannot mux evenly.
         spec = ArraySpec(name="x", entries=512, width_bits=116)
-        assert not ArrayOrganization(ndwl=8, ndbl=1, nspd=2).fits(spec)
+        candidates = set(candidate_organizations(spec))
+        assert ArrayOrganization(ndwl=4, ndbl=1, nspd=1) in candidates
+        assert ArrayOrganization(ndwl=8, ndbl=1, nspd=2) not in candidates
+
+    def test_str_format(self):
+        org = ArrayOrganization(ndwl=2, ndbl=4, nspd=1)
+        assert str(org) == "(Ndwl=2, Ndbl=4, Nspd=1)"
 
 
 class TestWeights:
@@ -45,13 +57,23 @@ class TestWeights:
         with pytest.raises(ValueError):
             OptimizationWeights(delay=0, dynamic_energy=0, leakage=0, area=0)
 
+    @pytest.mark.parametrize("value", [math.nan, math.inf])
+    @pytest.mark.parametrize(
+        "name", ["delay", "dynamic_energy", "leakage", "area"])
+    def test_non_finite_weight_rejected_by_name(self, name, value):
+        with pytest.raises(ValueError, match=f"weight {name} must be finite"):
+            OptimizationWeights(**{name: value})
+
 
 class TestCandidateGeneration:
     def test_candidates_all_fit(self):
         spec = ArraySpec(name="x", entries=1024, width_bits=512)
-        candidates = list(candidate_organizations(spec))
-        assert candidates
-        assert all(org.fits(spec) for org in candidates)
+        tilings = search_organizations(TECH, spec)
+        assert tilings
+        for c in tilings:
+            assert c.rows * c.ndbl * c.nspd == spec.entries
+            assert c.cols * c.ndwl == spec.width_bits * c.nspd
+            assert c.cols % c.nspd == 0
 
     def test_tiny_array_has_candidates(self):
         spec = ArraySpec(name="x", entries=16, width_bits=32)
@@ -125,6 +147,37 @@ class TestSearch:
         assert fastest > target
         assert banks[0].access_time == fastest
         assert banks[0].organization == ArrayOrganization(8, 64, 4)
+
+    def test_f_o_numbers_match_experiments_md(self):
+        """The F-O table and prose of EXPERIMENTS.md, recomputed: the
+        count of organizations, the untargeted pick and the fastest."""
+        tech = Technology(node_nm=45, temperature_k=360)
+        spec = ArraySpec(name="l2slice", entries=16384, width_bits=512)
+        ranked = search_organizations(tech, spec)
+        pick = ranked[0]
+        fastest = min(ranked, key=lambda c: c.access_time)
+        section = experiments_section("F-O")
+
+        def row(c, note=""):
+            return (f"| {c.ndwl}, {c.ndbl}, {c.nspd}{note} | "
+                    f"{c.access_time * 1e9:.3f} ns | "
+                    f"{c.read_energy * 1e12:.1f} pJ | "
+                    f"{c.area * 1e6:.2f} mm² |")
+
+        expected = [
+            f"has {len(ranked)} feasible organizations",
+            row(pick),
+            row(fastest, " (the fastest)"),
+            f"≥ {math.ceil(pick.access_time * 1e13) / 1e4:.4f} ns",
+            f"≤ {math.floor(pick.access_time * 1e13) / 1e4:.4f} ns",
+            f"below {math.floor(fastest.access_time * 1e13) / 1e4:.4f} ns "
+            "is unreachable",
+            f"falls {pick.read_energy * 1e12:.1f} → "
+            f"{fastest.read_energy * 1e12:.1f} pJ",
+            f"rises {pick.area * 1e6:.2f} → {fastest.area * 1e6:.2f} mm²",
+        ]
+        for text in expected:
+            assert text in section, text
 
     def test_unreachable_cycle_target_picks_the_closest(self):
         spec = ArraySpec(name="x", entries=4096, width_bits=512,

@@ -1,5 +1,7 @@
 """Unit tests for ArraySpec and PortCounts validation."""
 
+import math
+
 import pytest
 
 from repro.array import ArraySpec, CellType, PortCounts
@@ -76,6 +78,13 @@ class TestArraySpec:
         with pytest.raises(ValueError, match="positive"):
             ArraySpec(name="x", entries=64, width_bits=8,
                       target_access_time=-1e-9)
+
+    @pytest.mark.parametrize("value", [math.nan, math.inf])
+    @pytest.mark.parametrize(
+        "name", ["target_access_time", "target_cycle_time"])
+    def test_non_finite_timing_target_rejected_by_name(self, name, value):
+        with pytest.raises(ValueError, match=f"{name} must be finite"):
+            ArraySpec(name="x", entries=64, width_bits=8, **{name: value})
 
     def test_cell_type_enum(self):
         spec = ArraySpec(name="x", entries=16, width_bits=8,

@@ -1,37 +1,26 @@
-"""Unit tests for the subarray circuit model."""
+"""Unit tests for the subarray circuit model, :func:`subarray_figures`."""
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from repro.array.mat import Subarray
-from repro.array.spec import PortCounts
+from repro.array.mat import (
+    subarray_constants,
+    subarray_figures,
+    wordline_driver,
+)
+from repro.array.spec import CellType, PortCounts
 from repro.tech import Technology
 
 TECH = Technology(node_nm=65, temperature_k=360)
 
 
-def make(rows=128, cols=128, ports=None, mux=1):
-    return Subarray(
-        tech=TECH, rows=rows, cols=cols,
-        ports=ports or PortCounts(), column_mux_degree=mux,
-    )
+def constants(ports=None, tech=TECH):
+    return subarray_constants(tech, ports or PortCounts(), CellType.SRAM)
 
 
-class TestValidation:
-    def test_zero_rows_rejected(self):
-        with pytest.raises(ValueError):
-            make(rows=0)
-
-    def test_mux_must_divide_cols(self):
-        with pytest.raises(ValueError, match="divisible"):
-            make(cols=100, mux=8)
-
-    def test_write_bits_bounds(self):
-        sub = make(cols=64)
-        with pytest.raises(ValueError):
-            sub.bitline_write_energy(65)
-        with pytest.raises(ValueError):
-            sub.bitline_write_energy(-1)
+def make(rows=128, cols=128, ports=None, mux=1, tech=TECH):
+    k = constants(ports, tech)
+    return subarray_figures(k, rows, cols, mux, wordline_driver(k, cols))
 
 
 class TestTiming:
@@ -71,12 +60,8 @@ class TestEnergy:
 
     def test_write_energy_exceeds_read_for_full_width(self):
         """Full-swing writes cost more than low-swing reads per column."""
-        sub = make(mux=1)
-        assert (sub.bitline_write_energy(sub.cols)
-                > sub.bitline_read_energy)
-
-    def test_zero_bits_written_zero_energy(self):
-        assert make().bitline_write_energy(0) == pytest.approx(0.0)
+        sub = make(cols=128, mux=1)
+        assert 128 * sub.write_energy_per_column > sub.bitline_read_energy
 
     @settings(max_examples=20, deadline=None)
     @given(st.integers(min_value=4, max_value=512),
@@ -84,7 +69,7 @@ class TestEnergy:
     def test_energies_positive(self, rows, cols):
         sub = make(rows=rows, cols=cols)
         assert sub.read_energy > 0
-        assert sub.write_energy > 0
+        assert sub.write_energy_per_column > 0
 
 
 class TestLeakageAndArea:
@@ -100,17 +85,17 @@ class TestLeakageAndArea:
         assert multi.cell_leakage_power > make().cell_leakage_power
 
     def test_multiport_cells_bigger(self):
-        multi = make(ports=PortCounts(read_write=1, read=2))
-        assert multi.cell_width > make().cell_width
-        assert multi.area > make().area
+        ports = PortCounts(read_write=1, read=2)
+        assert constants(ports).cell_width > constants().cell_width
+        multi, single = make(ports=ports), make()
+        assert multi.width * multi.height > single.width * single.height
 
     def test_area_exceeds_cell_block(self):
         sub = make()
-        assert sub.area > sub.cell_block_width * sub.cell_block_height
+        assert (sub.width * sub.height
+                > sub.cell_block_width * sub.cell_block_height)
 
     def test_leakage_temperature_sensitivity(self):
-        hot = Subarray(Technology(node_nm=65, temperature_k=380),
-                       rows=128, cols=128, ports=PortCounts())
-        cold = Subarray(Technology(node_nm=65, temperature_k=320),
-                        rows=128, cols=128, ports=PortCounts())
+        hot = make(tech=Technology(node_nm=65, temperature_k=380))
+        cold = make(tech=Technology(node_nm=65, temperature_k=320))
         assert hot.cell_leakage_power > 2 * cold.cell_leakage_power

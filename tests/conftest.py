@@ -1,4 +1,6 @@
-"""Shared fixtures: cheap configs and cold batch state."""
+"""Shared fixtures: cheap configs, cold batch state, EXPERIMENTS.md."""
+
+from pathlib import Path
 
 import pytest
 
@@ -32,6 +34,15 @@ def make_tiny_config(**overrides) -> SystemConfig:
     )
     fields.update(overrides)
     return SystemConfig(**fields)
+
+
+def experiments_section(heading: str) -> str:
+    """The EXPERIMENTS.md section under ``## <heading>``, its whitespace
+    collapsed so that prose still matches after a re-wrap."""
+    text = (Path(__file__).resolve().parents[1] / "EXPERIMENTS.md").read_text()
+    start = text.index(f"\n## {heading}")
+    end = text.find("\n## ", start + 1)
+    return " ".join(text[start:end if end != -1 else None].split())
 
 
 @pytest.fixture

@@ -133,6 +133,33 @@ class TestEvalCacheDisk:
         assert len(reloaded) == 1
         assert reloaded.get("good") is not None
 
+    @pytest.mark.parametrize("bad", [
+        {"key": "bad", "record": None},
+        {"key": "bad", "record": "x"},
+        {"key": ["bad"], "record": record("bad").to_dict()},
+        {"key": "bad", "record": {**record("bad").to_dict(), "tdp_w": "hot"}},
+        {"key": "bad", "record": {**record("bad").to_dict(), "tdp_w": True}},
+        {"key": "bad",
+         "record": {**record("bad").to_dict(), "runtime_s": "slow"}},
+    ], ids=["null-record", "string-record", "list-key", "string-metric",
+            "bool-metric", "string-runtime"])
+    def test_malformed_line_skipped_and_counted(self, tmp_path, bad):
+        """A well-formed JSON line that is not a well-typed record is
+        skipped like an unparsable one; the lines around it load."""
+        path = tmp_path / "cache.jsonl"
+        cache = EvalCache(path=path)
+        cache.put("before", record("before"))
+        with path.open("a") as handle:
+            handle.write(json.dumps(bad) + "\n")
+        cache.put("after", record("after"))
+
+        reloaded = EvalCache(path=path)
+        assert reloaded.corrupt_lines_skipped == 1
+        assert len(reloaded) == 2
+        assert reloaded.get("bad") is None
+        assert reloaded.get("before") == record("before")
+        assert reloaded.get("after") == record("after")
+
     def test_put_same_key_appends_once(self, tmp_path):
         path = tmp_path / "cache.jsonl"
         cache = EvalCache(path=path)

@@ -8,6 +8,8 @@ from repro.experiments.temperature import (
     run_temperature_study,
 )
 
+from tests.conftest import experiments_section
+
 
 @pytest.fixture(scope="module")
 def points():
@@ -29,6 +31,19 @@ class TestTemperatureStudy:
     def test_leakage_share_of_tdp_grows(self, points):
         fractions = [p.leakage_fraction for p in points]
         assert fractions == sorted(fractions)
+
+    def test_endpoints_match_experiments_md(self, points):
+        """EXPERIMENTS.md's F-T numbers are this study's endpoints."""
+        cool, hot = points[0], points[-1]
+        section = experiments_section("F-T")
+        growth = hot.leakage_w / cool.leakage_w
+        for text in (
+            f"{cool.leakage_w:.2f} W → {hot.leakage_w:.2f} W "
+            f"({growth:.1f}×)",
+            f"{cool.leakage_fraction * 100:.1f} % → "
+            f"{hot.leakage_fraction * 100:.1f} %",
+        ):
+            assert text in section, text
 
     def test_fraction_property(self):
         point = TemperaturePoint(temperature_k=360, leakage_w=20,

@@ -94,21 +94,27 @@ class TestActivityEdgeCases:
 
 
 class TestSubarrayGeometry:
-    def test_strip_areas_positive(self):
-        from repro.array.mat import Subarray
-        from repro.array.spec import PortCounts
+    @staticmethod
+    def figures(rows, cols):
+        from repro.array.mat import (
+            subarray_constants,
+            subarray_figures,
+            wordline_driver,
+        )
+        from repro.array.spec import CellType, PortCounts
 
-        sub = Subarray(TECH, rows=128, cols=128, ports=PortCounts())
+        k = subarray_constants(TECH, PortCounts(), CellType.SRAM)
+        return subarray_figures(k, rows, cols, 1, wordline_driver(k, cols))
+
+    def test_strip_areas_positive(self):
+        sub = self.figures(rows=128, cols=128)
         assert sub.decoder_area > 0
         assert sub.senseamp_area > 0
         assert sub.width > sub.cell_block_width
         assert sub.height > sub.cell_block_height
 
     def test_single_row_subarray(self):
-        from repro.array.mat import Subarray
-        from repro.array.spec import PortCounts
-
-        sub = Subarray(TECH, rows=1, cols=8, ports=PortCounts())
+        sub = self.figures(rows=1, cols=8)
         assert sub.access_delay > 0
         assert sub.read_energy > 0
 
