@@ -7,7 +7,7 @@ test:
 	$(PYTHON) -m pytest -x -q
 
 lint:
-	$(PYTHON) -m repro.cli lint --all --jobs 4 src
+	$(PYTHON) -m repro.cli lint --all src
 	$(PYTHON) -m repro.cli lint --all tests
 	@if command -v ruff >/dev/null 2>&1; then \
 		ruff check src tests; \

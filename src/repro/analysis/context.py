@@ -55,8 +55,8 @@ class ModuleSource:
     def directives(self) -> Directives:
         """The module's ``# repro:`` comment table, scanned on first use.
 
-        The lint driver builds it outside the pass threads (see
-        :mod:`repro.analysis.registry`); the threads only read it.
+        Every pass of a lint reads this one table (see
+        :mod:`repro.analysis.registry`).
         """
         return scan_directives(self.source)
 

@@ -18,28 +18,24 @@ shape:
   resolver), and the concurrency :class:`ContextModel`/:class:`StateModel`
   pair (which the keysound pass reuses) — each built **once** per lint
   invocation and handed to every pass that wants it;
-* :func:`run_passes` dispatches the enabled passes, optionally in
-  parallel threads (``lint --all --jobs``), and reports per-pass
-  wall-clock timings for the JSON output.
+* :func:`run_passes` runs the enabled passes one after another and
+  reports per-pass wall-clock timings for the JSON output.
 
-Thread-safety: shared structures are built eagerly by
-:meth:`SharedAnalysis.prepare` before any pass thread starts, so the
-pass bodies only ever *read* them concurrently. That includes each
-module's ``# repro:`` directive table
-(:attr:`~repro.analysis.context.ModuleSource.directives`), scanned once
-per lint: by the program build for every context module when a
-whole-program pass runs, otherwise by the runner's suppression filter
-for the target files alone. The one exception is
-the dimensional fixpoint, which accumulates inferred facts onto the
-shared ``Program``'s dimension slots; no other pass reads those slots,
-so the mutation is private to that pass by construction.
+:meth:`SharedAnalysis.prepare` builds every shared layer the enabled
+passes need before the first pass is timed, so the timings leave the
+shared build out. That includes each module's ``# repro:`` directive
+table (:attr:`~repro.analysis.context.ModuleSource.directives`),
+scanned once per lint: by the program build for every context module
+when a whole-program pass runs, otherwise by the runner's suppression
+filter for the target files alone. The dimensional fixpoint
+accumulates inferred facts onto the shared ``Program``'s dimension
+slots; no other pass reads those slots, so the mutation is private to
+that pass by construction.
 """
 
 from __future__ import annotations
 
-import threading
 import time
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from typing import Callable, Iterable
 
@@ -89,15 +85,12 @@ class AnalysisPass:
 class SharedAnalysis:
     """Cross-pass structures, each built once per lint invocation.
 
-    Layers are lazy behind one re-entrant lock so a stray out-of-order
-    access stays correct, but :meth:`prepare` builds everything the
-    enabled passes will need *before* parallel dispatch — pass threads
-    then only read.
+    Each layer is built on first use; :meth:`prepare` builds everything
+    the enabled passes will need before any pass runs.
     """
 
     def __init__(self, context: Iterable[ModuleSource]) -> None:
         self.context: list[ModuleSource] = list(context)
-        self._lock = threading.RLock()
         self._index: ProjectIndex | None = None
         self._program = None
         self._conc_model = None
@@ -105,19 +98,17 @@ class SharedAnalysis:
 
     def index(self) -> ProjectIndex:
         """The purity rules' memoization index (base pass)."""
-        with self._lock:
-            if self._index is None:
-                self._index = build_index(self.context)
-            return self._index
+        if self._index is None:
+            self._index = build_index(self.context)
+        return self._index
 
     def program(self):
         """The one whole-program model (shared call resolution)."""
-        with self._lock:
-            if self._program is None:
-                from repro.analysis.program import build_program
+        if self._program is None:
+            from repro.analysis.program import build_program
 
-                self._program = build_program(self.context)
-            return self._program
+            self._program = build_program(self.context)
+        return self._program
 
     def concurrency_model(self):
         """The solved (ContextModel, StateModel) pair.
@@ -125,16 +116,13 @@ class SharedAnalysis:
         Built on top of :meth:`program`; consumed by both the
         concurrency and the keysound passes.
         """
-        with self._lock:
-            if self._conc_model is None:
-                from repro.analysis.concurrency.contexts import (
-                    build_contexts,
-                )
-                from repro.analysis.concurrency.state import build_state
+        if self._conc_model is None:
+            from repro.analysis.concurrency.contexts import build_contexts
+            from repro.analysis.concurrency.state import build_state
 
-                self._conc_model = build_contexts(self.program())
-                self._conc_state = build_state(self._conc_model)
-            return self._conc_model, self._conc_state
+            self._conc_model = build_contexts(self.program())
+            self._conc_state = build_state(self._conc_model)
+        return self._conc_model, self._conc_state
 
     def prepare(self, passes: Iterable[AnalysisPass]) -> None:
         """Eagerly build every layer the given passes need."""
@@ -262,55 +250,27 @@ def resolve_passes(
     return tuple(enabled)
 
 
-def default_jobs(passes: Iterable[AnalysisPass]) -> int:
-    """Default ``--jobs``: one thread per enabled pass, capped at cpus."""
-    import os
-
-    count = len(list(passes))
-    return max(1, min(count, os.cpu_count() or 1))
-
-
 def run_passes(
     passes: tuple[AnalysisPass, ...],
     targets: list[ModuleSource],
     shared: SharedAnalysis,
     disabled: frozenset[str],
-    jobs: int | None = None,
 ) -> tuple[dict[str, list[Finding]], tuple[tuple[str, float], ...]]:
-    """Run every enabled pass; findings merged per path + timings.
+    """Run every enabled pass in order; findings merged per path + timings.
 
-    With ``jobs > 1`` the pass bodies run on a thread pool; the shared
-    structures were built by :meth:`SharedAnalysis.prepare` up front, so
-    the threads never contend on construction. Timings are wall-clock
-    seconds per pass, in pass order.
+    The shared layers are built first (:meth:`SharedAnalysis.prepare`),
+    so each timing is one pass body's wall-clock seconds, in pass order.
     """
     shared.prepare(passes)
-    jobs = default_jobs(passes) if jobs is None else max(1, jobs)
-
-    def timed(one: AnalysisPass) -> tuple[
-        str, float, dict[str, list[Finding]],
-    ]:
-        started = time.perf_counter()
-        findings = one.run(targets, shared, disabled)
-        return one.name, time.perf_counter() - started, findings
-
-    if jobs == 1 or len(passes) == 1:
-        outcomes = [timed(one) for one in passes]
-    else:
-        with ThreadPoolExecutor(
-            max_workers=min(jobs, len(passes)),
-            thread_name_prefix="lint-pass",
-        ) as pool:
-            outcomes = list(pool.map(timed, passes))
-
     merged: dict[str, list[Finding]] = {}
     timings: list[tuple[str, float]] = []
-    for name, elapsed, findings in outcomes:
-        timings.append((name, elapsed))
+    for one in passes:
+        started = time.perf_counter()
+        findings = one.run(targets, shared, disabled)
+        timings.append((one.name, time.perf_counter() - started))
         for path, found in findings.items():
-            merged.setdefault(path, [])
-            merged[path] += [
+            merged.setdefault(path, []).extend(
                 finding for finding in found
                 if finding.rule not in disabled
-            ]
+            )
     return merged, tuple(timings)

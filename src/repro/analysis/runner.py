@@ -3,9 +3,9 @@
 The driver parses every target file *plus* the installed ``repro``
 package, builds the cross-pass structures once through
 :class:`~repro.analysis.registry.SharedAnalysis` (purity index, project
-call graph, concurrency model), dispatches the enabled analysis passes
-(optionally in parallel — ``lint --all --jobs``), and filters the merged
-findings through each target's inline-suppression table.
+call graph, concurrency model), runs the enabled analysis passes one
+after another, and filters the merged findings through each target's
+inline-suppression table.
 
 Suppressions are ``noqa`` directives (:mod:`repro.analysis.directives`)
 on the line a finding is reported on: a bare ``# repro: noqa`` waives
@@ -27,7 +27,7 @@ from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Iterable, Sequence
 
-from repro.analysis.context import ModuleSource, ProjectIndex
+from repro.analysis.context import ModuleSource
 from repro.analysis.directives import Directives
 from repro.analysis.finding import ALL_RULE_IDS, Finding
 from repro.analysis.registry import (
@@ -274,7 +274,6 @@ def lint_paths(
     dimensional: bool = False,
     concurrency: bool = False,
     keysound: bool = False,
-    jobs: int | None = None,
 ) -> LintResult:
     """Lint files/directories; the main entry point behind the CLI.
 
@@ -283,9 +282,7 @@ def lint_paths(
     ``concurrency=True`` the concurrency-safety pass (CONC rules), and
     ``keysound=True`` the cache-key soundness pass (KEY/DET rules); all
     whole-program passes share one call graph built once per
-    invocation. Enabling everything is ``mcpat-repro lint --all``;
-    ``jobs`` runs the enabled passes on that many threads (default: one
-    per pass, capped at the cpu count).
+    invocation. Enabling everything is ``mcpat-repro lint --all``.
     """
     disabled = validate_disable(disable)
     files = iter_python_files(paths)
@@ -304,7 +301,7 @@ def lint_paths(
         indexed[str(Path(module.path).resolve())] = module
     shared = SharedAnalysis(indexed.values())
     passes = resolve_passes(dimensional, concurrency, keysound)
-    extra, timings = run_passes(passes, targets, shared, disabled, jobs)
+    extra, timings = run_passes(passes, targets, shared, disabled)
     return _filter_findings(
         targets, parse_failures, disabled, extra,
         tuple(one.name for one in passes), timings,
@@ -315,7 +312,6 @@ def lint_source(
     source: str,
     path: str = "<snippet>",
     disable: Iterable[str] = (),
-    index: ProjectIndex | None = None,
     dimensional: bool = False,
     concurrency: bool = False,
     keysound: bool = False,
@@ -339,8 +335,6 @@ def lint_source(
         return _filter_findings([], [failure], disabled, {})
     module = ModuleSource(path=path, source=source, tree=tree)
     shared = SharedAnalysis([module])
-    if index is not None:
-        shared._index = index
     passes = resolve_passes(dimensional, concurrency, keysound)
     extra, timings = run_passes(passes, [module], shared, disabled)
     return _filter_findings(

@@ -323,7 +323,6 @@ def _cmd_lint(args: argparse.Namespace) -> int:
             dimensional=dimensional,
             concurrency=concurrency,
             keysound=keysound,
-            jobs=args.jobs,
         )
     except (FileNotFoundError, ValueError) as exc:
         # Usage errors (bad path, unknown rule id) exit 2; findings
@@ -519,12 +518,10 @@ def main(argv: list[str] | None = None) -> int:
         help="run every analysis pass (base + --dimensional + "
              "--concurrency + --keysound) with one merged report",
     )
-    lint.add_argument(
-        "--jobs", type=int, default=None, metavar="N",
-        help="run enabled passes on N threads (default: one per pass, "
-             "capped at the cpu count; the call graph is shared and "
-             "built once)",
-    )
+    # Ignored: the passes run in one thread. Kept, hidden, because the
+    # benchmark's lint_tree workload still passes ``--jobs 1``; it can go
+    # once that workload drops it.
+    lint.add_argument("--jobs", type=int, help=argparse.SUPPRESS)
     lint.set_defaults(func=_cmd_lint)
 
     args = parser.parse_args(argv)

@@ -1,15 +1,15 @@
 """The shared ``# repro:`` directive table: grammar and scan-once rule."""
 
-import collections
-import io
 import textwrap
-import tokenize
+from pathlib import Path
 
 import pytest
 
 from repro.analysis import lint_paths
 from repro.analysis.directives import Directive, scan_directives
-from repro.analysis.runner import _package_modules
+from repro.analysis.runner import iter_python_files
+
+REPO_ROOT = Path(__file__).resolve().parents[2]
 
 #: A target carrying one directive of every form.
 MARKED = textwrap.dedent("""
@@ -28,21 +28,6 @@ PLAIN = "VALUE = 1\n"
 
 
 @pytest.fixture
-def tokenized(monkeypatch):
-    """Source text -> number of times it was tokenized."""
-    seen: collections.Counter = collections.Counter()
-    real = tokenize.generate_tokens
-
-    def counting(readline):
-        text = "".join(iter(readline, ""))
-        seen[text] += 1
-        return real(io.StringIO(text).readline)
-
-    monkeypatch.setattr(tokenize, "generate_tokens", counting)
-    return seen
-
-
-@pytest.fixture
 def tree(tmp_path):
     (tmp_path / "marked.py").write_text(MARKED)
     (tmp_path / "plain.py").write_text(PLAIN)
@@ -50,20 +35,15 @@ def tree(tmp_path):
 
 
 class TestScanOnce:
-    def test_every_pass_shares_one_scan_per_module(self, tree, tokenized):
-        result = lint_paths(
-            [tree], dimensional=True, concurrency=True, keysound=True,
-        )
-        assert result.ok
-        assert result.suppressed == 1
-        assert tokenized[MARKED] == 1
-        assert tokenized[PLAIN] == 0
-        # Every context module of the installed package that carries
-        # the marker is scanned once; the rest never.
-        marked_package = sum(
-            "repro:" in module.source for module in _package_modules()
-        )
-        assert sum(tokenized.values()) == 1 + marked_package
+    def test_every_pass_shares_one_scan_per_module(self, src_lint):
+        # Every module that carries the marker is scanned once, by
+        # whichever pass reads its table first; the rest never.
+        texts = [
+            path.read_text()
+            for path in iter_python_files([REPO_ROOT / "src"])
+        ]
+        marked = {text for text in texts if "repro:" in text}
+        assert dict(src_lint.tokenized) == dict.fromkeys(marked, 1)
 
     def test_base_only_lint_scans_only_its_targets(self, tree, tokenized):
         lint_paths([tree])

@@ -13,21 +13,16 @@ wall-clock budget.
 
 import ast
 import textwrap
-import time
-from pathlib import Path
 
-from repro.analysis import lint_paths, lint_source
+from repro.analysis import lint_source
 from repro.analysis.concurrency import build_concurrency_model
 from repro.analysis.context import ModuleSource
 from repro.analysis.directives import scan_directives
 from repro.analysis.keysound import (
     analyze_keysound,
     build_keysound_model,
-    discover_sites,
     key_table,
 )
-
-REPO_ROOT = Path(__file__).resolve().parents[2]
 
 #: Whole-tree budget for the full four-pass run (satellite: < 15 s).
 ALL_PASSES_BUDGET_S = 15.0
@@ -527,14 +522,8 @@ class TestRunnerIntegration:
 
 
 class TestOwnTreeClean:
-    def test_src_is_clean_under_all_passes_within_budget(self):
-        started = time.perf_counter()
-        result = lint_paths(
-            [REPO_ROOT / "src"],
-            dimensional=True, concurrency=True, keysound=True,
-        )
-        elapsed = time.perf_counter() - started
-        assert list(result.findings) == []
-        assert elapsed < ALL_PASSES_BUDGET_S, (
-            f"full four-pass run took {elapsed:.1f}s over src/"
+    def test_src_is_clean_under_all_passes_within_budget(self, src_lint):
+        assert list(src_lint.result.findings) == []
+        assert src_lint.wall_s < ALL_PASSES_BUDGET_S, (
+            f"full four-pass run took {src_lint.wall_s:.1f}s over src/"
         )
