@@ -204,14 +204,10 @@ def build_array(
     For SRAM arrays this runs the internal organization search; for DFF
     arrays the synthesized-register model is used directly. Results are
     memoized process-wide on the content of the inputs (same hashing
-    discipline as :func:`repro.engine.cache.config_key`). Under
-    :func:`repro.fastpath.disabled` the memo — including the
-    content-hash key derivation — is bypassed entirely, so the exact
-    path does zero cache work.
+    discipline as :func:`repro.engine.cache.config_key`); under
+    :func:`repro.fastpath.disabled` the memo is bypassed.
     """
     weights = weights or OptimizationWeights()
-    if not fastpath.enabled():
-        return _build_array_uncached(tech, spec, weights)
     key = _KEY_ENCODER.stable_hash(
         {"tech": tech, "spec": spec, "weights": weights}
     )

@@ -16,8 +16,8 @@ from functools import cached_property
 
 from repro.array.spec import PortCounts
 from repro.circuit import transistor
-from repro.circuit.gates import Gate, GateKind
-from repro.circuit.logical_effort import BufferChain
+from repro.circuit.gates import Gate, GateKind, gate_device
+from repro.circuit.logical_effort import ChainFigures, chain_figures
 from repro.tech import Technology
 
 #: Fraction of match lines that discharge on a typical search (almost all
@@ -102,8 +102,10 @@ class CamArray:
         return self.tag_bits * drain + wire
 
     @cached_property
-    def _search_driver(self) -> BufferChain:
-        return BufferChain(self.tech, self._searchline_capacitance)
+    def _search_driver(self) -> ChainFigures:
+        return chain_figures(
+            gate_device(self.tech), self._searchline_capacitance
+        )
 
     # -- timing ---------------------------------------------------------------------
 
@@ -146,8 +148,8 @@ class CamArray:
         """Energy to install one entry (J)."""
         vdd = self.tech.vdd
         per_bitline = self._searchline_capacitance * vdd**2
-        wordline = BufferChain(
-            self.tech,
+        wordline = chain_figures(
+            gate_device(self.tech),
             self.tag_bits
             * 2.0
             * transistor.gate_capacitance(self.tech, self.tech.min_width),

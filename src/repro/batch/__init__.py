@@ -7,9 +7,6 @@ instead of a loop of full evaluations:
 
 * :mod:`repro.batch.terms` — piecewise-affine frequency responses, the
   compiled numeric form (scalar and numpy evaluation).
-* :mod:`repro.batch.kernels` — the leakage-temperature curve
-  ``exp(dT / 35 K)`` over numpy arrays, parity-tested against the
-  scalar device model.
 * :mod:`repro.batch.compile` — probes the exact scalar model for one
   chip structure over a :class:`Domain` (a clock interval times a set
   of temperatures), fits the closed forms, and validates every

@@ -12,7 +12,7 @@ metrics depend on the varying parameters in closed form:
   from clock-limited to bank-limited. Each metric is therefore exactly
   piecewise-affine in ``f`` with known breakpoints.
 * **Temperature**: only subthreshold leakage moves, e-folding every
-  35 K (:func:`repro.batch.kernels.leakage_temperature_scale`), so chip
+  35 K (:func:`repro.tech.device.leakage_temperature_scale`), so chip
   leakage is exactly ``G + S * exp(dT / 35 K)`` and every other metric
   is temperature-invariant.
 
@@ -42,12 +42,14 @@ from dataclasses import dataclass
 from typing import Any, Iterable, Mapping, NamedTuple, Sequence
 
 from repro import obs
-from repro.batch.kernels import leakage_temperature_scale
 from repro.batch.terms import PiecewiseAffine
 from repro.chip.processor import Processor
 from repro.config.schema import SystemConfig
 from repro.engine.record import METRICS, tdp_metrics
-from repro.tech.device import LEAKAGE_REFERENCE_TEMPERATURE_K
+from repro.tech.device import (
+    LEAKAGE_REFERENCE_TEMPERATURE_K,
+    leakage_temperature_scale,
+)
 
 #: Metrics that shift with temperature (through subthreshold leakage).
 _LEAKY_METRICS = frozenset({"tdp_w", "leakage_w", "core_leakage_w"})
@@ -337,7 +339,7 @@ def _leak_deltas(
         return deltas
 
     # Long axis: fit S from the endpoints of exp(dT/35K) space, validate
-    # at the median, and evaluate the whole tail with the kernel.
+    # at the median, and evaluate the whole tail on the curve.
     t_hi = others[-1]
     t_med = others[len(others) // 2]
     scale_ref = leakage_temperature_scale(

@@ -2,7 +2,10 @@
 
 Everything in this package is built from :class:`repro.tech.Technology` and
 exposes the same three quantities the whole framework trades in — delay,
-energy (dynamic per event + static leakage), and area.
+energy (dynamic per event + static leakage), and area. Each has one
+formula: devices in :mod:`~repro.circuit.transistor`, gates in
+:func:`~repro.circuit.gates.gate_constants`, buffer chains in
+:func:`chain_figures`, repeated wires in :class:`RepeatedWire`.
 """
 
 from repro.circuit.transistor import (
@@ -13,7 +16,11 @@ from repro.circuit.transistor import (
     subthreshold_leakage_power,
 )
 from repro.circuit.gates import Gate, GateKind
-from repro.circuit.logical_effort import BufferChain, optimal_stage_count
+from repro.circuit.logical_effort import (
+    ChainFigures,
+    chain_figures,
+    optimal_stage_count,
+)
 from repro.circuit.repeater import RepeatedWire
 from repro.circuit.low_swing import LowSwingLink
 from repro.circuit.flipflop import FlipFlop
@@ -28,7 +35,8 @@ __all__ = [
     "subthreshold_leakage_power",
     "Gate",
     "GateKind",
-    "BufferChain",
+    "ChainFigures",
+    "chain_figures",
     "optimal_stage_count",
     "RepeatedWire",
     "LowSwingLink",

@@ -98,23 +98,12 @@ class RepeatedWire:
         return size, spacing
 
     def _grid_window(self) -> tuple[range, range]:
-        """Grid index ranges to sweep: seeded window, or the full grid.
-
-        On the fast path the sweep is a local refinement around the
-        closed-form seed. Because the objective is separable and convex in
-        the log of each axis, the grid optimum is guaranteed to bracket
-        the continuous one, so the window always contains it; the exact
-        path sweeps everything anyway.
-        """
-        if not fastpath.enabled():
-            return range(len(_SIZES)), range(len(_SPACINGS))
-        try:
-            seed_size, seed_spacing = self.closed_form_optimum()
-        except (ValueError, ZeroDivisionError, OverflowError):
-            return range(len(_SIZES)), range(len(_SPACINGS))
-        if not (math.isfinite(seed_size) and math.isfinite(seed_spacing)
-                and seed_size > 0 and seed_spacing > 0):
-            return range(len(_SIZES)), range(len(_SPACINGS))
+        """Grid index ranges the delay solve sweeps: ``_SEED_WINDOW``
+        steps each way around the closed-form seed. The objective is
+        separable and convex in the log of each axis, so the grid optimum
+        brackets the continuous one and the window always holds it (the
+        parity suite checks it against a full-grid sweep)."""
+        seed_size, seed_spacing = self.closed_form_optimum()
 
         def window(seed: float, grid: tuple[float, ...]) -> range:
             index = round(math.log2(seed / grid[0]))
@@ -130,9 +119,9 @@ class RepeatedWire:
 
         Served from a process-wide memo keyed on
         ``(tech, wire_type, delay_penalty)``; on a miss, a Bakoglu-seeded
-        local refinement of the log-spaced grid replaces the historical
-        exhaustive sweep (identical result; the objective is separable
-        and convex per log-axis).
+        local refinement of the log-spaced grid finds the delay optimum
+        (the same point an exhaustive sweep finds; the objective is
+        separable and convex per log-axis).
         """
         key = (self.tech, self.wire_type, self.delay_penalty)
         return _OPTIMUM_MEMO.get_or_compute(key, self._solve_optimum)

@@ -11,12 +11,10 @@ remember their answers:
 * :class:`Memo` — a small bounded (LRU) process-wide cache with hit/miss
   counters, automatically registered for :func:`clear_all` / :func:`stats`.
 * :func:`enabled` / :func:`disabled` — a global switch. Inside a
-  ``with fastpath.disabled():`` block every memo is bypassed *and* the
-  repeater optimizer sweeps its whole grid instead of a window around
-  the closed-form seed. The organization search is the same exact
-  search in both modes. The parity suite uses this to assert that
-  memoized and unmemoized evaluations produce numerically identical
-  reports.
+  ``with fastpath.disabled():`` block every memo is bypassed, and
+  nothing else changes: every model runs the same code in both modes.
+  The parity suite uses this to assert that memoized and unmemoized
+  evaluations produce numerically identical reports.
 * :class:`CanonicalEncoder` / :func:`stable_hash` — the one canonical
   encoding every cache key is derived from, so every cache layer keys
   on *content*, never object identity. There is no ``str`` fallback.
@@ -58,19 +56,17 @@ _REGISTRY: list["Memo"] = []
 
 
 def enabled() -> bool:
-    """Whether the fast path (memos + windowed repeater sizing) is active."""
+    """Whether the memos are live (outside :func:`disabled`)."""
     return _enabled
 
 
 @contextmanager
 def disabled() -> Iterator[None]:
-    """Context manager: run the enclosed block on the exact, unmemoized path.
+    """Context manager: run the enclosed block without the memos.
 
     All :class:`Memo` lookups are bypassed (values are recomputed and not
-    stored) and the repeater optimizer sweeps its full grid. The array
-    organization search does not change: it scores every tiling in both
-    modes. Existing memo contents are left untouched and become live
-    again on exit.
+    stored); no model changes how it computes. Existing memo contents
+    are left untouched and become live again on exit.
     """
     global _enabled
     previous = _enabled

@@ -27,7 +27,8 @@ Endpoints::
                            {"async": true} returns a job id instead;
                            {"backend": "numpy"|"auto"} opts into the
                            vectorized batch backend (scalar default)
-    GET  /jobs/<id>        async sweep status/result
+    GET  /jobs/<id>        async sweep status/result (the newest
+                           finished jobs are kept; older ones 404)
 
 Evaluations run on a small thread pool behind the event loop. Model
 evaluation is pure CPU-bound Python, so threads interleave rather than
@@ -39,6 +40,7 @@ safe under this interleaving (see :mod:`repro.engine.cache`).
 from __future__ import annotations
 
 import asyncio
+import collections
 import itertools
 import time
 from concurrent.futures import ThreadPoolExecutor
@@ -76,6 +78,11 @@ _EXECUTOR_HEADROOM = 4
 
 #: ``Retry-After`` seconds suggested to clients bounced by admission.
 RETRY_AFTER_S = 1.0
+
+#: Finished async sweep jobs (done or failed) kept, with their results,
+#: for ``GET /jobs/<id>``; finishing one more drops the oldest, whose
+#: id then answers 404. Queued and running jobs are always kept.
+_FINISHED_JOBS_KEPT = 128
 
 
 def _int_field(
@@ -217,6 +224,7 @@ class EvalServer:
         self._request_ids = itertools.count(1)
         self._job_ids = itertools.count(1)
         self._jobs: dict[str, _Job] = {}
+        self._finished_job_ids: collections.deque[str] = collections.deque()
         self._job_tasks: set[asyncio.Task[None]] = set()
         self._counters: dict[str, float] = {}
         self._started_s = time.monotonic()
@@ -648,6 +656,9 @@ class EvalServer:
         except Exception as exc:
             job.status = "error"
             job.error = f"{type(exc).__name__}: {exc}"
+        self._finished_job_ids.append(job.job_id)
+        while len(self._finished_job_ids) > _FINISHED_JOBS_KEPT:
+            del self._jobs[self._finished_job_ids.popleft()]
 
     def _handle_job(self, job_id: str) -> dict[str, Any]:
         job = self._jobs.get(job_id)

@@ -44,6 +44,17 @@ LEAKAGE_REFERENCE_TEMPERATURE_K = 300.0
 _SUBTHRESHOLD_TEMPERATURE_EFOLD_K = 35.0
 
 
+def leakage_temperature_scale(
+    temperature_k: float, reference_temperature_k: float,
+) -> float:  # repro: dim[return: 1]
+    """Subthreshold leakage at ``temperature_k`` over its value at
+    ``reference_temperature_k``: ``exp(dT / 35 K)``."""
+    return math.exp(
+        (temperature_k - reference_temperature_k)
+        / _SUBTHRESHOLD_TEMPERATURE_EFOLD_K
+    )
+
+
 @dataclass(frozen=True)
 class DeviceParameters:
     """Electrical parameters of a single device flavor at one node.
@@ -128,13 +139,12 @@ class DeviceParameters:
     def at_temperature(self, temperature_k: float) -> "DeviceParameters":
         """Return a copy with leakage currents scaled to ``temperature_k``.
 
-        Subthreshold leakage follows an exponential temperature dependence;
+        Subthreshold leakage follows :func:`leakage_temperature_scale`;
         gate leakage is nearly temperature independent and is kept as is.
         """
         if temperature_k <= 0:
             raise ValueError(f"temperature must be positive, got {temperature_k}")
-        delta = temperature_k - self.temperature_k
-        factor = math.exp(delta / _SUBTHRESHOLD_TEMPERATURE_EFOLD_K)
+        factor = leakage_temperature_scale(temperature_k, self.temperature_k)
         return replace(
             self,
             i_off=self.i_off * factor,

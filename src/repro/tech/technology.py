@@ -118,14 +118,6 @@ class Technology:
     def wire_local(self) -> WireParameters:
         return wire_parameters(self.node_nm, WireType.LOCAL)
 
-    @cached_property
-    def wire_semi_global(self) -> WireParameters:
-        return wire_parameters(self.node_nm, WireType.SEMI_GLOBAL)
-
-    @cached_property
-    def wire_global(self) -> WireParameters:
-        return wire_parameters(self.node_nm, WireType.GLOBAL)
-
     def wire(self, wire_type: WireType) -> WireParameters:
         """Wire parameters for an arbitrary plane."""
         return wire_parameters(self.node_nm, WireType(wire_type))
@@ -136,11 +128,6 @@ class Technology:
     def min_width(self) -> float:  # repro: dim[return: m]
         """Width of a minimum-size NMOS transistor (m)."""
         return MIN_WIDTH_FEATURE_MULTIPLE * self.feature_size
-
-    @cached_property
-    def c_gate_min(self) -> float:  # repro: dim[return: f]
-        """Gate capacitance of a minimum-size NMOS (F)."""
-        return self.device.c_gate_total * self.min_width
 
     @cached_property
     def c_inverter_min_input(self) -> float:  # repro: dim[return: f]
@@ -210,31 +197,6 @@ class Technology:
         return (CAM_CELL_AREA_F2 / CAM_CELL_ASPECT_RATIO) ** 0.5 * (
             self.feature_size
         )
-
-    # -- leakage helpers ----------------------------------------------------
-
-    def subthreshold_leakage_power(
-        self, nmos_width: float
-    ) -> float:  # repro: dim[nmos_width: m, return: w]
-        """Static subthreshold power of an (averaged) gate stack (W).
-
-        For a CMOS gate, on average half the devices leak; the PMOS stack is
-        wider by ``n_to_p_ratio`` but leaks less per width by roughly the
-        same factor, so modeling NMOS-width leakage at full Vdd and doubling
-        for the PMOS contribution is the standard approximation.
-        """
-        if nmos_width < 0:
-            raise ValueError(f"width must be non-negative, got {nmos_width}")
-        i_leak = self.device.i_off * nmos_width
-        return i_leak * self.vdd
-
-    def gate_leakage_power(
-        self, nmos_width: float
-    ) -> float:  # repro: dim[nmos_width: m, return: w]
-        """Static gate-tunneling power for a device of given width (W)."""
-        if nmos_width < 0:
-            raise ValueError(f"width must be non-negative, got {nmos_width}")
-        return self.device.i_gate * nmos_width * self.vdd
 
     def scaled(self, node_nm: int) -> "Technology":
         """Return this operating point re-targeted to another node.

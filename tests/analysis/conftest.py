@@ -15,7 +15,7 @@ from pathlib import Path
 
 import pytest
 
-from repro.analysis import LintResult, lint_paths, program, registry
+from repro.analysis import LintResult, lint_paths, program, registry, runner
 from repro.analysis.concurrency import contexts, state
 
 REPO_ROOT = Path(__file__).resolve().parents[2]
@@ -64,6 +64,17 @@ def tokenized(monkeypatch) -> collections.Counter:
     seen: collections.Counter = collections.Counter()
     monkeypatch.setattr(tokenize, "generate_tokens", _counting_tokenizer(seen))
     return seen
+
+
+@pytest.fixture
+def no_package_context(monkeypatch) -> None:
+    """Lint without the installed ``repro`` package as index context.
+
+    Indexing the package costs a second or more per lint. Only for
+    lints of a small file whose exit code, findings, file count and
+    suppressions are the same without it.
+    """
+    monkeypatch.setattr(runner, "_package_modules", lambda: [])
 
 
 @pytest.fixture(scope="session")

@@ -711,6 +711,7 @@ class TestRunnerIntegration:
     def test_passes_recorded_in_result(self):
         assert _result("x = 1").passes == ("base", "concurrency")
 
+    @pytest.mark.usefixtures("no_package_context")
     def test_cli_concurrency_flag(self, tmp_path, capsys):
         target = tmp_path / "mod.py"
         target.write_text(textwrap.dedent(MEMO_RACE))
@@ -724,6 +725,7 @@ class TestRunnerIntegration:
             f["rule"] == "CONC001" for f in payload["findings"]
         )
 
+    @pytest.mark.usefixtures("no_package_context")
     def test_cli_all_runs_every_pass(self, tmp_path, capsys):
         target = tmp_path / "mod.py"
         target.write_text("x = 1\n")

@@ -488,6 +488,7 @@ class TestIO001UnreadableFiles:
 
 
 class TestCliDimensional:
+    @pytest.mark.usefixtures("no_package_context")
     def test_flag_enables_the_pass(self, tmp_path, capsys):
         path = tmp_path / "mod.py"
         path.write_text(textwrap.dedent("""
@@ -500,6 +501,7 @@ class TestCliDimensional:
         out = capsys.readouterr().out
         assert "DIM003" in out
 
+    @pytest.mark.usefixtures("no_package_context")
     def test_json_output_counts_dim_findings(self, tmp_path, capsys):
         path = tmp_path / "mod.py"
         path.write_text(textwrap.dedent("""

@@ -14,7 +14,6 @@ from repro.analysis import (
     format_sarif,
     lint_paths,
     lint_source,
-    runner,
 )
 from repro.analysis.registry import resolve_passes, run_passes
 from repro.cli import main
@@ -148,6 +147,7 @@ class TestSarif:
         region = entry["locations"][0]["physicalLocation"]["region"]
         assert region["startLine"] == 1
 
+    @pytest.mark.usefixtures("no_package_context")
     def test_inference_chain_becomes_related_locations(self, tmp_path):
         target = tmp_path / "mod.py"
         target.write_text(textwrap.dedent("""
@@ -197,6 +197,7 @@ class TestCli:
         log = json.loads(capsys.readouterr().out)
         assert log["version"] == "2.1.0"
 
+    @pytest.mark.usefixtures("no_package_context")
     def test_keysound_flag(self, tmp_path, capsys):
         target = tmp_path / "mod.py"
         target.write_text(textwrap.dedent(DET_SNIPPET))
@@ -210,11 +211,10 @@ class TestCli:
             f["rule"] == "DET001" for f in payload["findings"]
         )
 
-    def test_jobs_flag(self, tmp_path, capsys, monkeypatch):
+    @pytest.mark.usefixtures("no_package_context")
+    def test_jobs_flag(self, tmp_path, capsys):
         # ``--jobs`` still parses, for the benchmark's lint_tree
-        # workload, and changes nothing. The package context has no
-        # bearing on that, so it is left out to keep both lints cheap.
-        monkeypatch.setattr(runner, "_package_modules", lambda: [])
+        # workload, and changes nothing.
         target = tmp_path / "mod.py"
         target.write_text(textwrap.dedent(DET_SNIPPET))
 

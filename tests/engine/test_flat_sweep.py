@@ -21,8 +21,7 @@ from repro.config.loader import (
     system_config_to_dict,
 )
 from repro.config.schema import SystemConfig
-from repro.engine import EvalCache, SweepSpec, config_key, run_sweep
-from repro.engine.sweep import _BATCH_CHUNK_POINTS
+from repro.engine import EvalCache, SweepSpec, config_key, run_sweep, sweep
 from repro.tech.device import DeviceType
 
 from tests.conftest import make_tiny_config
@@ -71,6 +70,15 @@ LEAF_AXES = {
 
 KINDS = [*sorted(LEAF_AXES), pytest.param("numpy", marks=needs_numpy)]
 
+#: Per backend, its chunk-size constant in ``repro.engine.sweep`` and a
+#: size that a sweep of tens of points crosses. A numpy chunk of 16
+#: gives each structure of every kind's first chunk at least 4 points
+#: and 2 per temperature, so every group compiles (the backend's
+#: ``_MIN_GROUP_POINTS`` rule) and a structure's last points extend its
+#: fit across the boundary: every point vectorizes.
+CHUNKS = {"scalar": ("_SCALAR_CHUNK_POINTS", 4),
+          "numpy": ("_BATCH_CHUNK_POINTS", 16)}
+
 
 def leaf_sweep(kind, n_points):
     """``kind``'s axis crossed with enough clocks for ``n_points``."""
@@ -104,10 +112,13 @@ class TestPointKeys:
 
     @pytest.mark.parametrize("backend", BACKENDS)
     @pytest.mark.parametrize("kind", KINDS)
-    def test_records_across_a_chunk_boundary(self, kind, backend):
-        spec = leaf_sweep(kind, _BATCH_CHUNK_POINTS + 1)
+    def test_records_across_a_chunk_boundary(self, kind, backend,
+                                             monkeypatch):
+        name, chunk = CHUNKS[backend]
+        monkeypatch.setattr(sweep, name, chunk)
+        spec = leaf_sweep(kind, chunk + 1)
         results = run_sweep(spec, cache=EvalCache(), backend=backend)
-        assert len(results) == spec.n_points > _BATCH_CHUNK_POINTS
+        assert len(results) == spec.n_points > chunk
         assert {r.record.backend for r in results} == {backend}
         for result in results:
             assert_keys_exact(result.config)

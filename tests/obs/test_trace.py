@@ -213,3 +213,41 @@ def test_every_sram_array_build_has_search_and_assemble_children(
     for build in builds:
         if build.attrs["array"] in dff_arrays:
             assert children.get(build.span_id, []) == []
+
+
+def test_chain_spans_cover_the_search_and_the_cams(monkeypatch):
+    from repro import fastpath
+    from repro.array.cam import CamArray
+    from repro.chip import Processor
+    from repro.config import presets
+
+    cams: list[CamArray] = []
+    post_init = CamArray.__post_init__
+
+    def recording_post_init(self):
+        cams.append(self)
+        post_init(self)
+
+    monkeypatch.setattr(CamArray, "__post_init__", recording_post_init)
+    fastpath.clear_all()
+    obs.enable(detail=True)
+    Processor(presets.niagara1()).report()
+    obs.disable()
+    spans = obs.spans()
+    by_id = {span.span_id: span for span in spans}
+
+    def ancestors(span):
+        names = []
+        while span.parent_id in by_id:
+            span = by_id[span.parent_id]
+            names.append(span.name)
+        return names
+
+    chains = [s for s in spans if s.name == "circuit.logical_effort.solve"]
+    in_search = [s for s in chains if "array.search" in ancestors(s)]
+    assert in_search
+    assert all(span.attrs["stages"] >= 1 for span in chains)
+    # The rest are the CAMs': each sizes its search-line driver and
+    # its write wordline.
+    assert len(cams) == 4
+    assert len(chains) - len(in_search) == 2 * len(cams)

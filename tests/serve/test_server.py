@@ -17,7 +17,7 @@ import pytest
 from repro import obs
 from repro.config import presets
 from repro.config.loader import system_config_to_dict
-from repro.engine import EvalRecord, evaluate_many
+from repro.engine import EvalRecord, evaluate_many, run_sweep
 from repro.serve import (
     BackgroundServer,
     ServeConfig,
@@ -367,6 +367,47 @@ class TestSweep:
             final = client.wait_job(submitted["job_id"])
         assert final["status"] == "done"
         assert final["result"]["n_points"] == 2
+
+    def test_only_the_newest_finished_jobs_are_kept(self, monkeypatch):
+        monkeypatch.setattr("repro.serve.app._FINISHED_JOBS_KEPT", 2)
+        release = threading.Event()
+
+        def gated(spec, **kwargs):
+            if spec.base.name.startswith("slow"):
+                release.wait(timeout=30)
+            return run_sweep(spec, **kwargs)
+
+        monkeypatch.setattr("repro.serve.app.run_sweep", gated)
+        with BackgroundServer(ServeConfig(port=0, concurrency=2)) as server:
+            client = server.client()
+
+            def submit(name):
+                return client.sweep(
+                    axes={"cores": [1]}, config=tiny_dict(name=name),
+                    background=True,
+                )["job_id"]
+
+            running = submit("slow")
+            finished = []
+            for i in range(4):
+                finished.append(submit(f"fast-{i}"))
+                assert client.wait_job(finished[-1])["status"] == "done"
+            for job_id in finished[:2]:
+                with pytest.raises(ServeError) as exc:
+                    client.job(job_id)
+                assert exc.value.status == 404
+                assert "unknown job" in exc.value.detail
+            assert [client.job(j)["status"] for j in finished[2:]] == [
+                "done", "done",
+            ]
+            # Never dropped while running, however many finish meanwhile.
+            assert client.job(running)["status"] == "running"
+            release.set()
+            assert client.wait_job(running)["status"] == "done"
+            with pytest.raises(ServeError) as exc:
+                client.job(finished[2])
+            assert exc.value.status == 404
+            assert client.job(finished[3])["status"] == "done"
 
     def test_sweep_points_shared_with_evaluate_cache(self):
         """A sweep fills the same cache /evaluate reads from."""

@@ -9,6 +9,7 @@ from repro.tech.device import (
     SUPPORTED_NODES_NM,
     DeviceType,
     device_parameters,
+    leakage_temperature_scale,
 )
 
 
@@ -84,6 +85,15 @@ class TestTemperatureScaling:
         cold = device_parameters(65, DeviceType.HP, temperature_k=300)
         hot = device_parameters(65, DeviceType.HP, temperature_k=380)
         assert hot.i_gate == cold.i_gate
+
+    def test_temperature_scale_matches_device_model(self):
+        device = device_parameters(65, DeviceType.HP, temperature_k=360.0)
+        hot = device.at_temperature(device.temperature_k + 35.0)
+        scale = leakage_temperature_scale(
+            hot.temperature_k, device.temperature_k
+        )
+        assert scale == pytest.approx(math.e, rel=1e-12)
+        assert hot.i_off == pytest.approx(device.i_off * scale, rel=1e-12)
 
     def test_nonpositive_temperature_rejected(self):
         params = device_parameters(65, DeviceType.HP)

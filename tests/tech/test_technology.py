@@ -2,6 +2,7 @@
 
 import pytest
 
+from repro.circuit import transistor
 from repro.tech import DeviceType, Technology
 
 
@@ -64,29 +65,31 @@ class TestDerivedQuantities:
 
 
 class TestLeakageHelpers:
+    """The device leakage of :mod:`repro.circuit.transistor` at a point."""
+
     def test_leakage_scales_linearly_with_width(self):
         tech = Technology(node_nm=32)
-        p1 = tech.subthreshold_leakage_power(1e-6)
-        p2 = tech.subthreshold_leakage_power(2e-6)
+        p1 = transistor.subthreshold_leakage_power(tech, 1e-6)
+        p2 = transistor.subthreshold_leakage_power(tech, 2e-6)
         assert p2 == pytest.approx(2 * p1)
 
     def test_leakage_grows_with_temperature(self):
         cool = Technology(node_nm=32, temperature_k=320)
         hot = Technology(node_nm=32, temperature_k=380)
         width = 1e-6
-        assert (hot.subthreshold_leakage_power(width)
-                > cool.subthreshold_leakage_power(width))
+        assert (transistor.subthreshold_leakage_power(hot, width)
+                > transistor.subthreshold_leakage_power(cool, width))
 
     def test_negative_width_rejected(self):
         tech = Technology(node_nm=32)
         with pytest.raises(ValueError):
-            tech.subthreshold_leakage_power(-1e-6)
+            transistor.subthreshold_leakage_power(tech, -1e-6)
         with pytest.raises(ValueError):
-            tech.gate_leakage_power(-1e-6)
+            transistor.gate_leakage_power(tech, -1e-6)
 
     def test_lstp_flavor_cuts_leakage(self):
         hp = Technology(node_nm=45, device_type=DeviceType.HP)
         lstp = Technology(node_nm=45, device_type=DeviceType.LSTP)
         width = 1e-6
-        assert (lstp.subthreshold_leakage_power(width)
-                < hp.subthreshold_leakage_power(width) / 10)
+        assert (transistor.subthreshold_leakage_power(lstp, width)
+                < transistor.subthreshold_leakage_power(hp, width) / 10)

@@ -1,9 +1,11 @@
 """Numerical-parity guarantees of the evaluation fast path.
 
-The fast path (process-wide memos, Bakoglu-seeded repeater refinement)
-must change *nothing* about the numbers: every validation preset's
-report has to match the exhaustive ``repro.fastpath.disabled()`` path
-exactly, field for field.
+The fast path is the process-wide memos, and ``repro.fastpath.disabled()``
+bypasses them and changes nothing else. The memos must change *nothing*
+about the numbers: every validation preset's report has to match the
+unmemoized one exactly, field for field. The repeater solves its delay
+optimum in a Bakoglu-seeded window of its grid; the full-grid sweep it
+must agree with is written out here as the reference.
 """
 
 import dataclasses
@@ -16,8 +18,9 @@ from repro.array.organization import candidate_organizations
 from repro.chip import Processor
 from repro.chip.processor import _PARTS
 from repro.circuit import RepeatedWire
+from repro.circuit.repeater import _SIZES, _SPACINGS
 from repro.config import presets
-from repro.tech import Technology
+from repro.tech import SUPPORTED_NODES_NM, DeviceType, Technology
 from repro.tech.wire import WireType
 
 TECH = Technology(node_nm=65, temperature_k=360)
@@ -90,13 +93,49 @@ def test_search_exact_flag_is_superset():
     assert fast[0].organization == full[0].organization
 
 
+def _full_grid(tech, wire_type):
+    """(delay per length, size index, spacing index) at every point of
+    the repeater's size x spacing grid, each scored through
+    ``_segment_delay``."""
+    wire = RepeatedWire(tech, wire_type)
+    return [
+        (wire._segment_delay(size, spacing) / spacing, i, j)
+        for i, size in enumerate(_SIZES)
+        for j, spacing in enumerate(_SPACINGS)
+    ]
+
+
+def _full_grid_optimum(scored, penalty):
+    """The design point an exhaustive sweep picks: the minimum delay per
+    length (row-major ties), then, under a delay penalty, the least
+    repeater width per meter within the delay budget."""
+    best_value, i, j = min(scored)
+    if penalty > 1.0:
+        _, i, j = min(
+            (_SIZES[i] / _SPACINGS[j], i, j)
+            for value, i, j in scored if value <= best_value * penalty
+        )
+    return _SIZES[i], _SPACINGS[j], scored[i * len(_SPACINGS) + j][0]
+
+
 def test_repeater_window_matches_full_grid():
-    for wire_type in (WireType.LOCAL, WireType.SEMI_GLOBAL, WireType.GLOBAL):
-        for penalty in (1.0, 1.3, 2.0):
-            fast = RepeatedWire(TECH, wire_type, penalty)._optimum
-            with fastpath.disabled():
-                exact = RepeatedWire(TECH, wire_type, penalty)._optimum
-            assert fast == exact
+    """The Bakoglu-seeded window finds the full grid's design point at
+    every node, flavor, temperature, supply, plane and penalty."""
+    cases = 0
+    for node in SUPPORTED_NODES_NM:
+        for flavor in DeviceType:
+            for temperature_k in (300.0, 380.0):
+                nominal = Technology(node, temperature_k, flavor)
+                for tech in (nominal, nominal.at_voltage(0.85 * nominal.vdd)):
+                    for wire_type in WireType:
+                        scored = _full_grid(tech, wire_type)
+                        for penalty in (1.0, 1.5):
+                            wire = RepeatedWire(tech, wire_type, penalty)
+                            assert wire._optimum == _full_grid_optimum(
+                                scored, penalty,
+                            ), (tech, wire_type, penalty)
+                            cases += 1
+    assert cases == 6 * 3 * 2 * 2 * 3 * 2
 
 
 def test_disabled_context_restores_fast_path():
