@@ -11,7 +11,7 @@ the inter-bank routing are computed after the search, once.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 from repro import fastpath
 from repro import obs
@@ -181,17 +181,35 @@ def _build_dff_array(tech: Technology, spec: ArraySpec) -> SramArray:
     )
 
 
-#: Process-wide memo of built arrays, keyed by the content hash of
-#: ``(tech, spec, weights)``. Identical specs recur constantly — per-core
-#: arrays replicated across a chip, tag+data pairs of multi-instance
-#: cache levels, and sweep points sharing a tech node — and
-#: :class:`SramArray` is immutable, so sharing one instance is safe.
+#: Process-wide memo of built arrays, keyed by the content of ``(tech,
+#: spec, weights)`` but the spec's name. Identical specs recur
+#: constantly — per-core arrays replicated across a chip, tag+data pairs
+#: of multi-instance cache levels, twin arrays under two names, and
+#: sweep points sharing a tech node — and :class:`SramArray` is
+#: immutable, so sharing one instance is safe.
 _BUILD_MEMO = fastpath.Memo("build_array", max_entries=2048)
 
 #: Every dataclass a build key encodes, laid out once at import.
 _KEY_ENCODER = fastpath.CanonicalEncoder(
     (Technology, ArraySpec, PortCounts, OptimizationWeights),
 )
+
+#: Where ``name`` sits among an :class:`ArraySpec`'s field texts.
+_NAME_SLOT = _KEY_ENCODER.names(ArraySpec).index("name")
+
+
+def _build_key(
+    tech: Technology, spec: ArraySpec, weights: OptimizationWeights,
+) -> tuple[str, tuple[str, ...], str]:
+    """The canonical texts of a build's inputs, with the spec's name
+    left out: a frozen spec keeps its field texts, so dropping one
+    builds nothing."""
+    texts = _KEY_ENCODER.fields(spec, "spec")[1]
+    return (
+        _KEY_ENCODER.text(tech, "tech"),
+        texts[:_NAME_SLOT] + texts[_NAME_SLOT + 1:],
+        _KEY_ENCODER.text(weights, "weights"),
+    )
 
 
 def build_array(
@@ -203,17 +221,20 @@ def build_array(
 
     For SRAM arrays this runs the internal organization search; for DFF
     arrays the synthesized-register model is used directly. Results are
-    memoized process-wide on the content of the inputs (same hashing
-    discipline as :func:`repro.engine.cache.config_key`); under
+    memoized process-wide on the content of the inputs (the canonical
+    encoding every cache key derives from), all but the spec's name: no
+    number depends on it, so arrays that differ only in name share one
+    build, each returned under its own spec. Under
     :func:`repro.fastpath.disabled` the memo is bypassed.
     """
     weights = weights or OptimizationWeights()
-    key = _KEY_ENCODER.stable_hash(
-        {"tech": tech, "spec": spec, "weights": weights}
+    built = _BUILD_MEMO.get_or_compute(
+        _build_key(tech, spec, weights),
+        lambda: _build_array_uncached(tech, spec, weights),
     )
-    return _BUILD_MEMO.get_or_compute(
-        key, lambda: _build_array_uncached(tech, spec, weights)
-    )
+    if built.spec.name != spec.name:  # built for a twin
+        built = replace(built, spec=spec)
+    return built
 
 
 def _build_array_uncached(
@@ -225,7 +246,6 @@ def _build_array_uncached(
                   entries=spec.entries, width_bits=spec.width_bits):
         if spec.cell_type is CellType.DFF:
             return _build_dff_array(tech, spec)
-        with obs.span("array.search"):
-            best = search_organizations(tech, spec, weights)[0]
+        best = search_organizations(tech, spec, weights)[0]
         with obs.span("array.assemble", banks=spec.n_banks):
             return _assemble_banks(tech, spec, best)

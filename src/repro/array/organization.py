@@ -8,27 +8,35 @@ with a weighted objective over delay, energy, leakage, and area — so the
 architect never specifies circuit-level parameters, which is one of the
 paper's headline usability claims.
 
-Every tiling is scored exactly, in plain float arithmetic: the
+Every tiling is scored exactly, in plain float arithmetic, and each
+search does per tiling only the work that the tiling itself adds: the
 technology-dependent numbers are gathered once per search
 (:func:`~repro.array.mat.subarray_constants`,
-:func:`~repro.array.bank.htree_constants`) and each candidate runs the
-array model itself, :func:`~repro.array.mat.subarray_figures` and
-:func:`~repro.array.bank.bank_figures`. Each
-:class:`ScoredOrganization` keeps those figures, so the built array is
-assembled from the winner's without computing it again.
+:func:`~repro.array.bank.htree_constants`), the subarray terms once per
+distinct row count (:func:`~repro.array.mat.row_terms`) and per
+distinct (columns, mux) pair (:func:`~repro.array.mat.column_terms`),
+and each candidate combines them
+(:func:`~repro.array.mat.tiling_figures`) and runs
+:func:`~repro.array.bank.bank_figures`. Each :class:`ScoredOrganization`
+keeps those figures, so the built array is assembled from the winner's
+without computing it again.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from operator import attrgetter
 from typing import Iterator, NamedTuple
 
+from repro import obs
 from repro.array.bank import BankFigures, bank_figures, htree_constants
 from repro.array.mat import (
     SubarrayFigures,
+    column_terms,
+    row_terms,
     subarray_constants,
-    subarray_figures,
+    tiling_figures,
     wordline_driver,
 )
 from repro.array.spec import ArraySpec, CellType
@@ -47,6 +55,7 @@ _MAX_SUBARRAYS = 512
 _MAX_ROWS_EDRAM = 512
 
 _POWERS_OF_TWO = (1, 2, 4, 8, 16, 32, 64, 128)
+_MUX_DEGREES = (1, 2, 4, 8)
 
 
 @dataclass(frozen=True)
@@ -104,39 +113,40 @@ def _max_rows(spec: ArraySpec) -> int:
     return _MAX_ROWS_EDRAM if spec.cell_type is CellType.EDRAM else _MAX_ROWS
 
 
-def _subarray_shape(
-    entries: int, width: int, max_rows: int, ndwl: int, ndbl: int, nspd: int,
-) -> tuple[int, int] | None:
-    """(rows, cols) of one subarray if the tiling is exact and sane."""
-    if entries % (ndbl * nspd):
-        return None
-    if (width * nspd) % ndwl:
-        return None
-    rows = entries // (ndbl * nspd)
-    cols = width * nspd // ndwl
-    if cols % nspd:
-        return None  # column mux cannot select evenly
-    if not _MIN_ROWS <= rows <= max_rows:
-        return None
-    if not _MIN_COLS <= cols <= _MAX_COLS:
-        return None
-    if ndwl * ndbl > _MAX_SUBARRAYS:
-        return None
-    return rows, cols
+def _tilings(spec: ArraySpec) -> list[tuple[int, int, int, int, int]]:
+    """``(ndwl, ndbl, nspd, rows, cols)`` of every tiling, in search order.
 
-
-def _tilings(spec: ArraySpec) -> Iterator[tuple[int, int, int, int, int]]:
-    """``(ndwl, ndbl, nspd, rows, cols)`` of every tiling, in search order."""
+    A tiling is exact and sane when its bitline divisions and row
+    packing (``ndbl``, ``nspd``) split the bank's entries into subarrays
+    of a sane row count, its wordline divisions and row packing
+    (``ndwl``, ``nspd``) split the packed row into a sane column count
+    the mux divides, and it has at most ``_MAX_SUBARRAYS`` subarrays.
+    """
     entries, width = spec.entries_per_bank, spec.width_bits
     max_rows = _max_rows(spec)
+    rows_of: dict[int, list[tuple[int, int]]] = {}
+    for ndbl in _POWERS_OF_TWO:
+        rows_of[ndbl] = []
+        for nspd in _MUX_DEGREES:
+            rows, spare = divmod(entries, ndbl * nspd)
+            if not spare and _MIN_ROWS <= rows <= max_rows:
+                rows_of[ndbl].append((nspd, rows))
+    cols_of: dict[int, dict[int, int]] = {}
     for ndwl in _POWERS_OF_TWO:
-        for ndbl in _POWERS_OF_TWO:
-            for nspd in (1, 2, 4, 8):
-                shape = _subarray_shape(
-                    entries, width, max_rows, ndwl, ndbl, nspd
-                )
-                if shape is not None:
-                    yield ndwl, ndbl, nspd, shape[0], shape[1]
+        cols_of[ndwl] = {}
+        for nspd in _MUX_DEGREES:
+            cols, spare = divmod(width * nspd, ndwl)
+            # The column mux must select evenly.
+            if not spare and not cols % nspd and (
+                _MIN_COLS <= cols <= _MAX_COLS
+            ):
+                cols_of[ndwl][nspd] = cols
+    return [
+        (ndwl, ndbl, nspd, rows, cols_of[ndwl][nspd])
+        for ndwl in _POWERS_OF_TWO
+        for ndbl in _POWERS_OF_TWO if ndwl * ndbl <= _MAX_SUBARRAYS
+        for nspd, rows in rows_of[ndbl] if nspd in cols_of[ndwl]
+    ]
 
 
 def candidate_organizations(spec: ArraySpec) -> Iterator[ArrayOrganization]:
@@ -185,7 +195,10 @@ def search_organizations(
     the best is the one that comes closest, not the untargeted pick.
     Ties keep enumeration order (:func:`candidate_organizations`).
     Every tiling gets the full circuit model; the search is the same with
-    :func:`repro.fastpath.disabled`.
+    :func:`repro.fastpath.disabled`. Traced as the ``array.search``
+    span, whose attributes count the tilings scored (``tilings``) and
+    the distinct row and (columns, mux) terms they combined
+    (``row_terms``, ``column_terms``).
 
     Args:
         tech: Technology operating point.
@@ -196,48 +209,65 @@ def search_organizations(
         ValueError: If no organization tiles the spec at all.
     """
     weights = weights or OptimizationWeights()
-    cells = subarray_constants(tech, spec.ports, spec.cell_type)
-    htree = htree_constants(tech, spec)
-    tilings = list(_tilings(spec))
-    # The wordline driver depends on the column count alone: size each
-    # distinct count's chain once.
-    drivers = {
-        cols: wordline_driver(cells, cols)
-        for cols in sorted({tiling[4] for tiling in tilings})
-    }
-    scored = []
-    for ndwl, ndbl, nspd, rows, cols in tilings:
-        sub = subarray_figures(cells, rows, cols, nspd, drivers[cols])
-        bank = bank_figures(htree, ndwl, ndbl, sub)
-        scored.append(ScoredOrganization(
-            ndwl, ndbl, nspd, bank.access_time, sub.cycle_time,
-            bank.read_energy, bank.leakage_power, bank.area,
-            rows, cols, sub, bank,
-        ))
-    if not scored:
-        raise ValueError(
-            f"no feasible organization for array {spec.name!r} "
-            f"({spec.entries_per_bank} entries x {spec.width_bits} bits)"
-        )
+    with obs.span("array.search") as live:
+        tilings = _tilings(spec)
+        if not tilings:
+            raise ValueError(
+                f"no feasible organization for array {spec.name!r} "
+                f"({spec.entries_per_bank} entries x {spec.width_bits} bits)"
+            )
+        cells = subarray_constants(tech, spec.ports, spec.cell_type)
+        htree = htree_constants(tech, spec)
+        # Each term depends on part of the tiling alone: compute each
+        # distinct one once. The wordline driver is set by the column count.
+        rows_of = {
+            rows: row_terms(cells, rows)
+            for rows in sorted({tiling[3] for tiling in tilings})
+        }
+        drivers = {
+            cols: wordline_driver(cells, cols)
+            for cols in sorted({tiling[4] for tiling in tilings})
+        }
+        columns_of = {
+            (cols, nspd): column_terms(cells, cols, nspd, drivers[cols])
+            for cols, nspd in sorted({
+                (tiling[4], tiling[2]) for tiling in tilings
+            })
+        }
+        scored = []
+        for ndwl, ndbl, nspd, rows, cols in tilings:
+            sub = tiling_figures(cells, rows_of[rows], columns_of[cols, nspd])
+            bank = bank_figures(htree, ndwl, ndbl, sub)
+            scored.append(ScoredOrganization(
+                ndwl, ndbl, nspd, bank.access_time, sub.cycle_time,
+                bank.read_energy, bank.leakage_power, bank.area,
+                rows, cols, sub, bank,
+            ))
+        if live is not None:
+            live.attrs.update(tilings=len(tilings), row_terms=len(rows_of),
+                              column_terms=len(columns_of))
 
-    best_delay = min(c.access_time for c in scored)
-    best_energy = min(c.read_energy for c in scored)
-    best_leak = min(c.leakage_power for c in scored)
-    best_area = min(c.area for c in scored)
-
-    def objective(c: ScoredOrganization) -> float:
-        return (
-            weights.delay * c.access_time / best_delay
-            + weights.dynamic_energy * c.read_energy / best_energy
-            + weights.leakage * c.leakage_power / best_leak
-            + weights.area * c.area / best_area
-        )
-
-    def miss(value: float, target: float | None) -> float:
-        return 0.0 if target is None else max(0.0, value - target)
-
-    return sorted(scored, key=lambda c: (
-        miss(c.access_time, spec.target_access_time),
-        miss(c.cycle_time, spec.target_cycle_time),
-        objective(c),
-    ))
+        best_delay = min(map(attrgetter("access_time"), scored))
+        best_energy = min(map(attrgetter("read_energy"), scored))
+        best_leak = min(map(attrgetter("leakage_power"), scored))
+        best_area = min(map(attrgetter("area"), scored))
+        access_target = spec.target_access_time
+        cycle_target = spec.target_cycle_time
+        # Per tiling: how far it misses each target (0.0 when it meets it or
+        # there is none), then the weighted normalized objective.
+        keys = [
+            (
+                0.0 if access_target is None
+                else max(0.0, c.access_time - access_target),
+                0.0 if cycle_target is None
+                else max(0.0, c.cycle_time - cycle_target),
+                weights.delay * c.access_time / best_delay
+                + weights.dynamic_energy * c.read_energy / best_energy
+                + weights.leakage * c.leakage_power / best_leak
+                + weights.area * c.area / best_area,
+            )
+            for c in scored
+        ]
+        # A stable sort: ties keep enumeration order.
+        order = sorted(range(len(scored)), key=keys.__getitem__)
+        return [scored[i] for i in order]

@@ -23,11 +23,13 @@ def _write(tmp_path, source, name="mod.py"):
 
 
 class TestCliLint:
+    @pytest.mark.usefixtures("no_package_context")
     def test_clean_file_exits_zero(self, tmp_path, capsys):
         path = _write(tmp_path, CLEAN)
         assert main(["lint", str(path)]) == 0
         assert "0 finding(s)" in capsys.readouterr().out
 
+    @pytest.mark.usefixtures("no_package_context")
     def test_findings_exit_one(self, tmp_path, capsys):
         path = _write(tmp_path, DIRTY)
         assert main(["lint", str(path)]) == 1
@@ -35,6 +37,7 @@ class TestCliLint:
         assert "NUM001" in out
         assert f"{path}:2:" in out
 
+    @pytest.mark.usefixtures("no_package_context")
     def test_json_format(self, tmp_path, capsys):
         path = _write(tmp_path, DIRTY)
         assert main(["lint", "--format", "json", str(path)]) == 1
@@ -42,6 +45,7 @@ class TestCliLint:
         assert payload["counts"] == {"NUM001": 1}
         assert payload["findings"][0]["path"].endswith("mod.py")
 
+    @pytest.mark.usefixtures("no_package_context")
     def test_disable_flag(self, tmp_path):
         path = _write(tmp_path, DIRTY)
         assert main(["lint", "--disable", "NUM001", str(path)]) == 0
@@ -55,6 +59,7 @@ class TestCliLint:
         assert main(["lint", str(tmp_path / "absent.py")]) == 2
         assert "mcpat-repro lint:" in capsys.readouterr().err
 
+    @pytest.mark.usefixtures("no_package_context")
     def test_directory_is_walked(self, tmp_path):
         _write(tmp_path, DIRTY, name="a.py")
         _write(tmp_path, CLEAN, name="b.py")

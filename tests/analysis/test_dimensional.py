@@ -472,6 +472,7 @@ class TestSeededGateEnergyBug:
 
 
 class TestIO001UnreadableFiles:
+    @pytest.mark.usefixtures("no_package_context")
     def test_undecodable_file_emits_a_finding(self, tmp_path):
         bad = tmp_path / "bad.py"
         bad.write_bytes(b"\xff\xfe not utf-8 \xff")
@@ -480,6 +481,7 @@ class TestIO001UnreadableFiles:
         assert "could not be read" in result.findings[0].message
         assert result.files_checked == 1
 
+    @pytest.mark.usefixtures("no_package_context")
     def test_cli_reports_io001_and_fails(self, tmp_path, capsys):
         bad = tmp_path / "bad.py"
         bad.write_bytes(b"\xff\xfe not utf-8 \xff")

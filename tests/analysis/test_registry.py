@@ -189,6 +189,7 @@ class TestSarif:
 
 
 class TestCli:
+    @pytest.mark.usefixtures("no_package_context")
     def test_sarif_format_flag(self, tmp_path, capsys):
         target = tmp_path / "mod.py"
         target.write_text("x = 1.0 == 1.0\n")

@@ -1,5 +1,7 @@
 """Unit + property tests for the build_array facade and DFF arrays."""
 
+import dataclasses
+
 import pytest
 from hypothesis import given, settings, strategies as st
 
@@ -55,30 +57,83 @@ class TestSramArrays:
         assert not impossible.meets_timing
 
     def test_cold_build_scores_each_tiling_once(self, monkeypatch):
-        """The search computes the subarray model once per tiling, and
-        the winner is assembled from the figures it was scored with."""
+        """A cold build computes the row terms once per distinct row
+        count and the column terms once per distinct (columns, mux)
+        pair, combines them once per tiling, and assembles the winner
+        from the figures it was scored with."""
         events = []
-        real_figures, real_search = (
-            mat.subarray_figures, organization.search_organizations)
+        real_rows, real_columns, real_combine, real_search = (
+            mat.row_terms, mat.column_terms, mat.tiling_figures,
+            organization.search_organizations)
 
-        def figures(*args):
-            events.append("figures")
-            return real_figures(*args)
+        def rows(k, count):
+            events.append(("rows", count))
+            return real_rows(k, count)
+
+        def columns(k, cols, mux, driver):
+            events.append(("columns", cols, mux))
+            return real_columns(k, cols, mux, driver)
+
+        def combine(*args):
+            events.append("combine")
+            return real_combine(*args)
 
         def search(*args):
             ranked = real_search(*args)
             events.append(("searched", len(ranked)))
             return ranked
 
-        monkeypatch.setattr(mat, "subarray_figures", figures)
-        monkeypatch.setattr(organization, "subarray_figures", figures)
+        for module in (mat, organization):
+            monkeypatch.setattr(module, "row_terms", rows)
+            monkeypatch.setattr(module, "column_terms", columns)
+            monkeypatch.setattr(module, "tiling_figures", combine)
         monkeypatch.setattr(array_model, "search_organizations", search)
         spec = ArraySpec(name="x", entries=4096, width_bits=512)
-        tilings = len(list(organization.candidate_organizations(spec)))
+        tilings = list(organization.candidate_organizations(spec))
+        row_counts = sorted({
+            spec.entries // (t.ndbl * t.nspd) for t in tilings
+        })
+        column_pairs = sorted({
+            (spec.width_bits * t.nspd // t.ndwl, t.nspd) for t in tilings
+        })
         with fastpath.disabled():  # bypass the build memo: a cold build
             build_array(TECH, spec)
-        assert tilings > 1
-        assert events == ["figures"] * tilings + [("searched", tilings)]
+        assert len(tilings) > len(column_pairs) > len(row_counts) > 1
+        assert events == (
+            [("rows", count) for count in row_counts]
+            + [("columns", cols, mux) for cols, mux in column_pairs]
+            + ["combine"] * len(tilings)
+            + [("searched", len(tilings))]
+        )
+
+    def test_twins_share_one_search(self, monkeypatch):
+        """Arrays that differ only in name run one search, and each
+        comes back under its own spec; without the memos each runs its
+        own."""
+        searched = []
+        real_search = organization.search_organizations
+
+        def search(tech, spec, weights):
+            searched.append(spec.name)
+            return real_search(tech, spec, weights)
+
+        monkeypatch.setattr(array_model, "search_organizations", search)
+        fastpath.clear_all()
+        itlb = ArraySpec(name="itlb", entries=128, width_bits=52,
+                         ports=PortCounts(read_write=1, read=1))
+        dtlb = dataclasses.replace(itlb, name="dtlb")
+        first, second = build_array(TECH, itlb), build_array(TECH, dtlb)
+        assert searched == ["itlb"]
+        assert first.spec is itlb and second.spec is dtlb
+        assert (first.name, second.name) == ("itlb", "dtlb")
+        assert dataclasses.replace(second, spec=itlb) == first
+        assert build_array(TECH, itlb) is first
+
+        searched.clear()
+        with fastpath.disabled():
+            exact = build_array(TECH, itlb), build_array(TECH, dtlb)
+        assert searched == ["itlb", "dtlb"]
+        assert exact == (first, second)
 
     def test_dynamic_power_helper(self):
         arr = build_array(TECH, ArraySpec(name="x", entries=256,

@@ -5,6 +5,7 @@ import math
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from repro.array import organization
 from repro.array.organization import (
     ArrayOrganization,
     OptimizationWeights,
@@ -178,6 +179,18 @@ class TestSearch:
         ]
         for text in expected:
             assert text in section, text
+
+    def test_ties_keep_enumeration_order(self, monkeypatch):
+        """Tilings that rank equal keep their enumeration order."""
+        spec = ArraySpec(name="x", entries=4096, width_bits=512)
+        best = search_organizations(TECH, spec)[0]
+        monkeypatch.setattr(
+            organization, "tiling_figures", lambda *args: best.subarray)
+        monkeypatch.setattr(
+            organization, "bank_figures", lambda *args: best.bank)
+        ranked = search_organizations(TECH, spec)
+        assert [c.organization for c in ranked] == list(
+            candidate_organizations(spec))
 
     def test_unreachable_cycle_target_picks_the_closest(self):
         spec = ArraySpec(name="x", entries=4096, width_bits=512,

@@ -215,6 +215,43 @@ def test_every_sram_array_build_has_search_and_assemble_children(
             assert children.get(build.span_id, []) == []
 
 
+def test_search_spans_say_what_the_search_did(monkeypatch):
+    from repro import fastpath
+    from repro.array import array_model
+    from repro.array.organization import candidate_organizations
+    from repro.chip import Processor
+    from repro.config import presets
+
+    specs = {}
+    search = array_model.search_organizations
+
+    def recording_search(tech, spec, weights):
+        specs[spec.name] = spec
+        return search(tech, spec, weights)
+
+    monkeypatch.setattr(array_model, "search_organizations", recording_search)
+    fastpath.clear_all()
+    obs.enable()
+    Processor(presets.niagara1()).report()
+    obs.disable()
+    spans = obs.spans()
+    by_id = {span.span_id: span for span in spans}
+    searches = [span for span in spans if span.name == "array.search"]
+    assert len(searches) == len(specs) > 1
+    for span in searches:
+        spec = specs[by_id[span.parent_id].attrs["array"]]
+        tilings = list(candidate_organizations(spec))
+        rows = {spec.entries_per_bank // (t.ndbl * t.nspd) for t in tilings}
+        columns = {
+            (spec.width_bits * t.nspd // t.ndwl, t.nspd) for t in tilings
+        }
+        assert span.attrs == {
+            "tilings": len(tilings),
+            "row_terms": len(rows),
+            "column_terms": len(columns),
+        }, spec.name
+
+
 def test_chain_spans_cover_the_search_and_the_cams(monkeypatch):
     from repro import fastpath
     from repro.array.cam import CamArray

@@ -77,10 +77,10 @@ def test_build_array_parity_and_sharing():
     assert again is first  # memo shares the immutable result
 
 
-def test_search_exact_flag_is_superset():
-    """Both modes score every tiling ``candidate_organizations`` yields,
-    rank them in the same order with the same numbers, and so pick the
-    same winner."""
+def test_search_is_the_same_without_memos():
+    """The search scores every tiling ``candidate_organizations``
+    yields, and without the memos it ranks them in the same order with
+    the same numbers, and so picks the same winner."""
     spec = ArraySpec(name="x", entries=8192, width_bits=512)
     fast = search_organizations(TECH, spec)
     with fastpath.disabled():
