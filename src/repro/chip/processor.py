@@ -246,10 +246,12 @@ class Processor:
     ) -> ComponentResult:
         parts = self.parts
         clock = self.config.clock_hz
-        core_activity = activity.core if activity else None
 
         with obs.span("chip.cores"):
-            core_result = parts.core.result(clock, core_activity)
+            if activity is None:
+                core_result = self.tdp_core_result
+            else:
+                core_result = parts.core.result(clock, activity.core)
         children = [
             ComponentResult(
                 name=f"Cores (x{self.config.n_cores})",
@@ -359,6 +361,12 @@ class Processor:
         )
 
     # -- headline numbers -----------------------------------------------------------------
+
+    @cached_property
+    def tdp_core_result(self) -> ComponentResult:
+        """One core's subtree at TDP (the report holds it scaled by
+        ``n_cores``)."""
+        return self.parts.core.result(self.config.clock_hz, None)
 
     @cached_property
     def _tdp_report(self) -> ComponentResult:

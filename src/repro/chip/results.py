@@ -1,19 +1,33 @@
 """The hierarchical result tree every model level reports into.
 
 A :class:`ComponentResult` node carries the *exclusive* costs of one
-component plus its children; the ``total_*`` properties aggregate
-inclusively, which is what the McPAT-style report prints.
+component plus its children, and its *inclusive* totals, which is what
+the McPAT-style report prints. A node computes its totals once, at
+construction, from its children's stored totals, so reading a total
+never walks the subtree.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
-from typing import Iterator
+from dataclasses import dataclass, field, replace
+from operator import attrgetter
+from typing import Any, Iterator
+
+_TOTAL_AREA = attrgetter("total_area")
+_TOTAL_PEAK_DYNAMIC = attrgetter("total_peak_dynamic_power")
+_TOTAL_RUNTIME_DYNAMIC = attrgetter("total_runtime_dynamic_power")
+_TOTAL_LEAKAGE = attrgetter("total_leakage_power")
+_TOTAL_RUNTIME_LEAKAGE = attrgetter("total_runtime_leakage_power")
+
+
+def _derived() -> Any:
+    """A field that ``__post_init__`` sets from the others."""
+    return field(init=False, repr=False, compare=False)
 
 
 @dataclass(frozen=True)
 class ComponentResult:
-    """Power/area results of one component (exclusive of children).
+    """Power/area results of one component and its subtree.
 
     Attributes:
         name: Component label (e.g. ``"Instruction Fetch Unit"``).
@@ -26,6 +40,19 @@ class ComponentResult:
             when power gating reduces it below ``leakage_power``;
             ``None`` means leakage is not gated (the default).
         children: Sub-component results.
+        effective_runtime_leakage: This node's leakage under runtime
+            conditions (W).
+        total_area: Area including children (m^2).
+        total_peak_dynamic_power: Peak dynamic power including
+            children (W).
+        total_runtime_dynamic_power: Runtime dynamic power including
+            children (W).
+        total_leakage_power: Leakage including children (W).
+        total_runtime_leakage_power: Runtime leakage including children,
+            power gating applied (W).
+        total_peak_power: Peak dynamic + leakage, the TDP
+            contribution (W).
+        total_runtime_power: Runtime dynamic + runtime leakage (W).
     """
 
     name: str
@@ -36,67 +63,61 @@ class ComponentResult:
     children: tuple["ComponentResult", ...] = ()
     runtime_leakage_power: float | None = None
 
+    effective_runtime_leakage: float = _derived()
+    total_area: float = _derived()
+    total_peak_dynamic_power: float = _derived()
+    total_runtime_dynamic_power: float = _derived()
+    total_leakage_power: float = _derived()
+    total_runtime_leakage_power: float = _derived()
+    total_peak_power: float = _derived()
+    total_runtime_power: float = _derived()
+
     def __post_init__(self) -> None:
-        for metric in ("area", "peak_dynamic_power",
-                       "runtime_dynamic_power", "leakage_power"):
-            if getattr(self, metric) < 0:
-                raise ValueError(f"{metric} must be non-negative")
-        if (self.runtime_leakage_power is not None
-                and self.runtime_leakage_power < 0):
+        if self.area < 0:
+            raise ValueError("area must be non-negative")
+        if self.peak_dynamic_power < 0:
+            raise ValueError("peak_dynamic_power must be non-negative")
+        if self.runtime_dynamic_power < 0:
+            raise ValueError("runtime_dynamic_power must be non-negative")
+        if self.leakage_power < 0:
+            raise ValueError("leakage_power must be non-negative")
+        runtime_leakage = self.runtime_leakage_power
+        if runtime_leakage is None:
+            runtime_leakage = self.leakage_power
+        elif runtime_leakage < 0:
             raise ValueError("runtime_leakage_power must be non-negative")
-
-    @property
-    def effective_runtime_leakage(self) -> float:
-        """This node's leakage under runtime conditions (W)."""
-        if self.runtime_leakage_power is not None:
-            return self.runtime_leakage_power
-        return self.leakage_power
-
-    # -- inclusive aggregates -------------------------------------------------
-
-    @property
-    def total_area(self) -> float:
-        """Area including children (m^2)."""
-        return self.area + sum(c.total_area for c in self.children)
-
-    @property
-    def total_peak_dynamic_power(self) -> float:
-        """Peak dynamic power including children (W)."""
-        return self.peak_dynamic_power + sum(
-            c.total_peak_dynamic_power for c in self.children
+        # Each total is this node's metric plus the sum of its children's
+        # totals, in child order. A leaf skips sum() and adds what it
+        # returns for no children, the int 0 (which turns -0.0 into 0.0).
+        children = self.children
+        if children:
+            area = self.area + sum(map(_TOTAL_AREA, children))
+            peak = self.peak_dynamic_power + sum(
+                map(_TOTAL_PEAK_DYNAMIC, children))
+            runtime = self.runtime_dynamic_power + sum(
+                map(_TOTAL_RUNTIME_DYNAMIC, children))
+            leakage = self.leakage_power + sum(
+                map(_TOTAL_LEAKAGE, children))
+            total_runtime_leakage = runtime_leakage + sum(
+                map(_TOTAL_RUNTIME_LEAKAGE, children))
+        else:
+            area = self.area + 0
+            peak = self.peak_dynamic_power + 0
+            runtime = self.runtime_dynamic_power + 0
+            leakage = self.leakage_power + 0
+            total_runtime_leakage = runtime_leakage + 0
+        # A frozen dataclass: write the instance dict, as cached_property
+        # does, in one call.
+        self.__dict__.update(
+            effective_runtime_leakage=runtime_leakage,
+            total_area=area,
+            total_peak_dynamic_power=peak,
+            total_runtime_dynamic_power=runtime,
+            total_leakage_power=leakage,
+            total_runtime_leakage_power=total_runtime_leakage,
+            total_peak_power=peak + leakage,
+            total_runtime_power=runtime + total_runtime_leakage,
         )
-
-    @property
-    def total_runtime_dynamic_power(self) -> float:
-        """Runtime dynamic power including children (W)."""
-        return self.runtime_dynamic_power + sum(
-            c.total_runtime_dynamic_power for c in self.children
-        )
-
-    @property
-    def total_leakage_power(self) -> float:
-        """Leakage including children (W)."""
-        return self.leakage_power + sum(
-            c.total_leakage_power for c in self.children
-        )
-
-    @property
-    def total_runtime_leakage_power(self) -> float:
-        """Runtime leakage incl. children (power gating applied) (W)."""
-        return self.effective_runtime_leakage + sum(
-            c.total_runtime_leakage_power for c in self.children
-        )
-
-    @property
-    def total_peak_power(self) -> float:
-        """Peak dynamic + leakage, the TDP contribution (W)."""
-        return self.total_peak_dynamic_power + self.total_leakage_power
-
-    @property
-    def total_runtime_power(self) -> float:
-        """Runtime dynamic + runtime leakage (W)."""
-        return (self.total_runtime_dynamic_power
-                + self.total_runtime_leakage_power)
 
     # -- utilities ---------------------------------------------------------------
 
@@ -131,20 +152,20 @@ class ComponentResult:
         """Return a copy with every metric (recursively) multiplied.
 
         Used to account for N identical instances without re-modeling.
+        The copy sums its own totals from its scaled metrics, as any
+        tree does: ``total * factor`` can differ in the last bit.
         """
         if factor < 0:
             raise ValueError("scale factor must be non-negative")
-        return replace(
-            self,
-            area=self.area * factor,
-            peak_dynamic_power=self.peak_dynamic_power * factor,
-            runtime_dynamic_power=self.runtime_dynamic_power * factor,
-            leakage_power=self.leakage_power * factor,
-            runtime_leakage_power=(
-                None if self.runtime_leakage_power is None
-                else self.runtime_leakage_power * factor
-            ),
-            children=tuple(c.scaled(factor) for c in self.children),
+        runtime_leakage = self.runtime_leakage_power
+        return ComponentResult(
+            self.name,
+            self.area * factor,
+            self.peak_dynamic_power * factor,
+            self.runtime_dynamic_power * factor,
+            self.leakage_power * factor,
+            tuple([c.scaled(factor) for c in self.children]),
+            None if runtime_leakage is None else runtime_leakage * factor,
         )
 
     def with_leakage_gating(self, retained: float) -> "ComponentResult":

@@ -47,7 +47,7 @@ def _is_number(value: object) -> bool:
 def tdp_metrics(processor: "Processor") -> dict[str, float]:
     """The :data:`METRICS` of one processor at its config's clock."""
     report = processor.report(None)
-    core_result = processor.parts.core.result(processor.config.clock_hz, None)
+    core_result = processor.tdp_core_result
     return {
         "area_mm2": report.total_area * 1e6,
         "tdp_w": report.total_peak_power,

@@ -229,6 +229,10 @@ class EvalServer:
         self._counters: dict[str, float] = {}
         self._started_s = time.monotonic()
         self._server: asyncio.AbstractServer | None = None
+        # The open client connections, closed at shutdown: since Python
+        # 3.12 an asyncio server's wait_closed() waits for every one,
+        # idle kept-alive connections included.
+        self._writers: set[asyncio.StreamWriter] = set()
 
     # -- lifecycle -------------------------------------------------------
 
@@ -250,14 +254,29 @@ class EvalServer:
 
     async def serve_forever(self) -> None:
         """Start and serve until cancelled."""
-        server = await self.start()
-        async with server:
-            await server.serve_forever()
+        await self.start()
+        await self.serve_until(asyncio.Event())
+
+    async def serve_until(self, stop: asyncio.Event) -> None:
+        """Serve a started server until ``stop`` is set or the task is
+        cancelled; then close it and wait for its connections to drop."""
+        if self._server is None:
+            raise RuntimeError("server is not started")
+        async with self._server:
+            try:
+                await stop.wait()
+            finally:
+                self.close()
 
     def close(self) -> None:
-        """Stop accepting connections and shut the evaluation pool down."""
+        """Stop accepting connections, close the open ones and shut the
+        evaluation pool down. With connections open, call it on the
+        event loop's thread."""
         if self._server is not None:
             self._server.close()
+        for writer in self._writers:
+            writer.close()
+        self._writers.clear()
         self._executor.shutdown(wait=False, cancel_futures=True)
 
     # -- connection / dispatch ------------------------------------------
@@ -268,6 +287,8 @@ class EvalServer:
         writer: asyncio.StreamWriter,
     ) -> None:
         """Serve one (possibly keep-alive) client connection."""
+        self._count("serve.connections")
+        self._writers.add(writer)
         try:
             while True:
                 try:
@@ -291,6 +312,7 @@ class EvalServer:
         except (ConnectionError, asyncio.CancelledError):
             pass
         finally:
+            self._writers.discard(writer)
             writer.close()
             try:
                 await writer.wait_closed()

@@ -7,11 +7,12 @@ memos inspectable (and monkeypatchable) from the test body. The context
 manager owns a daemon thread running a private event loop::
 
     with BackgroundServer(ServeConfig(port=0)) as server:
-        client = server.client()
-        client.evaluate(preset="niagara1")
+        with server.client() as client:
+            client.evaluate(preset="niagara1")
 
 Binding to port 0 picks a free ephemeral port; ``server.port`` reports
-the real one.
+the real one. Stopping the server closes every connection still open,
+and the clients :meth:`BackgroundServer.client` made.
 """
 
 from __future__ import annotations
@@ -50,6 +51,7 @@ class BackgroundServer:
         self._stop: asyncio.Event | None = None
         self._ready = threading.Event()
         self._startup_error: BaseException | None = None
+        self._clients: list[ServeClient] = []
 
     # -- lifecycle -------------------------------------------------------
 
@@ -63,13 +65,9 @@ class BackgroundServer:
     async def _main(self) -> None:
         self._loop = asyncio.get_running_loop()
         self._stop = asyncio.Event()
-        bound = await self.server.start()
+        await self.server.start()
         self._ready.set()
-        try:
-            async with bound:
-                await self._stop.wait()
-        finally:
-            self.server.close()
+        await self.server.serve_until(self._stop)
 
     def start(self) -> "BackgroundServer":
         """Start the server thread and wait for the socket to bind."""
@@ -86,14 +84,30 @@ class BackgroundServer:
         return self
 
     def stop(self) -> None:
-        """Shut the server down and join its thread."""
-        if self._loop is not None and self._thread is not None:
-            stop = self._stop
-            if self._thread.is_alive() and stop is not None:
+        """Shut the server down, join its thread and close the clients
+        :meth:`client` made.
+
+        Raises:
+            RuntimeError: If the server thread is still running after
+                the join timeout (10 s).
+        """
+        thread = self._thread
+        if self._loop is not None and thread is not None:
+            # Signal once: a second stop() after a failed join only joins,
+            # and never schedules on a loop that may have closed since.
+            stop, self._stop = self._stop, None
+            if thread.is_alive() and stop is not None:
                 self._loop.call_soon_threadsafe(stop.set)
-            self._thread.join(timeout=10.0)
+            thread.join(timeout=10.0)
+            if thread.is_alive():
+                raise RuntimeError(
+                    "background server thread did not exit within 10 s"
+                )
         self._thread = None
         self._loop = None
+        for client in self._clients:
+            client.close()
+        self._clients.clear()
 
     def __enter__(self) -> "BackgroundServer":
         return self.start()
@@ -114,7 +128,10 @@ class BackgroundServer:
         return self.server.cache
 
     def client(self, timeout_s: float = 120.0) -> ServeClient:
-        """A client pointed at this server."""
-        return ServeClient(
+        """A client pointed at this server, kept until :meth:`stop`
+        closes it."""
+        client = ServeClient(
             host=self.config.host, port=self.port, timeout_s=timeout_s,
         )
+        self._clients.append(client)
+        return client

@@ -6,12 +6,19 @@ paste into an external simulator harness: one class over
 :class:`ServeError` (carrying the HTTP status and any ``Retry-After``
 hint) instead of raw socket plumbing.
 
+A client keeps its HTTP/1.1 connections alive: a request takes an idle
+connection (or opens one) and gives it back after a complete response,
+so a closed loop of requests pays for one TCP connection, not one per
+request. Threads may share a client; each request in flight holds its
+own connection. :meth:`ServeClient.close` (or leaving a ``with`` block)
+closes the idle connections.
+
 Example::
 
     from repro.serve.client import ServeClient
 
-    client = ServeClient(port=8080)
-    result = client.evaluate(preset="niagara2")
+    with ServeClient(port=8080) as client:
+        result = client.evaluate(preset="niagara2")
     print(result["record"]["tdp_w"], "W")
     print(result["report_text"])          # == `mcpat-repro report` output
 """
@@ -63,6 +70,74 @@ class ServeClient:
         self.host = host
         self.port = port
         self.timeout_s = timeout_s
+        # Connections with no request in flight. Only list.pop() and
+        # list.append() touch it, each atomic, so threads sharing the
+        # client need no lock and their requests stay concurrent.
+        self._idle: list[http.client.HTTPConnection] = []
+
+    # -- connections -----------------------------------------------------
+
+    def close(self) -> None:
+        """Close the idle connections (a later request opens a new one)."""
+        while True:
+            try:
+                connection = self._idle.pop()
+            except IndexError:
+                return
+            connection.close()
+
+    def __enter__(self) -> "ServeClient":
+        return self
+
+    def __exit__(self, *exc: Any) -> None:
+        self.close()
+
+    def _connect(self) -> http.client.HTTPConnection:
+        return http.client.HTTPConnection(
+            self.host, self.port, timeout=self.timeout_s,
+        )
+
+    def _exchange(
+        self,
+        method: str,
+        path: str,
+        body: bytes | None,
+        headers: dict[str, str],
+    ) -> tuple[http.client.HTTPResponse, bytes]:
+        """Send one request over an idle or new connection; read the
+        whole response.
+
+        A kept connection that fails before any response arrives was
+        closed by the server while idle: the request goes once more over
+        a new connection. A failure on a new connection raises.
+        """
+        try:
+            connection = self._idle.pop()
+            reused = True
+        except IndexError:
+            connection = self._connect()
+            reused = False
+        try:
+            try:
+                connection.request(method, path, body=body, headers=headers)
+                response = connection.getresponse()
+            except (http.client.RemoteDisconnected, ConnectionResetError,
+                    BrokenPipeError):
+                if not reused:
+                    raise
+                connection.close()
+                connection = self._connect()
+                connection.request(method, path, body=body, headers=headers)
+                response = connection.getresponse()
+            raw = response.read()
+        except BaseException:
+            connection.close()
+            raise
+        if response.will_close:
+            connection.close()
+        else:
+            self._idle.append(connection)
+        return response, raw
 
     # -- plumbing --------------------------------------------------------
 
@@ -74,27 +149,18 @@ class ServeClient:
         trace_id: str | None = None,
     ) -> dict[str, Any]:
         """One JSON round trip; raises :class:`ServeError` on non-2xx."""
-        connection = http.client.HTTPConnection(
-            self.host, self.port, timeout=self.timeout_s,
-        )
         headers = {"Content-Type": "application/json"}
         if trace_id is not None:
             headers["X-Trace-Id"] = trace_id
         body = None
         if payload is not None:
             body = json.dumps(payload).encode("utf-8")
-        try:
-            connection.request(method, path, body=body, headers=headers)
-            response = connection.getresponse()
-            raw = response.read()
-            status = response.status
-            retry_after_raw = response.getheader("Retry-After")
-            response_headers = {
-                name.lower(): value
-                for name, value in response.getheaders()
-            }
-        finally:
-            connection.close()
+        response, raw = self._exchange(method, path, body, headers)
+        status = response.status
+        retry_after_raw = response.getheader("Retry-After")
+        response_headers = {
+            name.lower(): value for name, value in response.getheaders()
+        }
         try:
             decoded = json.loads(raw) if raw else {}
         except json.JSONDecodeError:

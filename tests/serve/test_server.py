@@ -9,6 +9,8 @@ timeouts without paying for real model builds.
 """
 
 import http.client
+import socket
+import socketserver
 import threading
 import time
 
@@ -20,6 +22,7 @@ from repro.config.loader import system_config_to_dict
 from repro.engine import EvalRecord, evaluate_many, run_sweep
 from repro.serve import (
     BackgroundServer,
+    ServeClient,
     ServeConfig,
     ServeError,
 )
@@ -57,38 +60,43 @@ def sleepy_evaluate_many(sleep_s: float):
 class TestBasicEndpoints:
     def test_healthz(self):
         with BackgroundServer(ServeConfig(port=0)) as server:
-            health = server.client().healthz()
-            assert health["status"] == "ok"
-            assert health["uptime_s"] >= 0.0
-            assert health["concurrency"] == server.config.concurrency
+            with server.client() as client:
+                health = client.healthz()
+                assert health["status"] == "ok"
+                assert health["uptime_s"] >= 0.0
+                assert health["concurrency"] == server.config.concurrency
 
     def test_unknown_path_404(self):
         with BackgroundServer(ServeConfig(port=0)) as server:
-            with pytest.raises(ServeError) as exc:
-                server.client().request("GET", "/nope")
-            assert exc.value.status == 404
+            with server.client() as client:
+                with pytest.raises(ServeError) as exc:
+                    client.request("GET", "/nope")
+                assert exc.value.status == 404
 
     def test_wrong_method_405(self):
         with BackgroundServer(ServeConfig(port=0)) as server:
-            with pytest.raises(ServeError) as exc:
-                server.client().request("GET", "/evaluate")
-            assert exc.value.status == 405
+            with server.client() as client:
+                with pytest.raises(ServeError) as exc:
+                    client.request("GET", "/evaluate")
+                assert exc.value.status == 405
 
     def test_unknown_preset_400(self):
         with BackgroundServer(ServeConfig(port=0)) as server:
-            with pytest.raises(ServeError) as exc:
-                server.client().evaluate(preset="pentium-nope")
-            assert exc.value.status == 400
-            assert "unknown preset" in exc.value.detail
+            with server.client() as client:
+                with pytest.raises(ServeError) as exc:
+                    client.evaluate(preset="pentium-nope")
+                assert exc.value.status == 400
+                assert "unknown preset" in exc.value.detail
 
     def test_preset_and_config_are_exclusive(self):
         with BackgroundServer(ServeConfig(port=0)) as server:
-            with pytest.raises(ServeError) as exc:
-                server.client().request(
-                    "POST", "/evaluate",
-                    {"preset": "niagara1", "config": tiny_dict()},
-                )
-            assert exc.value.status == 400
+            with server.client() as client:
+                with pytest.raises(ServeError) as exc:
+                    client.request(
+                        "POST", "/evaluate",
+                        {"preset": "niagara1", "config": tiny_dict()},
+                    )
+                assert exc.value.status == 400
 
     def test_malformed_body_400(self):
         with BackgroundServer(ServeConfig(port=0)) as server:
@@ -105,9 +113,10 @@ class TestBasicEndpoints:
 
     def test_unknown_job_404(self):
         with BackgroundServer(ServeConfig(port=0)) as server:
-            with pytest.raises(ServeError) as exc:
-                server.client().job("job-999999")
-            assert exc.value.status == 404
+            with server.client() as client:
+                with pytest.raises(ServeError) as exc:
+                    client.job("job-999999")
+                assert exc.value.status == 404
 
     def test_keep_alive_connection_reuse(self):
         with BackgroundServer(ServeConfig(port=0)) as server:
@@ -128,9 +137,10 @@ class TestEvaluate:
     def test_round_trip_matches_offline_engine(self):
         config = make_tiny_config()
         with BackgroundServer(ServeConfig(port=0)) as server:
-            served = server.client().evaluate(
-                config=system_config_to_dict(config), report=False,
-            )
+            with server.client() as client:
+                served = client.evaluate(
+                    config=system_config_to_dict(config), report=False,
+                )
         offline = evaluate_many([config], cache=None)[0]
         assert EvalRecord.from_dict(served["record"]) == offline
         assert served["from_cache"] is False
@@ -138,10 +148,10 @@ class TestEvaluate:
     def test_warm_repeat_served_from_shared_cache(self):
         payload = tiny_dict()
         with BackgroundServer(ServeConfig(port=0)) as server:
-            client = server.client()
-            first = client.evaluate(config=payload, report=False)
-            second = client.evaluate(config=payload, report=False)
-            metrics = client.metrics()
+            with server.client() as client:
+                first = client.evaluate(config=payload, report=False)
+                second = client.evaluate(config=payload, report=False)
+                metrics = client.metrics()
         assert first["from_cache"] is False
         assert second["from_cache"] is True
         assert second["record"] == first["record"]
@@ -152,20 +162,20 @@ class TestEvaluate:
     def test_metrics_hit_counter_increases_on_repeat(self):
         payload = tiny_dict(name="metrics-case")
         with BackgroundServer(ServeConfig(port=0)) as server:
-            client = server.client()
-            client.evaluate(config=payload, report=False)
-            before = client.metrics()["counters"]["engine.cache.hits"]
-            client.evaluate(config=payload, report=False)
-            after = client.metrics()["counters"]["engine.cache.hits"]
+            with server.client() as client:
+                client.evaluate(config=payload, report=False)
+                before = client.metrics()["counters"]["engine.cache.hits"]
+                client.evaluate(config=payload, report=False)
+                after = client.metrics()["counters"]["engine.cache.hits"]
         assert after == before + 1.0
 
     def test_report_text_memoized_on_warm_repeat(self):
         payload = tiny_dict(name="report-case")
         with BackgroundServer(ServeConfig(port=0)) as server:
-            client = server.client()
-            first = client.evaluate(config=payload)
-            second = client.evaluate(config=payload)
-            counters = client.metrics()["counters"]
+            with server.client() as client:
+                first = client.evaluate(config=payload)
+                second = client.evaluate(config=payload)
+                counters = client.metrics()["counters"]
         assert first["report_text"] == second["report_text"]
         assert counters["memo.serve.report_text.hits"] >= 1.0
 
@@ -173,9 +183,9 @@ class TestEvaluate:
     def test_report_miss_builds_the_parts_once(self):
         # The evaluation builds the chip's parts; the render finds them.
         with BackgroundServer(ServeConfig(port=0)) as server:
-            client = server.client()
-            served = client.evaluate(config=tiny_dict(name="parts-once"))
-            counters = client.metrics()["counters"]
+            with server.client() as client:
+                served = client.evaluate(config=tiny_dict(name="parts-once"))
+                counters = client.metrics()["counters"]
         assert served["report_text"]
         assert counters["memo.chip.parts.misses"] == pytest.approx(1.0)
         assert counters["memo.chip.parts.hits"] == pytest.approx(1.0)
@@ -183,10 +193,11 @@ class TestEvaluate:
     def test_workload_round_trip(self):
         config = make_tiny_config()
         with BackgroundServer(ServeConfig(port=0)) as server:
-            served = server.client().evaluate(
-                config=system_config_to_dict(config),
-                workload="fft", report=False,
-            )
+            with server.client() as client:
+                served = client.evaluate(
+                    config=system_config_to_dict(config),
+                    workload="fft", report=False,
+                )
         assert served["record"]["runtime_s"] is not None
         offline = evaluate_many(
             [config], workload=None, cache=None,
@@ -195,42 +206,45 @@ class TestEvaluate:
 
     def test_unknown_workload_400(self):
         with BackgroundServer(ServeConfig(port=0)) as server:
-            with pytest.raises(ServeError) as exc:
-                server.client().evaluate(
-                    config=tiny_dict(), workload="not-a-benchmark",
-                )
-            assert exc.value.status == 400
+            with server.client() as client:
+                with pytest.raises(ServeError) as exc:
+                    client.evaluate(
+                        config=tiny_dict(), workload="not-a-benchmark",
+                    )
+                assert exc.value.status == 400
 
     def test_unserializable_config_400_names_field(self):
         # A config that deserializes but carries a bad inline value is
         # caught earlier by schema validation; the engine-level error
         # path is covered in tests/engine. Here: malformed inline config.
         with BackgroundServer(ServeConfig(port=0)) as server:
-            with pytest.raises(ServeError) as exc:
-                server.client().evaluate(config={"name": "broken"})
-            assert exc.value.status == 400
-            assert "malformed config" in exc.value.detail
+            with server.client() as client:
+                with pytest.raises(ServeError) as exc:
+                    client.evaluate(config={"name": "broken"})
+                assert exc.value.status == 400
+                assert "malformed config" in exc.value.detail
 
     def test_ill_typed_leaf_400_names_field(self):
         payload = system_config_to_dict(presets.niagara1())
         payload["l2"]["banks"] = 4.0
         with BackgroundServer(ServeConfig(port=0)) as server:
-            with pytest.raises(ServeError) as exc:
-                server.client().evaluate(config=payload, report=False)
+            with server.client() as client:
+                with pytest.raises(ServeError) as exc:
+                    client.evaluate(config=payload, report=False)
         assert exc.value.status == 400
         assert "config.l2.banks: expected int" in exc.value.detail
 
     def test_model_constraints_400_name_the_field(self):
         with BackgroundServer(ServeConfig(port=0)) as server:
-            client = server.client()
-            for path, value, message in MODEL_CONSTRAINT_VARIANTS:
-                with pytest.raises(ServeError) as exc:
-                    client.evaluate(
-                        config=niagara1_variant(path, value), report=False,
-                    )
-                assert exc.value.status == 400, path
-                assert message in exc.value.detail, path
-            assert len(server.server.cache) == 0
+            with server.client() as client:
+                for path, value, message in MODEL_CONSTRAINT_VARIANTS:
+                    with pytest.raises(ServeError) as exc:
+                        client.evaluate(
+                            config=niagara1_variant(path, value), report=False,
+                        )
+                    assert exc.value.status == 400, path
+                    assert message in exc.value.detail, path
+                assert len(server.server.cache) == 0
 
     @pytest.mark.parametrize("value", [float("nan"), float("inf")])
     def test_non_finite_config_float_400_names_field(self, value):
@@ -238,12 +252,12 @@ class TestEvaluate:
         payload = tiny_dict(clock_hz=2.0e9)
         payload["memory_controller"]["peak_transfer_rate_mts"] = value
         with BackgroundServer(ServeConfig(port=0)) as server:
-            client = server.client()
-            with pytest.raises(ServeError) as exc:
-                client.evaluate(config=payload, report=False)
-            assert exc.value.status == 400
-            assert "peak_transfer_rate_mts" in exc.value.detail
-            assert len(server.server.cache) == 0
+            with server.client() as client:
+                with pytest.raises(ServeError) as exc:
+                    client.evaluate(config=payload, report=False)
+                assert exc.value.status == 400
+                assert "peak_transfer_rate_mts" in exc.value.detail
+                assert len(server.server.cache) == 0
 
     @pytest.mark.parametrize("field, value", [
         ("report", "false"),
@@ -251,11 +265,12 @@ class TestEvaluate:
     ])
     def test_bad_request_field_400_names_it(self, field, value):
         with BackgroundServer(ServeConfig(port=0)) as server:
-            with pytest.raises(ServeError) as exc:
-                server.client().request(
-                    "POST", "/evaluate",
-                    {"config": tiny_dict(), field: value},
-                )
+            with server.client() as client:
+                with pytest.raises(ServeError) as exc:
+                    client.request(
+                        "POST", "/evaluate",
+                        {"config": tiny_dict(), field: value},
+                    )
         assert exc.value.status == 400
         assert f"'{field}'" in exc.value.detail
 
@@ -265,8 +280,9 @@ class TestEvaluate:
     ])
     def test_non_string_name_400_names_it(self, body, field):
         with BackgroundServer(ServeConfig(port=0)) as server:
-            with pytest.raises(ServeError) as exc:
-                server.client().request("POST", "/evaluate", body)
+            with server.client() as client:
+                with pytest.raises(ServeError) as exc:
+                    client.request("POST", "/evaluate", body)
         assert exc.value.status == 400
         assert f"'{field}' must be a string" in exc.value.detail
 
@@ -275,9 +291,11 @@ class TestEvaluate:
             port=0, cache_path=str(tmp_path / "cache.jsonl"),
         )
         with BackgroundServer(config) as server:
-            first = server.client().evaluate(config=tiny_dict(), report=False)
+            with server.client() as client:
+                first = client.evaluate(config=tiny_dict(), report=False)
         with BackgroundServer(config) as server:
-            again = server.client().evaluate(config=tiny_dict(), report=False)
+            with server.client() as client:
+                again = client.evaluate(config=tiny_dict(), report=False)
         assert first["from_cache"] is False
         assert again["from_cache"] is True
         assert again["record"] == first["record"]
@@ -291,12 +309,12 @@ class TestEvaluate:
         payload = system_config_to_dict(config)
         payload["clock_hz"] = config.clock_hz * 1.05
         with BackgroundServer(ServeConfig(port=0)) as server:
-            client = server.client()
-            old = client.request("POST", "/evaluate", {
-                "config": payload, "exact": False, "rel_tol": 0.02,
-                "report": False,
-            })
-            exact = client.evaluate(config=payload, report=False)
+            with server.client() as client:
+                old = client.request("POST", "/evaluate", {
+                    "config": payload, "exact": False, "rel_tol": 0.02,
+                    "report": False,
+                })
+                exact = client.evaluate(config=payload, report=False)
         assert old["_status"] == 200
         assert old["record"] == exact["record"]
         assert exact["from_cache"] is True
@@ -304,9 +322,10 @@ class TestEvaluate:
 
     def test_client_trace_id_round_trips(self):
         with BackgroundServer(ServeConfig(port=0)) as server:
-            served = server.client().evaluate(
-                config=tiny_dict(), report=False, trace_id="trace-42",
-            )
+            with server.client() as client:
+                served = client.evaluate(
+                    config=tiny_dict(), report=False, trace_id="trace-42",
+                )
         assert served["trace_id"] == "trace-42"
 
     def test_request_span_carries_trace_id(self):
@@ -314,9 +333,10 @@ class TestEvaluate:
         obs.enable()
         try:
             with BackgroundServer(ServeConfig(port=0)) as server:
-                server.client().evaluate(
-                    config=tiny_dict(), report=False, trace_id="span-1",
-                )
+                with server.client() as client:
+                    client.evaluate(
+                        config=tiny_dict(), report=False, trace_id="span-1",
+                    )
             spans = [s for s in obs.spans() if s.name == "serve.request"]
             assert any(
                 s.attrs.get("trace_id") == "span-1" for s in spans
@@ -339,32 +359,34 @@ class TestEvaluate:
 class TestSweep:
     def test_sync_sweep_matches_grid(self):
         with BackgroundServer(ServeConfig(port=0)) as server:
-            result = server.client().sweep(
-                axes={"cores": [1, 2]}, config=tiny_dict(),
-            )
+            with server.client() as client:
+                result = client.sweep(
+                    axes={"cores": [1, 2]}, config=tiny_dict(),
+                )
         assert result["n_points"] == 2
         overrides = [point["overrides"] for point in result["points"]]
         assert overrides == [{"cores": 1}, {"cores": 2}]
 
     def test_sweep_unknown_axis_400(self):
         with BackgroundServer(ServeConfig(port=0)) as server:
-            with pytest.raises(ServeError) as exc:
-                server.client().sweep(
-                    axes={"warp_drives": [1, 2]}, config=tiny_dict(),
-                )
-            assert exc.value.status == 400
-            assert "warp_drives" in exc.value.detail
+            with server.client() as client:
+                with pytest.raises(ServeError) as exc:
+                    client.sweep(
+                        axes={"warp_drives": [1, 2]}, config=tiny_dict(),
+                    )
+                assert exc.value.status == 400
+                assert "warp_drives" in exc.value.detail
 
     def test_async_sweep_job_lifecycle(self):
         with BackgroundServer(ServeConfig(port=0)) as server:
-            client = server.client()
-            submitted = client.sweep(
-                axes={"cores": [1, 2]}, config=tiny_dict(),
-                background=True,
-            )
-            assert submitted["_status"] == 202
-            assert submitted["status"] in ("queued", "running")
-            final = client.wait_job(submitted["job_id"])
+            with server.client() as client:
+                submitted = client.sweep(
+                    axes={"cores": [1, 2]}, config=tiny_dict(),
+                    background=True,
+                )
+                assert submitted["_status"] == 202
+                assert submitted["status"] in ("queued", "running")
+                final = client.wait_job(submitted["job_id"])
         assert final["status"] == "done"
         assert final["result"]["n_points"] == 2
 
@@ -379,42 +401,41 @@ class TestSweep:
 
         monkeypatch.setattr("repro.serve.app.run_sweep", gated)
         with BackgroundServer(ServeConfig(port=0, concurrency=2)) as server:
-            client = server.client()
+            with server.client() as client:
+                def submit(name):
+                    return client.sweep(
+                        axes={"cores": [1]}, config=tiny_dict(name=name),
+                        background=True,
+                    )["job_id"]
 
-            def submit(name):
-                return client.sweep(
-                    axes={"cores": [1]}, config=tiny_dict(name=name),
-                    background=True,
-                )["job_id"]
-
-            running = submit("slow")
-            finished = []
-            for i in range(4):
-                finished.append(submit(f"fast-{i}"))
-                assert client.wait_job(finished[-1])["status"] == "done"
-            for job_id in finished[:2]:
+                running = submit("slow")
+                finished = []
+                for i in range(4):
+                    finished.append(submit(f"fast-{i}"))
+                    assert client.wait_job(finished[-1])["status"] == "done"
+                for job_id in finished[:2]:
+                    with pytest.raises(ServeError) as exc:
+                        client.job(job_id)
+                    assert exc.value.status == 404
+                    assert "unknown job" in exc.value.detail
+                assert [client.job(j)["status"] for j in finished[2:]] == [
+                    "done", "done",
+                ]
+                # Never dropped while running, however many finish meanwhile.
+                assert client.job(running)["status"] == "running"
+                release.set()
+                assert client.wait_job(running)["status"] == "done"
                 with pytest.raises(ServeError) as exc:
-                    client.job(job_id)
+                    client.job(finished[2])
                 assert exc.value.status == 404
-                assert "unknown job" in exc.value.detail
-            assert [client.job(j)["status"] for j in finished[2:]] == [
-                "done", "done",
-            ]
-            # Never dropped while running, however many finish meanwhile.
-            assert client.job(running)["status"] == "running"
-            release.set()
-            assert client.wait_job(running)["status"] == "done"
-            with pytest.raises(ServeError) as exc:
-                client.job(finished[2])
-            assert exc.value.status == 404
-            assert client.job(finished[3])["status"] == "done"
+                assert client.job(finished[3])["status"] == "done"
 
     def test_sweep_points_shared_with_evaluate_cache(self):
         """A sweep fills the same cache /evaluate reads from."""
         with BackgroundServer(ServeConfig(port=0)) as server:
-            client = server.client()
-            client.sweep(axes={"cores": [1, 2]}, config=tiny_dict())
-            served = client.evaluate(config=tiny_dict(), report=False)
+            with server.client() as client:
+                client.sweep(axes={"cores": [1, 2]}, config=tiny_dict())
+                served = client.evaluate(config=tiny_dict(), report=False)
         assert served["from_cache"] is True
 
     def test_sweep_backend_request_round_trips(self):
@@ -422,11 +443,11 @@ class TestSweep:
 
         axes = {"clock_hz": [1.0e9, 1.1e9, 1.2e9, 1.3e9]}
         with BackgroundServer(ServeConfig(port=0)) as server:
-            client = server.client()
-            result = client.sweep(
-                axes=axes, config=tiny_dict(), backend="auto",
-            )
-            metrics = client.metrics()
+            with server.client() as client:
+                result = client.sweep(
+                    axes=axes, config=tiny_dict(), backend="auto",
+                )
+                metrics = client.metrics()
         assert result["n_points"] == 4
         tdps = [p["record"]["tdp_w"] for p in result["points"]]
         assert tdps == sorted(tdps)  # TDP grows with frequency
@@ -443,20 +464,22 @@ class TestSweep:
     ])
     def test_sync_sweep_bad_value_400_names_it(self, body, field):
         with BackgroundServer(ServeConfig(port=0)) as server:
-            with pytest.raises(ServeError) as exc:
-                server.client().request(
-                    "POST", "/sweep", {"preset": "niagara1", **body},
-                )
+            with server.client() as client:
+                with pytest.raises(ServeError) as exc:
+                    client.request(
+                        "POST", "/sweep", {"preset": "niagara1", **body},
+                    )
         assert exc.value.status == 400
         assert field in exc.value.detail
 
     def test_sweep_invalid_backend_400(self):
         with BackgroundServer(ServeConfig(port=0)) as server:
-            with pytest.raises(ServeError) as exc:
-                server.client().sweep(
-                    axes={"cores": [1, 2]}, config=tiny_dict(),
-                    backend="warp",
-                )
+            with server.client() as client:
+                with pytest.raises(ServeError) as exc:
+                    client.sweep(
+                        axes={"cores": [1, 2]}, config=tiny_dict(),
+                        backend="warp",
+                    )
         assert exc.value.status == 400
         assert "backend" in exc.value.detail
 
@@ -518,19 +541,19 @@ class TestAdmissionControl:
             port=0, concurrency=1, queue_limit=4, timeout_s=0.2,
         )
         with BackgroundServer(config) as server:
-            client = server.client()
-            with pytest.raises(ServeError) as exc:
-                client.evaluate(
-                    config=tiny_dict(name="slow-one"), report=False,
+            with server.client() as client:
+                with pytest.raises(ServeError) as exc:
+                    client.evaluate(
+                        config=tiny_dict(name="slow-one"), report=False,
+                    )
+                assert exc.value.status == 504
+                # The stranded worker thread must not wedge the service:
+                # a fresh (fast) request is admitted and served.
+                healthy = client.evaluate(
+                    config=tiny_dict(name="quick"), report=False,
                 )
-            assert exc.value.status == 504
-            # The stranded worker thread must not wedge the service:
-            # a fresh (fast) request is admitted and served.
-            healthy = client.evaluate(
-                config=tiny_dict(name="quick"), report=False,
-            )
-            assert healthy["record"]["name"] == "quick"
-            metrics = client.metrics()
+                assert healthy["record"]["name"] == "quick"
+                metrics = client.metrics()
         assert metrics["counters"]["serve.timeouts"] >= 1.0
         assert metrics["counters"]["serve.responses.504"] >= 1.0
 
@@ -593,7 +616,120 @@ class TestKeepAliveRobustness:
             finally:
                 sock.close()
             # The listener stays healthy and the slot was returned.
-            health = server.client().healthz()
+            with server.client() as client:
+                health = client.healthz()
             assert health["status"] == "ok"
             assert health["active_requests"] == 0
             assert health["queued_requests"] == 0
+
+
+class _OneRequestHandler(socketserver.StreamRequestHandler):
+    """Answers one request, then closes the connection without having
+    said ``Connection: close``, as a server that drops idle
+    connections does."""
+
+    def handle(self):
+        self.server.accepted += 1
+        while self.rfile.readline() not in (b"\r\n", b""):
+            pass
+        body = b'{"status": "ok"}'
+        self.wfile.write(
+            b"HTTP/1.1 200 OK\r\nContent-Type: application/json\r\n"
+            + f"Content-Length: {len(body)}\r\n\r\n".encode() + body
+        )
+
+
+class _OneRequestServer(socketserver.TCPServer):
+    def __init__(self):
+        super().__init__(("127.0.0.1", 0), _OneRequestHandler)
+        self.accepted = 0
+        self.port = self.server_address[1]
+        self._thread = threading.Thread(
+            target=self.serve_forever, kwargs={"poll_interval": 0.05},
+            daemon=True,
+        )
+        self._thread.start()
+
+    def server_close(self):
+        self.shutdown()
+        self._thread.join()
+        super().server_close()
+
+
+def _unused_port():
+    with socket.socket() as probe:
+        probe.bind(("127.0.0.1", 0))
+        return probe.getsockname()[1]
+
+
+class TestConnectionReuse:
+    def test_sequential_requests_share_one_connection(self):
+        with BackgroundServer(ServeConfig(port=0)) as server:
+            with server.client() as client:
+                for _ in range(20):
+                    client.evaluate(config=tiny_dict(), report=False)
+                counters = client.metrics()["counters"]
+        assert counters["serve.connections"] == pytest.approx(1.0)
+        assert counters["serve.requests"] == pytest.approx(21.0)
+
+    def test_connection_closed_by_the_server_is_replaced(self):
+        with _OneRequestServer() as stub, \
+                ServeClient(port=stub.port) as client:
+            for _ in range(3):
+                assert client.healthz()["status"] == "ok"
+            assert stub.accepted == 3
+
+    def test_refused_new_connection_raises(self):
+        with ServeClient(port=_unused_port(), timeout_s=5) as client:
+            with pytest.raises(ConnectionRefusedError):
+                client.healthz()
+
+    def test_refused_replacement_connection_raises(self):
+        with ServeClient(timeout_s=5) as client:
+            with _OneRequestServer() as stub:
+                client.port = stub.port
+                client.healthz()
+            # The kept connection is closed and nothing listens anymore.
+            with pytest.raises(ConnectionRefusedError):
+                client.healthz()
+
+
+class TestShutdown:
+    def test_stop_closes_idle_kept_connections(self):
+        server = BackgroundServer(ServeConfig(port=0)).start()
+        thread = server._thread
+        connection = http.client.HTTPConnection(
+            "127.0.0.1", server.port, timeout=10,
+        )
+        try:
+            connection.request("GET", "/healthz")
+            connection.getresponse().read()
+            started_s = time.perf_counter()
+            server.stop()
+            assert time.perf_counter() - started_s < 2.0
+            assert not thread.is_alive()
+        finally:
+            connection.close()
+
+    def test_stop_closes_the_clients_it_made(self):
+        with BackgroundServer(ServeConfig(port=0)) as server:
+            client = server.client()
+            client.healthz()
+            assert len(client._idle) == 1
+        assert client._idle == []
+
+    def test_stop_raises_while_the_thread_runs(self, monkeypatch):
+        server = BackgroundServer(ServeConfig(port=0)).start()
+        release = threading.Event()
+        server._loop.call_soon_threadsafe(release.wait)  # wedge the loop
+        monkeypatch.setattr(server._thread, "join", lambda timeout: None)
+        try:
+            with pytest.raises(RuntimeError, match="did not exit"):
+                server.stop()
+        finally:
+            release.set()
+            monkeypatch.undo()
+        # The thread was not forgotten: stopping again joins it.
+        thread = server._thread
+        server.stop()
+        assert not thread.is_alive()
