@@ -7,7 +7,8 @@ A *site* is one place a computation's result is stored under a key:
 * ``functools.lru_cache`` / ``functools.cache`` decorated defs — the
   parameters *are* the key;
 * ``<cache>.put(key, value)`` — the persistent ``EvalCache`` admission
-  sites in the evaluation engine.
+  sites in the evaluation engine, and the stores of a value a caller
+  computed after a ``Memo.lookup`` missed.
 
 For each site the scanner resolves the *key component names* (which
 identifiers flow into the key expression, tracing locals through the
@@ -187,12 +188,14 @@ class _SiteScanner:
         )
 
     def _cache_receiver(self, expr: ast.expr) -> bool:
-        """Whether a ``.put`` receiver looks like the EvalCache."""
+        """Whether a ``.put`` receiver looks like the EvalCache or a
+        ``Memo``."""
         name = terminal_name(expr)
-        if name is not None and "cache" in name.lower():
+        if name is not None and any(
+                part in name.lower() for part in ("cache", "memo")):
             return True
         typ = self.program.instance_type(self.fn, self.fn.module, expr)
-        return typ is not None and typ.endswith(".EvalCache")
+        return typ is not None and typ.endswith((".EvalCache", ".Memo"))
 
 
 def _lru_sites(program: Program) -> list[MemoSite]:

@@ -22,7 +22,7 @@ from repro.activity import (
     CoreActivity,
     SystemActivity,
 )
-from repro.chip.results import ComponentResult
+from repro.chip.results import ComponentResult, summed_area
 from repro.clocking import ClockNetwork
 from repro.config.loader import chip_key
 from repro.config.schema import SystemConfig
@@ -332,7 +332,7 @@ class Processor:
                 ),
             ))
 
-        modeled_area = sum(c.total_area for c in children)
+        modeled_area = summed_area(children)
         io_fraction = self.config.io_area_fraction
         if io_fraction > 0 or self.config.io_peak_power_w > 0:
             io_area = modeled_area * io_fraction / (1.0 - io_fraction)
@@ -349,7 +349,7 @@ class Processor:
 
         white_fraction = self.config.whitespace_fraction
         if white_fraction > 0:
-            placed = sum(c.total_area for c in children)
+            placed = summed_area(children)
             children.append(ComponentResult(
                 name="floorplan whitespace",
                 area=placed * white_fraction / (1.0 - white_fraction),

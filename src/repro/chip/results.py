@@ -10,14 +10,7 @@ never walks the subtree.
 from __future__ import annotations
 
 from dataclasses import dataclass, field, replace
-from operator import attrgetter
-from typing import Any, Iterator
-
-_TOTAL_AREA = attrgetter("total_area")
-_TOTAL_PEAK_DYNAMIC = attrgetter("total_peak_dynamic_power")
-_TOTAL_RUNTIME_DYNAMIC = attrgetter("total_runtime_dynamic_power")
-_TOTAL_LEAKAGE = attrgetter("total_leakage_power")
-_TOTAL_RUNTIME_LEAKAGE = attrgetter("total_runtime_leakage_power")
+from typing import Any, Iterable, Iterator
 
 
 def _derived() -> Any:
@@ -86,26 +79,22 @@ class ComponentResult:
             runtime_leakage = self.leakage_power
         elif runtime_leakage < 0:
             raise ValueError("runtime_leakage_power must be non-negative")
-        # Each total is this node's metric plus the sum of its children's
-        # totals, in child order. A leaf skips sum() and adds what it
-        # returns for no children, the int 0 (which turns -0.0 into 0.0).
-        children = self.children
-        if children:
-            area = self.area + sum(map(_TOTAL_AREA, children))
-            peak = self.peak_dynamic_power + sum(
-                map(_TOTAL_PEAK_DYNAMIC, children))
-            runtime = self.runtime_dynamic_power + sum(
-                map(_TOTAL_RUNTIME_DYNAMIC, children))
-            leakage = self.leakage_power + sum(
-                map(_TOTAL_LEAKAGE, children))
-            total_runtime_leakage = runtime_leakage + sum(
-                map(_TOTAL_RUNTIME_LEAKAGE, children))
-        else:
-            area = self.area + 0
-            peak = self.peak_dynamic_power + 0
-            runtime = self.runtime_dynamic_power + 0
-            leakage = self.leakage_power + 0
-            total_runtime_leakage = runtime_leakage + 0
+        # Each total is this node's metric plus its children's totals
+        # added left to right from the int 0 (which turns a leaf's -0.0
+        # into 0.0): builtin sum() through Python 3.11, which since 3.12
+        # compensates float rounding and so differs in the last bits.
+        area = peak = runtime = leakage = total_runtime_leakage = 0
+        for child in self.children:
+            area += child.total_area
+            peak += child.total_peak_dynamic_power
+            runtime += child.total_runtime_dynamic_power
+            leakage += child.total_leakage_power
+            total_runtime_leakage += child.total_runtime_leakage_power
+        area = self.area + area
+        peak = self.peak_dynamic_power + peak
+        runtime = self.runtime_dynamic_power + runtime
+        leakage = self.leakage_power + leakage
+        total_runtime_leakage = runtime_leakage + total_runtime_leakage
         # A frozen dataclass: write the instance dict, as cached_property
         # does, in one call.
         self.__dict__.update(
@@ -192,3 +181,12 @@ class ComponentResult:
 def combine(name: str, children: list[ComponentResult]) -> ComponentResult:
     """Group results under a parent with no exclusive costs of its own."""
     return ComponentResult(name=name, children=tuple(children))
+
+
+def summed_area(results: Iterable[ComponentResult]) -> float:
+    """The results' total areas added left to right from the int 0, as
+    builtin ``sum()`` adds them through Python 3.11 (m^2)."""
+    area = 0
+    for result in results:
+        area += result.total_area
+    return area

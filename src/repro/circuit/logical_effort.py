@@ -97,6 +97,8 @@ def chain_figures(
         count = len(stages)
         delay = 0.0
         energy = 0.0
+        # From the int 0, as builtin sum() adds through Python 3.11.
+        leakage = area = 0
         for i, stage in enumerate(stages):
             if i + 1 < count:
                 load = stages[i + 1].input_capacitance
@@ -104,9 +106,11 @@ def chain_figures(
                 load = load_capacitance
             delay += gate_delay(stage, load)
             energy += gate_switching_energy(stage, load, device.vdd)
+            leakage += stage.leakage_power
+            area += stage.area
         return ChainFigures(
             delay=delay,
             energy_per_transition=energy,
-            leakage_power=sum(stage.leakage_power for stage in stages),
-            area=sum(stage.area for stage in stages),
+            leakage_power=leakage,
+            area=area,
         )

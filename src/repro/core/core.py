@@ -13,7 +13,7 @@ from dataclasses import dataclass
 from functools import cached_property
 
 from repro.activity import CoreActivity
-from repro.chip.results import ComponentResult
+from repro.chip.results import ComponentResult, summed_area
 from repro.config.schema import CoreConfig
 from repro.core.exu import ExecutionUnit
 from repro.core.ifu import InstructionFetchUnit
@@ -159,7 +159,7 @@ class Core:
             )
             children = [c.with_leakage_gating(retained) for c in children]
 
-        units_area = sum(c.total_area for c in children)
+        units_area = summed_area(children)
         overhead = _CORE_PLACEMENT_OVERHEAD - 1.0
         if self.config.power_gating:
             overhead += _POWER_GATE_AREA_OVERHEAD

@@ -19,6 +19,7 @@ from __future__ import annotations
 
 import dataclasses
 from dataclasses import dataclass, field
+from operator import attrgetter
 from typing import TYPE_CHECKING, Any
 
 from repro.config.schema import SystemConfig
@@ -129,11 +130,10 @@ class EvalRecord:
         return self.leakage_w / self.tdp_w if self.tdp_w else 0.0
 
     def to_dict(self) -> dict[str, Any]:
-        """Serialize for the JSONL cache log."""
-        data = dataclasses.asdict(self)
-        del data["from_cache"]
-        del data["backend"]
-        return data
+        """Serialize for the JSONL cache log and for served responses:
+        every field but ``from_cache`` and ``backend``, in field order.
+        The values are immutable, so nothing is copied."""
+        return dict(zip(_SERIALIZED, _serialized_values(self)))
 
     @classmethod
     def from_dict(cls, data: dict[str, Any]) -> "EvalRecord":
@@ -162,6 +162,14 @@ class EvalRecord:
                 raise TypeError(f"record {name} must be a number or null")
         known = {f.name for f in dataclasses.fields(cls)}
         return cls(**{k: v for k, v in data.items() if k in known})
+
+
+#: The fields :meth:`EvalRecord.to_dict` writes, in field order.
+_SERIALIZED = tuple(
+    f.name for f in dataclasses.fields(EvalRecord)
+    if f.name not in ("from_cache", "backend")
+)
+_serialized_values = attrgetter(*_SERIALIZED)
 
 
 def evaluate_config(

@@ -66,6 +66,15 @@ class ClusterPoint:
         return self.edp * self.runtime_s
 
 
+def _mean(values: list[float]) -> float:
+    """The values' mean, added left to right from the int 0 as builtin
+    ``sum()`` adds them through Python 3.11."""
+    total = 0
+    for value in values:
+        total += value
+    return total / len(values)
+
+
 def run_clustering_study(
     n_cores: int = 64,
     cluster_sizes: tuple[int, ...] | None = None,
@@ -116,17 +125,16 @@ def run_clustering_study(
             ))
             noc_powers.append(report.child("NoC").total_runtime_power)
 
-        mean = lambda xs: sum(xs) / len(xs)  # noqa: E731 - local helper
         points.append(ClusterPoint(
             cores_per_cluster=size,
             n_clusters=n_cores // size,
             area_mm2=processor.area * 1e6,
-            runtime_s=mean(runtimes),
-            throughput_gips=mean(throughputs),
-            power_w=mean(powers),
-            core_power_w=mean(core_powers),
-            l2_power_w=mean(l2_powers),
-            noc_power_w=mean(noc_powers),
+            runtime_s=_mean(runtimes),
+            throughput_gips=_mean(throughputs),
+            power_w=_mean(powers),
+            core_power_w=_mean(core_powers),
+            l2_power_w=_mean(l2_powers),
+            noc_power_w=_mean(noc_powers),
         ))
     return points
 

@@ -54,6 +54,9 @@ _enabled: bool = True
 #: Every Memo ever constructed, for clear_all()/stats().
 _REGISTRY: list["Memo"] = []
 
+#: What :meth:`Memo.lookup` returns for an absent key inside the module.
+_MISSING = object()
+
 
 def enabled() -> bool:
     """Whether the memos are live (outside :func:`disabled`)."""
@@ -92,7 +95,7 @@ class Memo:
 
     Attributes:
         hits: Successful lookups.
-        misses: Lookups that had to compute.
+        misses: Lookups that found nothing.
         evictions: Entries dropped to stay within ``max_entries``.
     """
 
@@ -114,24 +117,42 @@ class Memo:
         When the fast path is :func:`disabled`, always computes and never
         touches the table, so the exact path has zero memo coupling.
         """
+        value = self.lookup(key, _MISSING)
+        if value is _MISSING:
+            value = compute()
+            self.put(key, value)
+        return cast(T, value)
+
+    def lookup(self, key: Any, default: Any = None) -> Any:
+        """``key``'s memoized value, or ``default``; computes nothing.
+
+        Counts a hit or a miss as :meth:`get_or_compute` does. A caller
+        that misses and computes the value elsewhere stores it with
+        :meth:`put`. When the fast path is :func:`disabled`, finds
+        nothing and counts nothing.
+        """
         if not _enabled:
-            return compute()
+            return default
         with self._lock:
             try:
                 value = self._entries[key]
             except KeyError:
                 self.misses += 1
-            else:
-                self._entries.move_to_end(key)
-                self.hits += 1
-                return cast(T, value)
-        value = compute()
+                return default
+            self._entries.move_to_end(key)
+            self.hits += 1
+            return value
+
+    def put(self, key: Any, value: Any) -> None:
+        """Store ``value`` under ``key`` without counting a lookup. A
+        no-op when the fast path is :func:`disabled`."""
+        if not _enabled:
+            return
         with self._lock:
             self._entries[key] = value
             while len(self._entries) > self.max_entries:
                 self._entries.popitem(last=False)
                 self.evictions += 1
-        return value
 
     def replace(self, key: Any, old: Any, new: Any) -> None:
         """Swap ``key``'s entry from ``old`` to ``new``, atomically.

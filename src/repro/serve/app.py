@@ -5,13 +5,18 @@ One :class:`EvalServer` owns the resources every request shares:
 * a process-wide content-hash :class:`~repro.engine.cache.EvalCache`
   (optionally JSONL-backed), so a config any client evaluated before is
   never modeled again;
-* a bounded admission queue — at most ``concurrency`` evaluations run
-  at once, at most ``queue_limit`` wait; beyond that the server answers
-  ``503`` with ``Retry-After`` instead of building unbounded backlog;
-* a per-request timeout (``504`` on expiry; the admission slot is
-  released so the pool stays healthy);
 * a report-text memo keyed on the record's content hash, so a warm
   ``POST /evaluate`` re-renders nothing;
+* hits answered on the event loop: ``POST /evaluate`` keys its config
+  once and looks it up in the cache (and its report text in the memo);
+  a stored answer is returned right there, and only a miss goes on to
+  admission and the evaluation pool;
+* a bounded admission queue for evaluations — at most ``concurrency``
+  run at once, at most ``queue_limit`` wait; beyond that the server
+  answers ``503`` with ``Retry-After`` instead of building unbounded
+  backlog, while hits are still answered;
+* a per-request timeout (``504`` on expiry; the admission slot is
+  released so the pool stays healthy);
 * per-request trace ids that ride the :mod:`repro.obs` span hierarchy —
   run the server with instrumentation on and every span of a request's
   evaluation hangs under its ``serve.request`` span.
@@ -20,7 +25,10 @@ Endpoints::
 
     GET  /healthz          liveness + queue occupancy
     GET  /metrics          metrics-registry snapshot (cache hit rates,
-                           memo counters, serve request counters)
+                           memo counters, serve request counters; with
+                           instrumentation on, the serve.stage.*
+                           histograms of /evaluate: parse, lookup,
+                           admission, evaluate, encode)
     POST /evaluate         one config -> EvalRecord (+ report text,
                            on by default); every answer is exact
     POST /sweep            SweepSpec grid -> batched results; with
@@ -57,6 +65,7 @@ from repro.engine import (
     EvalCache,
     EvalRecord,
     SweepSpec,
+    config_key,
     evaluate_many,
     run_sweep,
 )
@@ -131,6 +140,13 @@ def _str_field(payload: Mapping[str, Any], name: str) -> str | None:
     return value
 
 
+def _report_text(config: SystemConfig, depth: int) -> str:
+    """The report text ``/evaluate`` serves for ``config``: a function
+    of its own, so the cache-key soundness pass sees what the report
+    memo's values are computed from."""
+    return render_report_text(Processor(config), max_depth=depth) + "\n"
+
+
 @dataclass(frozen=True)
 class ServeConfig:
     """Tunables of one server instance.
@@ -139,8 +155,9 @@ class ServeConfig:
         host: Bind address.
         port: TCP port (0 = ephemeral, see ``EvalServer.port``).
         concurrency: Evaluations allowed to run at once.
-        queue_limit: Requests allowed to wait for a slot; beyond this
-            the server answers 503 with ``Retry-After``.
+        queue_limit: Evaluations allowed to wait for a slot; beyond
+            this the server answers 503 with ``Retry-After``. A cache
+            hit takes no slot and never waits.
         timeout_s: Per-request wall-clock budget (504 on expiry).
         jobs: Engine worker processes available to one sweep request.
         cache_entries: In-memory capacity of the shared result cache.
@@ -338,7 +355,11 @@ class EvalServer:
         ):
             try:
                 status, payload = await self._route(request, trace_id)
+                encode_s = time.perf_counter()
                 body = encode_json(payload)
+                if request.path == "/evaluate":
+                    obs.observe("serve.stage.encode_s",
+                                time.perf_counter() - encode_s)
             except HttpError as exc:
                 status = exc.status
                 body = error_body(status, exc.message, trace_id=trace_id)
@@ -399,9 +420,13 @@ class EvalServer:
     # -- admission -------------------------------------------------------
 
     async def _admitted(
-        self, work: Callable[[], Any], timeout_s: float | None = None,
+        self, work: Callable[[], Any], stages: bool = False,
     ) -> Any:
         """Run ``work`` on the evaluation pool under admission control.
+
+        With ``stages``, the wait for a slot is observed in
+        ``serve.stage.admission_s`` and the run in
+        ``serve.stage.evaluate_s`` (an ``/evaluate`` miss).
 
         Raises:
             HttpError: 503 when the wait queue is full.
@@ -409,7 +434,9 @@ class EvalServer:
                 admission slot is released (the stranded worker thread
                 finishes on its own — see ``_EXECUTOR_HEADROOM``).
         """
-        if self._waiting >= self.config.queue_limit:
+        started_s = time.perf_counter()
+        if self._semaphore.locked() and \
+                self._waiting >= self.config.queue_limit:
             self._count("serve.rejected")
             raise HttpError(
                 503,
@@ -424,16 +451,21 @@ class EvalServer:
         finally:
             self._waiting -= 1
         self._active += 1
-        budget_s = timeout_s if timeout_s is not None \
-            else self.config.timeout_s
+        admitted_s = time.perf_counter()
         loop = asyncio.get_running_loop()
         try:
             return await asyncio.wait_for(
-                loop.run_in_executor(self._executor, work), budget_s,
+                loop.run_in_executor(self._executor, work),
+                self.config.timeout_s,
             )
         finally:
             self._active -= 1
             self._semaphore.release()
+            if stages:
+                obs.observe("serve.stage.admission_s",
+                            admitted_s - started_s)
+                obs.observe("serve.stage.evaluate_s",
+                            time.perf_counter() - admitted_s)
 
     # -- request parsing -------------------------------------------------
 
@@ -511,31 +543,37 @@ class EvalServer:
         self,
         config: SystemConfig,
         workload: Workload | None,
-        want_report: bool,
-        depth: int,
+        key: str,
+        record: EvalRecord | None,
+        report_key: tuple[str, int] | None,
+        report_text: str | None,
         parent_span_id: int | None,
     ) -> tuple[EvalRecord, str | None]:
-        """Executor-side body of one ``/evaluate`` request."""
+        """Executor-side body of one ``/evaluate`` miss.
+
+        Evaluates the config unless its ``record`` was found, and
+        renders the report text when ``report_key`` asks for one unless
+        it was found. ``key`` is ``config_key(config, workload)`` and
+        ``report_key`` is ``(key, depth)``, each looked up once, on the
+        loop.
+        """
         with obs.attach(parent_span_id):
-            record = evaluate_many(
-                [config], workload=workload, jobs=1, cache=self.cache,
-            )[0]
-            report_text = None
-            if want_report:
-                report_text = self._report_memo.get_or_compute(
-                    # record.key is config_key(config), so the key
-                    # covers the config the render closes over.
-                    # repro: keyed-by[config]
-                    (record.key, depth),
-                    lambda: render_report_text(
-                        Processor(config), max_depth=depth,
-                    ) + "\n",
-                )
+            if record is None:
+                record = evaluate_many(
+                    [config], workload=workload, jobs=1, cache=None,
+                )[0]
+                self.cache.put(key, record)
+            if report_key is not None and report_text is None:
+                report_text = _report_text(config, report_key[1])
+                self._report_memo.put(report_key, report_text)
         return record, report_text
 
     async def _handle_evaluate(
         self, request: HttpRequest, trace_id: str,
     ) -> dict[str, Any]:
+        """Answer from the shared cache and the report-text memo on the
+        loop; only a miss takes an admission slot and a pool thread."""
+        started_s = time.perf_counter()
         payload = request.json()
         if not isinstance(payload, Mapping):
             raise HttpError(400, "request body must be a JSON object")
@@ -543,15 +581,31 @@ class EvalServer:
         workload = self._parse_workload(payload)
         want_report = _bool_field(payload, "report", True)
         depth = _int_field(payload, "depth", REPORT_DEPTH, 0)
-        parent_span_id = obs.current_span_id()
+        parsed_s = time.perf_counter()
+        obs.observe("serve.stage.parse_s", parsed_s - started_s)
         try:
-            record, report_text = await self._admitted(
-                lambda: self._evaluate_work(
-                    config, workload, want_report, depth, parent_span_id,
-                ),
-            )
+            key = config_key(config, workload)
         except ValueError as exc:
             raise HttpError(400, str(exc)) from exc
+        record = self.cache.get(key)
+        report_key = (key, depth) if want_report else None
+        report_text = None
+        if report_key is not None:
+            report_text = self._report_memo.lookup(report_key)
+        obs.observe("serve.stage.lookup_s", time.perf_counter() - parsed_s)
+        if record is None or (report_key is not None
+                               and report_text is None):
+            parent_span_id = obs.current_span_id()
+            try:
+                record, report_text = await self._admitted(
+                    lambda: self._evaluate_work(
+                        config, workload, key, record, report_key,
+                        report_text, parent_span_id,
+                    ),
+                    stages=True,
+                )
+            except ValueError as exc:
+                raise HttpError(400, str(exc)) from exc
         self._count("serve.evaluations")
         response: dict[str, Any] = {
             "trace_id": trace_id,

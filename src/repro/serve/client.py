@@ -11,7 +11,8 @@ connection (or opens one) and gives it back after a complete response,
 so a closed loop of requests pays for one TCP connection, not one per
 request. Threads may share a client; each request in flight holds its
 own connection. :meth:`ServeClient.close` (or leaving a ``with`` block)
-closes the idle connections.
+closes the idle connections. A request goes out in one write, its head
+and body together.
 
 Example::
 
@@ -29,6 +30,26 @@ import http.client
 import json
 import time
 from typing import Any, Mapping, Sequence
+
+
+class _Connection(http.client.HTTPConnection):
+    """An :class:`http.client.HTTPConnection` that sends a request's
+    head and its ``bytes`` body in one write.
+
+    The stock connection sends them in two, so a server on the same CPU
+    wakes once for the head and again for the body.
+    """
+
+    def _send_output(
+        self, message_body: Any = None, encode_chunked: bool = False,
+    ) -> None:
+        if not isinstance(message_body, bytes) or encode_chunked:
+            super()._send_output(message_body, encode_chunked)
+            return
+        self._buffer.extend((b"", message_body))
+        message = b"\r\n".join(self._buffer)
+        del self._buffer[:]
+        self.send(message)
 
 
 class ServeError(RuntimeError):
@@ -93,9 +114,7 @@ class ServeClient:
         self.close()
 
     def _connect(self) -> http.client.HTTPConnection:
-        return http.client.HTTPConnection(
-            self.host, self.port, timeout=self.timeout_s,
-        )
+        return _Connection(self.host, self.port, timeout=self.timeout_s)
 
     def _exchange(
         self,

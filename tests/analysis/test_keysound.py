@@ -137,6 +137,29 @@ class TestSiteDiscovery:
         assert site.compute and site.compute[0].short == "evaluate"
 
 
+    def test_memo_put_after_a_lookup_is_a_site(self):
+        findings = _run(("serve.py", """
+            STYLE = {"indent": 2}
+
+            def render(cfg):
+                return cfg * STYLE["indent"]
+
+            def answer(cfg, report_memo):
+                text = report_memo.lookup(cfg)
+                if text is None:
+                    text = render(cfg)
+                    report_memo.put(cfg, text)
+                return text
+
+            def restyle(width):
+                STYLE["indent"] = width
+        """))
+        (finding,) = findings
+        assert finding.rule == "KEY001"
+        assert "report_memo.put" in finding.message
+        assert "serve.STYLE" in finding.message
+
+
 class TestSeededStaleCacheBug:
     def test_key001_fires_with_the_inference_chain(self):
         findings = _run(("tech.py", TECH), ("solver.py", SOLVER_BUGGY))

@@ -23,24 +23,33 @@ from repro.perf.workload import SPLASH2_PROFILES
 from tests.chip.test_power_gating import GATED, TECH
 
 
+def _fold(values):
+    """``values`` added left to right from the int 0: builtin ``sum()``
+    through Python 3.11 (since 3.12 it compensates float rounding)."""
+    total = 0
+    for value in values:
+        total += value
+    return total
+
+
 def _area(node):
-    return node.area + sum(_area(c) for c in node.children)
+    return node.area + _fold(_area(c) for c in node.children)
 
 
 def _peak_dynamic(node):
-    return node.peak_dynamic_power + sum(
+    return node.peak_dynamic_power + _fold(
         _peak_dynamic(c) for c in node.children
     )
 
 
 def _runtime_dynamic(node):
-    return node.runtime_dynamic_power + sum(
+    return node.runtime_dynamic_power + _fold(
         _runtime_dynamic(c) for c in node.children
     )
 
 
 def _leakage(node):
-    return node.leakage_power + sum(_leakage(c) for c in node.children)
+    return node.leakage_power + _fold(_leakage(c) for c in node.children)
 
 
 def _effective_leakage(node):
@@ -50,7 +59,7 @@ def _effective_leakage(node):
 
 
 def _runtime_leakage(node):
-    return _effective_leakage(node) + sum(
+    return _effective_leakage(node) + _fold(
         _runtime_leakage(c) for c in node.children
     )
 

@@ -284,6 +284,29 @@ class TestEvalRecord:
     def test_from_cache_excluded_from_equality(self):
         assert dataclasses.replace(record(), from_cache=True) == record()
 
+    @pytest.mark.parametrize("workload_metrics", [
+        {},
+        {"runtime_s": 2.0, "power_w": 10.0, "throughput_ips": 3.0e9},
+    ])
+    def test_to_dict_is_asdict_without_provenance(self, workload_metrics):
+        rec = dataclasses.replace(
+            record(), from_cache=True, backend="numpy", **workload_metrics,
+        )
+        want = dataclasses.asdict(rec)
+        del want["from_cache"], want["backend"]
+        assert list(rec.to_dict().items()) == list(want.items())
+
+    def test_log_line_is_the_asdict_form(self, tmp_path):
+        rec = dataclasses.replace(record(), runtime_s=2.0, power_w=10.0)
+        path = tmp_path / "cache.jsonl"
+        EvalCache(path=path).put("k", rec)
+        want = dataclasses.asdict(rec)
+        del want["from_cache"], want["backend"]
+        assert path.read_text() == json.dumps(
+            {"key": "k", "record": want}, sort_keys=True,
+        ) + "\n"
+        assert EvalCache(path=path).get("k") == rec
+
 
 class TestEvalCacheThreadSafety:
     def test_concurrent_writers_keep_log_and_counters_exact(self, tmp_path):

@@ -9,6 +9,7 @@ timeouts without paying for real model builds.
 """
 
 import http.client
+import json
 import socket
 import socketserver
 import threading
@@ -19,7 +20,13 @@ import pytest
 from repro import obs
 from repro.config import presets
 from repro.config.loader import system_config_to_dict
-from repro.engine import EvalRecord, evaluate_many, run_sweep
+from repro.engine import (
+    EvalCache,
+    EvalRecord,
+    config_key,
+    evaluate_many,
+    run_sweep,
+)
 from repro.serve import (
     BackgroundServer,
     ServeClient,
@@ -558,6 +565,155 @@ class TestAdmissionControl:
         assert metrics["counters"]["serve.responses.504"] >= 1.0
 
 
+def _wait_for(predicate, timeout_s=10.0):
+    deadline_s = time.monotonic() + timeout_s
+    while not predicate():
+        assert time.monotonic() < deadline_s, "condition never held"
+        time.sleep(0.01)
+
+
+def _warm_cache(*configs):
+    """A cache holding the real records of ``configs``."""
+    cache = EvalCache()
+    evaluate_many(list(configs), cache=cache)
+    return cache
+
+
+def _lookups(counters):
+    return counters["engine.cache.hits"] + counters["engine.cache.misses"]
+
+
+class TestHitPath:
+    """A stored answer is served on the event loop: no admission slot,
+    no pool thread."""
+
+    def test_saturated_server_still_answers_a_hit(self, monkeypatch):
+        warm = make_tiny_config(name="warm")
+        cache = _warm_cache(warm)
+        monkeypatch.setattr(
+            "repro.serve.app.evaluate_many", sleepy_evaluate_many(1.0),
+        )
+        config = ServeConfig(
+            port=0, concurrency=1, queue_limit=0, timeout_s=30.0,
+        )
+        held: list[dict] = []
+        with BackgroundServer(config, cache=cache) as server:
+            client = server.client()
+            holder = threading.Thread(target=lambda: held.append(
+                client.evaluate(config=tiny_dict(name="slow-hold"),
+                                report=False),
+            ))
+            holder.start()
+            try:
+                _wait_for(lambda: client.healthz()["active_requests"] == 1)
+                hit = client.evaluate(
+                    config=system_config_to_dict(warm), report=False,
+                )
+                with pytest.raises(ServeError) as exc:
+                    client.evaluate(
+                        config=tiny_dict(name="cold"), report=False,
+                    )
+            finally:
+                holder.join()
+        assert hit["_status"] == 200 and hit["from_cache"] is True
+        assert hit["record"]["key"] == config_key(warm)
+        assert exc.value.status == 503
+        assert held and held[0]["from_cache"] is False
+
+    def test_an_empty_queue_limit_admits_into_a_free_slot(self):
+        config = ServeConfig(port=0, concurrency=1, queue_limit=0)
+        with BackgroundServer(config) as server:
+            with server.client() as client:
+                served = client.evaluate(
+                    config=tiny_dict(name="free-slot"), report=False,
+                )
+        assert served["from_cache"] is False
+
+    def test_a_hit_never_reaches_the_pool(self, monkeypatch):
+        warm = make_tiny_config(name="warm")
+        cache = _warm_cache(warm)
+
+        def unreachable(*args, **kwargs):
+            raise AssertionError("a cache hit reached the evaluation pool")
+
+        monkeypatch.setattr("repro.serve.app.evaluate_many", unreachable)
+        with BackgroundServer(ServeConfig(port=0), cache=cache) as server:
+            with server.client() as client:
+                served = client.evaluate(
+                    config=system_config_to_dict(warm), report=False,
+                )
+        assert served["from_cache"] is True
+        assert EvalRecord.from_dict(served["record"]) == cache.get(
+            config_key(warm))
+
+    def test_a_warm_report_is_served_with_the_pool_shut_down(self):
+        payload = tiny_dict(name="report-warm")
+        with BackgroundServer(ServeConfig(port=0)) as server:
+            with server.client() as client:
+                first = client.evaluate(config=payload)
+                server.server._executor.shutdown(wait=True)
+                second = client.evaluate(config=payload)
+                # A miss still needs the pool, which is gone.
+                with pytest.raises(ServeError) as exc:
+                    client.evaluate(config=tiny_dict(name="report-cold"))
+        assert second["from_cache"] is True
+        assert second["report_text"] == first["report_text"]
+        assert exc.value.status == 500
+
+    def test_one_lookup_per_request(self):
+        payload = tiny_dict(name="one-lookup")
+        with BackgroundServer(ServeConfig(port=0)) as server:
+            with server.client() as client:
+                steps = [
+                    (False, False),  # a miss
+                    (False, True),   # a hit
+                    (True, True),    # a hit whose report is a miss
+                    (True, True),    # a hit with its report
+                ]
+                before = client.metrics()["counters"]
+                for report, from_cache in steps:
+                    served = client.evaluate(config=payload, report=report)
+                    after = client.metrics()["counters"]
+                    assert _lookups(after) == _lookups(before) + 1.0
+                    assert served["from_cache"] is from_cache
+                    before = after
+        assert after["engine.cache.misses"] == pytest.approx(1.0)
+        assert after["memo.serve.report_text.misses"] == pytest.approx(1.0)
+        assert after["memo.serve.report_text.hits"] == pytest.approx(1.0)
+
+    @pytest.mark.parametrize("instrumented", [True, False])
+    def test_stage_histograms(self, instrumented):
+        obs.reset()
+        if instrumented:
+            obs.enable()
+        try:
+            with BackgroundServer(ServeConfig(port=0)) as server:
+                with server.client() as client:
+                    for _ in range(2):  # a miss, then a hit
+                        client.evaluate(
+                            config=tiny_dict(name="stages"), report=False,
+                        )
+                    histograms = client.metrics()["histograms"]
+        finally:
+            obs.disable()
+            obs.reset()
+        stages = {
+            name: histogram["count"]
+            for name, histogram in histograms.items()
+            if name.startswith("serve.stage.")
+        }
+        if not instrumented:
+            assert stages == {}
+            return
+        assert stages == {
+            "serve.stage.parse_s": 2.0,
+            "serve.stage.lookup_s": 2.0,
+            "serve.stage.admission_s": 1.0,
+            "serve.stage.evaluate_s": 1.0,
+            "serve.stage.encode_s": 2.0,
+        }
+
+
 class TestKeepAliveRobustness:
     """A poisoned keep-alive connection must not wedge the server."""
 
@@ -671,6 +827,26 @@ class TestConnectionReuse:
                 counters = client.metrics()["counters"]
         assert counters["serve.connections"] == pytest.approx(1.0)
         assert counters["serve.requests"] == pytest.approx(21.0)
+
+    def test_a_request_goes_out_in_one_write(self, monkeypatch):
+        writes = []
+        client_thread = threading.get_ident()
+        sendall = socket.socket.sendall
+
+        def counted(sock, data, *args):
+            if threading.get_ident() == client_thread:
+                writes.append(bytes(data))
+            return sendall(sock, data, *args)
+
+        monkeypatch.setattr(socket.socket, "sendall", counted)
+        with _OneRequestServer() as stub, \
+                ServeClient(port=stub.port) as client:
+            client.request("POST", "/evaluate", {"preset": "niagara1"})
+        (request,) = writes
+        head, _, body = request.partition(b"\r\n\r\n")
+        assert head.startswith(b"POST /evaluate HTTP/1.1\r\n")
+        assert f"Content-Length: {len(body)}".encode() in head
+        assert json.loads(body) == {"preset": "niagara1"}
 
     def test_connection_closed_by_the_server_is_replaced(self):
         with _OneRequestServer() as stub, \

@@ -58,6 +58,25 @@ class TestMemo:
         assert len(memo) == 1
         assert memo.evictions == 2
 
+    def test_lookup_counts_like_get_or_compute_and_computes_nothing(self):
+        memo = fastpath.Memo("t-lookup")
+        assert memo.lookup("k") is None
+        assert memo.lookup("k", "absent") == "absent"
+        assert (memo.hits, memo.misses, len(memo)) == (0, 2, 0)
+        memo.put("k", 7)  # a store counts no lookup
+        assert (memo.hits, memo.misses) == (0, 2)
+        assert memo.lookup("k") == 7
+        assert memo.get_or_compute("k", lambda: 8) == 7
+        assert (memo.hits, memo.misses) == (2, 2)
+
+    def test_put_keeps_the_capacity(self):
+        memo = fastpath.Memo("t-put", max_entries=1)
+        memo.put("a", 1)
+        memo.put("b", 2)  # evicts a
+        assert memo.lookup("a") is None
+        assert memo.lookup("b") == 2
+        assert memo.evictions == 1
+
     def test_clear_resets_counters(self):
         memo = fastpath.Memo("t-clear")
         memo.get_or_compute("a", lambda: 1)
@@ -85,6 +104,15 @@ class TestDisabledContext:
         with fastpath.disabled():
             memo.replace("k", old, ["new"])
         assert memo.get_or_compute("k", lambda: None) is old
+
+    def test_lookup_finds_nothing_and_put_stores_nothing(self):
+        memo = fastpath.Memo("t-disabled-lookup")
+        memo.put("k", 1)
+        with fastpath.disabled():
+            assert memo.lookup("k") is None
+            memo.put("j", 2)
+        assert (memo.hits, memo.misses, len(memo)) == (0, 0, 1)
+        assert memo.lookup("k") == 1
 
     def test_nesting_restores(self):
         with fastpath.disabled():
