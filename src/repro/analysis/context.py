@@ -26,13 +26,12 @@ from repro.analysis.directives import Directives, scan_directives
 
 #: Every function through which a content-hash cache key is derived
 #: (``config_keys`` is the engine's one-encoding pair of
-#: ``config_key`` and ``structure_key``; ``chip_key`` keys the chip
-#: parts). A call to one marks the enclosing function as part of the
-#: cache contract (CP002); each is a root that must itself be
-#: deterministic (DET001).
+#: ``config_key`` and ``chip_key``; ``chip_key`` keys the chip parts
+#: and the compiled batch groups). A call to one marks the enclosing
+#: function as part of the cache contract (CP002); each is a root that
+#: must itself be deterministic (DET001).
 KEY_FUNCTIONS = frozenset({
-    "stable_hash", "config_key", "config_keys", "structure_key",
-    "chip_key",
+    "stable_hash", "config_key", "config_keys", "chip_key",
 })
 
 #: Container/object methods that mutate their receiver in place.

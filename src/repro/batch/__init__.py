@@ -1,23 +1,23 @@
 """Structure-of-arrays batch evaluation backend.
 
 McPAT's headline workload is design-space exploration: the same chip
-structure evaluated at hundreds of operating points. This package splits
+evaluated at hundreds of operating points. This package splits
 model *construction* from numeric *evaluation* so a sweep is array math
 instead of a loop of full evaluations:
 
 * :mod:`repro.batch.terms` — piecewise-affine frequency responses, the
   compiled numeric form (scalar and numpy evaluation).
 * :mod:`repro.batch.compile` — probes the exact scalar model for one
-  chip structure over a :class:`Domain` (a clock interval times a set
-  of temperatures), fits the closed forms, and validates every
-  assumption with held-out probes (:class:`BatchFallback` on a
-  residual or a non-finite probe).
+  built chip over a :class:`Domain` (a clock interval), fits the
+  closed forms, and validates them with held-out probes
+  (:class:`BatchFallback` on a residual or a non-finite probe).
 * :mod:`repro.batch.backend` — backend resolution (``scalar`` |
   ``numpy`` | ``auto``) and group orchestration for
   :func:`repro.engine.evaluate_many`. One compiled fit is kept per
-  structure, keyed by the structure alone; a group inside its domain
-  costs no probe, and one reaching outside widens it by a compile over
-  the union.
+  built chip, under the :func:`~repro.config.loader.chip_key` its
+  parts are memoized under (every field but ``clock_hz``); a group
+  inside its domain costs no probe, and one reaching outside widens it
+  by a compile over the union.
 
 The scalar path remains the bit-identical reference; the numpy backend
 promises agreement within 1e-9 relative (enforced by the parity suite
@@ -42,7 +42,6 @@ from repro.batch.compile import (
     compile_group,
 )
 from repro.batch.terms import PiecewiseAffine
-from repro.config.loader import GROUP_AXES, structure_key
 from repro.engine.record import METRICS
 
 __all__ = [
@@ -50,7 +49,6 @@ __all__ = [
     "BatchFallback",
     "CompiledGroup",
     "Domain",
-    "GROUP_AXES",
     "METRICS",
     "PiecewiseAffine",
     "compile_group",
@@ -60,5 +58,4 @@ __all__ = [
     "have_numpy",
     "reset_counters",
     "resolve_backend",
-    "structure_key",
 ]

@@ -3,24 +3,23 @@
 The engine asks this module two questions: which backend a request
 resolves to (:func:`resolve_backend` — ``numpy`` silently degrades to
 ``scalar`` when the optional extra is missing), and what a batch of
-pending ``(key, structure key, config)`` points evaluates to
+pending ``(key, chip key, config)`` points evaluates to
 (:func:`evaluate_batch`).
 
-:func:`evaluate_batch` partitions the points by *structure key* — the
-canonical text of everything except ``clock_hz`` and ``temperature_k``
-— and evaluates each group's frequency/temperature axis as numpy arrays
-over one compiled fit per structure
-(:func:`repro.batch.compile.compile_group`). A structure's fit is kept
-with the :class:`~repro.batch.compile.Domain` it was validated over — a
-clock interval and a temperature set. A group inside that domain costs
-no probe, whatever its size; a group reaching outside it compiles the
-structure once more over the union of both domains, so a new clock
-window on a known structure widens the fit instead of re-probing per
-window. Points the backend cannot (or should not) vectorize come back
-as leftovers for the exact scalar path: a group of an unseen structure
-too small to amortize a compile, a group whose validation probes fail,
-and anything with a workload attached (runtime simulation is per-point
-by nature).
+:func:`evaluate_batch` partitions the points by *chip key* — the
+canonical texts of every config field but ``clock_hz``, the key the
+built chip's parts are memoized under — and evaluates each group's
+clock axis as numpy arrays over one compiled fit per chip
+(:func:`repro.batch.compile.compile_group`). A chip's fit is kept with
+the :class:`~repro.batch.compile.Domain` it was validated over, a clock
+interval. A group inside that interval costs no probe, whatever its
+size; a group reaching outside it compiles the chip once more over the
+union of both intervals, so a new clock window on a known chip widens
+the fit instead of re-probing per window. Points the backend cannot (or
+should not) vectorize come back as leftovers for the exact scalar path:
+a group of an unseen chip too small to amortize a compile, a group
+whose validation probes fail, and anything with a workload attached
+(runtime simulation is per-point by nature).
 
 Module-level counters mirror the :mod:`repro.fastpath` idiom: they are
 registered as a pull-side metrics collector, so ``GET /metrics`` and
@@ -41,7 +40,7 @@ from repro.batch.compile import (
     Domain,
     compile_group,
 )
-from repro.config.loader import StructureKey
+from repro.config.loader import ChipKey
 from repro.config.schema import SystemConfig
 from repro.engine.record import METRICS, EvalRecord
 from repro.obs import metrics as _obs_metrics
@@ -49,17 +48,15 @@ from repro.obs import metrics as _obs_metrics
 #: Backend names accepted by ``resolve_backend`` (besides ``auto``).
 BACKENDS = ("scalar", "numpy")
 
-#: A group of a structure with no compiled fit must have this many
-#: points, and twice as many points as distinct temperatures, before
-#: compiling beats the per-point loop (compile costs ~1 construction per
-#: temperature plus a handful of report probes; a scalar point costs a
-#: construction each). A structure with a fit grows it for any group.
+#: A group of a chip with no compiled fit must have this many points
+#: before compiling beats the per-point loop: a compile is 3 probes (5
+#: across a cache kink), and each probe costs what one scalar point on
+#: the chip's parts costs. A chip with a fit grows it for any group.
 _MIN_GROUP_POINTS = 4
-_MIN_POINTS_PER_TEMPERATURE = 2
 
-Item = tuple[str, StructureKey, SystemConfig]
+Item = tuple[str, ChipKey, SystemConfig]
 
-#: Domains remembered per structure as failing to compile, newest last.
+#: Domains remembered per chip as failing to compile, newest last.
 _MAX_REMEMBERED_FAILURES = 8
 
 _COUNTER_NAMES = (
@@ -75,12 +72,12 @@ _counters: dict[str, float] = {name: 0.0 for name in _COUNTER_NAMES}
 
 
 @dataclass(frozen=True)
-class _Structure:
-    """What the backend knows about one chip structure.
+class _Chip:
+    """What the backend knows about one built chip.
 
     Attributes:
         compiled: The fit over the widest domain validated so far, or
-            None while no compile of the structure has succeeded.
+            None while no compile of the chip has succeeded.
         failed: Domains whose compile fell back, newest last; they are
             not probed again.
         made_by: The call that built this entry; that call alone adds
@@ -101,12 +98,13 @@ class _Structure:
         ) or domain in self.failed
 
 
-#: One :class:`_Structure` per structure key, across chunks,
-#: sweeps and requests: a compile is exact over its whole domain, so a
-#: later group inside it (a new clock window, a repeated grid, the next
-#: chunk) costs zero probes. Honors ``fastpath.disabled()`` like every
-#: other memo: there, each group compiles its own domain.
-_STRUCTURES = fastpath.Memo("batch.compiled_groups", max_entries=64)
+#: One :class:`_Chip` per chip key, as ``chip.parts`` holds one built
+#: chip per key, across chunks, sweeps and requests: a compile is exact
+#: over its whole domain, so a later group inside it (a new clock
+#: window, a repeated grid, the next chunk) costs zero probes. Honors
+#: ``fastpath.disabled()`` like every other memo: there, each group
+#: compiles its own domain.
+_CHIPS = fastpath.Memo("batch.compiled_groups", max_entries=64)
 
 
 def counters() -> dict[str, float]:
@@ -154,31 +152,24 @@ def resolve_backend(backend: str | None) -> str:
     )
 
 
-def _worth_compiling(n_points: int, n_temperatures: int) -> bool:
-    return (
-        n_points >= _MIN_GROUP_POINTS
-        and n_points >= _MIN_POINTS_PER_TEMPERATURE * n_temperatures
-    )
-
-
 def _grow(
-    known: _Structure,
+    known: _Chip,
     config: SystemConfig,
     domain: Domain,
     n_points: int,
     call: object,
-) -> _Structure:
+) -> _Chip:
     """``known`` extended to ``domain``: a compile over the union of its
     domain and ``domain`` or, if that falls back, over ``domain`` alone.
 
     Raises:
-        BatchFallback: When the structure has no fit and the group is
-            too small to be worth compiling one.
+        BatchFallback: When the chip has no fit and the group is too
+            small to be worth compiling one.
     """
     if known.compiled is None:
-        if not _worth_compiling(n_points, len(domain.temperatures_k)):
+        if n_points < _MIN_GROUP_POINTS:
             raise BatchFallback(
-                f"{n_points} point(s) do not amortize compiling a structure"
+                f"{n_points} point(s) do not amortize compiling a chip"
             )
         attempts = [domain]
     else:
@@ -190,37 +181,35 @@ def _grow(
             continue
         try:
             compiled = compile_group(
-                config,
-                (attempt.f_lo_hz, attempt.f_hi_hz),
-                sorted(attempt.temperatures_k),
+                config, attempt.f_lo_hz, attempt.f_hi_hz,
             )
         except BatchFallback as fallback:
             probes += fallback.n_probes
             failed = (failed + (attempt,))[-_MAX_REMEMBERED_FAILURES:]
             continue
-        return _Structure(
+        return _Chip(
             compiled, failed, call, (1, probes + compiled.n_probes),
         )
-    return _Structure(known.compiled, failed, call, (0, probes))
+    return _Chip(known.compiled, failed, call, (0, probes))
 
 
 def _compiled_for(
     config: SystemConfig,
-    skey: StructureKey,
+    key: ChipKey,
     domain: Domain,
     n_points: int,
 ) -> CompiledGroup | None:
-    """The structure's fit if it can answer ``domain``, else None."""
+    """The chip's fit if it can answer ``domain``, else None."""
     call = object()
     try:
-        known = _STRUCTURES.get_or_compute(
-            skey, lambda: _grow(_Structure(), config, domain, n_points, call),
+        known = _CHIPS.get_or_compute(
+            key, lambda: _grow(_Chip(), config, domain, n_points, call),
         )
         if not known.knows(domain):
             grown = _grow(known, config, domain, n_points, call)
-            _STRUCTURES.replace(skey, known, grown)
+            _CHIPS.replace(key, known, grown)
             known = grown
-    except BatchFallback:  # too few points to compile a new structure
+    except BatchFallback:  # too few points to compile a new chip
         return None
     if known.made_by is call:
         _counters["groups_compiled"] += known.spent[0]
@@ -237,7 +226,7 @@ def evaluate_batch(
     """Vectorize what can be vectorized; return the rest as leftovers.
 
     Args:
-        items: Pending ``(cache key, structure key, config)`` points
+        items: Pending ``(cache key, chip key, config)`` points
             (deduped and cache-missed by the engine, which took both
             keys from one :func:`~repro.engine.cache.config_keys`).
 
@@ -250,7 +239,7 @@ def evaluate_batch(
     if np is None or not items:
         return {}, list(items)
 
-    groups: dict[StructureKey, list[Item]] = {}
+    groups: dict[ChipKey, list[Item]] = {}
     for item in items:
         groups.setdefault(item[1], []).append(item)
 
@@ -260,20 +249,17 @@ def evaluate_batch(
         "batch.evaluate", category="batch",
         points=len(items), groups=len(groups),
     ):
-        for skey, group_items in groups.items():
-            points = [
-                (config.clock_hz, config.temperature_k)
-                for _, _, config in group_items
-            ]
+        for key, group_items in groups.items():
+            clocks = [config.clock_hz for _, _, config in group_items]
             compiled = _compiled_for(
-                group_items[0][2], skey, Domain.of(points), len(points),
+                group_items[0][2], key, Domain.of(clocks), len(clocks),
             )
             if compiled is None:
-                _counters["points_fallback"] += len(points)
+                _counters["points_fallback"] += len(clocks)
                 leftovers.extend(group_items)
                 continue
-            _counters["points_vectorized"] += len(points)
-            arrays = compiled.evaluate(points, np)
+            _counters["points_vectorized"] += len(clocks)
+            arrays = compiled.evaluate(clocks, np)
             columns = [arrays[name].tolist() for name in METRICS]
             for (key, _, _), values in zip(group_items, zip(*columns)):
                 records[key] = EvalRecord(

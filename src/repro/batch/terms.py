@@ -1,6 +1,6 @@
 """Piecewise-affine frequency responses — the compiled numeric form.
 
-Every TDP metric of a fixed chip structure is piecewise-affine in the
+Every TDP metric of one built chip is piecewise-affine in the
 clock: dynamic power is ``rate * energy * f`` per component, and the only
 kink is the shared-cache bank-saturation frequency where the per-cycle
 access ceiling switches from bank-limited-constant to clock-limited (see

@@ -5,11 +5,11 @@ same information content. Round-tripping is exact: ``load(save(cfg)) ==
 cfg``.
 
 The same canonical text keys what a config shares with others:
-:func:`chip_key` (its built chip parts) and :func:`structure_key` (its
-compiled batch group), both read from :func:`config_texts`, as is the
-engine's :func:`~repro.engine.cache.config_key`. They live here, below
-the engine, so a cold report computes its chip key without importing
-:mod:`repro.engine`.
+:func:`chip_key`, every field but the clock, keys its built chip parts
+and its compiled batch group, and is read from :func:`config_texts`, as
+is the engine's :func:`~repro.engine.cache.config_key`. They live here,
+below the engine, so a cold report computes its chip key without
+importing :mod:`repro.engine`.
 """
 
 from __future__ import annotations
@@ -179,23 +179,11 @@ def system_config_from_dict(data: Mapping[str, Any]) -> SystemConfig:
     return _build(SystemConfig, data, "config")
 
 
-#: Top-level config fields a compiled batch group evaluates in closed
-#: form (:mod:`repro.batch`); the others are the config's structure.
-GROUP_AXES = ("clock_hz", "temperature_k")
-
 #: Every schema dataclass, laid out once at import: the encoder of every
 #: config key.
 _ENCODER = fastpath.CanonicalEncoder(tuple(_FIELDS))
 
-#: A config's fields' texts but :data:`GROUP_AXES`, in key order.
-StructureKey = tuple[str, ...]
-_STRUCTURE = operator.itemgetter(*(
-    i for i, name in enumerate(_ENCODER.names(SystemConfig))
-    if name not in GROUP_AXES
-))
-
-#: A config's fields' texts but ``clock_hz``, in key order: its
-#: structure key plus its temperature.
+#: A config's fields' texts but ``clock_hz``, in key order.
 ChipKey = tuple[str, ...]
 _CHIP = operator.itemgetter(*(
     i for i, name in enumerate(_ENCODER.names(SystemConfig))
@@ -219,26 +207,23 @@ def _texts(
 
 def config_texts(
     config: SystemConfig, workload: Any = None,
-) -> tuple[str, str, StructureKey]:
+) -> tuple[str, str, ChipKey]:
     """``config``'s canonical text, ``workload``'s (``null`` for none)
-    and ``config``'s structure key, from one walk of the config, or
+    and ``config``'s :func:`chip_key`, from one walk of the config, or
     none: a config walked before, or a flat sweep point
     (:meth:`~repro.engine.sweep.SweepSpec.iter_points`), kept its
     fields' texts. A value with no JSON form raises ``ValueError``
     naming the config and the value's path."""
     text, workload_text, fields = _texts(config, workload)
-    return text, workload_text, _STRUCTURE(fields)
-
-
-def structure_key(config: SystemConfig) -> StructureKey:
-    """What one compiled batch group's configs share: the texts
-    themselves, not a hash, so two structures never share a key."""
-    return config_texts(config)[2]
+    return text, workload_text, _CHIP(fields)
 
 
 def chip_key(config: SystemConfig) -> ChipKey:
     """What building ``config``'s chip reads: the texts of every field
-    but ``clock_hz`` (:attr:`repro.chip.processor.Processor.parts`).
+    but ``clock_hz``. It keys the chip's parts
+    (:attr:`repro.chip.processor.Processor.parts`) and its compiled
+    batch group (:mod:`repro.batch`), the texts themselves, not a hash,
+    so two chips never share a key.
 
     Texts, not dataclass equality: a ``temperature_k`` of 360 and one
     of 360.0 are two keys here, as in

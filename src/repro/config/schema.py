@@ -14,6 +14,10 @@ from enum import Enum
 from repro.tech import SUPPORTED_NODES_NM, DeviceType
 from repro.tech.technology import MAX_TEMPERATURE_K, MIN_TEMPERATURE_K
 
+#: Page offset bits (4 KB pages): the TLBs tag the virtual address bits
+#: above them (:mod:`repro.core.mmu`).
+PAGE_OFFSET_BITS = 12
+
 
 # The chained comparisons below are written so that NaN fails them
 # (every comparison with NaN is False) and the ``< inf`` bound rejects
@@ -161,9 +165,15 @@ class CoreConfig:
     def __post_init__(self) -> None:
         for name in ("hardware_threads", "fetch_width", "decode_width",
                      "issue_width", "commit_width", "pipeline_stages",
-                     "machine_bits", "itlb_entries", "dtlb_entries"):
+                     "machine_bits", "itlb_entries", "dtlb_entries",
+                     "arch_int_regs", "arch_fp_regs"):
             if getattr(self, name) < 1:
                 raise ValueError(f"{name} must be >= 1")
+        if self.virtual_address_bits <= PAGE_OFFSET_BITS:
+            raise ValueError(
+                f"virtual_address_bits must exceed the {PAGE_OFFSET_BITS} "
+                f"page-offset bits, got {self.virtual_address_bits}"
+            )
         for name in ("int_alus", "fpus", "mul_divs", "phys_int_regs",
                      "phys_fp_regs", "rob_entries", "issue_window_entries",
                      "fp_issue_window_entries", "load_queue_entries",

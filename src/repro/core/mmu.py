@@ -12,12 +12,9 @@ from functools import cached_property
 from repro.activity import CoreActivity
 from repro.array import CamArray
 from repro.chip.results import ComponentResult
-from repro.config.schema import CoreConfig
+from repro.config.schema import PAGE_OFFSET_BITS, CoreConfig
 from repro.core.common import cam_result
 from repro.tech import Technology
-
-#: Page offset bits (4 KB pages).
-_PAGE_OFFSET_BITS = 12
 
 
 @dataclass(frozen=True)
@@ -29,7 +26,7 @@ class MemoryManagementUnit:
 
     @property
     def _vpn_bits(self) -> int:
-        return self.config.virtual_address_bits - _PAGE_OFFSET_BITS
+        return self.config.virtual_address_bits - PAGE_OFFSET_BITS
 
     @cached_property
     def itlb(self) -> CamArray:

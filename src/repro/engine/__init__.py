@@ -33,7 +33,7 @@ from __future__ import annotations
 from typing import Iterable, Sequence
 
 from repro import obs
-from repro.config.loader import StructureKey
+from repro.config.loader import ChipKey
 from repro.config.schema import SystemConfig
 from repro.engine.cache import (
     CACHE_CAPACITY,
@@ -83,7 +83,7 @@ def evaluate_many(
 ) -> list[EvalRecord]:
     """Evaluate many configurations through the cache and worker pool.
 
-    Each config is encoded once, for both its cache and structure keys.
+    Each config is encoded once, for both its cache and chip keys.
 
     Args:
         configs: Candidate configurations.
@@ -94,13 +94,13 @@ def evaluate_many(
         backend: ``None``/``"scalar"`` (default) evaluates every point
             on the exact per-point path; ``"numpy"`` (or ``"auto"``)
             routes TDP-only points through the vectorized batch backend
-            (:mod:`repro.batch`), which groups them by structure key
-            and evaluates shared frequency/temperature axes as array
-            math — within 1e-9 relative of scalar. Points the backend
-            cannot vectorize (workload runs, tiny groups, validation
-            fallbacks) transparently use the scalar path. Cache
-            accounting is identical either way: every point is looked
-            up and stored per key.
+            (:mod:`repro.batch`), which groups them by built chip (the
+            chip key, every field but ``clock_hz``) and evaluates each
+            chip's clocks as array math — within 1e-9 relative of
+            scalar. Points the backend cannot vectorize (workload runs,
+            tiny groups, validation fallbacks) transparently use the
+            scalar path. Cache accounting is identical either way:
+            every point is looked up and stored per key.
 
     Returns:
         One :class:`EvalRecord` per config, in input order. Records for
@@ -121,18 +121,18 @@ def evaluate_many(
         raise ValueError("need at least one configuration to evaluate")
     resolved_backend = batch.resolve_backend(backend)
 
-    # One key object per distinct structure, not one per config.
-    structures: dict[StructureKey, StructureKey] = {}
+    # One key object per distinct chip, not one per config.
+    chips: dict[ChipKey, ChipKey] = {}
     pairs = []
     for config in configs:
-        key, structure = config_keys(config, workload)
-        pairs.append((key, structures.setdefault(structure, structure)))
+        key, chip = config_keys(config, workload)
+        pairs.append((key, chips.setdefault(chip, chip)))
     records: dict[str, EvalRecord] = {}
 
     # Serve cache hits, and deduplicate repeats within the batch.
-    to_compute: list[tuple[str, StructureKey, SystemConfig]] = []
+    to_compute: list[tuple[str, ChipKey, SystemConfig]] = []
     seen: set[str] = set()
-    for (key, structure), config in zip(pairs, configs):
+    for (key, chip), config in zip(pairs, configs):
         if key in seen:
             continue
         seen.add(key)
@@ -140,7 +140,7 @@ def evaluate_many(
         if hit is not None:
             records[key] = hit
         else:
-            to_compute.append((key, structure, config))
+            to_compute.append((key, chip, config))
 
     computed: dict[str, EvalRecord] = {}
     if to_compute and resolved_backend == "numpy" and workload is None:

@@ -36,7 +36,7 @@ import threading
 from collections import OrderedDict
 from pathlib import Path
 
-from repro.config.loader import StructureKey, config_texts
+from repro.config.loader import ChipKey, config_texts
 from repro.config.schema import SystemConfig
 from repro.engine.record import EvalRecord
 from repro.perf.workload import Workload
@@ -53,17 +53,17 @@ CACHE_CAPACITY = 4096
 
 def config_keys(
     config: SystemConfig, workload: Workload | None = None,
-) -> tuple[str, StructureKey]:
-    """``(config_key(config, workload), structure_key(config))``, from
-    one :func:`~repro.config.loader.config_texts`: a config that kept
-    its fields' texts is keyed with one format and one hash."""
-    config_text, workload_text, structure = config_texts(config, workload)
+) -> tuple[str, ChipKey]:
+    """``(config_key(config, workload), chip_key(config))``, from one
+    :func:`~repro.config.loader.config_texts`: a config that kept its
+    fields' texts is keyed with one format and one hash."""
+    config_text, workload_text, chip = config_texts(config, workload)
     # The canonical text of {"v": ..., "config": ..., "workload": ...}.
     key_text = (
         f'{{"config":{config_text},"v":{CACHE_SCHEMA_VERSION},'
         f'"workload":{workload_text}}}'
     )
-    return hashlib.sha256(key_text.encode()).hexdigest(), structure
+    return hashlib.sha256(key_text.encode()).hexdigest(), chip
 
 
 def config_key(config: SystemConfig, workload: Workload | None = None) -> str:

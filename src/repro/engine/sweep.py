@@ -273,9 +273,10 @@ def run_sweep(
             new record is appended to the log as it lands.
         backend: Evaluation backend, per
             :func:`repro.engine.evaluate_many`: ``None``/``"scalar"``
-            (exact, default), ``"numpy"``, or ``"auto"``. Frequency and
-            temperature axes vectorize; axes that change chip structure
-            partition the grid into groups evaluated one compile each.
+            (exact, default), ``"numpy"``, or ``"auto"``. The clock axis
+            vectorizes; every other axis, temperature included, changes
+            the built chip and partitions the grid into groups, one
+            compile each.
 
     Returns:
         One result per grid point, in grid order.

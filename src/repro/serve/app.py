@@ -174,14 +174,21 @@ class ServeConfig:
     cache_path: str | None = None
 
     def __post_init__(self) -> None:
+        if not 0 <= self.port <= 65535:
+            raise ValueError(f"port must be within 0-65535, got {self.port}")
         if self.concurrency < 1:
             raise ValueError("concurrency must be >= 1")
         if self.queue_limit < 0:
             raise ValueError("queue_limit must be non-negative")
-        if self.timeout_s <= 0:
-            raise ValueError("timeout_s must be positive")
+        # Written so NaN fails: ``nan > 0`` is False.
+        if not self.timeout_s > 0:
+            raise ValueError(
+                f"timeout_s must be positive, got {self.timeout_s!r}"
+            )
         if self.jobs < 1:
             raise ValueError("jobs must be >= 1")
+        if self.cache_entries < 1:
+            raise ValueError("cache_entries must be >= 1")
 
 
 class _Job:

@@ -5,6 +5,7 @@ import dataclasses
 import pytest
 
 from repro import batch
+from repro.config.loader import chip_key
 from repro.engine import EvalCache, config_keys, evaluate_many
 from tests.conftest import make_tiny_config
 
@@ -53,18 +54,19 @@ class TestResolveBackend:
         assert batch.counters()["numpy_unavailable"] == 1
 
 
-class TestStructureKey:
-    def test_group_axes_do_not_change_the_key(self):
+class TestChipKey:
+    def test_the_clock_does_not_change_the_key(self):
         base = make_tiny_config()
-        faster = dataclasses.replace(
-            base, clock_hz=2.5e9, temperature_k=360.0
-        )
-        assert batch.structure_key(base) == batch.structure_key(faster)
+        faster = dataclasses.replace(base, clock_hz=2.5e9)
+        (_, key, _), (_, faster_key, _) = keyed([base, faster])
+        assert key == faster_key == chip_key(base)
 
-    def test_structure_changes_the_key(self):
+    def test_temperature_and_structure_change_the_key(self):
         base = make_tiny_config()
-        wider = dataclasses.replace(base, n_cores=2)
-        assert batch.structure_key(base) != batch.structure_key(wider)
+        for change in ({"temperature_k": base.temperature_k + 20.0},
+                       {"n_cores": 2}):
+            changed = dataclasses.replace(base, **change)
+            assert keyed([changed])[0][1] != keyed([base])[0][1]
 
 
 class TestEvaluateBatch:
@@ -118,6 +120,16 @@ class TestEvaluateBatch:
         records, leftovers = batch.evaluate_batch(keyed(narrow + wide))
         assert leftovers == []
         assert len(records) == 10
+        assert batch.counters()["groups_compiled"] == 2
+
+    @needs_numpy
+    def test_each_temperature_is_a_group(self):
+        cool = frequency_grid(4)
+        hot = [dataclasses.replace(config, temperature_k=380.0)
+               for config in cool]
+        records, leftovers = batch.evaluate_batch(keyed(cool + hot))
+        assert leftovers == []
+        assert len(records) == 8
         assert batch.counters()["groups_compiled"] == 2
 
 

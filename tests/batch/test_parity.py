@@ -5,9 +5,10 @@ the default path, and ``backend="numpy"`` agrees with it within 1e-9
 relative on every reported metric. This suite enforces both on the
 published validation configs (the same chips the goldens gate checks),
 over grids large enough to engage the group compiler rather than the
-small-group fallback — and checks that a group the compiler *cannot*
-validate (niagara2's area shifts with temperature through a discrete
-sizing choice) falls back to bit-exact scalar instead of approximating.
+small-group fallback: clock grids, and thermal grids, where each
+temperature is a built chip of its own (niagara2's array sizing steps
+between 365 and 370 K). A group the compiler *cannot* validate falls
+back to bit-exact scalar instead of approximating.
 """
 
 import dataclasses
@@ -46,16 +47,15 @@ def frequency_grid(config):
     ]
 
 
-def thermal_grid(config):
-    """3 frequencies x 2 temperatures — exercises the leakage fit."""
+def thermal_grid(config, temperatures_k=None):
+    """4 frequencies x 3 temperatures: one group per temperature."""
+    t0 = config.temperature_k
     return [
         dataclasses.replace(
-            config,
-            clock_hz=config.clock_hz * step,
-            temperature_k=config.temperature_k + dt_k,
+            config, clock_hz=config.clock_hz * step, temperature_k=t_k,
         )
-        for dt_k in (0.0, 20.0)
-        for step in (0.9, 1.0, 1.1)
+        for t_k in temperatures_k or (t0, t0 + 20.0, t0 - 15.0)
+        for step in (0.9, 0.95, 1.0, 1.1)
     ]
 
 
@@ -92,6 +92,16 @@ class TestNumpyParityOnValidationPresets:
         )
         assert_parity(scalar, vectorized, preset)
 
+    def test_thermal_grid_within_tolerance(self, preset):
+        configs = thermal_grid(VALIDATION_PRESETS[preset]())
+        scalar = evaluate_many(configs, cache=None, backend="scalar")
+        vectorized = evaluate_many(configs, cache=None, backend="numpy")
+        assert batch.counters()["points_vectorized"] == len(configs), (
+            f"{preset}: thermal grid fell back to scalar"
+        )
+        assert batch.counters()["groups_compiled"] == 3
+        assert_parity(scalar, vectorized, f"{preset} thermal")
+
 
 @needs_numpy
 class TestTemperatureAxis:
@@ -100,14 +110,37 @@ class TestTemperatureAxis:
         scalar = evaluate_many(configs, cache=None, backend="scalar")
         vectorized = evaluate_many(configs, cache=None, backend="numpy")
         assert batch.counters()["points_vectorized"] == len(configs)
+        assert batch.counters()["groups_compiled"] == 3
         assert_parity(scalar, vectorized, "tiny thermal grid")
 
-    def test_unvalidatable_group_falls_back_bit_exact(self):
-        # Niagara2's array sizing re-optimizes under the hotter leakage
-        # profile, so area is *not* temperature-invariant there; the
-        # compiler must detect that and hand the group to the scalar
-        # path rather than ship a wrong closed form.
-        configs = thermal_grid(VALIDATION_PRESETS["niagara2"]())
+    def test_grid_across_a_sizing_step_vectorizes(self):
+        # Niagara2's array search picks another organization between
+        # 365 and 370 K, so its area steps there: each temperature is
+        # its own built chip, fitted at its own temperature.
+        configs = thermal_grid(VALIDATION_PRESETS["niagara2"](),
+                               temperatures_k=(365.0, 367.5, 370.0))
+        scalar = evaluate_many(configs, cache=None, backend="scalar")
+        vectorized = evaluate_many(configs, cache=None, backend="numpy")
+        assert scalar[0].area_mm2 != scalar[-1].area_mm2
+        assert batch.counters()["points_vectorized"] == len(configs)
+        assert_parity(scalar, vectorized, "niagara2 365-370 K")
+
+    def test_unvalidatable_group_falls_back_bit_exact(self, monkeypatch):
+        # A compiler that does not know the shared cache's kink cannot
+        # fit a window across it: the midpoint check must catch that
+        # and hand the group to the scalar path rather than ship a
+        # wrong closed form.
+        from repro.batch import compile as compile_mod
+
+        monkeypatch.setattr(
+            compile_mod, "_frequency_boundaries",
+            lambda processor, f_lo, f_hi: [f_lo, f_hi],
+        )
+        config = VALIDATION_PRESETS["niagara2"]()
+        configs = [  # 0.98 to 1.54 GHz, across the kink near 1.09 GHz
+            dataclasses.replace(config, clock_hz=config.clock_hz * step)
+            for step in (0.7, 0.8, 0.9, 1.0, 1.1)
+        ]
         scalar = evaluate_many(configs, cache=None, backend="scalar")
         fallback = evaluate_many(configs, cache=None, backend="numpy")
         stats = batch.counters()

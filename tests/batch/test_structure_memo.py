@@ -1,10 +1,11 @@
-"""One compiled fit per chip structure, grown over clock/temperature.
+"""One compiled fit per built chip, grown over its clock interval.
 
-The backend keys its compile memo by the structure alone and keeps the
-domain (clock interval x temperatures) each fit was validated over: a
-group inside it costs no probe, a group reaching outside it compiles
-the union once, and a group the union cannot validate falls back to
-the exact scalar path without losing the earlier domain.
+The backend keys its compile memo by the chip key, as ``chip.parts``
+keys the built chip, and keeps the clock interval each fit was
+validated over: a group inside it costs no probe, a group reaching
+outside it compiles the union once, and a group the union cannot
+validate falls back to the exact scalar path without losing the
+earlier domain. A new temperature is a new chip with a fit of its own.
 """
 
 import dataclasses
@@ -14,8 +15,10 @@ from concurrent.futures import ThreadPoolExecutor
 import pytest
 
 from repro import batch, fastpath
+from repro.batch.backend import _CHIPS
 from repro.chip import Processor
-from repro.config.presets import VALIDATION_PRESETS
+from repro.chip.processor import _PARTS
+from repro.config.loader import chip_key
 from repro.config.schema import SharedCacheConfig
 from repro.engine import SweepSpec, evaluate_many, run_sweep
 
@@ -73,6 +76,22 @@ def kink_hz(config):
     return 1.0 / max(cache.access_time, cache.cycle_time)
 
 
+def poison_clocks(monkeypatch, lo_hz, hi_hz):
+    """Compile probes at clocks in ``[lo_hz, hi_hz]`` read NaN: a clock
+    dependence no fit can validate. The scalar path is untouched."""
+    from repro.batch import compile as compile_mod
+
+    real = compile_mod.tdp_metrics
+
+    def poisoned(chip):
+        sample = real(chip)
+        if lo_hz <= chip.config.clock_hz <= hi_hz:
+            sample["tdp_w"] = math.nan
+        return sample
+
+    monkeypatch.setattr(compile_mod, "tdp_metrics", poisoned)
+
+
 class TestDomainGrowth:
     def test_window_inside_the_domain_adds_no_probe(self):
         base = make_tiny_config()
@@ -101,6 +120,8 @@ class TestDomainGrowth:
         assert probes() == spent
 
     def test_new_temperature_grows_the_domain(self):
+        # A new temperature is a new built chip: the backend's domain
+        # grows by a fit of its own, and the first one stays.
         base = make_tiny_config()
         evaluate_many(window(base, 1.0e9, 2.0e9), cache=None,
                       backend="numpy")
@@ -108,6 +129,10 @@ class TestDomainGrowth:
         records = evaluate_many(hotter, cache=None, backend="numpy")
         assert compiles() == 2
         assert_within_tolerance(hotter, records, "hotter")
+        spent = probes()
+        evaluate_many(window(base, 1.2e9, 1.8e9), cache=None,
+                      backend="numpy")
+        assert probes() == spent
 
     @pytest.mark.parametrize("order", ["AB", "BA"])
     def test_windows_across_the_kink_in_either_order(self, order):
@@ -150,20 +175,18 @@ class TestSmallGroups:
 
 
 class TestFallback:
-    def test_thermal_fallback_keeps_the_earlier_domain(self):
-        # Niagara2's array sizing shifts with temperature, so no fit
-        # spans two temperatures: the union and the request's own
-        # domain both fall back, the frequency-only fit survives.
-        config = VALIDATION_PRESETS["niagara2"]()
-        f0, t0 = config.clock_hz, config.temperature_k
-        clocks = window(config, 0.9 * f0, 1.1 * f0)
-        thermal = window(config, 0.9 * f0, 1.1 * f0, n=3,
-                         temperatures_k=(t0, t0 + 20.0))
+    def test_failed_window_keeps_the_earlier_domain(self, monkeypatch):
+        # No fit reaches 2.5 GHz: the union and the request's own
+        # window both fall back, and the earlier fit survives.
+        poison_clocks(monkeypatch, 2.5e9, math.inf)
+        base = make_tiny_config()
+        clocks = window(base, 1.0e9, 2.0e9)
+        beyond = window(base, 2.2e9, 2.6e9)
         evaluate_many(clocks, cache=None, backend="numpy")
         assert batch.counters()["points_vectorized"] == len(clocks)
 
-        fallback = evaluate_many(thermal, cache=None, backend="numpy")
-        scalar = evaluate_many(thermal, cache=None, backend="scalar")
+        fallback = evaluate_many(beyond, cache=None, backend="numpy")
+        scalar = evaluate_many(beyond, cache=None, backend="scalar")
         assert fallback == scalar
         assert all(record.backend == "scalar" for record in fallback)
         assert batch.counters()["groups_fallback"] == 1
@@ -171,46 +194,36 @@ class TestFallback:
         spent = probes()
         again = evaluate_many(clocks, cache=None, backend="numpy")
         assert all(record.backend == "numpy" for record in again)
-        evaluate_many(thermal, cache=None, backend="numpy")
+        evaluate_many(beyond, cache=None, backend="numpy")
         assert probes() == spent
         assert batch.counters()["groups_fallback"] == 2
 
-    def test_union_fallback_compiles_the_group_alone(self):
-        # Each niagara2 temperature compiles on its own, but no union
-        # of two does: a group that vectorizes alone still vectorizes.
-        config = VALIDATION_PRESETS["niagara2"]()
-        f0, t0 = config.clock_hz, config.temperature_k
-        cool = window(config, 0.9 * f0, 1.1 * f0)
-        hot = window(config, 0.9 * f0, 1.1 * f0,
-                     temperatures_k=(t0 + 20.0,))
-        evaluate_many(cool, cache=None, backend="numpy")
-        cool_probes = probes()
-        records = evaluate_many(hot, cache=None, backend="numpy")
-        assert_within_tolerance(hot, records, "hot alone")
+    def test_union_fallback_compiles_the_group_alone(self, monkeypatch):
+        # Only the union's midpoint (1.7 GHz) reaches the poisoned
+        # band: each window compiles alone, but no fit spans both.
+        poison_clocks(monkeypatch, 1.6e9, 1.8e9)
+        base = make_tiny_config()
+        low = window(base, 1.0e9, 1.4e9)
+        high = window(base, 2.0e9, 2.4e9)
+        evaluate_many(low, cache=None, backend="numpy")
+        low_probes = probes()
+        records = evaluate_many(high, cache=None, backend="numpy")
+        assert_within_tolerance(high, records, "high alone")
         assert batch.counters()["groups_compiled"] == 2
 
-        # The hot fit replaced the cool one; the failed union is
-        # remembered, so going back costs exactly the cool compile.
+        # The high fit replaced the low one; the failed union is
+        # remembered, so going back costs exactly the low compile.
         spent = probes()
-        evaluate_many(hot, cache=None, backend="numpy")
+        evaluate_many(high, cache=None, backend="numpy")
         assert probes() == spent
-        records = evaluate_many(cool, cache=None, backend="numpy")
-        assert_within_tolerance(cool, records, "cool again")
-        assert probes() - spent == cool_probes
+        records = evaluate_many(low, cache=None, backend="numpy")
+        assert_within_tolerance(low, records, "low again")
+        assert probes() - spent == low_probes
         assert batch.counters()["groups_compiled"] == 3
         assert batch.counters()["groups_fallback"] == 0
 
     def test_nan_probe_falls_back_bit_exact(self, monkeypatch):
-        from repro.batch import compile as compile_mod
-
-        real = compile_mod.tdp_metrics
-
-        def poisoned(processor):
-            sample = real(processor)
-            sample["leakage_w"] = math.nan
-            return sample
-
-        monkeypatch.setattr(compile_mod, "tdp_metrics", poisoned)
+        poison_clocks(monkeypatch, 0.0, math.inf)
         configs = window(make_tiny_config(), 1.0e9, 2.0e9)
         records = evaluate_many(configs, cache=None, backend="numpy")
         assert records == evaluate_many(configs, cache=None,
@@ -221,14 +234,12 @@ class TestFallback:
         assert stats["compile_probes"] == 1
 
     def test_evaluate_refuses_points_outside_its_domain(self):
-        compiled = batch.compile_group(
-            make_tiny_config(), [1.0e9, 2.0e9], [350.0, 360.0],
-        )
+        compiled = batch.compile_group(make_tiny_config(), 1.0e9, 2.0e9)
         np = batch.get_numpy()
-        assert compiled.evaluate([(1.5e9, 350.0)], np)["tdp_w"].size == 1
-        for point in [(2.5e9, 360.0), (0.5e9, 360.0), (1.5e9, 370.0)]:
+        assert compiled.evaluate([1.5e9], np)["tdp_w"].size == 1
+        for clock in (2.5e9, 0.5e9):
             with pytest.raises(ValueError, match="outside the compiled"):
-                compiled.evaluate([(1.5e9, 360.0), point], np)
+                compiled.evaluate([1.5e9, clock], np)
 
 
 class TestMemoDiscipline:
@@ -246,6 +257,16 @@ class TestMemoDiscipline:
         evaluate_many(configs, cache=None, backend="numpy")
         assert compiles() == 2
 
+    def test_memo_is_keyed_as_the_built_chips(self):
+        configs = window(make_tiny_config(), 1.0e9, 2.0e9,
+                         temperatures_k=(340.0, 360.0, 380.0))
+        evaluate_many(configs, cache=None, backend="numpy")
+        keys = {chip_key(config) for config in configs}
+        assert len(keys) == 3
+        for key in keys:
+            assert _CHIPS.lookup(key) is not None
+            assert _PARTS.lookup(key) is not None
+
     def test_memo_is_visible_in_metrics(self):
         from repro.engine import metrics_snapshot
 
@@ -255,8 +276,8 @@ class TestMemoDiscipline:
         assert counters["memo.batch.compiled_groups.entries"] == 1
 
     def test_threads_sweeping_overlapping_windows(self):
-        # The serve /sweep shape: executor threads growing one
-        # structure's domain at once.
+        # The serve /sweep shape: executor threads growing the same
+        # chips' domains at once.
         base = make_tiny_config()
         specs = [
             SweepSpec.from_axes(base, {

@@ -20,14 +20,14 @@ from hypothesis import HealthCheck, given, settings, strategies as st
 from repro import fastpath, obs
 from repro.chip import Processor
 from repro.chip.export import result_to_dict
-from repro.config.loader import chip_key, structure_key
+from repro.config.loader import chip_key
 from repro.config.presets import VALIDATION_PRESETS
 from repro.config.schema import (
     MemoryControllerConfig,
     SharedCacheConfig,
     SystemConfig,
 )
-from repro.engine import evaluate_config, evaluate_many
+from repro.engine import config_keys, evaluate_config, evaluate_many
 from repro.perf.workload import SPLASH2_PROFILES
 from repro.tech import SUPPORTED_NODES_NM
 from repro.units import KB
@@ -132,9 +132,9 @@ class TestKey:
             assert chip_key(config) != chip_key(
                 dataclasses.replace(config, **change)
             )
-        # The structure key drops the temperature as well.
+        # The engine groups batch points by the same key.
         hot = dataclasses.replace(config, temperature_k=370.0)
-        assert structure_key(config) == structure_key(hot)
+        assert config_keys(hot)[1] == chip_key(hot)
 
     def test_texts_keep_int_and_float_temperatures_apart(self):
         config = make_tiny_config(temperature_k=360)

@@ -215,6 +215,11 @@ MODEL_CONSTRAINT_VARIANTS = [
      "config.core.icache: capacity_bytes must divide into whole 3-way "
      "sets"),
     ("core.dtlb_entries", 0, "config.core: dtlb_entries must be >= 1"),
+    ("core.arch_int_regs", 0, "config.core: arch_int_regs must be >= 1"),
+    ("core.arch_fp_regs", 0, "config.core: arch_fp_regs must be >= 1"),
+    ("core.virtual_address_bits", 12,
+     "config.core: virtual_address_bits must exceed the 12 page-offset "
+     "bits, got 12"),
     ("l2.mshr_entries", -1,
      "config.l2: mshr_entries must be non-negative"),
 ]

@@ -16,7 +16,6 @@ import pytest
 from repro import batch, fastpath
 from repro.config.loader import (
     chip_key,
-    structure_key,
     system_config_from_dict,
     system_config_to_dict,
 )
@@ -45,7 +44,6 @@ def assert_keys_exact(config):
     rebuilt = system_config_from_dict(system_config_to_dict(config))
     assert rebuilt == config
     assert config_key(config) == config_key(rebuilt)
-    assert structure_key(config) == structure_key(rebuilt)
     assert chip_key(config) == chip_key(rebuilt)
     assert config_key(config) == reference_key(config)
 
@@ -72,10 +70,10 @@ KINDS = [*sorted(LEAF_AXES), pytest.param("numpy", marks=needs_numpy)]
 
 #: Per backend, its chunk-size constant in ``repro.engine.sweep`` and a
 #: size that a sweep of tens of points crosses. A numpy chunk of 16
-#: gives each structure of every kind's first chunk at least 4 points
-#: and 2 per temperature, so every group compiles (the backend's
-#: ``_MIN_GROUP_POINTS`` rule) and a structure's last points extend its
-#: fit across the boundary: every point vectorizes.
+#: gives each built chip of every kind's first chunk at least 4 points,
+#: so every group compiles (the backend's ``_MIN_GROUP_POINTS`` rule)
+#: and a chip's last points extend its fit across the boundary: every
+#: point vectorizes.
 CHUNKS = {"scalar": ("_SCALAR_CHUNK_POINTS", 4),
           "numpy": ("_BATCH_CHUNK_POINTS", 16)}
 

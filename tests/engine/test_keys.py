@@ -14,9 +14,8 @@ import pytest
 from hypothesis import HealthCheck, given, settings, strategies as st
 
 from repro import batch
-from repro.batch import structure_key
 from repro.config import presets
-from repro.config.loader import system_config_to_dict
+from repro.config.loader import chip_key, system_config_to_dict
 from repro.config.schema import (
     LinkSignaling,
     NiuConfig,
@@ -75,15 +74,16 @@ def test_preset_keys_are_pinned(name):
     # Asked again, the sub-configs answer from the text they kept.
     assert config_key(config) == plain
 
-    # The structure key ignores the operating point, not the structure.
-    moved = dataclasses.replace(
-        config, clock_hz=config.clock_hz * 1.1,
-        temperature_k=config.temperature_k - 20.0,
+    # The chip key ignores the clock, not the temperature or the chip.
+    faster = dataclasses.replace(config, clock_hz=config.clock_hz * 1.1)
+    assert chip_key(faster) == chip_key(config)
+    assert config_key(faster) != plain
+    cooler = dataclasses.replace(
+        config, temperature_k=config.temperature_k - 20.0,
     )
-    assert structure_key(moved) == structure_key(config)
-    assert config_key(moved) != plain
+    assert chip_key(cooler) != chip_key(config)
     wider = dataclasses.replace(config, n_cores=config.n_cores * 2)
-    assert structure_key(wider) != structure_key(config)
+    assert chip_key(wider) != chip_key(config)
 
 
 SYSTEM_CONFIGS = st.builds(

@@ -64,6 +64,29 @@ def sleepy_evaluate_many(sleep_s: float):
     return fake
 
 
+class TestServeConfig:
+    @pytest.mark.parametrize("timeout_s", [0.0, -1.0, float("nan")])
+    def test_timeout_must_be_positive(self, timeout_s):
+        with pytest.raises(ValueError, match="timeout_s must be positive"):
+            ServeConfig(timeout_s=timeout_s)
+
+    def test_cache_entries_must_be_positive(self):
+        with pytest.raises(ValueError, match="cache_entries must be >= 1"):
+            ServeConfig(cache_entries=0)
+
+    @pytest.mark.parametrize("port", [-1, 65536])
+    def test_port_must_be_a_tcp_port(self, port):
+        with pytest.raises(ValueError, match="port must be within 0-65535"):
+            ServeConfig(port=port)
+
+    def test_an_infinite_timeout_serves(self):
+        config = ServeConfig(port=0, timeout_s=float("inf"))
+        with BackgroundServer(config) as server, server.client() as client:
+            served = client.evaluate(config=tiny_dict(), report=False)
+        offline = evaluate_many([make_tiny_config()], cache=None)[0]
+        assert EvalRecord.from_dict(served["record"]) == offline
+
+
 class TestBasicEndpoints:
     def test_healthz(self):
         with BackgroundServer(ServeConfig(port=0)) as server:

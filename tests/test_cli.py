@@ -188,6 +188,23 @@ class TestSweep:
         assert not obs.active()
 
 
+class TestServe:
+    @pytest.mark.parametrize("flag, value, message", [
+        ("--cache-entries", "0", "cache_entries must be >= 1"),
+        ("--timeout-s", "nan", "timeout_s must be positive, got nan"),
+        ("--port", "70000", "port must be within 0-65535, got 70000"),
+    ])
+    def test_bad_tunable_exits_with_its_message(
+        self, monkeypatch, flag, value, message,
+    ):
+        def serve_forever(config):
+            raise AssertionError(f"a server started with {config}")
+
+        monkeypatch.setattr("repro.serve.serve_forever", serve_forever)
+        with pytest.raises(SystemExit, match=message):
+            main(["serve", flag, value])
+
+
 class TestStats:
     def test_prints_metrics_table(self, tiny_json, capsys):
         assert main(["stats", tiny_json]) == 0
